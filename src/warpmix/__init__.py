@@ -35,10 +35,12 @@ from .metrics import (
     ClassifPrediction,
     PredictiveDistribution,
     accuracy,
+    bin_stats,
     brier,
     ece,
     ence,
     log_softmax,
+    metrics_from_payload,
     nll,
     regression_point_metrics,
     softmax,

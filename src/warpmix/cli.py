@@ -17,19 +17,10 @@ import sys
 import numpy as np
 
 from .errors import DatasetError, DomainError, UsageError, WarpmixError
-from .harness import ExperimentConfig, grid_search, run_experiment
-from .metrics import (
-    BinningConfig,
-    ClassifPrediction,
-    accuracy,
-    brier,
-    ece,
-    ence,
-    nll,
-    regression_point_metrics,
-    uce,
-)
-from .model import load_model, predictive_distributions, save_model
+from .data import split
+from .harness import ExperimentConfig, evaluate, grid_search, run_experiment
+from .metrics import metrics_from_payload, payload_bins
+from .model import load_model, save_model
 from .rng import RngStream
 from .similarity import KernelConfig, kernel_tau
 from .special import beta_sample
@@ -73,6 +64,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_metrics(out: str, metrics: dict) -> None:
+    _write(os.path.join(out, "metrics.json"), json.dumps(metrics, indent=2, sort_keys=True))
+    for name, value in sorted(metrics.items()):
+        if value is not None:
+            print(f"{name}: {value:.6g}")
+
+
 def _write_trace_csv(path: str, trace) -> None:
     lines = ["epoch,train_loss,valid_loss"]
     for row in trace:
@@ -81,38 +79,15 @@ def _write_trace_csv(path: str, trace) -> None:
 
 
 def _bin_table(payload: dict) -> str:
-    """Per-bin calibration table matching the metric binning rules."""
-    m = int(payload["num_bins"])
-    if payload["task"] == "regression":
-        variances = np.asarray(payload["variances"], dtype=np.float64)
-        sq_err = (np.asarray(payload["means"]) - np.asarray(payload["targets"])) ** 2
-        lo, hi = float(variances.min()), float(variances.max())
-        width = (hi - lo) / m if hi > lo else 0.0
-        idx = (
-            np.clip(np.floor((variances - lo) / (hi - lo) * m).astype(int), 0, m - 1)
-            if hi > lo
-            else np.zeros(len(variances), dtype=int)
-        )
-        lines = ["bin_lo,bin_hi,count,mse,mean_variance"]
-        for b in range(m):
-            mask = idx == b
-            count = int(mask.sum())
-            mse = float(sq_err[mask].mean()) if count else float("nan")
-            mv = float(variances[mask].mean()) if count else float("nan")
-            lines.append(f"{lo + b * width!r},{lo + (b + 1) * width!r},{count},{mse!r},{mv!r}")
-        return "\n".join(lines) + "\n"
-    probs = np.asarray(payload["probs"], dtype=np.float64)
-    labels = np.asarray(payload["labels"], dtype=np.int64)
-    conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == labels
-    idx = np.clip(np.floor(conf * m).astype(int), 0, m - 1)
-    lines = ["bin_lo,bin_hi,count,accuracy,confidence"]
-    for b in range(m):
-        mask = idx == b
-        count = int(mask.sum())
-        acc = float(correct[mask].mean()) if count else float("nan")
-        avg = float(conf[mask].mean()) if count else float("nan")
-        lines.append(f"{b / m!r},{(b + 1) / m!r},{count},{acc!r},{avg!r}")
+    """The per-bin table behind ECE (classification) or UCE/ENCE (regression)."""
+    lo, hi, counts, sums = payload_bins(payload)
+    m = counts.shape[0]
+    edges = (lo + (hi - lo) * np.arange(m + 1) / m).tolist()
+    means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0).tolist()
+    columns = "mse,mean_variance" if payload["task"] == "regression" else "accuracy,confidence"
+    lines = [f"bin_lo,bin_hi,count,{columns}"] + [
+        f"{edges[b]!r},{edges[b + 1]!r},{int(counts[b])},{means[0][b]!r},{means[1][b]!r}" for b in range(m)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -136,9 +111,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .harness import evaluate
-    from .data import split
-
     config = _load_config(args)
     out = _out_dir(config)
     model = load_model(args.checkpoint)
@@ -146,12 +118,9 @@ def _cmd_eval(args) -> int:
     seed = int(args.seed) if args.seed is not None else config.seeds[0]
     splits = split(dataset, config.split_fractions, seed)
     metrics, payload = evaluate(model, splits, config, seed)
-    _write(os.path.join(out, "metrics.json"), json.dumps(metrics, indent=2, sort_keys=True))
     _write(os.path.join(out, "predictions.json"), json.dumps(payload, indent=2, sort_keys=True))
     _write(os.path.join(out, "bins.csv"), _bin_table(payload))
-    for name, value in sorted(metrics.items()):
-        if value is not None:
-            print(f"{name}: {value:.6g}")
+    _write_metrics(out, metrics)
     print(f"wrote {out}/metrics.json")
     return 0
 
@@ -214,44 +183,18 @@ def _cmd_warp_demo(args) -> int:
     return 0
 
 
-def _recompute_metrics(payload: dict) -> dict:
-    m = int(payload["num_bins"])
-    if payload["task"] == "regression":
-        preds = predictive_distributions(
-            payload["means"], payload["variances"], payload["targets"]
-        )
-        rmse, mape = regression_point_metrics(preds)
-        return {
-            "rmse": rmse,
-            "mape": mape,
-            "uce": uce(preds, BinningConfig(m, "equal_width_variance")),
-            "ence": ence(preds, BinningConfig(m, "equal_width_variance")),
-        }
-    preds = [
-        ClassifPrediction(np.asarray(p, dtype=np.float64), int(y))
-        for p, y in zip(payload["probs"], payload["labels"])
-    ]
-    return {
-        "accuracy": accuracy(preds),
-        "ece": ece(preds, BinningConfig(m, "equal_width_confidence")),
-        "brier": brier(preds),
-        "nll": nll(preds),
-        "temperature": payload["temperature"],
-    }
-
-
 def _cmd_metrics(args) -> int:
     if not os.path.isfile(args.predictions):
         raise DatasetError(f"predictions file not found: {args.predictions}", code="missing_file")
     with open(args.predictions, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    metrics = _recompute_metrics(payload)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"predictions file {args.predictions!r} is not valid JSON: {exc}") from None
+    metrics = metrics_from_payload(payload)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    _write(os.path.join(out, "metrics.json"), json.dumps(metrics, indent=2, sort_keys=True))
-    for name, value in sorted(metrics.items()):
-        if value is not None:
-            print(f"{name}: {value:.6g}")
+    _write_metrics(out, metrics)
     return 0
 
 
@@ -317,10 +260,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except WarpmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except OSError as exc:
+    except (WarpmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

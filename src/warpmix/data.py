@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -19,7 +20,8 @@ _STD_FLOOR = 1e-8
 
 @dataclass
 class Dataset:
-    """Feature matrix plus targets; ``num_classes`` is None for regression."""
+    """Feature matrix plus targets; ``num_classes`` is None for regression,
+    otherwise the targets must be integer labels in ``[0, num_classes)``."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -33,7 +35,15 @@ class Dataset:
         if self.num_classes is None:
             self.targets = np.asarray(self.targets, dtype=np.float64)
         else:
-            self.targets = np.asarray(self.targets, dtype=np.int64)
+            labels = np.asarray(self.targets, dtype=np.float64)
+            bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= self.num_classes))
+            if bad.size:
+                raise DatasetError(
+                    f"label {float(labels[bad[0]])!r} at row {bad[0] + 1} "
+                    f"is not a class in [0, {self.num_classes})",
+                    code="bad_label",
+                )
+            self.targets = labels.astype(np.int64)
         if self.targets.shape[0] != self.features.shape[0]:
             raise UsageError("features and targets row counts differ")
 
@@ -78,8 +88,9 @@ def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Datas
     """Parse a headered numeric CSV into a regression Dataset.
 
     The target column is named or indexed (negative indices allowed); all
-    other columns become features in file order. Any non-numeric cell is an
-    error naming the offending data row (1-based, header excluded).
+    other columns become features in file order. Any non-numeric, NaN or
+    infinite cell is an error naming the offending data row (1-based, header
+    excluded).
     """
     if not os.path.isfile(path):
         raise DatasetError(f"dataset file not found: {path}", code="missing_file")
@@ -113,10 +124,14 @@ def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Datas
             try:
                 parsed[r - 1, c] = float(cell)
             except ValueError:
-                raise DatasetError(
-                    f"non-numeric cell {cell!r} at row {r}, column {header[c].strip()!r}",
-                    code="non_numeric_cell",
-                ) from None
+                parsed[r - 1, c] = math.nan
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        r, c = bad[0]
+        raise DatasetError(
+            f"non-numeric cell {data_rows[r][c]!r} at row {r + 1}, column {header[c].strip()!r}",
+            code="non_numeric_cell",
+        )
 
     feature_cols = [c for c in range(len(header)) if c != target_idx]
     return Dataset(

@@ -42,7 +42,9 @@ class DatasetError(WarpmixError, ValueError):
     """A dataset could not be ingested.
 
     ``code`` is a stable machine-readable tag: one of ``"missing_file"``,
-    ``"non_numeric_cell"``, ``"empty_dataset"``, ``"bad_header"``.
+    ``"non_numeric_cell"`` (also NaN and infinite cells), ``"empty_dataset"``,
+    ``"bad_header"``, ``"bad_label"`` (a classification label that is not an
+    integer in ``[0, num_classes)``).
     """
 
     def __init__(self, message, code):

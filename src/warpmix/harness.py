@@ -22,19 +22,7 @@ import numpy as np
 
 from .data import DataSplits, Dataset, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
-from .metrics import (
-    BinningConfig,
-    ClassifPrediction,
-    accuracy,
-    brier,
-    ece,
-    ence,
-    nll,
-    regression_point_metrics,
-    softmax,
-    temperature_scale,
-    uce,
-)
+from .metrics import metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch, MixupConfig, mix_batch, mixed_loss
 from .model import (
     ModelState,
@@ -44,7 +32,6 @@ from .model import (
     init_mlp,
     mc_dropout_predict,
     optimizer_step,
-    predictive_distributions,
 )
 from .rng import RngStream
 from .similarity import KernelConfig
@@ -122,10 +109,28 @@ def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
                 raise UsageError(f"config key {path + key!r} must be a table")
             merged[key] = _merge_with_defaults(default_value, given[key], path + key + ".")
         elif key in given:
+            _check_number(path + key, default_value, given[key])
             merged[key] = copy.deepcopy(given[key])
         else:
             merged[key] = copy.deepcopy(default_value)
     return merged
+
+
+def _check_number(name: str, default, value) -> None:
+    """Raise UsageError, naming the key, unless ``value`` converts like the
+    number (or list of numbers) that it replaces in the defaults."""
+    if name == "num_classes" and value is not None:
+        default = 0
+    kind = type(default[0] if isinstance(default, list) else default)
+    if kind not in (int, float) or name == "dataset.target_column":
+        return
+    if isinstance(default, list) and not isinstance(value, list):
+        raise UsageError(f"config key {name!r} must be a list, got {value!r}")
+    for item in value if isinstance(default, list) else [value]:
+        try:
+            kind(item)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"config key {name!r} must be {kind.__name__}-valued, got {value!r}") from None
 
 
 def _parse_override_value(text: str):
@@ -265,7 +270,7 @@ class ExperimentConfig:
         if self.task == "classification":
             ds = Dataset(
                 features=ds.features,
-                targets=ds.targets.astype(np.int64),
+                targets=ds.targets,
                 name=ds.name,
                 num_classes=int(self.num_classes),
             )
@@ -436,63 +441,32 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     Regression: MC-Dropout predictive distributions, de-normalized back to
     target units, feeding RMSE/MAPE/UCE/ENCE. Classification: temperature is
     fitted on the validation split only, then ECE/Brier/NLL/accuracy on the
-    scaled test probabilities.
+    scaled test probabilities. The metrics are ``metrics_from_payload(payload)``.
     """
     norm = splits.normalization
-    bins = config.num_bins
+    outputs = 1 if config.task == "regression" else int(config.num_classes)
+    if model.layers[-1].weights.shape[1] != outputs:
+        raise UsageError(f"{config.task} evaluation needs a model with {outputs} outputs")
+    payload = {"task": config.task, "num_bins": config.num_bins}
     if config.task == "regression":
-        if model.layers[-1].weights.shape[1] != 1:
-            raise UsageError("regression evaluation needs a scalar-output model")
         rng = RngStream(seed).child(STREAM_EVAL)
         means_n, vars_n = mc_dropout_predict(model, splits.test.features, config.mc_samples, rng)
-        means = norm.denormalize_mean(means_n[:, 0])
-        variances = norm.denormalize_variance(vars_n[:, 0])
-        preds = predictive_distributions(means, variances, splits.test.targets)
-        rmse, mape = regression_point_metrics(preds)
-        metrics = {
-            "rmse": rmse,
-            "mape": mape,
-            "uce": uce(preds, BinningConfig(bins, "equal_width_variance")),
-            "ence": ence(preds, BinningConfig(bins, "equal_width_variance")),
-        }
-        payload = {
-            "task": "regression",
-            "num_bins": bins,
-            "means": means.tolist(),
-            "variances": variances.tolist(),
-            "targets": splits.test.targets.tolist(),
-            "metrics": metrics,
-        }
-        return metrics, payload
-
-    if config.num_classes and model.layers[-1].weights.shape[1] != int(config.num_classes):
-        raise UsageError("classification evaluation needs a class-per-output model")
-    previous = model.mode
-    model.mode = "eval"
-    try:
-        valid_logits, _ = forward(model, splits.valid.features)
-        test_logits, _ = forward(model, splits.test.features)
-    finally:
-        model.mode = previous
-    temperature = temperature_scale(valid_logits, splits.valid.targets)
-    probs = softmax(test_logits / temperature)
-    preds = [ClassifPrediction(p, int(y)) for p, y in zip(probs, splits.test.targets)]
-    metrics = {
-        "accuracy": accuracy(preds),
-        "ece": ece(preds, BinningConfig(bins, "equal_width_confidence")),
-        "brier": brier(preds),
-        "nll": nll(preds),
-        "temperature": temperature,
-    }
-    payload = {
-        "task": "classification",
-        "num_bins": bins,
-        "temperature": temperature,
-        "probs": probs.tolist(),
-        "labels": splits.test.targets.tolist(),
-        "metrics": metrics,
-    }
-    return metrics, payload
+        payload["means"] = norm.denormalize_mean(means_n[:, 0]).tolist()
+        payload["variances"] = norm.denormalize_variance(vars_n[:, 0]).tolist()
+        payload["targets"] = splits.test.targets.tolist()
+    else:
+        previous = model.mode
+        model.mode = "eval"
+        try:
+            valid_logits, _ = forward(model, splits.valid.features)
+            test_logits, _ = forward(model, splits.test.features)
+        finally:
+            model.mode = previous
+        payload["temperature"] = temperature_scale(valid_logits, splits.valid.targets)
+        payload["probs"] = softmax(test_logits / payload["temperature"]).tolist()
+        payload["labels"] = splits.test.targets.tolist()
+    payload["metrics"] = metrics_from_payload(payload)
+    return payload["metrics"], payload
 
 
 @dataclass

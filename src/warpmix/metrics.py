@@ -1,8 +1,8 @@
 """Calibration and accuracy metrics, plus temperature scaling.
 
-Classification metrics consume lists of per-sample ClassifPrediction;
-regression calibration consumes lists of per-sample PredictiveDistribution.
-Binning follows one documented rule everywhere: equal-width bins, a value
+All metrics come from ``metrics_from_payload``, on arrays; the per-row API
+(ClassifPrediction, PredictiveDistribution) stacks its rows into a payload.
+Binning follows one rule, in ``bin_stats``: equal-width bins, a value
 exactly on an interior edge goes to the higher bin, and the top bin is
 closed. ENCE averages over non-empty bins only; a bin whose root mean
 variance is zero yields the infinity sentinel unless its RMSE is also zero.
@@ -32,6 +32,9 @@ __all__ = [
     "ence",
     "temperature_scale",
     "regression_point_metrics",
+    "bin_stats",
+    "payload_bins",
+    "metrics_from_payload",
 ]
 
 _PROB_FLOOR = 1e-12
@@ -45,16 +48,10 @@ class ClassifPrediction:
     label: int
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.shape[0] < 2:
-            raise UsageError(f"probs must be a vector over >= 2 classes, got shape {p.shape}")
-        if np.any(p < 0.0) or np.any(p > 1.0) or abs(float(p.sum()) - 1.0) > 1e-9:
-            raise UsageError("probs must be non-negative and sum to 1 within 1e-9")
-        label = int(self.label)
-        if not 0 <= label < p.shape[0]:
-            raise UsageError(f"label {label} outside [0, {p.shape[0]})")
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "label", label)
+        payload = {"task": "classification", "num_bins": 1, "probs": [self.probs], "labels": [self.label]}
+        probs, labels = _parse_payload(payload)[2]
+        object.__setattr__(self, "probs", probs[0])
+        object.__setattr__(self, "label", int(labels[0]))
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,10 @@ class PredictiveDistribution:
     target: float
 
     def __post_init__(self):
-        v = float(self.variance)
-        if math.isnan(v) or v < 0.0:
-            raise UsageError(f"variance must be >= 0, got {self.variance}")
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", v)
-        object.__setattr__(self, "target", float(self.target))
+        payload = {"task": "regression", "num_bins": 1, "means": [self.mean],
+                   "variances": [self.variance], "targets": [self.target]}
+        for name, values in zip(("mean", "variance", "target"), _parse_payload(payload)[2]):
+            object.__setattr__(self, name, float(values[0]))
 
 
 @dataclass(frozen=True)
@@ -111,69 +106,174 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _classif_arrays(preds: Sequence[ClassifPrediction]):
-    if len(preds) == 0:
-        raise UsageError("metric needs at least one prediction")
-    probs = np.stack([p.probs for p in preds])
-    labels = np.array([p.label for p in preds], dtype=np.int64)
-    return probs, labels
+def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
+    """Per-bin counts and column sums over equal-width bins of [lo, hi].
+
+    A value exactly on an interior edge goes to the higher bin, the top bin
+    is closed, and ``hi <= lo`` puts every value in bin 0. Returns
+    ``(counts, sums)``: ``counts`` has one entry per bin and ``sums[k]`` holds
+    the per-bin sums of ``columns[k]``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if hi <= lo:
+        idx = np.zeros(values.shape[0], dtype=np.int64)
+    else:
+        idx = np.clip(np.floor((values - lo) / (hi - lo) * num_bins).astype(np.int64), 0, num_bins - 1)
+    sums = [np.bincount(idx, weights=np.asarray(c, dtype=np.float64), minlength=num_bins) for c in columns]
+    return np.bincount(idx, minlength=num_bins), np.array(sums)
 
 
-def _regression_arrays(preds: Sequence[PredictiveDistribution]):
+def _calibration_bins(task: str, num_bins: int, arrays: tuple):
+    """``payload_bins`` of already validated payload arrays."""
+    if task == "regression":
+        means, variances, targets = arrays
+        lo, hi = float(variances.min()), float(variances.max())
+        return (lo, hi, *bin_stats(variances, lo, hi, num_bins, (means - targets) ** 2, variances))
+    probs, labels = arrays
+    conf = probs.max(axis=1)
+    return (0.0, 1.0, *bin_stats(conf, 0.0, 1.0, num_bins, probs.argmax(axis=1) == labels, conf))
+
+
+def _weighted_gap(counts, sums) -> float:
+    """Sum over non-empty bins of count/n * |mean of column 0 - mean of
+    column 1|: ECE on confidence bins, UCE on variance bins."""
+    full = counts > 0
+    first, second = sums[:, full] / counts[full]
+    return float(np.sum(counts[full] / counts.sum() * np.abs(first - second)))
+
+
+def _ence(counts, sums) -> float:
+    full = counts > 0
+    rmse, rmv = np.sqrt(sums[:, full] / counts[full])
+    if np.any((rmv == 0.0) & (rmse > 0.0)):
+        return math.inf
+    # rmv == 0 leaves only bins with rmse == 0, which contribute 0
+    return float(np.sum(np.abs(rmse - rmv) / np.where(rmv > 0.0, rmv, 1.0)) / np.count_nonzero(full))
+
+
+_PAYLOAD_ARRAYS = {"regression": ("means", "variances", "targets"), "classification": ("probs", "labels")}
+
+
+def _payload_value(payload: dict, key: str, kind: Optional[type] = None):
+    """payload[key]; with ``kind``, a finite number > 0 of that kind."""
+    if key not in payload:
+        raise UsageError(f"predictions payload has no {key!r}")
+    value = payload[key]
+    if kind is None:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or not (math.isfinite(value) and value > 0):
+        raise UsageError(f"predictions payload {key!r} must be a positive {kind.__name__}, got {value!r}")
+    return value
+
+
+def _parse_payload(payload: dict):
+    """(task, num_bins, validated arrays) of a predictions payload; the one
+    input check behind every metric and both per-row dataclasses."""
+    if not isinstance(payload, dict):
+        raise UsageError(f"predictions payload must be an object, got {type(payload).__name__}")
+    task = _payload_value(payload, "task")
+    if task not in ("regression", "classification"):
+        raise UsageError(f"predictions payload has unknown task {task!r}")
+    num_bins = _payload_value(payload, "num_bins", int)
+    keys = _PAYLOAD_ARRAYS[task]
+    values = [_payload_value(payload, key) for key in keys]
+    try:
+        arrays = [np.asarray(value, dtype=np.float64) for value in values]
+    except (TypeError, ValueError):
+        raise UsageError(f"predictions payload {', '.join(keys)} must be numeric arrays") from None
+    if task == "regression":
+        means, variances, targets = arrays
+        if means.ndim != 1 or means.shape[0] < 1 or not means.shape == variances.shape == targets.shape:
+            raise UsageError("means, variances and targets must be aligned non-empty vectors")
+        if not np.all(np.isfinite(means) & np.isfinite(targets) & np.isfinite(variances) & (variances >= 0)):
+            raise UsageError("means, variances and targets must be finite, and variances >= 0")
+        return task, num_bins, (means, variances, targets)
+    probs, labels = arrays
+    if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
+        raise UsageError(f"probs must be rows over >= 2 classes, got shape {probs.shape}")
+    if labels.shape != probs.shape[:1]:
+        raise UsageError(f"{labels.size} labels for {probs.shape[0]} probability rows")
+    if not (np.all((probs >= 0.0) & (probs <= 1.0)) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)):
+        raise UsageError("probs must be non-negative and sum to 1 within 1e-9")
+    if not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < probs.shape[1])):
+        raise UsageError(f"labels must be integers in [0, {probs.shape[1]})")
+    return task, num_bins, (probs, labels.astype(np.int64))
+
+
+def payload_bins(payload: dict):
+    """(lo, hi, counts, sums) behind a payload's ECE, or its UCE and ENCE:
+    sums of (correct, confidence) over confidence bins of [0, 1] for
+    classification, or of (squared error, variance) over variance bins of
+    [min, max] of the variances for regression."""
+    return _calibration_bins(*_parse_payload(payload))
+
+
+def metrics_from_payload(payload: dict) -> dict:
+    """Validate a predictions payload and compute its metrics.
+
+    A payload holds ``task`` and ``num_bins`` (an int >= 1). Regression adds
+    aligned finite ``means``, ``variances`` (>= 0) and ``targets``; the
+    metrics are rmse, mape (None when a target is exactly 0), uce and ence.
+    Classification adds ``probs`` (rows summing to 1), integer ``labels``
+    and the fitted ``temperature`` (> 0), which is echoed; the metrics are
+    accuracy, ece, brier and nll (probabilities floored at 1e-12). Anything
+    else raises UsageError.
+    """
+    task, num_bins, arrays = _parse_payload(payload)
+    _, _, counts, sums = _calibration_bins(task, num_bins, arrays)
+    if task == "regression":
+        means, _, targets = arrays
+        err = means - targets
+        mape = None if np.any(targets == 0.0) else 100.0 * float(np.mean(np.abs(err) / np.abs(targets)))
+        return {
+            "rmse": math.sqrt(float(np.mean(err**2))),
+            "mape": mape,
+            "uce": _weighted_gap(counts, sums),
+            "ence": _ence(counts, sums),
+        }
+    temperature = _payload_value(payload, "temperature", float)
+    probs, labels = arrays
+    rows = np.arange(labels.shape[0])
+    onehot = np.eye(probs.shape[1])[labels]
+    return {
+        "accuracy": float(np.mean(probs.argmax(axis=1) == labels)),
+        "ece": _weighted_gap(counts, sums),
+        "brier": float(np.mean(np.sum((probs - onehot) ** 2, axis=1))),
+        "nll": float(-np.mean(np.log(np.clip(probs[rows, labels], _PROB_FLOOR, None)))),
+        "temperature": temperature,
+    }
+
+
+def _rows_metrics(preds: Sequence, bins: Optional[BinningConfig] = None, scheme: Optional[str] = None) -> dict:
+    """metrics_from_payload of per-row ClassifPrediction or PredictiveDistribution."""
+    num_bins = (bins or BinningConfig(scheme=scheme))._require(scheme) if scheme else 1
     if len(preds) == 0:
         raise UsageError("metric needs at least one prediction")
-    means = np.array([p.mean for p in preds], dtype=np.float64)
-    variances = np.array([p.variance for p in preds], dtype=np.float64)
-    targets = np.array([p.target for p in preds], dtype=np.float64)
-    return means, variances, targets
+    if isinstance(preds[0], ClassifPrediction):
+        probs, labels = np.stack([p.probs for p in preds]), [p.label for p in preds]
+        return metrics_from_payload({"task": "classification", "num_bins": num_bins, "temperature": 1.0,
+                                     "probs": probs, "labels": labels})
+    rows = {key: [getattr(p, key[:-1]) for p in preds] for key in ("means", "variances", "targets")}
+    return metrics_from_payload({"task": "regression", "num_bins": num_bins, **rows})
 
 
 def accuracy(preds: Sequence[ClassifPrediction]) -> float:
-    probs, labels = _classif_arrays(preds)
-    return float(np.mean(probs.argmax(axis=1) == labels))
-
-
-def _bin_index(values: np.ndarray, lo: float, hi: float, num_bins: int) -> np.ndarray:
-    """Equal-width bin of each value over [lo, hi]; edge values go up."""
-    if hi <= lo:
-        return np.zeros(values.shape[0], dtype=np.int64)
-    idx = np.floor((values - lo) / (hi - lo) * num_bins).astype(np.int64)
-    return np.clip(idx, 0, num_bins - 1)
+    return _rows_metrics(preds)["accuracy"]
 
 
 def ece(preds: Sequence[ClassifPrediction], bins: Optional[BinningConfig] = None) -> float:
     """Expected calibration error over equal-width confidence bins on [0, 1]."""
-    bins = bins or BinningConfig(scheme="equal_width_confidence")
-    m = bins._require("equal_width_confidence")
-    probs, labels = _classif_arrays(preds)
-    conf = probs.max(axis=1)
-    correct = probs.argmax(axis=1) == labels
-    idx = _bin_index(conf, 0.0, 1.0, m)
-    n = conf.shape[0]
-    total = 0.0
-    for b in range(m):
-        mask = idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        gap = abs(float(correct[mask].mean()) - float(conf[mask].mean()))
-        total += count / n * gap
-    return total
+    return _rows_metrics(preds, bins, "equal_width_confidence")["ece"]
 
 
 def brier(preds: Sequence[ClassifPrediction]) -> float:
     """Mean squared error between probability vectors and one-hot targets."""
-    probs, labels = _classif_arrays(preds)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+    return _rows_metrics(preds)["brier"]
 
 
 def nll(preds: Sequence[ClassifPrediction]) -> float:
     """Mean negative log-likelihood; probabilities floored at 1e-12."""
-    probs, labels = _classif_arrays(preds)
-    p = np.clip(probs[np.arange(labels.shape[0]), labels], _PROB_FLOOR, None)
-    return float(-np.mean(np.log(p)))
+    return _rows_metrics(preds)["nll"]
 
 
 def uce(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] = None) -> float:
@@ -182,21 +282,7 @@ def uce(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] =
     Binned by predicted variance, equal width over [min, max] of the
     observed variances.
     """
-    bins = bins or BinningConfig(scheme="equal_width_variance")
-    m = bins._require("equal_width_variance")
-    means, variances, targets = _regression_arrays(preds)
-    sq_err = (means - targets) ** 2
-    idx = _bin_index(variances, float(variances.min()), float(variances.max()), m)
-    n = variances.shape[0]
-    total = 0.0
-    for b in range(m):
-        mask = idx == b
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        gap = abs(float(sq_err[mask].mean()) - float(variances[mask].mean()))
-        total += count / n * gap
-    return total
+    return _rows_metrics(preds, bins, "equal_width_variance")["uce"]
 
 
 def ence(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] = None) -> float:
@@ -205,26 +291,7 @@ def ence(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] 
     Averages |RMSE - RMV| / RMV over non-empty bins. A bin with RMV = 0 and
     RMSE > 0 makes the metric infinity; RMV = 0 with RMSE = 0 contributes 0.
     """
-    bins = bins or BinningConfig(scheme="equal_width_variance")
-    m = bins._require("equal_width_variance")
-    means, variances, targets = _regression_arrays(preds)
-    sq_err = (means - targets) ** 2
-    idx = _bin_index(variances, float(variances.min()), float(variances.max()), m)
-    total = 0.0
-    occupied = 0
-    for b in range(m):
-        mask = idx == b
-        if not mask.any():
-            continue
-        occupied += 1
-        rmse = math.sqrt(float(sq_err[mask].mean()))
-        rmv = math.sqrt(float(variances[mask].mean()))
-        if rmv == 0.0:
-            if rmse == 0.0:
-                continue
-            return math.inf
-        total += abs(rmse - rmv) / rmv
-    return total / occupied
+    return _rows_metrics(preds, bins, "equal_width_variance")["ence"]
 
 
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
@@ -280,9 +347,5 @@ def regression_point_metrics(preds: Sequence[PredictiveDistribution]):
     MAPE is returned as None when any target is exactly zero (the ratio is
     undefined there); RMSE is always returned.
     """
-    means, _, targets = _regression_arrays(preds)
-    rmse = math.sqrt(float(np.mean((means - targets) ** 2)))
-    if np.any(targets == 0.0):
-        return rmse, None
-    mape = 100.0 * float(np.mean(np.abs(means - targets) / np.abs(targets)))
-    return rmse, mape
+    metrics = _rows_metrics(preds)
+    return metrics["rmse"], metrics["mape"]

@@ -218,6 +218,10 @@ def test_eval_matches_train_exports(workspace, tmp_path, capsys):
     assert len(bins) == 1 + 5
     counts = [int(line.split(",")[2]) for line in bins[1:]]
     assert sum(counts) == len(from_eval["targets"])
+    # the table is the one behind the metric: UCE = sum count/n * |mse - mean_variance|
+    rows = [[float(cell) for cell in line.split(",")] for line in bins[1:]]
+    uce = sum(r[2] / sum(counts) * abs(r[3] - r[4]) for r in rows if r[2])
+    assert abs(uce - metrics["uce"]) <= 1e-12
     capsys.readouterr()
 
 
@@ -235,6 +239,11 @@ def test_eval_classification_bins(workspace, tmp_path, capsys):
     payload = json.loads((evl / "predictions.json").read_text())
     counts = [int(line.split(",")[2]) for line in bins[1:]]
     assert sum(counts) == len(payload["labels"])
+    # ECE = sum count/n * |accuracy - confidence| over the same rows
+    metrics = json.loads((evl / "metrics.json").read_text())
+    rows = [[float(cell) for cell in line.split(",")] for line in bins[1:]]
+    ece = sum(r[2] / sum(counts) * abs(r[3] - r[4]) for r in rows if r[2])
+    assert abs(ece - metrics["ece"]) <= 1e-12
     capsys.readouterr()
 
 
@@ -253,6 +262,70 @@ def test_metrics_round_trip(workspace, tmp_path, config_key, capsys):
     original = json.loads((out / "predictions_seed0.json").read_text())["metrics"]
     assert recomputed == original
     capsys.readouterr()
+
+
+REG_PAYLOAD = {"task": "regression", "num_bins": 2, "means": [1.0, 2.0],
+               "variances": [0.5, 1.0], "targets": [1.5, 2.5]}
+CLF_PAYLOAD = {"task": "classification", "num_bins": 2, "temperature": 1.0,
+               "probs": [[0.6, 0.4], [0.3, 0.7]], "labels": [0, 1]}
+
+
+def without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+MALFORMED_PAYLOADS = {
+    "no_task": json.dumps(without(REG_PAYLOAD, "task")),
+    "no_targets": json.dumps(without(REG_PAYLOAD, "targets")),
+    "no_num_bins": json.dumps(without(REG_PAYLOAD, "num_bins")),
+    "no_temperature": json.dumps(without(CLF_PAYLOAD, "temperature")),
+    "unknown_task": json.dumps(dict(REG_PAYLOAD, task="regres")),
+    "top_level_list": json.dumps([REG_PAYLOAD]),
+    "invalid_json": "{not json",
+    "nan_mean": json.dumps(dict(REG_PAYLOAD, means=[float("nan"), 2.0])),
+    "negative_variance": json.dumps(dict(REG_PAYLOAD, variances=[-0.5, 1.0])),
+    "misaligned": json.dumps(dict(REG_PAYLOAD, means=[1.0])),
+    "zero_bins": json.dumps(dict(REG_PAYLOAD, num_bins=0)),
+    "fractional_label": json.dumps(dict(CLF_PAYLOAD, labels=[0.7, 1])),
+    "label_out_of_range": json.dumps(dict(CLF_PAYLOAD, labels=[0, 2])),
+    "probs_not_summing_to_1": json.dumps(dict(CLF_PAYLOAD, probs=[[0.6, 0.6], [0.3, 0.7]])),
+    "ragged_probs": json.dumps(dict(CLF_PAYLOAD, probs=[[0.6, 0.4], [1.0]])),
+    "string_temperature": json.dumps(dict(CLF_PAYLOAD, temperature="hot")),
+    "zero_temperature": json.dumps(dict(CLF_PAYLOAD, temperature=0.0)),
+    "bool_num_bins": json.dumps(dict(CLF_PAYLOAD, num_bins=True)),
+    "list_task": json.dumps(dict(CLF_PAYLOAD, task=["classification"])),
+    "nan_probs": json.dumps(dict(CLF_PAYLOAD, probs=[[float("nan"), 1.0], [0.3, 0.7]])),
+    "string_probs": json.dumps(dict(CLF_PAYLOAD, probs="abc")),
+    "empty_regression": json.dumps(dict(REG_PAYLOAD, means=[], variances=[], targets=[])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_metrics_malformed_payload_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "predictions.json"
+    path.write_text(MALFORMED_PAYLOADS[case])
+    code = main(["metrics", "--predictions", str(path), "--out", str(tmp_path / "m")])
+    assert code == USAGE_EXIT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "m" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("payload", [REG_PAYLOAD, CLF_PAYLOAD], ids=["regression", "classification"])
+def test_metrics_accepts_minimal_payload(tmp_path, capsys, payload):
+    path = tmp_path / "predictions.json"
+    path.write_text(json.dumps(payload))
+    assert main(["metrics", "--predictions", str(path), "--out", str(tmp_path / "m")]) == 0
+    assert (tmp_path / "m" / "metrics.json").is_file()
+    capsys.readouterr()
+
+
+def test_ill_typed_override_is_usage_error(workspace, tmp_path, capsys):
+    code = main([
+        "train", "--config", str(workspace["reg_config"]),
+        "--out", str(tmp_path / "o"), 'optimizer.epochs="abc"',
+    ])
+    assert code == USAGE_EXIT
+    assert "optimizer.epochs" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- grid

@@ -68,6 +68,16 @@ def test_non_numeric_cell_names_the_row(tmp_path):
     assert "'b'" in str(info.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_cell_rejected(tmp_path, cell):
+    path = write_csv(tmp_path / "bad.csv", ["a", "b"], [[1, 2], [3, cell], [5, 6]])
+    with pytest.raises(DatasetError) as info:
+        load_csv(path)
+    assert info.value.code == "non_numeric_cell"
+    assert "row 2" in str(info.value)
+    assert "'b'" in str(info.value)
+
+
 def test_ragged_row_rejected(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("a,b\n1,2\n3\n")

@@ -15,6 +15,7 @@ from warpmix import (
     DivergenceError,
     PredictiveDistribution,
     Dataset,
+    DatasetError,
     DEFAULT_CONFIG,
     ExperimentConfig,
     Layer,
@@ -39,7 +40,7 @@ from warpmix import (
 import warpmix.harness as harness
 from warpmix.harness import STREAM_INIT
 
-from _support import synth_blobs, synth_regression
+from _support import synth_blobs, synth_regression, write_csv
 
 
 def tiny_values(task="regression"):
@@ -150,6 +151,40 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     assert loaded.to_dict()["optimizer"]["epochs"] == 3
     others = {k: v for k, v in loaded.to_dict().items() if k != "optimizer"}
     assert others == {k: v for k, v in cfg.to_dict().items() if k != "optimizer"}
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("optimizer.epochs", "abc"),
+    ("optimizer.batch_size", None),
+    ("optimizer.epochs", 1e999),
+    ("optimizer.learning_rate", "fast"),
+    ("model.dropout_rate", {}),
+    ("model.hidden", ["wide"]),
+    ("mixup.alpha", [1]),
+    ("mixup.input_kernel.tau_max", "big"),
+    ("metrics.num_bins", "x"),
+    ("seeds", ["a"]),
+    ("seeds", 3),
+    ("split_fractions", ["a", 0.2, 0.2]),
+    ("num_classes", "two"),
+])
+def test_ill_typed_numbers_name_their_key(dotted, value):
+    with pytest.raises(UsageError) as info:
+        ExperimentConfig().with_overrides([f"{dotted}={json.dumps(value)}"])
+    assert repr(dotted) in str(info.value)
+
+
+@pytest.mark.parametrize("label", [1.7, 5, -1])
+def test_bad_class_labels_rejected_at_load(tmp_path, label):
+    rows = [[0.1, 0], [0.2, 1], [0.3, label], [0.4, 0]]
+    path = write_csv(tmp_path / "clf.csv", ["x", "y"], rows)
+    cfg = ExperimentConfig(
+        {"dataset": {"path": str(path)}, "task": "classification", "num_classes": 2}
+    )
+    with pytest.raises(DatasetError) as info:
+        cfg.load_dataset()
+    assert info.value.code == "bad_label"
+    assert "row 3" in str(info.value)
 
 
 # ------------------------------------------------------------------- train

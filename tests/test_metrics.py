@@ -15,10 +15,12 @@ from warpmix import (
     PredictiveDistribution,
     UsageError,
     accuracy,
+    bin_stats,
     brier,
     ece,
     ence,
     log_softmax,
+    metrics_from_payload,
     nll,
     regression_point_metrics,
     softmax,
@@ -87,6 +89,49 @@ def test_binning_config_validation():
     cfg = BinningConfig(num_bins=10, scheme="equal_width_variance")
     with pytest.raises(UsageError):
         ece([cpred([0.6, 0.4], 0)], cfg)  # confidence metric, variance scheme
+
+
+# ---------------------------------------------------------------- binning
+
+
+def test_bin_stats_documented_rule():
+    # 0.5 sits on the interior edge and goes up; 1.0 stays in the closed top bin
+    counts, sums = bin_stats([0.0, 0.5, 1.0, 0.25, 0.74], 0.0, 1.0, 2, [1, 2, 3, 4, 5])
+    assert counts.tolist() == [2, 3]
+    assert sums.tolist() == [[5.0, 10.0]]
+    counts, sums = bin_stats([3.0, 3.0], 3.0, 3.0, 4, [1.0, 2.0], [0.5, 0.5])
+    assert counts.tolist() == [2, 0, 0, 0]  # hi <= lo: everything in bin 0
+    assert sums.tolist() == [[3.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+
+
+def test_bin_stats_matches_reference_bins():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        values = rng.random(int(rng.integers(1, 60))) * 4.0 - 1.0
+        m = int(rng.integers(1, 16))
+        lo, hi = float(values.min()), float(values.max())
+        counts, sums = bin_stats(values, lo, hi, m, values)
+        want = [ref._bin_of(v, lo, hi, m) for v in values.tolist()]
+        assert counts.tolist() == np.bincount(want, minlength=m).tolist()
+        assert np.allclose(sums[0], np.bincount(want, weights=values, minlength=m), atol=1e-12)
+
+
+# ---------------------------------------------------------------- payloads
+
+
+def test_metrics_from_payload_matches_per_row_api():
+    rng = np.random.default_rng(6)
+    preds, probs, labels = random_classif(rng, n=40)
+    got = metrics_from_payload({"task": "classification", "num_bins": 7, "temperature": 1.5,
+                                "probs": probs.tolist(), "labels": labels.tolist()})
+    assert got == {"accuracy": accuracy(preds), "ece": ece(preds, BinningConfig(7)),
+                   "brier": brier(preds), "nll": nll(preds), "temperature": 1.5}
+    rpreds, means, variances, targets = random_regression(rng, n=40)
+    got = metrics_from_payload({"task": "regression", "num_bins": 7, "means": means.tolist(),
+                                "variances": variances.tolist(), "targets": targets.tolist()})
+    rmse, mape = regression_point_metrics(rpreds)
+    assert got == {"rmse": rmse, "mape": mape, "uce": uce(rpreds, BinningConfig(7)),
+                   "ence": ence(rpreds, BinningConfig(7))}
 
 
 # ------------------------------------------------------- softmax utilities
