@@ -159,8 +159,9 @@ class ExperimentConfig:
             raise UsageError("at least one seed is required")
         if int(v["optimizer"]["epochs"]) < 1 or int(v["optimizer"]["batch_size"]) < 1:
             raise UsageError("epochs and batch_size must be >= 1")
-        # Fail fast on bad mixup settings rather than mid-training.
+        # Fail fast on bad mixup and optimizer settings rather than mid-training.
         self.mixup_config()
+        self.optimizer_state()
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ExperimentConfig":
@@ -346,21 +347,15 @@ class MetricReport:
 
 
 def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
+    """Mixed-batch loss (from ``mixed_loss``) and its gradient in the outputs."""
     n = mixed.size
     if task == "regression":
-        targets = mixed.mixed_targets
-        flat = outputs[:, 0] if outputs.ndim == 2 and outputs.shape[1] == 1 else outputs
-        loss = float(np.mean((flat - targets) ** 2))
-        grad = 2.0 * (flat - targets)[:, None] / n
-        return loss, grad
+        return mixed_loss(outputs, mixed, task), 2.0 * (outputs - mixed.mixed_targets[:, None]) / n
     probs = softmax(outputs)
-    loss = mixed_loss(probs, mixed, "classification")
-    convex = np.zeros_like(probs)
-    rows = np.arange(n)
-    c = mixed.target_coeffs
-    np.add.at(convex, (rows, mixed.targets_a), c)
-    np.add.at(convex, (rows, mixed.targets_b), 1.0 - c)
-    return loss, (probs - convex) / n
+    onehot = np.eye(probs.shape[1])
+    c = mixed.target_coeffs[:, None]
+    convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
+    return mixed_loss(probs, mixed, task), (probs - convex) / n
 
 
 def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> float:
@@ -414,15 +409,18 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             batch = Batch(features[idx], targets[idx], num_classes=num_classes)
-            mixed = mix_batch(batch, mix_cfg, train_rng, model)
-            outputs, cache = forward(model, mixed.inputs, train_rng)
-            loss, out_grad = _loss_and_grad(outputs, mixed, task)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, seed {seed}", trace=trace
-                )
-            grads = backward(model, cache, out_grad)
-            optimizer_step(opt, model, grads)
+            try:
+                mixed = mix_batch(batch, mix_cfg, train_rng, model)  # checks model features
+                outputs, cache = forward(model, mixed.inputs, train_rng)
+                loss, out_grad = _loss_and_grad(outputs, mixed, task)
+                if not math.isfinite(loss):
+                    raise DivergenceError("non-finite training loss")
+                grads = backward(model, cache, out_grad)
+                optimizer_step(opt, model, grads)
+                if not np.isfinite(model.params).all():
+                    raise DivergenceError("non-finite parameters")
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch}, seed {seed}", trace=trace) from None
             batch_losses.append(loss)
         trace.append(
             {

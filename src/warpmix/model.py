@@ -4,6 +4,12 @@ Plain numpy, nothing clever: affine layers, ReLU or identity activations,
 inverted dropout after each hidden activation, SGD with momentum or Adam,
 and MC-Dropout predictive mean/variance. Enough model to train the tabular
 regression and synthetic classification experiments on a CPU.
+
+All parameters live in one float64 vector, ``ModelState.params``: every
+layer's weights (row-major), then every layer's biases, so decoupled weight
+decay is one prefix slice. ``Layer.weights`` and ``Layer.biases`` are
+reshape views into it, so in-place layer edits write through. Gradients
+and optimizer slots use the same layout; each update is whole-vector.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ class ModelState:
     dropout_rate: float = 0.0
     mode: str = "train"
     step_count: int = 0
+    # set by __post_init__: all weights, then all biases; the layers view into it
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    num_weights: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -68,13 +77,26 @@ class ModelState:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weights.shape[1] != nxt.weights.shape[0]:
                 raise UsageError("consecutive layer dimensions do not chain")
-        for layer in self.layers:
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.biases))):
-                raise UsageError("layer parameters must be finite")
+        self.params = _pack([(layer.weights, layer.biases) for layer in self.layers])
+        if not np.isfinite(self.params).all():
+            raise UsageError("layer parameters must be finite")
+        sizes = [layer.weights.size for layer in self.layers]
+        sizes += [layer.biases.size for layer in self.layers]
+        chunks = np.split(self.params, np.cumsum(sizes)[:-1])
+        for layer, w, b in zip(self.layers, chunks, chunks[len(self.layers) :]):
+            layer.weights, layer.biases = w.reshape(layer.weights.shape), b
+        self.num_weights = sum(sizes[: len(self.layers)])
         if not 0.0 <= float(self.dropout_rate) < 1.0:
             raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.mode not in ("train", "eval"):
             raise UsageError(f"mode must be train or eval, got {self.mode!r}")
+
+    def __setstate__(self, state):
+        # deepcopy and pickle copy each array alone: re-pack the layers as
+        # views; a shallow copy still shares them and must not rebind them
+        self.__dict__.update(state)
+        if not np.may_share_memory(self.layers[0].weights, self.params):
+            self.__post_init__()
 
     @property
     def dims(self) -> tuple:
@@ -87,6 +109,11 @@ class ModelState:
     def eval(self) -> "ModelState":
         self.mode = "eval"
         return self
+
+
+def _pack(pairs) -> np.ndarray:
+    """Per-layer (weights, biases) pairs as one vector in the params layout."""
+    return np.concatenate([w.ravel() for w, _ in pairs] + [b for _, b in pairs])
 
 
 @dataclass
@@ -111,6 +138,32 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
     return ModelState(layers=layers, dropout_rate=float(dropout_rate))
 
 
+def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None):
+    """The layer loop of ``forward`` and ``embed``: the inputs through the
+    first ``depth`` layers, with dropout after each hidden layer if ``rng``
+    is given. Returns the activations and the per-layer records."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    fan_in = model.layers[0].weights.shape[0]
+    if x.ndim != 2 or x.shape[1] != fan_in:
+        raise UsageError(f"inputs of shape {x.shape} do not match first layer fan-in {fan_in}")
+    keep = 1.0 - model.dropout_rate
+    acts = x
+    records = []
+    last = len(model.layers) - 1
+    for k, layer in enumerate(model.layers[:depth]):
+        z = acts @ layer.weights + layer.biases
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        mask = None
+        if rng is not None and k < last:
+            mask = (rng.uniform(size=h.shape) < keep).astype(np.float64) / keep
+            h = h * mask
+        records.append((acts, z, mask))
+        acts = h
+    return acts, records
+
+
 def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
     """Run the network; returns (outputs, cache) with cache usable by backward.
 
@@ -118,31 +171,10 @@ def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
     scaling (kept units divided by the keep probability), and draws one mask
     per hidden layer from ``rng`` in layer order.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.layers[0].weights.shape[0]:
-        raise UsageError(
-            f"inputs of shape {x.shape} do not match first layer fan-in "
-            f"{model.layers[0].weights.shape[0]}"
-        )
     use_dropout = model.mode == "train" and model.dropout_rate > 0.0 and len(model.layers) > 1
     if use_dropout and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng stream")
-
-    keep = 1.0 - model.dropout_rate
-    acts = x
-    records = []
-    last = len(model.layers) - 1
-    for k, layer in enumerate(model.layers):
-        z = acts @ layer.weights + layer.biases
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        mask = None
-        if use_dropout and k < last:
-            mask = (rng.uniform(size=h.shape) < keep).astype(np.float64) / keep
-            h = h * mask
-        records.append((acts, z, mask))
-        acts = h
+    acts, records = _propagate(model, inputs, len(model.layers), rng if use_dropout else None)
     return acts, ForwardCache(records=records, step_count=model.step_count)
 
 
@@ -180,7 +212,8 @@ class OptimizerState:
     """SGD with momentum, or Adam with bias correction.
 
     Weight decay is decoupled (applied directly to weights, scaled by the
-    learning rate, never to biases).
+    learning rate, never to biases). ``slots`` holds the moment vectors in
+    the params layout: one row (velocity) for SGD, two (m, v) for Adam.
     """
 
     kind: str = "adam"
@@ -191,23 +224,22 @@ class OptimizerState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    slots: Optional[list] = field(default=None, repr=False)
+    slots: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
             raise UsageError(f"unknown optimizer kind {self.kind!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise UsageError(f"learning_rate must be >= 0, got {self.learning_rate}")
-
-
-def _init_slots(opt: OptimizerState, model: ModelState):
-    opt.slots = []
-    for layer in model.layers:
-        zeros = (np.zeros_like(layer.weights), np.zeros_like(layer.biases))
-        if opt.kind == "sgd_momentum":
-            opt.slots.append(zeros)  # velocity
-        else:
-            opt.slots.append(zeros + (np.zeros_like(layer.weights), np.zeros_like(layer.biases)))
+        for name, ok, rule in (
+            ("learning_rate", self.learning_rate >= 0.0, ">= 0"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("eps", self.eps > 0.0, "> 0"),
+            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise UsageError(f"optimizer.{name} must be finite and {rule}, got {value}")
 
 
 def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
@@ -217,39 +249,30 @@ def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
     for layer, (gw, gb) in zip(model.layers, grads):
         if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
             raise UsageError("gradient shapes do not match parameters")
+    g = _pack(grads)
     if opt.slots is None:
-        _init_slots(opt, model)
+        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, g.size))
 
     lr = opt.learning_rate
+    params = model.params
     opt.step += 1
     if opt.kind == "sgd_momentum":
-        for layer, slot, (gw, gb) in zip(model.layers, opt.slots, grads):
-            vw, vb = slot
-            vw *= opt.momentum
-            vw += gw
-            vb *= opt.momentum
-            vb += gb
-            layer.weights -= lr * vw
-            layer.biases -= lr * vb
-            if opt.weight_decay:
-                layer.weights -= lr * opt.weight_decay * layer.weights
+        velocity = opt.slots[0]
+        velocity *= opt.momentum
+        velocity += g
+        params -= lr * velocity
     else:  # adam
         correct1 = 1.0 - opt.beta1**opt.step
         correct2 = 1.0 - opt.beta2**opt.step
-        for layer, slot, (gw, gb) in zip(model.layers, opt.slots, grads):
-            mw, mb, vw, vb = slot
-            mw *= opt.beta1
-            mw += (1.0 - opt.beta1) * gw
-            mb *= opt.beta1
-            mb += (1.0 - opt.beta1) * gb
-            vw *= opt.beta2
-            vw += (1.0 - opt.beta2) * gw**2
-            vb *= opt.beta2
-            vb += (1.0 - opt.beta2) * gb**2
-            layer.weights -= lr * (mw / correct1) / (np.sqrt(vw / correct2) + opt.eps)
-            layer.biases -= lr * (mb / correct1) / (np.sqrt(vb / correct2) + opt.eps)
-            if opt.weight_decay:
-                layer.weights -= lr * opt.weight_decay * layer.weights
+        m, v = opt.slots
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g**2
+        params -= lr * (m / correct1) / (np.sqrt(v / correct2) + opt.eps)
+    if opt.weight_decay:
+        weights = params[: model.num_weights]
+        weights -= lr * opt.weight_decay * weights
     model.step_count += 1
 
 
@@ -291,19 +314,7 @@ def embed(model: ModelState, inputs) -> np.ndarray:
     """Deterministic activations entering the final layer (no dropout)."""
     if len(model.layers) < 2:
         raise UsageError("embedding needs a model with at least 2 layers")
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != model.layers[0].weights.shape[0]:
-        raise UsageError(
-            f"inputs of shape {x.shape} do not match first layer fan-in "
-            f"{model.layers[0].weights.shape[0]}"
-        )
-    acts = x
-    for layer in model.layers[:-1]:
-        z = acts @ layer.weights + layer.biases
-        acts = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return acts
+    return _propagate(model, inputs, len(model.layers) - 1)[0]
 
 
 def save_model(model: ModelState, path) -> None:
@@ -338,10 +349,9 @@ def load_model(path) -> ModelState:
         )
         for spec in payload["layers"]
     ]
-    model = ModelState(
+    return ModelState(
         layers=layers,
         dropout_rate=float(payload["dropout_rate"]),
         mode="eval",
         step_count=int(payload.get("step_count", 0)),
     )
-    return model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DivergenceError, DomainError, UsageError
 from .special import SHAPE_MAX, SHAPE_MIN
 from .warping import WarpParam
 
@@ -84,6 +84,10 @@ def normalized_distances(points, permutation) -> np.ndarray:
     diffs = points - points[perm]
     raw = np.einsum("ij,ij->i", diffs, diffs)
     mean = float(raw.mean())
+    if math.isinf(mean) and np.isfinite(points).all():
+        # squares of finite points overflowed; the result is scale-free, so rescale exactly
+        _, exponent = np.frexp(np.abs(points).max())
+        return normalized_distances(np.ldexp(points, -int(exponent)), perm)
     if mean < _DEGENERATE_MEAN:
         return np.ones(n, dtype=np.float64)
     return raw / mean
@@ -121,6 +125,8 @@ def extract_features(batch, backend: str, model=None) -> np.ndarray:
     class_weight: the final-layer weight column of each sample's label class,
         so two samples are close when their classes look alike to the model.
     label: the regression targets themselves.
+
+    Non-finite features from the model mean it has diverged: DivergenceError.
     """
     if backend not in FEATURE_BACKENDS:
         raise UsageError(
@@ -139,10 +145,11 @@ def extract_features(batch, backend: str, model=None) -> np.ndarray:
     if backend == "embedding":
         from .model import embed
 
-        return embed(model, batch.inputs)
-    # class_weight
-    if batch.num_classes is None:
-        raise UsageError("the class_weight backend requires classification targets")
-    labels = np.asarray(batch.targets)
-    weights = model.layers[-1].weights  # (hidden, classes)
-    return weights[:, labels].T.astype(np.float64, copy=False)
+        features = embed(model, batch.inputs)
+    else:  # class_weight
+        if batch.num_classes is None:
+            raise UsageError("the class_weight backend requires classification targets")
+        features = model.layers[-1].weights[:, np.asarray(batch.targets)].T
+    if not np.isfinite(features).all():
+        raise DivergenceError(f"the model's {backend!r} features are not finite")
+    return features

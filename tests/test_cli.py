@@ -328,6 +328,21 @@ def test_ill_typed_override_is_usage_error(workspace, tmp_path, capsys):
     assert "optimizer.epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    ["optimizer.beta1=1", "optimizer.beta2=1", "optimizer.beta1=NaN", "optimizer.momentum=1",
+     "optimizer.eps=-1", "optimizer.eps=0", "optimizer.weight_decay=-5",
+     "optimizer.learning_rate=Infinity"],
+)
+def test_bad_optimizer_hyperparameter_is_usage_error(workspace, tmp_path, capsys, override):
+    code = main([
+        "train", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"), override,
+    ])
+    assert code == USAGE_EXIT
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------------- grid
 
 

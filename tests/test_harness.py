@@ -229,14 +229,30 @@ def test_split_inside_train_matches_module_split():
     assert np.array_equal(result.splits.test.targets, direct.test.targets)
 
 
-def test_divergence_aborts_with_diagnostic():
+@pytest.mark.parametrize(
+    "task, tweaks",
+    [
+        ("regression", {}),
+        # model-based kernels: the features of a diverging model overflow
+        ("classification", {"mixup__input_kernel__backend": "embedding",
+                            "model__hidden": [16, 16, 16], "optimizer__learning_rate": 1e8}),
+        ("classification", {"optimizer__learning_rate": 1e6, "optimizer__epochs": 10}),
+    ],
+    ids=["raw_input", "embedding", "class_weight"],
+)
+def test_divergence_aborts_with_diagnostic(task, tweaks):
     cfg = tiny_config(
-        optimizer__kind="sgd_momentum",
-        optimizer__learning_rate=1e12,
-        optimizer__epochs=3,
+        task,
+        **{
+            "optimizer__kind": "sgd_momentum",
+            "optimizer__learning_rate": 1e12,
+            "optimizer__epochs": 3,
+            **tweaks,
+        },
     )
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
-        train(cfg, seed=0, dataset=REG_DATA)
+    data = REG_DATA if task == "regression" else CLF_DATA
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        train(cfg, seed=0, dataset=data)
     assert isinstance(info.value.trace, list)
 
 

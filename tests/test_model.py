@@ -2,7 +2,9 @@
 embeddings, and checkpoint round-trips.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -239,6 +241,48 @@ def test_backward_shape_check():
         backward(model, cache, np.ones((3, 2)))
 
 
+# ------------------------------------------------------------ packed params
+
+
+def packed_models(tmp_path):
+    built = init_mlp([3, 5, 4, 2], dropout_rate=0.1, rng=RngStream(6))
+    path = str(tmp_path / "m.json")
+    save_model(built, path)
+    return {
+        "init_mlp": built,
+        "load_model": load_model(path),
+        "hand_built": hand_221_model(),
+        "copy": copy.copy(built),
+        "deepcopy": copy.deepcopy(built),
+        "pickle": pickle.loads(pickle.dumps(built)),
+    }
+
+
+@pytest.mark.parametrize(
+    "source", ["init_mlp", "load_model", "hand_built", "copy", "deepcopy", "pickle"]
+)
+def test_layers_are_views_into_params(tmp_path, source):
+    model = packed_models(tmp_path)[source]
+    layers = model.layers
+    assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
+    weights_first = [layer.weights.ravel() for layer in layers] + [layer.biases for layer in layers]
+    assert np.array_equal(model.params, np.concatenate(weights_first))
+    assert model.num_weights == sum(layer.weights.size for layer in layers)
+    for layer in layers:
+        assert np.shares_memory(layer.weights, model.params)
+        assert np.shares_memory(layer.biases, model.params)
+
+
+def test_in_place_layer_edits_write_through():
+    model = init_mlp([3, 5, 2], dropout_rate=0.0, rng=RngStream(6))
+    model.layers[1].weights[2, 1] = 7.0
+    model.layers[0].biases += 1.5
+    assert model.params[15 + 2 * 2 + 1] == 7.0  # layer 1's weights follow layer 0's 15
+    assert np.array_equal(model.params[model.num_weights : model.num_weights + 5], np.full(5, 1.5))
+    model.params[-1] = -3.0
+    assert model.layers[1].biases[-1] == -3.0
+
+
 # --------------------------------------------------------------- optimizer
 
 
@@ -327,6 +371,52 @@ def test_optimizer_step_advances_model_counter():
     assert model.step_count == 0
     optimizer_step(opt, model, grad_pair(1.0, 1.0))
     assert model.step_count == 1 and opt.step == 1
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_flat_update_matches_per_layer_reference(kind):
+    rng = RngStream(21)
+    model = init_mlp([4, 6, 3], dropout_rate=0.0, rng=rng)
+    opt = OptimizerState(kind=kind, learning_rate=0.05, weight_decay=0.01)
+    lr, wd, b1, b2 = opt.learning_rate, opt.weight_decay, opt.beta1, opt.beta2
+    ref = [(layer.weights.copy(), layer.biases.copy()) for layer in model.layers]
+    slots = [[np.zeros_like(a) for a in (w, b, w, b)] for w, b in ref]  # mw, mb, vw, vb
+    for t in range(1, 8):
+        grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape)) for w, b in ref]
+        optimizer_step(opt, model, grads)
+        # the per-layer update, written out
+        for (w, b), (mw, mb, vw, vb), (gw, gb) in zip(ref, slots, grads):
+            if kind == "sgd_momentum":
+                mw *= opt.momentum
+                mw += gw
+                mb *= opt.momentum
+                mb += gb
+                w -= lr * mw
+                b -= lr * mb
+            else:
+                for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g**2
+                w -= lr * (mw / (1.0 - b1**t)) / (np.sqrt(vw / (1.0 - b2**t)) + opt.eps)
+                b -= lr * (mb / (1.0 - b1**t)) / (np.sqrt(vb / (1.0 - b2**t)) + opt.eps)
+            w -= lr * wd * w
+    for layer, (w, b) in zip(model.layers, ref):
+        assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
+
+
+def test_optimizer_slots_follow_params_layout():
+    grads = [(np.full((2, 2), 1.0), np.full(2, 2.0)), (np.full((2, 1), 3.0), np.full(1, 4.0))]
+    model = hand_221_model()
+    opt = OptimizerState(kind="adam", beta1=0.5)
+    optimizer_step(opt, model, grads)
+    assert opt.slots.shape == (2, model.params.size)
+    # weights of both layers first, then biases of both layers
+    assert np.array_equal(opt.slots[0], 0.5 * np.array([1, 1, 1, 1, 3, 3, 2, 2, 4.0]))
+    sgd = OptimizerState(kind="sgd_momentum")
+    optimizer_step(sgd, model, grads)
+    assert sgd.slots.shape == (1, model.params.size)
 
 
 # -------------------------------------------------------------- mc dropout
@@ -425,6 +515,13 @@ def test_embed_hand_computed():
     model = hand_221_model()
     out = embed(model, np.array([[1.0, 2.0]]))
     assert np.allclose(out, [[5.5, 0.0]], atol=0.0)
+
+
+def test_embed_is_the_forward_prefix():
+    model = init_mlp([3, 6, 5, 2], dropout_rate=0.3, rng=RngStream(8)).eval()
+    x = RngStream(9).standard_normal((7, 3))
+    _, cache = forward(model, x)
+    assert np.array_equal(embed(model, x), cache.records[-1][0])  # input of the last layer
 
 
 def test_embed_requires_two_layers():

@@ -7,6 +7,7 @@ import pytest
 
 from warpmix import (
     Batch,
+    DivergenceError,
     DomainError,
     KernelConfig,
     RngStream,
@@ -64,6 +65,15 @@ def test_mean_one_property():
         out = normalized_distances(pts, perm)
         assert np.all(out >= 0.0) and np.all(np.isfinite(out))
         assert abs(out.mean() - 1.0) <= 1e-9, (trial, n, d)
+
+
+def test_overflowing_squares_rescale_exactly():
+    # distances are scale-free and a power-of-two scale is exact in binary
+    rng = RngStream(4)
+    pts = rng.standard_normal((9, 3))
+    perm = rng.permutation(9)
+    huge = normalized_distances(pts * 2.0**600, perm)
+    assert np.array_equal(huge, normalized_distances(pts, perm))
 
 
 def test_permutation_equivariance():
@@ -223,6 +233,15 @@ def test_class_weight_backend_shares_rows_within_class():
     assert np.array_equal(out[0], out[2])
     assert not np.array_equal(out[0], out[1])
     assert np.array_equal(out[1], model.layers[-1].weights[:, 0])
+
+
+@pytest.mark.parametrize("backend, layer", [("embedding", 0), ("class_weight", -1)])
+def test_non_finite_model_features_are_divergence(backend, layer):
+    model = init_mlp([4, 8, 3], dropout_rate=0.0, rng=RngStream(2))
+    model.layers[layer].weights[:] = np.inf
+    batch = Batch(inputs=np.ones((3, 4)), targets=np.array([0, 1, 2]), num_classes=3)
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        extract_features(batch, backend, model=model)
 
 
 def test_model_backends_require_model():
