@@ -11,7 +11,7 @@ from .errors import (
 )
 from .rng import RngStream
 from .special import SHAPE_MAX, SHAPE_MIN, beta_sample, incomplete_beta_reg, log_beta
-from .warping import WarpParam, warp, warp_pairwise
+from .warping import warp, warp_pairwise
 from .similarity import (
     FEATURE_BACKENDS,
     KernelConfig,

@@ -24,7 +24,7 @@ from .model import load_model, save_model
 from .rng import RngStream
 from .similarity import KernelConfig, kernel_tau
 from .special import beta_sample
-from .warping import warp
+from .warping import warp_pairwise
 
 __all__ = ["main"]
 
@@ -168,9 +168,8 @@ def _cmd_warp_demo(args) -> int:
     lines = ["distance,tau,bin_lo,bin_hi,count,density"]
     for case_index, (distance, tau) in enumerate(cases):
         stream = rng.child(case_index)
-        warped = np.array(
-            [warp(beta_sample(float(args.alpha), stream), tau) for _ in range(samples)]
-        )
+        raw = [beta_sample(float(args.alpha), stream) for _ in range(samples)]
+        warped = warp_pairwise(raw, np.full(samples, tau))
         counts, edges = np.histogram(warped, bins=num_bins, range=(0.0, 1.0))
         d_txt = "" if distance is None else repr(float(distance))
         for b in range(num_bins):

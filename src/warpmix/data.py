@@ -21,7 +21,9 @@ _STD_FLOOR = 1e-8
 @dataclass
 class Dataset:
     """Feature matrix plus targets; ``num_classes`` is None for regression,
-    otherwise the targets must be integer labels in ``[0, num_classes)``."""
+    otherwise the targets must be integer labels in ``[0, num_classes)``.
+    Every feature and target must be finite; errors name the 1-based row and
+    column."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -44,6 +46,11 @@ class Dataset:
                     code="bad_label",
                 )
             self.targets = labels.astype(np.int64)
+        for kind, values in (("feature", self.features), ("target", self.targets)):
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                at = f"{float(values[tuple(bad[0])])!r} at row " + ", column ".join(str(i + 1) for i in bad[0])
+                raise DatasetError(f"non-finite {kind} {at}", code="non_numeric_cell")
         if self.targets.shape[0] != self.features.shape[0]:
             raise UsageError("features and targets row counts differ")
 
@@ -180,9 +187,16 @@ def split(dataset: Dataset, fractions, seed: int) -> DataSplits:
     else:
         norm = Normalization(mean, std)
 
+    scaled = norm.apply_features(dataset.features)
+    bad = np.argwhere(~np.isfinite(scaled))
+    if bad.size:
+        r, c = bad[0]
+        at = f"feature {float(dataset.features[r, c])!r} at row {r + 1}, column {c + 1}"
+        raise DatasetError(f"{at} is not finite after normalization", code="non_numeric_cell")
+
     def _part(idx):
         return Dataset(
-            features=norm.apply_features(dataset.features[idx]),
+            features=scaled[idx],
             targets=dataset.targets[idx],
             name=dataset.name,
             num_classes=dataset.num_classes,

@@ -42,7 +42,9 @@ class DatasetError(WarpmixError, ValueError):
     """A dataset could not be ingested.
 
     ``code`` is a stable machine-readable tag: one of ``"missing_file"``,
-    ``"non_numeric_cell"`` (also NaN and infinite cells), ``"empty_dataset"``,
+    ``"non_numeric_cell"`` (also NaN and infinite cells, NaN or infinite
+    values handed to ``Dataset`` directly, and features that ``split``
+    normalizes to infinity), ``"empty_dataset"``,
     ``"bad_header"``, ``"bad_label"`` (a classification label that is not an
     integer in ``[0, num_classes)``).
     """

@@ -20,7 +20,7 @@ from .errors import DomainError, UsageError
 from .rng import RngStream
 from .similarity import KernelConfig, batch_taus, extract_features
 from .special import beta_sample
-from .warping import WarpParam, warp_pairwise
+from .warping import warp_pairwise
 
 __all__ = [
     "MIX_MODES",
@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 MIX_MODES = ("off", "vanilla", "kernel_warped", "input_only", "target_only")
+
+# (input, target) warp strengths of the modes that ignore similarity: 1 keeps
+# the raw coefficient, inf snaps it to the nearer endpoint.
+_CONSTANT_TAUS = {
+    "vanilla": (1.0, 1.0),
+    "input_only": (1.0, math.inf),
+    "target_only": (math.inf, 1.0),
+}
 
 
 @dataclass
@@ -109,12 +117,15 @@ class MixupConfig:
 
 @dataclass
 class MixPlan:
-    """Everything that determined a mixed batch, for audit and replay."""
+    """Everything that determined a mixed batch, for audit and replay.
+
+    The warp strengths are float64 arrays, with inf standing for the step.
+    """
 
     permutation: np.ndarray
     raw_coeffs: np.ndarray
-    input_taus: list
-    target_taus: list
+    input_taus: np.ndarray
+    target_taus: np.ndarray
     input_coeffs: np.ndarray
     target_coeffs: np.ndarray
 
@@ -159,12 +170,6 @@ def sample_permutation(n: int, rng: RngStream) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _constant_taus(n: int, kind: str) -> list:
-    if kind == "identity":
-        return [WarpParam.finite(1.0)] * n
-    return [WarpParam.infinite()] * n
-
-
 def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> MixedBatch:
     """Mix one batch according to ``config``.
 
@@ -179,8 +184,8 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
         plan = MixPlan(
             permutation=np.arange(n),
             raw_coeffs=ones,
-            input_taus=_constant_taus(n, "identity"),
-            target_taus=_constant_taus(n, "identity"),
+            input_taus=ones.copy(),
+            target_taus=ones.copy(),
             input_coeffs=ones,
             target_coeffs=ones.copy(),
         )
@@ -199,15 +204,10 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     else:
         raw = np.array([beta_sample(config.alpha, rng) for _ in range(n)])
 
-    if config.mode == "vanilla":
-        input_taus = _constant_taus(n, "identity")
-        target_taus = _constant_taus(n, "identity")
-    elif config.mode == "input_only":
-        input_taus = _constant_taus(n, "identity")
-        target_taus = _constant_taus(n, "step")
-    elif config.mode == "target_only":
-        input_taus = _constant_taus(n, "step")
-        target_taus = _constant_taus(n, "identity")
+    if config.mode in _CONSTANT_TAUS:
+        input_tau, target_tau = _CONSTANT_TAUS[config.mode]
+        input_taus = np.full(n, input_tau)
+        target_taus = np.full(n, target_tau)
     else:  # kernel_warped
         in_feats = extract_features(batch, config.input_kernel.backend, model)
         out_feats = extract_features(batch, config.output_kernel.backend, model)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, UsageError
 from .special import SHAPE_MAX, SHAPE_MIN
-from .warping import WarpParam
 
 __all__ = [
     "FEATURE_BACKENDS",
@@ -93,27 +92,37 @@ def normalized_distances(points, permutation) -> np.ndarray:
     return raw / mean
 
 
+def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """exp((d - 1) / (2 std^2)) / tau_max per distance, clamped to the shape range.
+
+    One math.exp per element: np.exp differs from it in the last bit on a few
+    percent of arguments, which would change every trained checkpoint.
+    """
+    ok = np.isfinite(dists) & (dists >= 0.0)
+    if not ok.all():
+        raise DomainError(f"normalized distance must be finite and >= 0, got {dists[~ok][0]}")
+    scale = 2.0 * config.tau_std**2
+    # past arg = 700 exp would overflow; the clamp saturates there anyway
+    taus = [
+        SHAPE_MAX if (arg := (d - 1.0) / scale) > 700.0 else math.exp(arg) / config.tau_max
+        for d in dists.tolist()
+    ]
+    return np.clip(np.array(taus, dtype=np.float64), SHAPE_MIN, SHAPE_MAX)
+
+
 def kernel_tau(norm_distance, config: KernelConfig) -> float:
     """Warp strength for one normalized pair distance.
 
-    exp((d - 1) / (2 std^2)) / amplitude, clamped to the shape-parameter
+    exp((d - 1) / (2 std^2)) / tau_max, clamped to the shape-parameter
     range accepted by the warping functions. An average pair (d = 1) maps
     exactly to 1 / tau_max.
     """
-    d = float(norm_distance)
-    if math.isnan(d) or math.isinf(d) or d < 0.0:
-        raise DomainError(f"normalized distance must be finite and >= 0, got {d}")
-    arg = (d - 1.0) / (2.0 * config.tau_std**2)
-    if arg > 700.0:  # exp would overflow; the clamp below saturates anyway
-        return SHAPE_MAX
-    t = math.exp(arg) / config.tau_max
-    return min(SHAPE_MAX, max(SHAPE_MIN, t))
+    return float(_distances_to_taus(np.array([float(norm_distance)]), config)[0])
 
 
-def batch_taus(features, permutation, config: KernelConfig) -> list[WarpParam]:
-    """Per-sample warp strengths for a batch of feature vectors."""
-    dists = normalized_distances(features, permutation)
-    return [WarpParam.finite(kernel_tau(d, config)) for d in dists]
+def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
+    """Per-sample warp strengths (float64) for a batch of feature vectors."""
+    return _distances_to_taus(normalized_distances(features, permutation), config)
 
 
 def extract_features(batch, backend: str, model=None) -> np.ndarray:

@@ -1,86 +1,59 @@
 """Warping of interpolation coefficients.
 
-A warp parameter tau reshapes a coefficient in [0, 1] through the CDF of a
+A warp strength tau reshapes a coefficient in [0, 1] through the CDF of a
 symmetric Beta(tau, tau): tau = 1 leaves the coefficient untouched, tau < 1
 pulls it toward 0.5 (blending the pair more evenly), tau > 1 pushes it
 toward the nearest endpoint (keeping each sample close to itself), and the
-tau -> infinity limit is a hard step at 0.5, i.e. no blending at all.
-Inputs and targets can be warped with different parameters, which is what
-lets mixing strength differ per sample and per role.
+tau -> infinity limit (``math.inf``) is a hard step at 0.5, i.e. no
+blending at all. Inputs and targets can be warped with different strengths,
+which is what lets mixing strength differ per sample and per role.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, UsageError
 from .special import incomplete_beta_reg
 
-__all__ = ["WarpParam", "warp", "warp_pairwise"]
+__all__ = ["warp", "warp_pairwise"]
 
 
-@dataclass(frozen=True)
-class WarpParam:
-    """Warp strength: a positive finite value, or None for the step limit."""
-
-    value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            v = float(self.value)
-            if math.isnan(v) or v <= 0.0 or math.isinf(v):
-                raise DomainError(
-                    f"finite warp strength must be positive, got {self.value}"
-                )
-            object.__setattr__(self, "value", v)
-
-    @classmethod
-    def finite(cls, value) -> "WarpParam":
-        return cls(float(value))
-
-    @classmethod
-    def infinite(cls) -> "WarpParam":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
+def warp(coeff, tau) -> float:
+    """Warp one coefficient in [0, 1] by strength ``tau`` (``math.inf`` for the step)."""
+    return float(warp_pairwise([coeff], [tau])[0])
 
 
-def _as_param(tau: Union[WarpParam, float]) -> WarpParam:
-    if isinstance(tau, WarpParam):
-        return tau
-    if tau == math.inf:
-        return WarpParam.infinite()
-    return WarpParam.finite(tau)
+def warp_pairwise(coeffs, taus) -> np.ndarray:
+    """Warp coefficient i by strength taus[i]; lengths must agree.
 
-
-def warp(coeff, tau: Union[WarpParam, float]) -> float:
-    """Warp one coefficient in [0, 1] by strength ``tau``.
-
-    The infinite limit is the step function 1{coeff >= 0.5}; the tie at 0.5
-    resolves to 1 so that the first element of a pair dominates.
+    Each strength is a positive number or ``math.inf``. The infinite limit is
+    the step function 1{coeff >= 0.5}; the tie at 0.5 resolves to 1 so that
+    the first element of a pair dominates.
     """
-    coeff = float(coeff)
-    if math.isnan(coeff) or coeff < 0.0 or coeff > 1.0:
-        raise DomainError(f"coefficient must lie in [0, 1], got {coeff}")
-    tau = _as_param(tau)
-    if tau.is_infinite:
-        return 1.0 if coeff >= 0.5 else 0.0
-    return incomplete_beta_reg(coeff, tau.value, tau.value)
-
-
-def warp_pairwise(coeffs, taus: Sequence[Union[WarpParam, float]]) -> np.ndarray:
-    """Warp coefficient i by strength taus[i]; lengths must agree."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 1:
-        raise UsageError(f"coeffs must be one-dimensional, got shape {coeffs.shape}")
-    if len(taus) != coeffs.shape[0]:
+    taus = np.asarray(taus, dtype=np.float64)
+    if coeffs.ndim != 1 or taus.ndim != 1:
         raise UsageError(
-            f"length mismatch: {coeffs.shape[0]} coefficients vs {len(taus)} warp strengths"
+            f"coeffs and taus must be one-dimensional, got shapes {coeffs.shape} and {taus.shape}"
         )
-    return np.array([warp(c, t) for c, t in zip(coeffs, taus)], dtype=np.float64)
+    if taus.shape != coeffs.shape:
+        raise UsageError(
+            f"length mismatch: {coeffs.shape[0]} coefficients vs {taus.shape[0]} warp strengths"
+        )
+    ok = (coeffs >= 0.0) & (coeffs <= 1.0)
+    if not ok.all():
+        raise DomainError(f"coefficient must lie in [0, 1], got {coeffs[~ok][0]}")
+    ok = taus > 0.0
+    if not ok.all():
+        raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
+
+    out = []
+    for c, t in zip(coeffs.tolist(), taus.tolist()):
+        if t == math.inf:
+            out.append(1.0 if c >= 0.5 else 0.0)
+        else:
+            out.append(incomplete_beta_reg(c, t, t))
+    return np.array(out, dtype=np.float64)

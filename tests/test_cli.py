@@ -437,6 +437,15 @@ def test_warp_demo_needs_taus_or_distances(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tau", ["0", "nan"])
+def test_warp_demo_bad_tau_is_usage_error(tmp_path, capsys, tau):
+    assert main([
+        "warp-demo", "--taus", f"1.0,{tau}", "--samples", "100", "--out", str(tmp_path / "d")
+    ]) == USAGE_EXIT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "d" / "warp_demo.csv").exists()
+
+
 # ------------------------------------------------------------- subprocess
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpmix import Dataset, DatasetError, UsageError, load_csv, split
+from warpmix.rng import RngStream
 
 from _support import write_csv
 
@@ -76,6 +77,36 @@ def test_non_finite_cell_rejected(tmp_path, cell):
     assert info.value.code == "non_numeric_cell"
     assert "row 2" in str(info.value)
     assert "'b'" in str(info.value)
+
+
+def test_nan_feature_rejected_by_dataset():
+    features = np.ones((4, 3))
+    features[2, 1] = np.nan
+    with pytest.raises(DatasetError) as info:
+        Dataset(features=features, targets=np.zeros(4))
+    assert info.value.code == "non_numeric_cell"
+    assert "row 3, column 2" in str(info.value)
+
+
+def test_inf_target_rejected_by_dataset():
+    with pytest.raises(DatasetError) as info:
+        Dataset(features=np.ones((4, 3)), targets=[0.0, 1.0, np.inf, 2.0])
+    assert info.value.code == "non_numeric_cell"
+    assert "target inf at row 3" in str(info.value)
+
+
+def test_feature_overflowing_normalization_names_its_row():
+    # column 0 is constant on the train rows, so its std is floored and a
+    # far-off held-out value overflows to inf once normalized
+    n, seed = 20, 0
+    row = int(RngStream(seed).permutation(n)[-1])
+    features = np.zeros((n, 2))
+    features[:, 1] = np.arange(n)
+    features[row, 0] = 1e305
+    with pytest.raises(DatasetError) as info, np.errstate(over="ignore"):
+        split(Dataset(features=features, targets=np.arange(n, dtype=float)), (0.6, 0.2, 0.2), seed)
+    assert info.value.code == "non_numeric_cell"
+    assert f"row {row + 1}, column 1 is not finite after normalization" in str(info.value)
 
 
 def test_ragged_row_rejected(tmp_path):

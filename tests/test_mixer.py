@@ -93,6 +93,12 @@ def test_permutation_uniform_over_s3():
 # --------------------------------------------------------------- mix_batch
 
 
+def assert_constant_taus(plan, n, input_tau, target_tau):
+    for taus, tau in ((plan.input_taus, input_tau), (plan.target_taus, target_tau)):
+        assert isinstance(taus, np.ndarray) and taus.dtype == np.float64
+        assert np.array_equal(taus, np.full(n, tau))
+
+
 def test_off_mode_returns_batch_unchanged():
     batch = regression_batch(seed=1)
     stream = RngStream(9)
@@ -101,6 +107,7 @@ def test_off_mode_returns_batch_unchanged():
     assert np.array_equal(mixed.plan.permutation, np.arange(batch.size))
     assert np.array_equal(mixed.plan.input_coeffs, np.ones(batch.size))
     assert np.array_equal(mixed.mixed_targets, batch.targets)
+    assert_constant_taus(mixed.plan, batch.size, 1.0, 1.0)
     # and no randomness was consumed
     assert stream.uniform() == RngStream(9).uniform()
 
@@ -110,6 +117,7 @@ def test_equal_pair_is_fixed_point():
     x = np.tile([[2.0, -1.0, 0.5]], (8, 1))
     batch = Batch(inputs=x, targets=np.full(8, 3.0))
     mixed = mix_batch(batch, MixupConfig(alpha=0.5, mode="vanilla"), RngStream(4))
+    assert_constant_taus(mixed.plan, 8, 1.0, 1.0)
     assert np.allclose(mixed.inputs, x, rtol=1e-15, atol=0.0)
     assert np.allclose(mixed.mixed_targets, batch.targets, rtol=1e-15, atol=0.0)
 
@@ -181,6 +189,8 @@ def test_vanilla_equals_kernel_mode_at_identity_strength():
     for seed in range(20):
         a = mix_batch(batch, warped_cfg, RngStream(seed))
         b = mix_batch(batch, vanilla_cfg, RngStream(seed))
+        assert_constant_taus(a.plan, 2, 1.0, 1.0)
+        assert_constant_taus(b.plan, 2, 1.0, 1.0)
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.plan.input_coeffs, b.plan.input_coeffs)
         assert np.array_equal(a.target_coeffs, b.target_coeffs)
@@ -190,6 +200,7 @@ def test_input_only_variant_snaps_targets():
     batch = regression_batch(n=64, seed=2)
     cfg = MixupConfig(alpha=0.5, mode="input_only")
     mixed = mix_batch(batch, cfg, RngStream(31))
+    assert_constant_taus(mixed.plan, 64, 1.0, math.inf)
     # inputs use the raw coefficients unchanged
     assert np.array_equal(mixed.plan.input_coeffs, mixed.plan.raw_coeffs)
     # target weights collapse to one endpoint of each pair
@@ -204,6 +215,7 @@ def test_target_only_variant_leaves_inputs_unmixed():
     batch = regression_batch(n=64, seed=12)
     cfg = MixupConfig(alpha=0.5, mode="target_only")
     mixed = mix_batch(batch, cfg, RngStream(77))
+    assert_constant_taus(mixed.plan, 64, math.inf, 1.0)
     assert set(np.unique(mixed.plan.input_coeffs)) <= {0.0, 1.0}
     perm = mixed.plan.permutation
     for i in range(batch.size):

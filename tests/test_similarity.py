@@ -12,7 +12,6 @@ from warpmix import (
     KernelConfig,
     RngStream,
     UsageError,
-    WarpParam,
     batch_taus,
     embed,
     extract_features,
@@ -154,7 +153,7 @@ def test_closer_pairs_mix_more():
     for lam in (0.6, 0.75, 0.9):
         prev = None
         for dbar in (0.0, 0.5, 1.0, 2.0, 4.0):
-            w = warp(lam, WarpParam.finite(kernel_tau(dbar, cfg)))
+            w = warp(lam, kernel_tau(dbar, cfg))
             if prev is not None:
                 assert w >= prev - 1e-12
             prev = w
@@ -166,16 +165,16 @@ def test_closer_pairs_mix_more():
 def test_batch_taus_two_point_swap():
     pts = np.array([[0.0], [5.0]])
     taus = batch_taus(pts, np.array([1, 0]), make_config(tau_max=2.0, tau_std=1.0))
-    assert all(isinstance(t, WarpParam) and not t.is_infinite for t in taus)
-    assert [t.value for t in taus] == [0.5, 0.5]
+    assert taus.dtype == np.float64 and np.isfinite(taus).all()
+    assert list(taus) == [0.5, 0.5]
 
 
 def test_batch_taus_identical_pair_entries():
     pts = np.array([[1.0], [1.0], [0.0], [4.0]])
     perm = np.array([1, 0, 3, 2])
     taus = batch_taus(pts, perm, make_config(tau_max=2.0, tau_std=1.0))
-    assert taus[0].value == pytest.approx(0.30327, abs=1e-5)
-    assert taus[1].value == taus[0].value
+    assert taus[0] == pytest.approx(0.30327, abs=1e-5)
+    assert taus[1] == taus[0]
 
 
 def test_batch_taus_huge_std_flattens_kernel():
@@ -183,7 +182,34 @@ def test_batch_taus_huge_std_flattens_kernel():
     pts = rng.standard_normal((16, 3))
     taus = batch_taus(pts, rng.permutation(16), make_config(tau_max=2.0, tau_std=1e6))
     for t in taus:
-        assert t.value == pytest.approx(0.5, rel=1e-9)
+        assert t == pytest.approx(0.5, rel=1e-9)
+
+
+def test_batch_taus_bit_identical_to_scalar_kernel():
+    # Rows 2k and 2k+1 are swapped, so pair k's squared distance is gaps[k]^2;
+    # the last gap is an outlier far above the batch mean.
+    gaps = np.append(RngStream(23).uniform(size=1500) * 2.5, 12.0)
+    points = np.zeros(2 * gaps.size)
+    points[1::2] = gaps
+    perm = np.arange(points.size) ^ 1
+    dists = normalized_distances(points, perm)
+    clamped_low = clamped_high = saturated = inside = 0
+    for tau_std in (0.05, 0.1, 1.5, 20.0):
+        for tau_max in (1e-4, 2.0):
+            cfg = make_config(tau_max=tau_max, tau_std=tau_std)
+            taus = batch_taus(points, perm, cfg)
+            for d, t in zip(dists.tolist(), taus.tolist()):
+                assert t == kernel_tau(d, cfg)
+                # the documented formula, one math.exp per pair
+                arg = (d - 1.0) / (2.0 * tau_std**2)
+                assert t == (SHAPE_MAX if arg > 700.0 else
+                             min(SHAPE_MAX, max(SHAPE_MIN, math.exp(arg) / tau_max)))
+                saturated += arg > 700.0
+                clamped_low += t == SHAPE_MIN
+                clamped_high += t == SHAPE_MAX and arg <= 700.0
+                inside += SHAPE_MIN < t < SHAPE_MAX
+    # the grid reaches both clamps, the overflow guard and many unclamped values
+    assert min(clamped_low, clamped_high, saturated) > 0 and inside >= 1000
 
 
 # ------------------------------------------------------- extract_features
