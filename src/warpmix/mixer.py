@@ -18,7 +18,10 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .rng import RngStream
-from .similarity import KernelConfig, batch_taus, extract_features
+from .similarity import KernelConfig, extract_features
+# The step draws its own permutation and extract_features returns float64 (n, d)
+# arrays, so the step skips batch_taus's input checks; the name stays batch_taus.
+from .similarity import _batch_taus as batch_taus
 from .special import beta_sample
 from .warping import warp_pairwise
 

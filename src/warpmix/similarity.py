@@ -79,16 +79,20 @@ def normalized_distances(points, permutation) -> np.ndarray:
     perm = np.asarray(permutation)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise UsageError("permutation must be a permutation of range(n)")
+    return _pair_distances(points, perm)
 
+
+def _pair_distances(points: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """normalized_distances for a float64 (n, d) array and a checked permutation."""
     diffs = points - points[perm]
     raw = np.einsum("ij,ij->i", diffs, diffs)
     mean = float(raw.mean())
     if math.isinf(mean) and np.isfinite(points).all():
         # squares of finite points overflowed; the result is scale-free, so rescale exactly
         _, exponent = np.frexp(np.abs(points).max())
-        return normalized_distances(np.ldexp(points, -int(exponent)), perm)
+        return _pair_distances(np.ldexp(points, -int(exponent)), perm)
     if mean < _DEGENERATE_MEAN:
-        return np.ones(n, dtype=np.float64)
+        return np.ones(points.shape[0], dtype=np.float64)
     return raw / mean
 
 
@@ -123,6 +127,11 @@ def kernel_tau(norm_distance, config: KernelConfig) -> float:
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
     """Per-sample warp strengths (float64) for a batch of feature vectors."""
     return _distances_to_taus(normalized_distances(features, permutation), config)
+
+
+def _batch_taus(features: np.ndarray, perm: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """batch_taus for float64 (n, d) features and a permutation known to be one."""
+    return _distances_to_taus(_pair_distances(features, perm), config)
 
 
 def extract_features(batch, backend: str, model=None) -> np.ndarray:

@@ -18,7 +18,9 @@ from __future__ import annotations
 import logging
 import math
 
-from .errors import DomainError, NonConvergenceError
+import numpy as np
+
+from .errors import DomainError, NonConvergenceError, UsageError
 
 __all__ = [
     "SHAPE_MIN",
@@ -34,6 +36,10 @@ SHAPE_MAX = 1e6
 _CF_EPS = 1e-14
 _CF_TINY = 1e-30
 _CF_MAX_ITER = 500
+
+# exp of anything below -745.2 is exactly 0.0 in double precision; the margin
+# covers the rounding of the symmetric cut test in _incbeta.
+_ZERO_FRONT_LOG = -800.0
 
 # Stirling's expansion is used once both arguments exceed this; below it,
 # direct lgamma is accurate because nothing large cancels.
@@ -53,18 +59,28 @@ _STIRLING_COEFFS = (
 _log = logging.getLogger("warpmix.numerics")
 
 
-def _validated_shape(value, name: str) -> float:
-    """Check a shape parameter is a positive finite number, clamping extremes."""
-    value = float(value)
-    if math.isnan(value) or value <= 0.0 or math.isinf(value):
-        raise DomainError(f"{name} must be a positive finite number, got {value}")
-    if value < SHAPE_MIN:
-        _log.debug("clamping %s=%g up to %g", name, value, SHAPE_MIN)
-        return SHAPE_MIN
-    if value > SHAPE_MAX:
-        _log.debug("clamping %s=%g down to %g", name, value, SHAPE_MAX)
-        return SHAPE_MAX
-    return value
+def _checked_shapes(a, b):
+    """Shape arrays checked positive and finite, then clamped into the range.
+
+    Clamping leaves at most one debug record per call, however many values
+    it moved.
+    """
+    moved = 0
+    out = []
+    for name, value in (("a", a), ("b", b)):
+        # NaN propagates through min and max and fails both tests; the
+        # initial values keep an empty array valid
+        lo, hi = value.min(initial=math.inf), value.max(initial=-math.inf)
+        if not (lo > 0.0 and hi < math.inf):
+            bad = value[~(np.isfinite(value) & (value > 0.0))][0]
+            raise DomainError(f"{name} must be a positive finite number, got {bad}")
+        if lo < SHAPE_MIN or hi > SHAPE_MAX:
+            moved += np.count_nonzero((value < SHAPE_MIN) | (value > SHAPE_MAX))
+            value = np.clip(value, SHAPE_MIN, SHAPE_MAX)
+        out.append(value)
+    if moved:
+        _log.debug("clamping %d shape value(s) into [%g, %g]", moved, SHAPE_MIN, SHAPE_MAX)
+    return out
 
 
 def _stirling_delta(z: float) -> float:
@@ -100,9 +116,8 @@ def log_beta(a, b) -> float:
     range, including extreme asymmetric pairs where naive lgamma differences
     lose ten digits.
     """
-    a = _validated_shape(a, "a")
-    b = _validated_shape(b, "b")
-    return _log_beta_raw(a, b)
+    a, b = _checked_shapes(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    return _log_beta_raw(float(a), float(b))
 
 
 def _log_front(x: float, a: float, b: float) -> float:
@@ -177,35 +192,57 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     )
 
 
-def incomplete_beta_reg(x, a, b) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    This is the CDF of a Beta(a, b) variable at x, so with a = b it is the
-    warping function used on interpolation coefficients. Exact at the
-    endpoints, exact for the uniform case a = b = 1, and exact at x = 0.5
-    for any symmetric pair (by symmetry of the density).
-    """
-    x = float(x)
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    a = _validated_shape(a, "a")
-    b = _validated_shape(b, "b")
-
+def _incbeta(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for one checked point with clamped shapes."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
     if a == 1.0 and b == 1.0:
         return x
-    if a == b and x == 0.5:
-        return 0.5
-
+    if a == b:
+        if x == 0.5:
+            return 0.5
+        # ln[x^a (1-x)^a / B(a, a)] <= a ln(4x(1-x)) + ln(a)/2 - 1.26 by Legendre's
+        # duplication formula and Wendel's bound Gamma(a + 1/2) / Gamma(a) <= sqrt(a);
+        # below the cut the prefactor's exp is exactly 0.0, so the result is exact
+        # without running the continued fraction.
+        if a * math.log(4.0 * x * (1.0 - x)) + 0.5 * math.log(a) < _ZERO_FRONT_LOG:
+            return 0.0 if x < 0.5 else 1.0
     if x < (a + 1.0) / (a + b + 2.0):
         value = math.exp(_log_front(x, a, b)) * _beta_cont_frac(a, b, x) / a
     else:
         value = 1.0 - math.exp(_log_front(1.0 - x, b, a)) * _beta_cont_frac(b, a, 1.0 - x) / b
     # Guard against last-ulp excursions outside [0, 1].
     return min(1.0, max(0.0, value))
+
+
+def incomplete_beta_reg(x, a, b):
+    """Regularized incomplete beta function I_x(a, b).
+
+    This is the CDF of a Beta(a, b) variable at x, so with a = b it is the
+    warping function used on interpolation coefficients. ``x``, ``a`` and
+    ``b`` are scalars or arrays of one shape (scalars broadcast); scalars
+    give a float, arrays an array of that shape. Exact at the endpoints,
+    exact for the uniform case a = b = 1, and exact at x = 0.5 for any
+    symmetric pair (by symmetry of the density).
+    """
+    x, a, b = (np.asarray(v, dtype=np.float64) for v in (x, a, b))
+    if not x.shape == a.shape == b.shape:
+        try:
+            x, a, b = np.broadcast_arrays(x, a, b)
+        except ValueError:
+            raise UsageError(
+                f"x, a and b must share one shape, got {x.shape}, {a.shape} and {b.shape}"
+            ) from None
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0):
+        bad = x[~((x >= 0.0) & (x <= 1.0))][0]
+        raise DomainError(f"x must lie in [0, 1], got {bad}")
+    a, b = _checked_shapes(a, b)
+    values = list(map(_incbeta, x.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist()))
+    if x.ndim == 0:
+        return values[0]
+    return np.array(values, dtype=np.float64).reshape(x.shape)
 
 
 def _log_gamma_variate(alpha: float, rng) -> float:

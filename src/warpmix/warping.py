@@ -11,8 +11,6 @@ which is what lets mixing strength differ per sample and per role.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, UsageError
@@ -50,10 +48,8 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     if not ok.all():
         raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
 
-    out = []
-    for c, t in zip(coeffs.tolist(), taus.tolist()):
-        if t == math.inf:
-            out.append(1.0 if c >= 0.5 else 0.0)
-        else:
-            out.append(incomplete_beta_reg(c, t, t))
-    return np.array(out, dtype=np.float64)
+    finite = np.isfinite(taus)
+    out = np.where(coeffs >= 0.5, 1.0, 0.0)
+    if finite.any():
+        out[finite] = incomplete_beta_reg(coeffs[finite], taus[finite], taus[finite])
+    return out

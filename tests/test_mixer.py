@@ -16,6 +16,7 @@ from warpmix import (
     MixupConfig,
     RngStream,
     UsageError,
+    batch_taus,
     init_mlp,
     mix_batch,
     mixed_loss,
@@ -152,6 +153,18 @@ def test_plan_internal_consistency():
         assert plan.target_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.target_taus[i])
         assert 0.0 <= plan.input_coeffs[i] <= 1.0
         assert 0.0 <= plan.target_coeffs[i] <= 1.0
+
+
+def test_kernel_warped_taus_equal_public_batch_taus():
+    # the step skips batch_taus's input checks, not any of its arithmetic
+    for seed, (in_backend, out_backend) in enumerate([("raw_input", "label"), ("label", "raw_input")]):
+        batch = regression_batch(n=24, d=4, seed=seed)
+        ik, ok = kernel_pair(tau_max=0.3, tau_std=0.7, in_backend=in_backend, out_backend=out_backend)
+        cfg = MixupConfig(alpha=0.7, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
+        plan = mix_batch(batch, cfg, RngStream(40 + seed)).plan
+        features = {"raw_input": batch.inputs, "label": batch.targets}
+        assert np.array_equal(plan.input_taus, batch_taus(features[in_backend], plan.permutation, ik))
+        assert np.array_equal(plan.target_taus, batch_taus(features[out_backend], plan.permutation, ok))
 
 
 def test_mixed_inputs_stay_in_segment():

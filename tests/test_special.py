@@ -13,10 +13,12 @@ from warpmix import (
     DomainError,
     NonConvergenceError,
     RngStream,
+    UsageError,
     beta_sample,
     incomplete_beta_reg,
     log_beta,
 )
+from warpmix import special
 
 from _support import ks_statistic
 
@@ -185,6 +187,104 @@ def test_incbeta_output_clamped_to_unit_interval():
         b = float(10.0 ** rng.uniform(-3, 4))
         v = incomplete_beta_reg(x, a, b)
         assert 0.0 <= v <= 1.0
+
+
+def ungated_incbeta(x, a, b):
+    """I_x(a, b) with every interior point through the continued fraction, as
+    before the symmetric cut; shapes must already lie in the accepted range."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    if a == 1.0 and b == 1.0:
+        return x
+    if a == b and x == 0.5:
+        return 0.5
+    if x < (a + 1.0) / (a + b + 2.0):
+        value = math.exp(special._log_front(x, a, b)) * special._beta_cont_frac(a, b, x) / a
+    else:
+        value = 1.0 - math.exp(special._log_front(1.0 - x, b, a)) * special._beta_cont_frac(b, a, 1.0 - x) / b
+    return min(1.0, max(0.0, value))
+
+
+def cut_points(tau):
+    """The x < 0.5 where tau ln(4x(1-x)) + ln(tau)/2 = -800, and its mirror, with
+    float neighbours on both sides (all 0 and 1 when the cut is unreachable)."""
+    q = math.exp((-800.0 - 0.5 * math.log(tau)) / tau)
+    lo = 0.5 * (1.0 - math.sqrt(1.0 - q))
+    near = [lo * (1.0 - 1e-9), np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0), lo * (1.0 + 1e-9)]
+    return np.clip(near + [1.0 - v for v in near], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, 0.01, 0.2, 1.0, 2.0, 7.0, 20.0, 150.0, 1e3, 1e4, 1e5, 1e6])
+def test_incbeta_symmetric_cut_is_bit_identical(tau):
+    rng = np.random.default_rng(int(tau * 1e4) % 2**32)
+    sigma = math.sqrt(1.0 / (8.0 * tau))
+    xs = np.concatenate([
+        np.linspace(0.0, 1.0, 201),
+        np.sin(0.5 * math.pi * rng.uniform(size=500)) ** 2,  # arcsine draws
+        np.clip(np.linspace(0.5 - 6 * sigma, 0.5 + 6 * sigma, 81), 0.0, 1.0),
+        cut_points(tau),
+    ])
+    got = incomplete_beta_reg(xs, np.full(xs.shape, tau), np.full(xs.shape, tau))
+    want = np.array([ungated_incbeta(x, tau, tau) for x in xs.tolist()])
+    assert np.array_equal(got, want)
+
+
+def test_incbeta_cut_skips_the_continued_fraction(monkeypatch):
+    calls = []
+    original = special._beta_cont_frac
+
+    def counted(a, b, x):
+        calls.append(x)
+        return original(a, b, x)
+
+    monkeypatch.setattr(special, "_beta_cont_frac", counted)
+    assert incomplete_beta_reg(0.2, 1e4, 1e4) == 0.0
+    assert incomplete_beta_reg(0.8, 1e4, 1e4) == 1.0
+    assert calls == []
+    assert 0.0 < incomplete_beta_reg(0.499, 1e4, 1e4) < 0.5
+    assert len(calls) == 1
+
+
+def test_incbeta_array_still_reports_nonconvergence():
+    with pytest.raises(NonConvergenceError) as info:
+        incomplete_beta_reg(np.array([0.2, 0.49999]), 1e6, 1e6)
+    assert info.value.x == 0.49999
+
+
+def test_incbeta_arrays_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(size=(4, 6))
+    a = 10.0 ** rng.uniform(-3, 4, size=(4, 6))
+    b = 10.0 ** rng.uniform(-3, 4, size=(4, 6))
+    got = incomplete_beta_reg(xs, a, b)
+    assert got.shape == (4, 6) and got.dtype == np.float64
+    for i, j in np.ndindex(4, 6):
+        assert got[i, j] == incomplete_beta_reg(float(xs[i, j]), float(a[i, j]), float(b[i, j]))
+    assert type(incomplete_beta_reg(0.3, 2.0, 2.0)) is float
+    # scalars broadcast against arrays
+    assert np.array_equal(incomplete_beta_reg(xs[0], 2.0, 2.0), incomplete_beta_reg(xs[0], [2.0] * 6, [2.0] * 6))
+    assert incomplete_beta_reg(np.array([]), 2.0, 2.0).shape == (0,)
+
+
+def test_incbeta_array_validation():
+    with pytest.raises(UsageError):
+        incomplete_beta_reg([0.1, 0.2, 0.3], [1.0, 2.0], 2.0)
+    with pytest.raises(DomainError):
+        incomplete_beta_reg([0.1, 1.2], 2.0, 2.0)
+    with pytest.raises(DomainError):
+        incomplete_beta_reg([0.1, 0.2], [2.0, math.nan], 2.0)
+    with pytest.raises(DomainError):
+        incomplete_beta_reg([0.1, 0.2], 2.0, [math.inf, 2.0])
+
+
+def test_incbeta_clamps_with_one_record_per_call(caplog):
+    xs = np.linspace(0.1, 0.9, 9)
+    with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):
+        got = incomplete_beta_reg(xs, np.full(9, 1e9), np.full(9, 1e-7))
+    assert np.array_equal(got, incomplete_beta_reg(xs, 1e6, 1e-4))
+    assert len([rec for rec in caplog.records if "clamp" in rec.message]) == 1
 
 
 # ------------------------------------------------------------ beta_sample
