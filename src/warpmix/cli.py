@@ -168,7 +168,7 @@ def _cmd_warp_demo(args) -> int:
     lines = ["distance,tau,bin_lo,bin_hi,count,density"]
     for case_index, (distance, tau) in enumerate(cases):
         stream = rng.child(case_index)
-        raw = [beta_sample(float(args.alpha), stream) for _ in range(samples)]
+        raw = beta_sample(float(args.alpha), stream, size=samples)
         warped = warp_pairwise(raw, np.full(samples, tau))
         counts, edges = np.histogram(warped, bins=num_bins, range=(0.0, 1.0))
         d_txt = "" if distance is None else repr(float(distance))

@@ -20,7 +20,8 @@ from .errors import DomainError, UsageError
 from .rng import RngStream
 from .similarity import KernelConfig, extract_features
 # The step draws its own permutation and extract_features returns float64 (n, d)
-# arrays, so the step skips batch_taus's input checks; the name stays batch_taus.
+# arrays, so the step skips batch_taus's input checks. The unchecked kernel keeps
+# the name batch_taus, under which per-layer traces time the step's tau stage.
 from .similarity import _batch_taus as batch_taus
 from .special import beta_sample
 from .warping import warp_pairwise
@@ -177,9 +178,10 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     """Mix one batch according to ``config``.
 
     Randomness is consumed in a fixed documented order: first the
-    permutation, then the raw coefficients (one per sample, or a single
-    shared draw with per_batch_coeff). Mode ``off`` consumes none and
-    returns the batch unchanged under an identity plan.
+    permutation, then the raw coefficients as one sized Beta(alpha, alpha)
+    draw of n values (a single shared draw with per_batch_coeff). Mode
+    ``off`` consumes none and returns the batch unchanged under an identity
+    plan.
     """
     n = batch.size
     if config.mode == "off":
@@ -205,7 +207,7 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     if config.per_batch_coeff:
         raw = np.full(n, beta_sample(config.alpha, rng))
     else:
-        raw = np.array([beta_sample(config.alpha, rng) for _ in range(n)])
+        raw = beta_sample(config.alpha, rng, size=n)
 
     if config.mode in _CONSTANT_TAUS:
         input_tau, target_tau = _CONSTANT_TAUS[config.mode]

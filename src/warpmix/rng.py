@@ -48,6 +48,10 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
+    def beta(self, a, b, size=None):
+        """Draw from Beta(a, b): a float if ``size`` is None, else an array."""
+        return self._gen.beta(a, b, size)
+
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -49,6 +49,8 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
         raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
 
     finite = np.isfinite(taus)
+    if finite.all():
+        return incomplete_beta_reg(coeffs, taus, taus)
     out = np.where(coeffs >= 0.5, 1.0, 0.0)
     if finite.any():
         out[finite] = incomplete_beta_reg(coeffs[finite], taus[finite], taus[finite])

@@ -270,6 +270,31 @@ def test_per_batch_coefficient_shares_one_draw():
     assert mixed.plan.raw_coeffs[0] == mixed.plan.raw_coeffs[-1]
 
 
+def test_raw_coefficients_are_one_draw_after_the_permutation():
+    # the documented order: the permutation, then all n raw coefficients in one draw
+    ik, ok = kernel_pair()
+    for mode in ("vanilla", "kernel_warped", "input_only"):
+        cfg = MixupConfig(alpha=0.5, mode=mode, input_kernel=ik, output_kernel=ok)
+        plan = mix_batch(regression_batch(n=16, seed=4), cfg, RngStream(21)).plan
+        stream = RngStream(21)
+        assert np.array_equal(plan.permutation, stream.permutation(16))
+        assert np.array_equal(plan.raw_coeffs, stream.beta(0.5, 0.5, 16))
+
+
+def test_per_batch_coefficient_consumes_one_draw():
+    ik, ok = kernel_pair()
+    cfg = MixupConfig(
+        alpha=0.5, mode="kernel_warped", input_kernel=ik, output_kernel=ok, per_batch_coeff=True
+    )
+    used = RngStream(14)
+    mixed = mix_batch(regression_batch(n=32, seed=6), cfg, used)
+    stream = RngStream(14)
+    stream.permutation(32)
+    assert np.array_equal(mixed.plan.raw_coeffs, np.full(32, stream.beta(0.5, 0.5)))
+    # both streams are now at the same point
+    assert used.uniform() == stream.uniform()
+
+
 def test_size_one_batch_mixes_with_itself():
     batch = Batch(inputs=np.array([[1.0, 2.0]]), targets=np.array([5.0]))
     ik, ok = kernel_pair()

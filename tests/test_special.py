@@ -301,6 +301,25 @@ def test_beta_sample_deterministic_per_seed():
     assert seq1 == seq2
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 0.2, 0.5, 1.0, 7.0])
+def test_beta_sample_sized_draw_equals_single_draws(alpha):
+    for seed, k in ((0, 1), (4, 16), (9, 257)):
+        sized = beta_sample(alpha, RngStream(seed), size=k)
+        stream = RngStream(seed)
+        singles = [beta_sample(alpha, stream) for _ in range(k)]
+        assert isinstance(sized, np.ndarray) and sized.dtype == np.float64
+        assert sized.tolist() == singles
+    assert type(beta_sample(alpha, RngStream(0))) is float
+    assert beta_sample(alpha, RngStream(0), size=0).shape == (0,)
+    assert beta_sample(alpha, RngStream(0), size=np.int64(3)).shape == (3,)
+
+
+@pytest.mark.parametrize("size", [-1, 2.0, 2.5, "3", True, (2, 2)])
+def test_beta_sample_rejects_bad_size(size):
+    with pytest.raises(UsageError):
+        beta_sample(0.5, RngStream(0), size=size)
+
+
 def test_beta_sample_advances_state():
     stream = RngStream(5)
     draws = [beta_sample(2.0, stream) for _ in range(100)]
