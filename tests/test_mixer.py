@@ -264,10 +264,16 @@ def test_per_batch_coefficient_shares_one_draw():
     cfg = MixupConfig(
         alpha=0.5, mode="kernel_warped", input_kernel=ik, output_kernel=ok, per_batch_coeff=True
     )
-    mixed = mix_batch(regression_batch(n=32, seed=6), cfg, RngStream(14))
+    used = RngStream(14)
+    mixed = mix_batch(regression_batch(n=32, seed=6), cfg, used)
     assert np.unique(mixed.plan.raw_coeffs).size == 1
     # warped values may still differ per sample through per-pair strengths
     assert mixed.plan.raw_coeffs[0] == mixed.plan.raw_coeffs[-1]
+    # one scalar draw after the permutation, and nothing more
+    stream = RngStream(14)
+    stream.permutation(32)
+    assert mixed.plan.raw_coeffs[0] == stream.beta(0.5, 0.5)
+    assert used.uniform() == stream.uniform()
 
 
 def test_raw_coefficients_are_one_draw_after_the_permutation():
@@ -279,20 +285,6 @@ def test_raw_coefficients_are_one_draw_after_the_permutation():
         stream = RngStream(21)
         assert np.array_equal(plan.permutation, stream.permutation(16))
         assert np.array_equal(plan.raw_coeffs, stream.beta(0.5, 0.5, 16))
-
-
-def test_per_batch_coefficient_consumes_one_draw():
-    ik, ok = kernel_pair()
-    cfg = MixupConfig(
-        alpha=0.5, mode="kernel_warped", input_kernel=ik, output_kernel=ok, per_batch_coeff=True
-    )
-    used = RngStream(14)
-    mixed = mix_batch(regression_batch(n=32, seed=6), cfg, used)
-    stream = RngStream(14)
-    stream.permutation(32)
-    assert np.array_equal(mixed.plan.raw_coeffs, np.full(32, stream.beta(0.5, 0.5)))
-    # both streams are now at the same point
-    assert used.uniform() == stream.uniform()
 
 
 def test_size_one_batch_mixes_with_itself():

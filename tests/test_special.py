@@ -208,11 +208,14 @@ def ungated_incbeta(x, a, b):
 
 
 def cut_points(tau):
-    """The x < 0.5 where tau ln(4x(1-x)) + ln(tau)/2 = -800, and its mirror, with
-    float neighbours on both sides (all 0 and 1 when the cut is unreachable)."""
-    q = math.exp((-800.0 - 0.5 * math.log(tau)) / tau)
-    lo = 0.5 * (1.0 - math.sqrt(1.0 - q))
-    near = [lo * (1.0 - 1e-9), np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0), lo * (1.0 + 1e-9)]
+    """x < 0.5 where tau ln(4x(1-x)) + ln(tau)/2 reaches the -800 cut, where exp
+    starts to underflow (-745) and in between, each with float neighbours on
+    both sides, and their mirrors (0 and 1 when a level is out of reach)."""
+    near = []
+    for level in (-800.0, -770.0, -745.0, -740.0):
+        q = math.exp((level - 0.5 * math.log(tau)) / tau)
+        lo = 0.5 * (1.0 - math.sqrt(1.0 - q))
+        near += [lo * (1.0 - 1e-9), np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0), lo * (1.0 + 1e-9)]
     return np.clip(near + [1.0 - v for v in near], 0.0, 1.0)
 
 
