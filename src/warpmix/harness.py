@@ -22,8 +22,8 @@ import numpy as np
 
 from .data import DataSplits, Dataset, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
-from .metrics import metrics_from_payload, softmax, temperature_scale
-from .mixer import Batch, MixupConfig, mix_batch, mixed_loss
+from .metrics import log_softmax, metrics_from_payload, softmax, temperature_scale
+from .mixer import Batch, MixupConfig, _mixed_nll, _nll, mix_batch, mixed_loss
 from .model import (
     ModelState,
     OptimizerState,
@@ -347,7 +347,11 @@ class MetricReport:
 
 
 def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
-    """Mixed-batch loss (from ``mixed_loss``) and its gradient in the outputs."""
+    """Mixed-batch loss and its gradient in the outputs.
+
+    The classification loss is taken from ``log_softmax`` of the logits, so
+    it grows without bound as the model diverges; probabilities clipped at
+    1e-12 would cap it near 27.6."""
     n = mixed.size
     if task == "regression":
         return mixed_loss(outputs, mixed, task), 2.0 * (outputs - mixed.mixed_targets[:, None]) / n
@@ -355,7 +359,7 @@ def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
     onehot = np.eye(probs.shape[1])
     c = mixed.target_coeffs[:, None]
     convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
-    return mixed_loss(probs, mixed, task), (probs - convex) / n
+    return _mixed_nll(log_softmax(outputs), mixed), (probs - convex) / n
 
 
 def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> float:
@@ -368,8 +372,7 @@ def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> floa
     if task == "regression":
         targets = norm.normalize_targets(part.targets)
         return float(np.mean((outputs[:, 0] - targets) ** 2))
-    logp = np.log(np.clip(softmax(outputs), 1e-12, None))
-    return float(-np.mean(logp[np.arange(len(part)), part.targets]))
+    return float(np.mean(_nll(log_softmax(outputs), part.targets)))
 
 
 def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None) -> TrainResult:

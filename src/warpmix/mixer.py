@@ -263,12 +263,7 @@ def mixed_loss(predictions, mixed: MixedBatch, task: str) -> float:
             raise UsageError(
                 f"predictions shape {preds.shape} does not match (n, c)=({n}, {mixed.num_classes})"
             )
-        p = np.clip(preds, 1e-12, None)
-        rows = np.arange(n)
-        loss_a = -np.log(p[rows, mixed.targets_a])
-        loss_b = -np.log(p[rows, mixed.targets_b])
-        c = mixed.target_coeffs
-        return float(np.mean(c * loss_a + (1.0 - c) * loss_b))
+        return _mixed_nll(np.log(np.clip(preds, 1e-12, None)), mixed)
 
     if mixed.num_classes is not None:
         raise UsageError("regression loss on a classification batch")
@@ -278,3 +273,15 @@ def mixed_loss(predictions, mixed: MixedBatch, task: str) -> float:
     if preds.shape != targets.shape:
         raise UsageError(f"predictions shape {preds.shape} does not match targets {targets.shape}")
     return float(np.mean((preds - targets) ** 2))
+
+
+def _nll(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row negative log-likelihood of integer ``labels``."""
+    return -log_probs[np.arange(len(labels)), labels]
+
+
+def _mixed_nll(log_probs: np.ndarray, mixed: MixedBatch) -> float:
+    """The mixed-batch cross-entropy from (n, c) log-probabilities, unchecked."""
+    c = mixed.target_coeffs
+    loss_a, loss_b = _nll(log_probs, mixed.targets_a), _nll(log_probs, mixed.targets_b)
+    return float(np.mean(c * loss_a + (1.0 - c) * loss_b))

@@ -138,10 +138,12 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
     return ModelState(layers=layers, dropout_rate=float(dropout_rate))
 
 
-def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None):
-    """The layer loop of ``forward`` and ``embed``: the inputs through the
-    first ``depth`` layers, with dropout after each hidden layer if ``rng``
-    is given. Returns the activations and the per-layer records."""
+def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None, buffers=None):
+    """The layer loop of ``forward``, ``embed`` and ``mc_dropout_predict``:
+    the inputs through the first ``depth`` layers, with dropout after each
+    hidden layer if ``rng`` is given. Returns the activations and the
+    per-layer records. ``buffers`` (from ``_layer_buffers``) makes the pass
+    write every per-layer array into them instead of allocating new ones."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -153,15 +155,26 @@ def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] =
     records = []
     last = len(model.layers) - 1
     for k, layer in enumerate(model.layers[:depth]):
-        z = acts @ layer.weights + layer.biases
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        z_out, h_out, mask_out, kept_out = buffers[k] if buffers else (None,) * 4
+        z = np.matmul(acts, layer.weights, out=z_out)
+        z += layer.biases
+        h = np.maximum(z, 0.0, out=h_out) if layer.activation == "relu" else z
         mask = None
         if rng is not None and k < last:
-            mask = (rng.uniform(size=h.shape) < keep).astype(np.float64) / keep
-            h = h * mask
+            kept = np.less(rng.uniform(size=h.shape), keep, out=kept_out)
+            mask = np.divide(kept, keep, out=mask_out)
+            h = np.multiply(h, mask, out=h_out)
         records.append((acts, z, mask))
         acts = h
     return acts, records
+
+
+def _layer_buffers(model: ModelState, rows: int) -> list:
+    """One (z, h, mask, kept) set of arrays per layer for ``rows`` inputs."""
+    return [
+        (*np.empty((3, rows, layer.biases.size)), np.empty((rows, layer.biases.size), dtype=bool))
+        for layer in model.layers
+    ]
 
 
 def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
@@ -225,6 +238,9 @@ class OptimizerState:
     weight_decay: float = 0.0
     step: int = 0
     slots: Optional[np.ndarray] = field(default=None, repr=False)
+    # (3, P) scratch for the packed gradient and the update's temporaries,
+    # reused on every step for the same reason as mc_dropout_predict's buffers
+    _work: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
@@ -249,10 +265,16 @@ def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
     for layer, (gw, gb) in zip(model.layers, grads):
         if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
             raise UsageError("gradient shapes do not match parameters")
-    g = _pack(grads)
+    size = model.params.size
+    if opt._work is None or opt._work.shape[1] != size:
+        opt._work = np.empty((3, size))
+    g, tmp, tmp2 = opt._work
+    np.concatenate([gw.ravel() for gw, _ in grads] + [gb for _, gb in grads], out=g)
     if opt.slots is None:
-        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, g.size))
+        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, size))
 
+    # out= ufuncs into the workspace, applying the textbook update's
+    # operations in its order, so the result is the same to the bit
     lr = opt.learning_rate
     params = model.params
     opt.step += 1
@@ -260,19 +282,22 @@ def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
         velocity = opt.slots[0]
         velocity *= opt.momentum
         velocity += g
-        params -= lr * velocity
-    else:  # adam
+        params -= np.multiply(lr, velocity, out=tmp)
+    else:  # adam: params -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
         correct1 = 1.0 - opt.beta1**opt.step
         correct2 = 1.0 - opt.beta2**opt.step
         m, v = opt.slots
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += np.multiply(1.0 - opt.beta1, g, out=tmp)
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * g**2
-        params -= lr * (m / correct1) / (np.sqrt(v / correct2) + opt.eps)
+        v += np.multiply(1.0 - opt.beta2, np.square(g, out=tmp), out=tmp)
+        np.multiply(lr, np.divide(m, correct1, out=tmp), out=tmp)
+        np.sqrt(np.divide(v, correct2, out=tmp2), out=tmp2)
+        tmp2 += opt.eps
+        params -= np.divide(tmp, tmp2, out=tmp)
     if opt.weight_decay:
         weights = params[: model.num_weights]
-        weights -= lr * opt.weight_decay * weights
+        weights -= np.multiply(lr * opt.weight_decay, weights, out=tmp[: model.num_weights])
     model.step_count += 1
 
 
@@ -288,12 +313,15 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     samples = int(samples)
     if samples < 2:
         raise UsageError(f"need at least 2 stochastic samples, got {samples}")
-    previous_mode = model.mode
-    model.mode = "train"
-    try:
-        outs = np.stack([forward(model, inputs, rng)[0] for _ in range(samples)])
-    finally:
-        model.mode = previous_mode
+    if rng is None and len(model.layers) > 1:
+        raise UsageError("train-mode forward with dropout needs an rng stream")
+    x = _propagate(model, inputs, 0)[0]  # the checked (n, fan_in) inputs
+    # every pass writes into the same buffers: arrays this size would
+    # otherwise go back to the OS on each free and be faulted in again
+    buffers = _layer_buffers(model, x.shape[0])
+    outs = np.empty((samples, x.shape[0], model.layers[-1].biases.size))
+    for s in range(samples):
+        outs[s] = _propagate(model, x, len(model.layers), rng, buffers)[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 
@@ -332,8 +360,9 @@ def save_model(model: ModelState, path) -> None:
             for layer in model.layers
         ],
     }
+    text = json.dumps(payload)  # the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def load_model(path) -> ModelState:

@@ -256,6 +256,20 @@ def test_divergence_aborts_with_diagnostic(task, tweaks):
     assert isinstance(info.value.trace, list)
 
 
+def test_diverged_classifier_loss_is_not_capped():
+    # params reach ~1e81 with no error; a loss from probabilities clipped at
+    # 1e-12 stays under -ln(1e-12) ~ 27.6 and hides that
+    cfg = tiny_config(
+        "classification",
+        optimizer__kind="sgd_momentum", optimizer__learning_rate=1e6, optimizer__epochs=3,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = train(cfg, seed=0, dataset=CLF_DATA)
+    ceiling = -math.log(1e-12)
+    assert max(row["train_loss"] for row in result.trace) > ceiling
+    assert max(row["valid_loss"] for row in result.trace) > ceiling
+
+
 def test_classification_training_runs():
     cfg = tiny_config("classification", optimizer__epochs=3)
     result = train(cfg, seed=1, dataset=CLF_DATA)

@@ -3,6 +3,7 @@ embeddings, and checkpoint round-trips.
 """
 
 import copy
+import json
 import math
 import pickle
 
@@ -375,35 +376,43 @@ def test_optimizer_step_advances_model_counter():
 
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_flat_update_matches_per_layer_reference(kind):
-    rng = RngStream(21)
-    model = init_mlp([4, 6, 3], dropout_rate=0.0, rng=rng)
-    opt = OptimizerState(kind=kind, learning_rate=0.05, weight_decay=0.01)
-    lr, wd, b1, b2 = opt.learning_rate, opt.weight_decay, opt.beta1, opt.beta2
-    ref = [(layer.weights.copy(), layer.biases.copy()) for layer in model.layers]
-    slots = [[np.zeros_like(a) for a in (w, b, w, b)] for w, b in ref]  # mw, mb, vw, vb
-    for t in range(1, 8):
-        grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape)) for w, b in ref]
-        optimizer_step(opt, model, grads)
-        # the per-layer update, written out
-        for (w, b), (mw, mb, vw, vb), (gw, gb) in zip(ref, slots, grads):
-            if kind == "sgd_momentum":
-                mw *= opt.momentum
-                mw += gw
-                mb *= opt.momentum
-                mb += gb
-                w -= lr * mw
-                b -= lr * mb
-            else:
-                for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
-                    m *= b1
-                    m += (1.0 - b1) * g
-                    v *= b2
-                    v += (1.0 - b2) * g**2
-                w -= lr * (mw / (1.0 - b1**t)) / (np.sqrt(vw / (1.0 - b2**t)) + opt.eps)
-                b -= lr * (mb / (1.0 - b1**t)) / (np.sqrt(vb / (1.0 - b2**t)) + opt.eps)
-            w -= lr * wd * w
-    for layer, (w, b) in zip(model.layers, ref):
-        assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
+    # the regression workload's size puts each update array above 128 KiB
+    for dims in ([4, 6, 3], [5, 128, 128, 1]):
+        rng = RngStream(21)
+        model = init_mlp(dims, dropout_rate=0.0, rng=rng)
+        opt = OptimizerState(kind=kind, learning_rate=0.05, weight_decay=0.01)
+        lr, wd, b1, b2 = opt.learning_rate, opt.weight_decay, opt.beta1, opt.beta2
+        ref = [(layer.weights.copy(), layer.biases.copy()) for layer in model.layers]
+        slots = [[np.zeros_like(a) for a in (w, b, w, b)] for w, b in ref]  # mw, mb, vw, vb
+        for t in range(1, 8):
+            if t == 4:  # a copy taken mid-run must continue like the original
+                twin_opt, twin_model = copy.deepcopy(opt), copy.deepcopy(model)
+            grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape)) for w, b in ref]
+            optimizer_step(opt, model, grads)
+            if t >= 4:
+                optimizer_step(twin_opt, twin_model, grads)
+            # the per-layer update, written out
+            for (w, b), (mw, mb, vw, vb), (gw, gb) in zip(ref, slots, grads):
+                if kind == "sgd_momentum":
+                    mw *= opt.momentum
+                    mw += gw
+                    mb *= opt.momentum
+                    mb += gb
+                    w -= lr * mw
+                    b -= lr * mb
+                else:
+                    for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
+                        m *= b1
+                        m += (1.0 - b1) * g
+                        v *= b2
+                        v += (1.0 - b2) * g**2
+                    w -= lr * (mw / (1.0 - b1**t)) / (np.sqrt(vw / (1.0 - b2**t)) + opt.eps)
+                    b -= lr * (mb / (1.0 - b1**t)) / (np.sqrt(vb / (1.0 - b2**t)) + opt.eps)
+                w -= lr * wd * w
+        for layer, (w, b) in zip(model.layers, ref):
+            assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
+        assert np.array_equal(twin_model.params, model.params)
+        assert np.array_equal(twin_opt.slots, opt.slots) and twin_opt.step == opt.step
 
 
 def test_optimizer_slots_follow_params_layout():
@@ -475,6 +484,38 @@ def test_mc_dropout_single_unit_closed_form():
     se_var = math.sqrt((mu4 - true_var**2) / n)
     assert abs(means[0, 0] - true_mean) < 3.0 * se_mean
     assert abs(variances[0, 0] - true_var) < 3.0 * se_var
+
+
+def per_sample_forward_reference(model, inputs, samples, rng):
+    """MC dropout as one train-mode ``forward`` per sample, stacked."""
+    previous_mode = model.mode
+    model.mode = "train"
+    try:
+        outs = np.stack([forward(model, inputs, rng)[0] for _ in range(samples)])
+    finally:
+        model.mode = previous_mode
+    return outs.mean(axis=0), outs.var(axis=0, ddof=1)
+
+
+@pytest.mark.parametrize(
+    "dims, activation, rows",
+    [
+        ([5, 128, 128, 1], "relu", (301,)),  # the regression workload's test split
+        ([3, 7, 2], "identity", (9,)),
+        ([4, 6, 6, 1], "relu", ()),  # one 1-d input
+    ],
+    ids=["regression_shape", "identity_hidden", "one_d_input"],
+)
+def test_mc_dropout_bit_equal_to_per_sample_forward(dims, activation, rows):
+    model = init_mlp(dims, dropout_rate=0.2, rng=RngStream(4), hidden_activation=activation).eval()
+    x = RngStream(5).standard_normal((*rows, dims[0]))
+    got_rng, want_rng = RngStream(6), RngStream(6)
+    means, variances = mc_dropout_predict(model, x, samples=12, rng=got_rng)
+    want_means, want_variances = per_sample_forward_reference(model, x, 12, want_rng)
+    assert np.array_equal(means, want_means) and np.array_equal(variances, want_variances)
+    assert means.shape == want_means.shape and means.dtype == np.float64
+    assert got_rng.uniform() == want_rng.uniform()  # both streams stopped at the same draw
+    assert model.mode == "eval"
 
 
 def test_mc_dropout_restores_mode():
@@ -554,6 +595,28 @@ def test_checkpoint_round_trip_exact(tmp_path):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.biases, lb.biases)
         assert la.activation == lb.activation
+
+
+def test_checkpoint_bytes_match_streamed_json_dump(tmp_path):
+    model = init_mlp([2, 3, 1], dropout_rate=0.2, rng=RngStream(1))
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    model.params[: len(extremes)] = extremes
+    model.step_count = 9
+    save_model(model, tmp_path / "m.json")
+    payload = {
+        "format": "warpmix-mlp-v1",
+        "dropout_rate": 0.2,
+        "step_count": 9,
+        "layers": [
+            {"activation": l.activation, "weights": l.weights.tolist(), "biases": l.biases.tolist()}
+            for l in model.layers
+        ],
+    }
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    loaded = load_model(tmp_path / "m.json").params
+    assert np.array_equal(loaded, model.params) and math.copysign(1.0, loaded[0]) == -1.0
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
