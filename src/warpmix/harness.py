@@ -27,6 +27,7 @@ from .mixer import Batch, MixupConfig, _mixed_nll, _nll, mix_batch, mixed_loss
 from .model import (
     ModelState,
     OptimizerState,
+    _propagate,
     backward,
     forward,
     init_mlp,
@@ -191,10 +192,10 @@ class ExperimentConfig:
                 if node[part] is None:
                     node[part] = {}
                 node = node[part]
-            leaf = parts[-1]
-            if not isinstance(node, dict) or leaf not in _schema_node(parts[:-1]):
+            if not isinstance(node, dict):
                 raise UsageError(f"unknown config key {dotted!r}")
-            node[leaf] = _parse_override_value(raw)
+            # an unknown leaf fails in ExperimentConfig below, named by its dotted key
+            node[parts[-1]] = _parse_override_value(raw)
         return ExperimentConfig(values)
 
     def to_dict(self) -> dict:
@@ -278,17 +279,6 @@ class ExperimentConfig:
         return ds
 
 
-def _schema_node(parts) -> dict:
-    node = DEFAULT_CONFIG
-    for part in parts:
-        if not isinstance(node, dict) or part not in node:
-            raise UsageError(f"unknown config key {'.'.join(parts)!r}")
-        node = node[part]
-    if not isinstance(node, dict):
-        raise UsageError(f"config key {'.'.join(parts)!r} has no sub-keys")
-    return node
-
-
 @dataclass
 class TrainResult:
     model: ModelState
@@ -363,12 +353,7 @@ def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
 
 
 def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> float:
-    previous = model.mode
-    model.mode = "eval"
-    try:
-        outputs, _ = forward(model, part.features)
-    finally:
-        model.mode = previous
+    outputs = _propagate(model, part.features, len(model.layers))[0]  # an eval-mode forward
     if task == "regression":
         targets = norm.normalize_targets(part.targets)
         return float(np.mean((outputs[:, 0] - targets) ** 2))
@@ -456,13 +441,8 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
         payload["variances"] = norm.denormalize_variance(vars_n[:, 0]).tolist()
         payload["targets"] = splits.test.targets.tolist()
     else:
-        previous = model.mode
-        model.mode = "eval"
-        try:
-            valid_logits, _ = forward(model, splits.valid.features)
-            test_logits, _ = forward(model, splits.test.features)
-        finally:
-            model.mode = previous
+        valid_logits = _propagate(model, splits.valid.features, len(model.layers))[0]
+        test_logits = _propagate(model, splits.test.features, len(model.layers))[0]
         payload["temperature"] = temperature_scale(valid_logits, splits.valid.targets)
         payload["probs"] = softmax(test_logits / payload["temperature"]).tolist()
         payload["labels"] = splits.test.targets.tolist()

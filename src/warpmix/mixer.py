@@ -53,7 +53,8 @@ class Batch:
     """A minibatch: inputs (n, d) plus targets.
 
     Classification batches carry integer class labels and ``num_classes``;
-    regression batches carry real targets and ``num_classes=None``.
+    regression batches carry real targets and ``num_classes=None``. Every
+    input and target must be finite; errors name the 0-based row.
     """
 
     inputs: np.ndarray
@@ -85,6 +86,11 @@ class Batch:
             raise UsageError(
                 f"targets length {self.targets.shape[0]} does not match batch size {n}"
             )
+        for kind, values in (("input", self.inputs), ("target", self.targets)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                row = np.flatnonzero(~finite.reshape(n, -1).all(axis=1))[0]
+                raise UsageError(f"non-finite {kind} at row {row} of the batch")
 
     @property
     def size(self) -> int:
@@ -209,35 +215,30 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     else:
         raw = beta_sample(config.alpha, rng, size=n)
 
+    # both sides' strengths as one array of 2n lanes, the input side first
     if config.mode in _CONSTANT_TAUS:
-        input_tau, target_tau = _CONSTANT_TAUS[config.mode]
-        input_taus = np.full(n, input_tau)
-        target_taus = np.full(n, target_tau)
-    else:  # kernel_warped
-        in_feats = extract_features(batch, config.input_kernel.backend, model)
-        out_feats = extract_features(batch, config.output_kernel.backend, model)
-        input_taus = batch_taus(in_feats, perm, config.input_kernel)
-        target_taus = batch_taus(out_feats, perm, config.output_kernel)
-
-    input_coeffs = warp_pairwise(raw, input_taus)
-    target_coeffs = warp_pairwise(raw, target_taus)
-
-    ci = input_coeffs[:, None]
-    mixed_inputs = ci * batch.inputs + (1.0 - ci) * batch.inputs[perm]
+        taus = np.repeat(_CONSTANT_TAUS[config.mode], n)
+    else:  # kernel_warped: features once per distinct backend, input side's first
+        kernels = (config.input_kernel, config.output_kernel)
+        feats = {b: extract_features(batch, b, model) for b in dict.fromkeys(k.backend for k in kernels)}
+        taus = np.concatenate([batch_taus(feats[k.backend], perm, k) for k in kernels])
+    coeffs = warp_pairwise(np.concatenate((raw, raw)), taus)
 
     plan = MixPlan(
         permutation=perm,
         raw_coeffs=raw,
-        input_taus=input_taus,
-        target_taus=target_taus,
-        input_coeffs=input_coeffs,
-        target_coeffs=target_coeffs,
+        input_taus=taus[:n],
+        target_taus=taus[n:],
+        input_coeffs=coeffs[:n],
+        target_coeffs=coeffs[n:],
     )
+    ci = plan.input_coeffs[:, None]
+    mixed_inputs = ci * batch.inputs + (1.0 - ci) * batch.inputs[perm]
     return MixedBatch(
         inputs=mixed_inputs,
         targets_a=batch.targets,
         targets_b=batch.targets[perm],
-        target_coeffs=target_coeffs,
+        target_coeffs=plan.target_coeffs,
         num_classes=batch.num_classes,
         plan=plan,
     )

@@ -138,6 +138,24 @@ def test_overrides_reject_unknown_and_malformed():
         cfg.with_overrides(["nonsense=1"])
     with pytest.raises(UsageError):
         cfg.with_overrides(["optimizer.epochs"])
+    # each message names the dotted key it is about
+    for override, message in [
+        ("optimizer.gamma=1", "unknown config key 'optimizer.gamma'"),
+        ("nonsense=1", "unknown config key 'nonsense'"),
+        ("foo.bar=1", "unknown config key 'foo.bar'"),
+        ("optimizer.epochs.x=1", "unknown config key 'optimizer.epochs.x'"),
+        ("seeds.x=1", "unknown config key 'seeds.x'"),
+        ("mixup.input_kernel.zzz=2", "unknown config key 'mixup.input_kernel.zzz'"),
+        ("dataset=3", "config key 'dataset' must be a table"),
+    ]:
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            cfg.with_overrides([override])
+    # a null kernel takes sub-key overrides as a fresh table, and still rejects unknown ones
+    no_kernel = ExperimentConfig({"mixup": {"mode": "vanilla", "input_kernel": None}})
+    with pytest.raises(UsageError, match="^unknown config key 'mixup.input_kernel.zzz'$"):
+        no_kernel.with_overrides(["mixup.input_kernel.zzz=2"])
+    kernel = no_kernel.with_overrides(["mixup.input_kernel.tau_max=2"]).to_dict()["mixup"]["input_kernel"]
+    assert kernel == {**DEFAULT_CONFIG["mixup"]["input_kernel"], "tau_max": 2}
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import warpmix.mixer as mixer_module
+import warpmix.model as model_module
+import warpmix.warping as warping_module
 from warpmix import (
+    MIX_MODES,
     Batch,
     DomainError,
     KernelConfig,
@@ -17,10 +21,12 @@ from warpmix import (
     RngStream,
     UsageError,
     batch_taus,
+    embed,
     init_mlp,
     mix_batch,
     mixed_loss,
     sample_permutation,
+    warp_pairwise,
 )
 
 from _support import ks_statistic
@@ -53,6 +59,15 @@ def test_batch_validation():
         Batch(inputs=np.zeros((2, 2)), targets=np.array([0, 1]), num_classes=1)
     b = Batch(inputs=np.array([1.0, 2.0]), targets=np.array([0.0, 1.0]))
     assert b.inputs.shape == (2, 1)  # 1-d inputs become a column
+    # non-finite values fail at the edge, naming the first bad row, before any mode sees them
+    inputs = np.zeros((4, 2))
+    inputs[2, 1] = np.nan
+    with pytest.raises(UsageError, match="non-finite input at row 2"):
+        Batch(inputs=inputs, targets=np.array([0.0, math.inf, 0.0, 0.0]))
+    with pytest.raises(UsageError, match="non-finite target at row 1"):
+        Batch(inputs=np.zeros((4, 2)), targets=np.array([0.0, math.inf, 0.0, -math.inf]))
+    with pytest.raises(UsageError, match="non-finite input at row 0"):
+        Batch(inputs=np.array([[-math.inf], [1.0]]), targets=np.array([0, 1]), num_classes=2)
 
 
 def test_mixup_config_validation():
@@ -142,29 +157,66 @@ def test_convex_combination_arithmetic():
 
 
 def test_plan_internal_consistency():
+    # both sides are warped in one call over 2n lanes; each side is what the public warp gives
+    # for it alone, and each lane what it gives for that lane alone
     from warpmix import warp
 
     batch = regression_batch(n=24, seed=3)
     ik, ok = kernel_pair(tau_max=3.0, tau_std=0.8)
-    cfg = MixupConfig(alpha=0.7, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
-    plan = mix_batch(batch, cfg, RngStream(15)).plan
-    for i in range(batch.size):
-        assert plan.input_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.input_taus[i])
-        assert plan.target_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.target_taus[i])
-        assert 0.0 <= plan.input_coeffs[i] <= 1.0
-        assert 0.0 <= plan.target_coeffs[i] <= 1.0
+    for mode, per_batch in itertools.product(MIX_MODES, (False, True)):
+        cfg = MixupConfig(alpha=0.7, mode=mode, input_kernel=ik, output_kernel=ok, per_batch_coeff=per_batch)
+        plan = mix_batch(batch, cfg, RngStream(15)).plan
+        assert np.array_equal(plan.input_coeffs, warp_pairwise(plan.raw_coeffs, plan.input_taus)), mode
+        assert np.array_equal(plan.target_coeffs, warp_pairwise(plan.raw_coeffs, plan.target_taus)), mode
+        for i in range(batch.size):
+            assert plan.input_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.input_taus[i])
+            assert plan.target_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.target_taus[i])
+            assert 0.0 <= plan.input_coeffs[i] <= 1.0
+            assert 0.0 <= plan.target_coeffs[i] <= 1.0
 
 
 def test_kernel_warped_taus_equal_public_batch_taus():
     # the step skips batch_taus's input checks, not any of its arithmetic
-    for seed, (in_backend, out_backend) in enumerate([("raw_input", "label"), ("label", "raw_input")]):
-        batch = regression_batch(n=24, d=4, seed=seed)
+    pairs = [("raw_input", "label"), ("label", "raw_input"),
+             ("embedding", "embedding"), ("embedding", "class_weight")]
+    for seed, (in_backend, out_backend) in enumerate(pairs):
+        if out_backend == "class_weight":
+            labels = RngStream(seed).integers(0, 3, size=24)
+            batch = Batch(inputs=regression_batch(n=24, d=4, seed=seed).inputs, targets=labels, num_classes=3)
+        else:
+            batch = regression_batch(n=24, d=4, seed=seed)
+        model = init_mlp([4, 8, 3], dropout_rate=0.2, rng=RngStream(60 + seed))
         ik, ok = kernel_pair(tau_max=0.3, tau_std=0.7, in_backend=in_backend, out_backend=out_backend)
         cfg = MixupConfig(alpha=0.7, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
-        plan = mix_batch(batch, cfg, RngStream(40 + seed)).plan
-        features = {"raw_input": batch.inputs, "label": batch.targets}
+        plan = mix_batch(batch, cfg, RngStream(40 + seed), model=model).plan
+        features = {"raw_input": batch.inputs, "label": batch.targets, "embedding": embed(model, batch.inputs)}
+        if batch.num_classes is not None:
+            features["class_weight"] = model.layers[-1].weights[:, batch.targets].T
         assert np.array_equal(plan.input_taus, batch_taus(features[in_backend], plan.permutation, ik))
         assert np.array_equal(plan.target_taus, batch_taus(features[out_backend], plan.permutation, ok))
+
+
+def test_one_warp_call_and_one_embedding_per_mix(monkeypatch):
+    calls = {"warp": 0, "incbeta": 0, "embed": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mixer_module, "warp_pairwise", counted("warp", mixer_module.warp_pairwise))
+    monkeypatch.setattr(warping_module, "incomplete_beta_reg",
+                        counted("incbeta", warping_module.incomplete_beta_reg))
+    monkeypatch.setattr(model_module, "embed", counted("embed", model_module.embed))
+    embedding = KernelConfig(tau_max=2.0, tau_std=1.0, backend="embedding")
+    cfg = MixupConfig(alpha=1.0, mode="kernel_warped", input_kernel=embedding, output_kernel=embedding)
+    model = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(2))
+    mix_batch(regression_batch(n=16, seed=9), cfg, RngStream(3), model=model)
+    assert calls == {"warp": 1, "incbeta": 1, "embed": 1}
+    # a mode with both a finite and an infinite side still makes one call of each
+    mix_batch(regression_batch(n=16, seed=9), MixupConfig(alpha=1.0, mode="input_only"), RngStream(3))
+    assert calls == {"warp": 2, "incbeta": 2, "embed": 1}
 
 
 def test_mixed_inputs_stay_in_segment():
