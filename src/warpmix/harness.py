@@ -345,11 +345,15 @@ def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
     n = mixed.size
     if task == "regression":
         return mixed_loss(outputs, mixed, task), 2.0 * (outputs - mixed.mixed_targets[:, None]) / n
-    probs = softmax(outputs)
+    # softmax and log_softmax from one shifted exp pass, by their own operations
+    z = outputs - outputs.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
+    probs = e / total
     onehot = np.eye(probs.shape[1])
     c = mixed.target_coeffs[:, None]
     convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
-    return _mixed_nll(log_softmax(outputs), mixed), (probs - convex) / n
+    return _mixed_nll(z - np.log(total), mixed), (probs - convex) / n
 
 
 def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> float:

@@ -75,18 +75,22 @@ class Batch:
                 raise UsageError(f"num_classes must be >= 2, got {self.num_classes}")
             self.num_classes = int(self.num_classes)
             self.targets = np.asarray(self.targets)
-            if not np.issubdtype(self.targets.dtype, np.integer):
+            if self.targets.dtype.kind not in "iu":
                 as_int = self.targets.astype(np.int64)
                 if not np.array_equal(as_int, self.targets):
                     raise UsageError("classification targets must be integer class indices")
                 self.targets = as_int
-            if self.targets.size and (self.targets.min() < 0 or self.targets.max() >= self.num_classes):
+            # one reduction: as uint64 a negative index wraps past any class count
+            if self.targets.size and self.targets.astype(np.uint64).max() >= self.num_classes:
                 raise UsageError("class indices must lie in [0, num_classes)")
         if self.targets.shape[0] != n:
             raise UsageError(
                 f"targets length {self.targets.shape[0]} does not match batch size {n}"
             )
-        for kind, values in (("input", self.inputs), ("target", self.targets)):
+        checked = [("input", self.inputs)]
+        if self.num_classes is None:  # integer class indices cannot be non-finite
+            checked.append(("target", self.targets))
+        for kind, values in checked:
             finite = np.isfinite(values)
             if not finite.all():
                 row = np.flatnonzero(~finite.reshape(n, -1).all(axis=1))[0]
@@ -215,22 +219,29 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     else:
         raw = beta_sample(config.alpha, rng, size=n)
 
-    # both sides' strengths as one array of 2n lanes, the input side first
+    # Each side's strength source is its kernel or its constant tau. Equal sources give
+    # bitwise-equal strengths and coefficients, so each distinct source is computed once
+    # and one warp call covers them all, n lanes each, the input side's first.
+    sources = _CONSTANT_TAUS.get(config.mode, (config.input_kernel, config.output_kernel))
+    distinct = list(dict.fromkeys(sources))
     if config.mode in _CONSTANT_TAUS:
-        taus = np.repeat(_CONSTANT_TAUS[config.mode], n)
-    else:  # kernel_warped: features once per distinct backend, input side's first
-        kernels = (config.input_kernel, config.output_kernel)
-        feats = {b: extract_features(batch, b, model) for b in dict.fromkeys(k.backend for k in kernels)}
-        taus = np.concatenate([batch_taus(feats[k.backend], perm, k) for k in kernels])
-    coeffs = warp_pairwise(np.concatenate((raw, raw)), taus)
+        taus = np.repeat(distinct, n)
+    else:  # kernel_warped: features once per distinct backend
+        feats = {b: extract_features(batch, b, model) for b in dict.fromkeys(k.backend for k in distinct)}
+        taus = np.concatenate([batch_taus(feats[k.backend], perm, k) for k in distinct])
+    coeffs = warp_pairwise(np.concatenate([raw] * len(distinct)), taus)
+    # one row per side, copied out of the lanes, so the two sides never share memory
+    rows = [distinct.index(s) for s in sources]
+    side_taus = taus.reshape(-1, n).take(rows, axis=0)
+    side_coeffs = coeffs.reshape(-1, n).take(rows, axis=0)
 
     plan = MixPlan(
         permutation=perm,
         raw_coeffs=raw,
-        input_taus=taus[:n],
-        target_taus=taus[n:],
-        input_coeffs=coeffs[:n],
-        target_coeffs=coeffs[n:],
+        input_taus=side_taus[0],
+        target_taus=side_taus[1],
+        input_coeffs=side_coeffs[0],
+        target_coeffs=side_coeffs[1],
     )
     ci = plan.input_coeffs[:, None]
     mixed_inputs = ci * batch.inputs + (1.0 - ci) * batch.inputs[perm]

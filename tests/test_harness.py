@@ -288,6 +288,24 @@ def test_diverged_classifier_loss_is_not_capped():
     assert max(row["valid_loss"] for row in result.trace) > ceiling
 
 
+def test_classification_loss_and_grad_equal_softmax_reference():
+    # one exp pass yields both the probabilities and the log-probabilities, bit for bit
+    from warpmix.metrics import log_softmax, softmax
+    from warpmix.mixer import Batch, MixupConfig, _mixed_nll, mix_batch
+
+    rng = RngStream(5)
+    batch = Batch(inputs=rng.standard_normal((24, 3)), targets=rng.integers(0, 4, size=24), num_classes=4)
+    mixed = mix_batch(batch, MixupConfig(alpha=0.6, mode="vanilla"), RngStream(6))
+    for scale in (1.0, 40.0, 1e3):
+        logits = scale * rng.standard_normal((24, 4))
+        loss, grad = harness._loss_and_grad(logits, mixed, "classification")
+        c = mixed.target_coeffs[:, None]
+        onehot = np.eye(4)
+        convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
+        assert loss == _mixed_nll(log_softmax(logits), mixed)
+        assert np.array_equal(grad, (softmax(logits) - convex) / 24)
+
+
 def test_classification_training_runs():
     cfg = tiny_config("classification", optimizer__epochs=3)
     result = train(cfg, seed=1, dataset=CLF_DATA)

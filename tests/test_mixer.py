@@ -157,22 +157,74 @@ def test_convex_combination_arithmetic():
 
 
 def test_plan_internal_consistency():
-    # both sides are warped in one call over 2n lanes; each side is what the public warp gives
-    # for it alone, and each lane what it gives for that lane alone
+    # each distinct side is warped once, all in one call; each side is what the public warp
+    # gives for it alone, and each lane what it gives for that lane alone
     from warpmix import warp
 
     batch = regression_batch(n=24, seed=3)
-    ik, ok = kernel_pair(tau_max=3.0, tau_std=0.8)
-    for mode, per_batch in itertools.product(MIX_MODES, (False, True)):
+    model = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(4))
+    embedding = KernelConfig(tau_max=3.0, tau_std=0.8, backend="embedding")
+    raw_input = KernelConfig(tau_max=3.0, tau_std=0.8, backend="raw_input")
+    kernel_pairs = [kernel_pair(tau_max=3.0, tau_std=0.8), (embedding, embedding), (raw_input, raw_input)]
+    for (ik, ok), mode, per_batch in itertools.product(kernel_pairs, MIX_MODES, (False, True)):
         cfg = MixupConfig(alpha=0.7, mode=mode, input_kernel=ik, output_kernel=ok, per_batch_coeff=per_batch)
-        plan = mix_batch(batch, cfg, RngStream(15)).plan
+        plan = mix_batch(batch, cfg, RngStream(15), model=model).plan
         assert np.array_equal(plan.input_coeffs, warp_pairwise(plan.raw_coeffs, plan.input_taus)), mode
         assert np.array_equal(plan.target_coeffs, warp_pairwise(plan.raw_coeffs, plan.target_taus)), mode
+        if mode == "kernel_warped" and ik == ok:
+            assert np.array_equal(plan.input_taus, plan.target_taus)
+            assert np.array_equal(plan.input_coeffs, plan.target_coeffs)
         for i in range(batch.size):
             assert plan.input_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.input_taus[i])
             assert plan.target_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.target_taus[i])
             assert 0.0 <= plan.input_coeffs[i] <= 1.0
             assert 0.0 <= plan.target_coeffs[i] <= 1.0
+
+
+def test_incomplete_beta_lanes_per_distinct_side(monkeypatch):
+    # equal sides share their lanes: n lanes when both sides are equal, 2n otherwise
+    lanes = []
+
+    def recorded(x, a, b):
+        lanes.append(np.asarray(x).size)
+        return incomplete_beta_reg(x, a, b)
+
+    incomplete_beta_reg = warping_module.incomplete_beta_reg
+    monkeypatch.setattr(warping_module, "incomplete_beta_reg", recorded)
+    n = 16
+    model = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(2))
+
+    def embedding():  # a new object each time: sides are equal by value, not by identity
+        return KernelConfig(tau_max=2.0, tau_std=1.0, backend="embedding")
+
+    raw_input = KernelConfig(tau_max=2.0, tau_std=1.0, backend="raw_input")
+    label = KernelConfig(tau_max=0.5, tau_std=2.0, backend="label")
+    ik, ok = kernel_pair()
+    cases = [
+        (MixupConfig(mode="kernel_warped", input_kernel=embedding(), output_kernel=embedding()), n),
+        (MixupConfig(mode="kernel_warped", input_kernel=raw_input, output_kernel=raw_input), n),
+        (MixupConfig(mode="vanilla"), n),
+        (MixupConfig(mode="kernel_warped", input_kernel=raw_input, output_kernel=label), 2 * n),
+        (MixupConfig(mode="kernel_warped", input_kernel=ik, output_kernel=ok), 2 * n),
+    ]
+    for cfg, expected in cases:
+        lanes.clear()
+        mix_batch(regression_batch(n=n, seed=9), cfg, RngStream(3), model=model)
+        assert lanes == [expected], cfg
+
+
+def test_plan_sides_never_share_memory():
+    batch = regression_batch(n=12, seed=2)
+    raw_input = KernelConfig(tau_max=2.0, tau_std=1.0, backend="raw_input")
+    for (ik, ok), mode in itertools.product([kernel_pair(), (raw_input, raw_input)], MIX_MODES):
+        cfg = MixupConfig(alpha=0.5, mode=mode, input_kernel=ik, output_kernel=ok)
+        plan = mix_batch(batch, cfg, RngStream(8)).plan
+        for first, second in ((plan.input_coeffs, plan.target_coeffs), (plan.input_taus, plan.target_taus)):
+            assert first.shape == second.shape == (batch.size,) and first.dtype == np.float64
+            assert not np.shares_memory(first, second), mode
+            kept = second.copy()
+            first[:] = -1.0
+            assert np.array_equal(second, kept), mode
 
 
 def test_kernel_warped_taus_equal_public_batch_taus():
