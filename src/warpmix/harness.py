@@ -23,17 +23,14 @@ import numpy as np
 from .data import DataSplits, Dataset, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
 from .metrics import log_softmax, metrics_from_payload, softmax, temperature_scale
-from .mixer import Batch, MixupConfig, _mixed_nll, _nll, mix_batch, mixed_loss
-from .model import (
-    ModelState,
-    OptimizerState,
-    _propagate,
-    backward,
-    forward,
-    init_mlp,
-    mc_dropout_predict,
-    optimizer_step,
-)
+from .mixer import Batch as CheckedBatch, MixupConfig, _mixed_nll, _mse, _nll, mix_batch
+from .model import ModelState, OptimizerState, _dropout_stream, _gradient_views, _layer_buffers
+from .model import _propagate, init_mlp, mc_dropout_predict
+# The training step runs on arrays checked once per run, before its loop, so it
+# calls the unchecked kernels, each under the name of the public function that
+# checks and then calls it: per-layer traces time the step's stages by these names.
+from .mixer import _batch as Batch
+from .model import _backward as backward, _forward as forward, _optimizer_step as optimizer_step
 from .rng import RngStream
 from .similarity import KernelConfig
 
@@ -160,9 +157,16 @@ class ExperimentConfig:
             raise UsageError("at least one seed is required")
         if int(v["optimizer"]["epochs"]) < 1 or int(v["optimizer"]["batch_size"]) < 1:
             raise UsageError("epochs and batch_size must be >= 1")
-        # Fail fast on bad mixup and optimizer settings rather than mid-training.
+        # Fail fast on bad mixup, optimizer and evaluation settings rather than
+        # mid-training or after it.
         self.mixup_config()
         self.optimizer_state()
+        if self.num_bins < 1:
+            raise UsageError(f"metrics.num_bins must be >= 1, got {self.num_bins}")
+        if v["task"] == "regression" and self.mc_samples < 2:  # regression evaluates by MC dropout
+            raise UsageError(f"metrics.mc_samples must be >= 2 for regression, got {self.mc_samples}")
+        if v["task"] == "regression" and not float(v["model"]["dropout_rate"]) > 0.0:
+            raise UsageError(f"model.dropout_rate must be > 0 for regression, got {v['model']['dropout_rate']}")
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ExperimentConfig":
@@ -336,31 +340,32 @@ class MetricReport:
         )
 
 
-def _loss_and_grad(outputs: np.ndarray, mixed, task: str):
-    """Mixed-batch loss and its gradient in the outputs.
+def _loss_and_grad(outputs: np.ndarray, mixed, task: str, onehot: Optional[np.ndarray]):
+    """Mixed-batch loss and its gradient in the outputs, unchecked.
 
     The classification loss is taken from ``log_softmax`` of the logits, so
     it grows without bound as the model diverges; probabilities clipped at
-    1e-12 would cap it near 27.6."""
+    1e-12 would cap it near 27.6. ``onehot`` is ``np.eye`` of the class count
+    (None for regression)."""
     n = mixed.size
     if task == "regression":
-        return mixed_loss(outputs, mixed, task), 2.0 * (outputs - mixed.mixed_targets[:, None]) / n
+        targets = mixed.mixed_targets
+        return _mse(outputs[:, 0], targets), 2.0 * (outputs - targets[:, None]) / n
     # softmax and log_softmax from one shifted exp pass, by their own operations
     z = outputs - outputs.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
     probs = e / total
-    onehot = np.eye(probs.shape[1])
     c = mixed.target_coeffs[:, None]
     convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
     return _mixed_nll(z - np.log(total), mixed), (probs - convex) / n
 
 
-def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm) -> float:
-    outputs = _propagate(model, part.features, len(model.layers))[0]  # an eval-mode forward
+def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm, buffers=None) -> float:
+    """The loss of an eval-mode forward over ``part``; ``buffers`` as for ``_propagate``."""
+    outputs = _propagate(model, part.features, len(model.layers), None, buffers)[0]
     if task == "regression":
-        targets = norm.normalize_targets(part.targets)
-        return float(np.mean((outputs[:, 0] - targets) ** 2))
+        return _mse(outputs[:, 0], norm.normalize_targets(part.targets))
     return float(np.mean(_nll(log_softmax(outputs), part.targets)))
 
 
@@ -372,24 +377,25 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     task = config.task
     norm = splits.normalization
 
-    features = splits.train.features
-    if task == "regression":
-        targets = norm.normalize_targets(splits.train.targets)
-        n_out = 1
-        num_classes = None
-    else:
-        targets = splits.train.targets
-        num_classes = int(config.num_classes)
-        n_out = num_classes
+    num_classes = None if task == "regression" else int(config.num_classes)
+    targets = splits.train.targets if num_classes else norm.normalize_targets(splits.train.targets)
+    # Every check of a minibatch, made once over the whole train split; the
+    # step slices its minibatches from the checked arrays.
+    checked = CheckedBatch(splits.train.features, targets, num_classes=num_classes)
+    features, targets = checked.inputs, checked.targets
 
     model_cfg = config.to_dict()["model"]
-    dims = [features.shape[1], *[int(h) for h in model_cfg["hidden"]], n_out]
+    dims = [features.shape[1], *[int(h) for h in model_cfg["hidden"]], num_classes or 1]
     root = RngStream(seed)
     model = init_mlp(dims, float(model_cfg["dropout_rate"]), root.child(STREAM_INIT),
                      hidden_activation=model_cfg["activation"])
     opt = config.optimizer_state()
     mix_cfg = config.mixup_config()
     train_rng = root.child(STREAM_TRAIN)
+    dropout_rng = _dropout_stream(model, train_rng)
+    onehot = None if num_classes is None else np.eye(num_classes)
+    grads = _gradient_views(opt, model)  # backward writes, the optimizer reads
+    valid_buffers = _layer_buffers(model, len(splits.valid))
     epochs = int(config.to_dict()["optimizer"]["epochs"])
     batch_size = int(config.to_dict()["optimizer"]["batch_size"])
 
@@ -400,15 +406,15 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
         batch_losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            batch = Batch(features[idx], targets[idx], num_classes=num_classes)
+            batch = Batch(features[idx], targets[idx], num_classes)
             try:
                 mixed = mix_batch(batch, mix_cfg, train_rng, model)  # checks model features
-                outputs, cache = forward(model, mixed.inputs, train_rng)
-                loss, out_grad = _loss_and_grad(outputs, mixed, task)
+                outputs, cache = forward(model, mixed.inputs, dropout_rng)
+                loss, out_grad = _loss_and_grad(outputs, mixed, task, onehot)
                 if not math.isfinite(loss):
                     raise DivergenceError("non-finite training loss")
-                grads = backward(model, cache, out_grad)
-                optimizer_step(opt, model, grads)
+                backward(model, cache, out_grad, grads)
+                optimizer_step(opt, model)
                 if not np.isfinite(model.params).all():
                     raise DivergenceError("non-finite parameters")
             except DivergenceError as exc:
@@ -418,7 +424,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
             {
                 "epoch": epoch,
                 "train_loss": float(np.mean(batch_losses)),
-                "valid_loss": _plain_valid_loss(model, splits.valid, task, norm),
+                "valid_loss": _plain_valid_loss(model, splits.valid, task, norm, valid_buffers),
             }
         )
     model.eval()

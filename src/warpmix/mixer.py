@@ -24,7 +24,9 @@ from .similarity import KernelConfig, extract_features
 # the name batch_taus, under which per-layer traces time the step's tau stage.
 from .similarity import _batch_taus as batch_taus
 from .special import beta_sample
-from .warping import warp_pairwise
+# Likewise the step's coefficients and strengths are in range by construction,
+# so it warps them unchecked, under the name warp_pairwise.
+from .warping import _warp as warp_pairwise
 
 __all__ = [
     "MIX_MODES",
@@ -87,10 +89,7 @@ class Batch:
             raise UsageError(
                 f"targets length {self.targets.shape[0]} does not match batch size {n}"
             )
-        checked = [("input", self.inputs)]
-        if self.num_classes is None:  # integer class indices cannot be non-finite
-            checked.append(("target", self.targets))
-        for kind, values in checked:
+        for kind, values in (("input", self.inputs), ("target", self.targets)):
             finite = np.isfinite(values)
             if not finite.all():
                 row = np.flatnonzero(~finite.reshape(n, -1).all(axis=1))[0]
@@ -99,6 +98,13 @@ class Batch:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+
+def _batch(inputs: np.ndarray, targets: np.ndarray, num_classes: Optional[int] = None) -> Batch:
+    """A Batch of rows cut from arrays that a Batch has already checked."""
+    batch = object.__new__(Batch)
+    batch.inputs, batch.targets, batch.num_classes = inputs, targets, num_classes
+    return batch
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,15 @@ class MixupConfig:
             raise UsageError(f"unknown mix mode {self.mode!r}; expected one of {MIX_MODES}")
         if self.mode == "kernel_warped" and (self.input_kernel is None or self.output_kernel is None):
             raise UsageError("kernel_warped mode requires both input_kernel and output_kernel")
+        # Derived once here, not per step, and not fields, so equality and repr ignore
+        # them: the distinct strength sources (kernels, or constant taus) in first-seen
+        # order, the row of them that each side takes, and the kernels' distinct backends.
+        sources = _CONSTANT_TAUS.get(self.mode, (self.input_kernel, self.output_kernel))
+        distinct = tuple(dict.fromkeys(sources))
+        object.__setattr__(self, "_distinct", distinct)
+        object.__setattr__(self, "_rows", [distinct.index(s) for s in sources])
+        backends = (k.backend for k in distinct if isinstance(k, KernelConfig))
+        object.__setattr__(self, "_backends", tuple(dict.fromkeys(backends)))
 
 
 @dataclass
@@ -195,15 +210,7 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     """
     n = batch.size
     if config.mode == "off":
-        ones = np.ones(n, dtype=np.float64)
-        plan = MixPlan(
-            permutation=np.arange(n),
-            raw_coeffs=ones,
-            input_taus=ones.copy(),
-            target_taus=ones.copy(),
-            input_coeffs=ones,
-            target_coeffs=ones.copy(),
-        )
+        plan = MixPlan(np.arange(n), *np.ones((5, n)))  # every coefficient and strength is 1
         return MixedBatch(
             inputs=batch.inputs,
             targets_a=batch.targets,
@@ -219,30 +226,21 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     else:
         raw = beta_sample(config.alpha, rng, size=n)
 
-    # Each side's strength source is its kernel or its constant tau. Equal sources give
-    # bitwise-equal strengths and coefficients, so each distinct source is computed once
-    # and one warp call covers them all, n lanes each, the input side's first.
-    sources = _CONSTANT_TAUS.get(config.mode, (config.input_kernel, config.output_kernel))
-    distinct = list(dict.fromkeys(sources))
+    # Equal strength sources give bitwise-equal strengths and coefficients, so each
+    # distinct source is computed once and one warp call covers them all, n lanes
+    # each, the input side's first.
+    distinct = config._distinct
     if config.mode in _CONSTANT_TAUS:
         taus = np.repeat(distinct, n)
     else:  # kernel_warped: features once per distinct backend
-        feats = {b: extract_features(batch, b, model) for b in dict.fromkeys(k.backend for k in distinct)}
+        feats = {b: extract_features(batch, b, model) for b in config._backends}
         taus = np.concatenate([batch_taus(feats[k.backend], perm, k) for k in distinct])
     coeffs = warp_pairwise(np.concatenate([raw] * len(distinct)), taus)
     # one row per side, copied out of the lanes, so the two sides never share memory
-    rows = [distinct.index(s) for s in sources]
-    side_taus = taus.reshape(-1, n).take(rows, axis=0)
-    side_coeffs = coeffs.reshape(-1, n).take(rows, axis=0)
+    side_taus = taus.reshape(-1, n).take(config._rows, axis=0)
+    side_coeffs = coeffs.reshape(-1, n).take(config._rows, axis=0)
 
-    plan = MixPlan(
-        permutation=perm,
-        raw_coeffs=raw,
-        input_taus=side_taus[0],
-        target_taus=side_taus[1],
-        input_coeffs=side_coeffs[0],
-        target_coeffs=side_coeffs[1],
-    )
+    plan = MixPlan(perm, raw, *side_taus, *side_coeffs)  # each side's row: input, then target
     ci = plan.input_coeffs[:, None]
     mixed_inputs = ci * batch.inputs + (1.0 - ci) * batch.inputs[perm]
     return MixedBatch(
@@ -284,6 +282,11 @@ def mixed_loss(predictions, mixed: MixedBatch, task: str) -> float:
         preds = preds[:, 0]
     if preds.shape != targets.shape:
         raise UsageError(f"predictions shape {preds.shape} does not match targets {targets.shape}")
+    return _mse(preds, targets)
+
+
+def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
+    """Mean squared error of two float64 arrays of one shape, unchecked."""
     return float(np.mean((preds - targets) ** 2))
 
 

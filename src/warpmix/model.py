@@ -77,15 +77,13 @@ class ModelState:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weights.shape[1] != nxt.weights.shape[0]:
                 raise UsageError("consecutive layer dimensions do not chain")
-        self.params = _pack([(layer.weights, layer.biases) for layer in self.layers])
+        self.params = np.concatenate(
+            [layer.weights.ravel() for layer in self.layers] + [layer.biases for layer in self.layers])
         if not np.isfinite(self.params).all():
             raise UsageError("layer parameters must be finite")
-        sizes = [layer.weights.size for layer in self.layers]
-        sizes += [layer.biases.size for layer in self.layers]
-        chunks = np.split(self.params, np.cumsum(sizes)[:-1])
-        for layer, w, b in zip(self.layers, chunks, chunks[len(self.layers) :]):
-            layer.weights, layer.biases = w.reshape(layer.weights.shape), b
-        self.num_weights = sum(sizes[: len(self.layers)])
+        for layer, (w, b) in zip(self.layers, _layer_views(self.params, self.layers)):
+            layer.weights, layer.biases = w, b
+        self.num_weights = sum(layer.weights.size for layer in self.layers)
         if not 0.0 <= float(self.dropout_rate) < 1.0:
             raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.mode not in ("train", "eval"):
@@ -111,9 +109,11 @@ class ModelState:
         return self
 
 
-def _pack(pairs) -> np.ndarray:
-    """Per-layer (weights, biases) pairs as one vector in the params layout."""
-    return np.concatenate([w.ravel() for w, _ in pairs] + [b for _, b in pairs])
+def _layer_views(flat: np.ndarray, layers) -> list:
+    """Per-layer (weights, biases) views into a vector in the params layout."""
+    sizes = [layer.weights.size for layer in layers] + [layer.biases.size for layer in layers]
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    return [(w.reshape(layer.weights.shape), b) for layer, w, b in zip(layers, chunks, chunks[len(layers) :])]
 
 
 @dataclass
@@ -184,10 +184,20 @@ def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
     scaling (kept units divided by the keep probability), and draws one mask
     per hidden layer from ``rng`` in layer order.
     """
+    return _forward(model, inputs, _dropout_stream(model, rng))
+
+
+def _dropout_stream(model: ModelState, rng: Optional[RngStream]) -> Optional[RngStream]:
+    """``rng`` if a forward pass of ``model`` applies dropout now, else None."""
     use_dropout = model.mode == "train" and model.dropout_rate > 0.0 and len(model.layers) > 1
     if use_dropout and rng is None:
         raise UsageError("train-mode forward with dropout needs an rng stream")
-    acts, records = _propagate(model, inputs, len(model.layers), rng if use_dropout else None)
+    return rng if use_dropout else None
+
+
+def _forward(model: ModelState, inputs, rng: Optional[RngStream]):
+    """forward with dropout drawn from ``rng`` exactly when it is given."""
+    acts, records = _propagate(model, inputs, len(model.layers), rng)
     return acts, ForwardCache(records=records, step_count=model.step_count)
 
 
@@ -205,8 +215,14 @@ def backward(model: ModelState, cache: ForwardCache, loss_grad):
     n_out = model.layers[-1].weights.shape[1]
     if delta.ndim != 2 or delta.shape[1] != n_out or delta.shape[0] != cache.records[0][0].shape[0]:
         raise UsageError(f"loss gradient shape {delta.shape} does not match outputs")
+    grads = [(np.empty_like(layer.weights), np.empty_like(layer.biases)) for layer in model.layers]
+    _backward(model, cache, delta, grads)
+    return grads
 
-    grads = [None] * len(model.layers)
+
+def _backward(model: ModelState, cache: ForwardCache, delta: np.ndarray, grads: list) -> None:
+    """backward for a float64 (n, outputs) loss gradient, unchecked, writing
+    each layer's gradients into the arrays of its pair in ``grads``."""
     for k in range(len(model.layers) - 1, -1, -1):
         layer_in, z, mask = cache.records[k]
         layer = model.layers[k]
@@ -214,10 +230,10 @@ def backward(model: ModelState, cache: ForwardCache, loss_grad):
             delta = delta * mask
         if layer.activation == "relu":
             delta = delta * (z > 0.0)
-        grads[k] = (layer_in.T @ delta, delta.sum(axis=0))
+        np.matmul(layer_in.T, delta, out=grads[k][0])
+        delta.sum(axis=0, out=grads[k][1])
         if k > 0:
             delta = delta @ layer.weights.T
-    return grads
 
 
 @dataclass
@@ -265,13 +281,25 @@ def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
     for layer, (gw, gb) in zip(model.layers, grads):
         if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
             raise UsageError("gradient shapes do not match parameters")
-    size = model.params.size
-    if opt._work is None or opt._work.shape[1] != size:
-        opt._work = np.empty((3, size))
+    for (gw, gb), (packed_w, packed_b) in zip(grads, _gradient_views(opt, model)):
+        packed_w[...], packed_b[...] = gw, gb
+    _optimizer_step(opt, model)
+
+
+def _gradient_views(opt: OptimizerState, model: ModelState) -> list:
+    """Per-layer (weight_grad, bias_grad) views into the packed gradient row
+    ``opt._work[0]``, made on first use: ``_backward`` writes into them, then
+    ``_optimizer_step`` reads the row."""
+    if opt._work is None or opt._work.shape[1] != model.params.size:
+        opt._work = np.empty((3, model.params.size))
+    return _layer_views(opt._work[0], model.layers)
+
+
+def _optimizer_step(opt: OptimizerState, model: ModelState) -> None:
+    """optimizer_step on the gradient already packed into ``opt._work[0]``."""
     g, tmp, tmp2 = opt._work
-    np.concatenate([gw.ravel() for gw, _ in grads] + [gb for _, gb in grads], out=g)
     if opt.slots is None:
-        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, size))
+        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, g.size))
 
     # out= ufuncs into the workspace, applying the textbook update's
     # operations in its order, so the result is the same to the bit

@@ -96,15 +96,20 @@ def _pair_distances(points: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return raw / mean
 
 
-def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """exp((d - 1) / (2 std^2)) / tau_max per distance, clamped to the shape range.
-
-    One math.exp per element: np.exp differs from it in the last bit on a few
-    percent of arguments, which would change every trained checkpoint.
-    """
+def _checked_distances(dists: np.ndarray) -> np.ndarray:
     ok = np.isfinite(dists) & (dists >= 0.0)
     if not ok.all():
         raise DomainError(f"normalized distance must be finite and >= 0, got {dists[~ok][0]}")
+    return dists
+
+
+def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """exp((d - 1) / (2 std^2)) / tau_max per distance, clamped to the shape range.
+
+    The distances are unchecked: those of finite features are finite and >= 0.
+    One math.exp per element: np.exp differs from it in the last bit on a few
+    percent of arguments, which would change every trained checkpoint.
+    """
     scale = 2.0 * config.tau_std**2
     # past arg = 700 exp would overflow; the clamp saturates there anyway
     taus = [
@@ -121,12 +126,12 @@ def kernel_tau(norm_distance, config: KernelConfig) -> float:
     range accepted by the warping functions. An average pair (d = 1) maps
     exactly to 1 / tau_max.
     """
-    return float(_distances_to_taus(np.array([float(norm_distance)]), config)[0])
+    return float(_distances_to_taus(_checked_distances(np.array([float(norm_distance)])), config)[0])
 
 
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
     """Per-sample warp strengths (float64) for a batch of feature vectors."""
-    return _distances_to_taus(normalized_distances(features, permutation), config)
+    return _distances_to_taus(_checked_distances(normalized_distances(features, permutation)), config)
 
 
 def _batch_taus(features: np.ndarray, perm: np.ndarray, config: KernelConfig) -> np.ndarray:

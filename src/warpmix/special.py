@@ -12,7 +12,9 @@ call; the continued fraction then runs point by point on Python floats. A
 masked, vectorized Lentz iteration was slower at training batch sizes,
 because every point waits for the slowest one. The saving comes from
 symmetric points far enough from 0.5 that the result is exactly 0 or 1:
-those skip the continued fraction.
+those skip the continued fraction. The training step's warp calls the
+unchecked ``_incomplete_beta``: its strengths come clamped from the
+similarity kernel.
 
 Beta draws come from numpy's ``Generator.beta``: Johnk's method for
 shapes up to 1, falling back to logs where its powers underflow, and a
@@ -253,10 +255,14 @@ def incomplete_beta_reg(x, a, b):
         bad = x[~((x >= 0.0) & (x <= 1.0))][0]
         raise DomainError(f"x must lie in [0, 1], got {bad}")
     a, b = _checked_shapes(a, b)
-    values = list(map(_incbeta, x.ravel().tolist(), a.ravel().tolist(), b.ravel().tolist()))
-    if x.ndim == 0:
-        return values[0]
-    return np.array(values, dtype=np.float64).reshape(x.shape)
+    values = _incomplete_beta(x.ravel(), a.ravel(), b.ravel())
+    return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
+
+
+def _incomplete_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """incomplete_beta_reg for 1-d float64 arrays of one length, with x in
+    [0, 1] and shapes already in [SHAPE_MIN, SHAPE_MAX]; nothing is checked."""
+    return np.array(list(map(_incbeta, x.tolist(), a.tolist(), b.tolist())), dtype=np.float64)
 
 
 def beta_sample(alpha, rng, size=None):

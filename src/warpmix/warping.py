@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .special import incomplete_beta_reg
+# The training step's strengths are clamped by the similarity kernel, so the
+# warp calls the unchecked kernel, under the name per-layer traces time it by.
+from .special import _checked_shapes, _incomplete_beta as incomplete_beta_reg
 
 __all__ = ["warp", "warp_pairwise"]
 
@@ -29,10 +31,12 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
 
     Each strength is a positive number or ``math.inf``. The infinite limit is
     the step function 1{coeff >= 0.5}; the tie at 0.5 resolves to 1 so that
-    the first element of a pair dominates.
+    the first element of a pair dominates. Finite strengths outside
+    [SHAPE_MIN, SHAPE_MAX] are clamped into it, as ``incomplete_beta_reg``
+    clamps its shapes.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    taus = np.asarray(taus, dtype=np.float64)
+    taus = np.array(taus, dtype=np.float64)  # a copy: the clamp below writes into it
     if coeffs.ndim != 1 or taus.ndim != 1:
         raise UsageError(
             f"coeffs and taus must be one-dimensional, got shapes {coeffs.shape} and {taus.shape}"
@@ -47,7 +51,14 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     ok = taus > 0.0
     if not ok.all():
         raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
+    finite = np.isfinite(taus)
+    taus[finite] = _checked_shapes(taus[finite], taus[finite])[0]
+    return _warp(coeffs, taus)
 
+
+def _warp(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """warp_pairwise for float64 coefficients in [0, 1] and strengths that are
+    inf or in [SHAPE_MIN, SHAPE_MAX], in one incomplete beta call."""
     finite = np.isfinite(taus)
     if finite.all():
         return incomplete_beta_reg(coeffs, taus, taus)

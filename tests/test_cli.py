@@ -343,6 +343,19 @@ def test_bad_optimizer_hyperparameter_is_usage_error(workspace, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "override", ["model.dropout_rate=0", "metrics.mc_samples=1", "metrics.num_bins=0"],
+)
+def test_bad_evaluation_setting_fails_before_training(workspace, tmp_path, capsys, override):
+    # regression evaluation reads these only after a seed has trained
+    code = main([
+        "train", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"), override,
+    ])
+    assert code == USAGE_EXIT
+    assert override.partition("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------------- grid
 
 

@@ -117,6 +117,14 @@ def test_config_validation_rules():
         ExperimentConfig({"optimizer": {"epochs": 0}})
     with pytest.raises(UsageError):
         ExperimentConfig({"mixup": {"mode": "kernel_warped", "input_kernel": None}})
+    # settings that only evaluation reads fail here, not after the first seed has trained
+    for dotted, value in (("model__dropout_rate", 0.0), ("metrics__mc_samples", 1), ("metrics__num_bins", 0)):
+        with pytest.raises(UsageError, match=dotted.replace("__", r"\.")):
+            tiny_config(**{dotted: value})
+    with pytest.raises(UsageError, match=r"metrics\.num_bins"):
+        tiny_config("classification", metrics__num_bins=0)
+    # classification evaluates without MC dropout, so it accepts both
+    tiny_config("classification", model__dropout_rate=0.0, metrics__mc_samples=1)
 
 
 def test_overrides_dotted_paths():
@@ -247,6 +255,86 @@ def test_split_inside_train_matches_module_split():
     assert np.array_equal(result.splits.test.targets, direct.test.targets)
 
 
+def _public_step_training(config, seed, dataset):
+    """``train``'s loop written with the public, checked functions: the model
+    and the training stream after the last step, plus the per-epoch mean of
+    the regression batch losses."""
+    from warpmix import Batch, backward, forward, mix_batch, mixed_loss, optimizer_step, softmax
+
+    splits = split(dataset, config.split_fractions, seed)
+    values = config.to_dict()
+    num_classes = None if config.task == "regression" else config.num_classes
+    norm = splits.normalization
+    targets = splits.train.targets if num_classes else norm.normalize_targets(splits.train.targets)
+    root = RngStream(seed)
+    dims = [dataset.features.shape[1], *values["model"]["hidden"], num_classes or 1]
+    model = init_mlp(dims, values["model"]["dropout_rate"], root.child(STREAM_INIT))
+    opt, mix_cfg, rng = config.optimizer_state(), config.mixup_config(), root.child(harness.STREAM_TRAIN)
+    n, batch_size = len(splits.train), values["optimizer"]["batch_size"]
+    losses = []
+    for _ in range(values["optimizer"]["epochs"]):
+        order = rng.permutation(n)
+        losses.append([])
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            batch = Batch(splits.train.features[idx], targets[idx], num_classes=num_classes)
+            mixed = mix_batch(batch, mix_cfg, rng, model)
+            outputs, cache = forward(model, mixed.inputs, rng)
+            if num_classes is None:
+                losses[-1].append(mixed_loss(outputs, mixed, "regression"))
+                out_grad = 2.0 * (outputs - mixed.mixed_targets[:, None]) / batch.size
+            else:
+                onehot, c = np.eye(num_classes), mixed.target_coeffs[:, None]
+                convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
+                out_grad = (softmax(outputs) - convex) / batch.size
+            optimizer_step(opt, model, backward(model, cache, out_grad))
+    return model, rng, [float(np.mean(epoch)) for epoch in losses if epoch]
+
+
+@pytest.mark.parametrize("task, in_backend, out_backend", [
+    ("regression", "raw_input", "label"),
+    ("classification", "embedding", "embedding"),
+    ("classification", "raw_input", "class_weight"),
+])
+@pytest.mark.parametrize("per_batch", [False, True])
+def test_training_step_equals_public_composition(monkeypatch, task, in_backend, out_backend, per_batch):
+    # train's unchecked step and the checked public functions make the same model
+    # and leave the training stream at the same draw, bit for bit
+    streams = {}
+
+    class RecordingStream(RngStream):
+        def child(self, index):
+            streams[index] = super().child(index)
+            return streams[index]
+
+    monkeypatch.setattr(harness, "RngStream", RecordingStream)
+    dataset = REG_DATA if task == "regression" else CLF_DATA
+    tweaks = {"mixup__per_batch_coeff": per_batch, "mixup__input_kernel__backend": in_backend,
+              "mixup__output_kernel__backend": out_backend, "optimizer__epochs": 2}
+    if task == "classification":  # no dropout, and the other optimizer with weight decay
+        tweaks.update(model__dropout_rate=0.0, optimizer__kind="sgd_momentum", optimizer__weight_decay=0.01)
+    for mode in ("off", "vanilla", "kernel_warped", "input_only", "target_only"):
+        cfg = tiny_config(task, mixup__mode=mode, **tweaks)
+        result = train(cfg, seed=4, dataset=dataset)
+        model, rng, losses = _public_step_training(cfg, 4, dataset)
+        assert np.array_equal(result.model.params, model.params), mode
+        assert result.model.step_count == model.step_count
+        assert streams[harness.STREAM_TRAIN].uniform(size=3).tolist() == rng.uniform(size=3).tolist(), mode
+        if task == "regression":
+            assert [row["train_loss"] for row in result.trace] == losses, mode
+
+
+def test_valid_loss_through_buffers_equals_unbuffered_pass():
+    for task, dataset in (("regression", REG_DATA), ("classification", CLF_DATA)):
+        result = train(tiny_config(task), seed=2, dataset=dataset)
+        valid, norm = result.splits.valid, result.splits.normalization
+        plain = harness._plain_valid_loss(result.model, valid, task, norm)
+        assert result.trace[-1]["valid_loss"] == plain  # train passes its buffers
+        buffers = harness._layer_buffers(result.model, len(valid))
+        for _ in range(2):  # and reusing them changes nothing
+            assert harness._plain_valid_loss(result.model, valid, task, norm, buffers) == plain
+
+
 @pytest.mark.parametrize(
     "task, tweaks",
     [
@@ -298,7 +386,7 @@ def test_classification_loss_and_grad_equal_softmax_reference():
     mixed = mix_batch(batch, MixupConfig(alpha=0.6, mode="vanilla"), RngStream(6))
     for scale in (1.0, 40.0, 1e3):
         logits = scale * rng.standard_normal((24, 4))
-        loss, grad = harness._loss_and_grad(logits, mixed, "classification")
+        loss, grad = harness._loss_and_grad(logits, mixed, "classification", np.eye(4))
         c = mixed.target_coeffs[:, None]
         onehot = np.eye(4)
         convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
