@@ -47,7 +47,7 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig().with_overrides(overrides)
     extra = []
     if getattr(args, "seed", None) is not None:
-        extra.append(f"seeds=[{int(args.seed)}]")
+        extra.append(f"seeds=[{args.seed}]")
     if getattr(args, "out", None):
         extra.append(f"output_dir={json.dumps(args.out)}")
     return config.with_overrides(extra)
@@ -112,12 +112,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     model = load_model(args.checkpoint)
-    dataset = config.load_dataset()
-    seed = int(args.seed) if args.seed is not None else config.seeds[0]
-    splits = split(dataset, config.split_fractions, seed)
+    seed = config.seeds[0]  # --seed replaces the seed list
+    splits = split(config.load_dataset(), config.split_fractions, seed)
     metrics, payload = evaluate(model, splits, config, seed)
+    out = _out_dir(config)
     _write(os.path.join(out, "predictions.json"), json.dumps(payload, indent=2, sort_keys=True))
     _write(os.path.join(out, "bins.csv"), _bin_table(payload))
     _write_metrics(out, metrics)

@@ -148,6 +148,17 @@ def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Datas
     )
 
 
+def check_fractions(fractions) -> tuple:
+    """The (train, valid, test) fractions as floats, or UsageError unless
+    they are 3 positive numbers summing to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != 3 or not all(f > 0.0 for f in fractions):
+        raise UsageError(f"split_fractions must be 3 positive numbers, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise UsageError(f"split_fractions must sum to 1, got {fractions} (sum {sum(fractions)})")
+    return fractions
+
+
 def split(dataset: Dataset, fractions, seed: int) -> DataSplits:
     """Seeded disjoint train/valid/test partition with fitted normalization.
 
@@ -157,12 +168,7 @@ def split(dataset: Dataset, fractions, seed: int) -> DataSplits:
     applied to every split's features; targets are left raw, with the
     statistics carried in the returned Normalization.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0.0 for f in fractions):
-        raise UsageError(f"fractions must be 3 positive numbers, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise UsageError(f"fractions must sum to 1, got {fractions} (sum {sum(fractions)})")
-
+    fractions = check_fractions(fractions)
     n = len(dataset)
     n_valid = int(n * fractions[1])
     n_test = int(n * fractions[2])

@@ -41,7 +41,8 @@ class DivergenceError(WarpmixError, RuntimeError):
 class DatasetError(WarpmixError, ValueError):
     """A dataset could not be ingested.
 
-    ``code`` is a stable machine-readable tag: one of ``"missing_file"``,
+    ``code`` is a stable machine-readable tag: one of ``"missing_file"``
+    (also a missing checkpoint or predictions file),
     ``"non_numeric_cell"`` (also NaN and infinite cells, NaN or infinite
     values handed to ``Dataset`` directly, and features that ``split``
     normalizes to infinity), ``"empty_dataset"``,

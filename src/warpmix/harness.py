@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,18 +21,18 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DataSplits, Dataset, load_csv, split
+from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
 from .metrics import log_softmax, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _mixed_nll, _mse, _nll, mix_batch
 from .model import ModelState, OptimizerState, _dropout_stream, _gradient_views, _layer_buffers
-from .model import _propagate, init_mlp, mc_dropout_predict
+from .model import ACTIVATIONS, _propagate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
 # calls the unchecked kernels, each under the name of the public function that
 # checks and then calls it: per-layer traces time the step's stages by these names.
 from .mixer import _batch as Batch
 from .model import _backward as backward, _forward as forward, _optimizer_step as optimizer_step
-from .rng import RngStream
+from .rng import RngStream, check_seed
 from .similarity import KernelConfig
 
 __all__ = [
@@ -107,28 +108,38 @@ def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
                 raise UsageError(f"config key {path + key!r} must be a table")
             merged[key] = _merge_with_defaults(default_value, given[key], path + key + ".")
         elif key in given:
-            _check_number(path + key, default_value, given[key])
-            merged[key] = copy.deepcopy(given[key])
+            merged[key] = _typed(path + key, default_value, given[key])
         else:
             merged[key] = copy.deepcopy(default_value)
     return merged
 
 
-def _check_number(name: str, default, value) -> None:
-    """Raise UsageError, naming the key, unless ``value`` converts like the
-    number (or list of numbers) that it replaces in the defaults."""
-    if name == "num_classes" and value is not None:
-        default = 0
-    kind = type(default[0] if isinstance(default, list) else default)
-    if kind not in (int, float) or name == "dataset.target_column":
-        return
-    if isinstance(default, list) and not isinstance(value, list):
-        raise UsageError(f"config key {name!r} must be a list, got {value!r}")
-    for item in value if isinstance(default, list) else [value]:
-        try:
-            kind(item)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"config key {name!r} must be {kind.__name__}-valued, got {value!r}") from None
+_NULLABLE = ("num_classes", "mixup.input_kernel", "mixup.output_kernel")
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string", dict: "a table"}
+
+
+def _typed(name: str, default, value):
+    """``value`` as the type of the default it replaces, or UsageError naming the key.
+
+    Integers take integral floats (3.0 is stored as 3), floats take finite
+    integers and floats, bools are never numbers, and a list is typed item by item. ``num_classes``
+    and the kernel tables may be null, and ``dataset.target_column`` may name
+    its column."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise UsageError(f"config key {name!r} must be a list, got {value!r}")
+        return [_typed(name, default[0], item) for item in value]
+    if (value is None and name in _NULLABLE) or (name == "dataset.target_column" and isinstance(value, str)):
+        return value
+    kind = int if name == "num_classes" else type(default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        return float(value)  # not NaN, an infinity or an int too large for a float
+    if kind is not float and isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _parse_override_value(text: str):
@@ -142,8 +153,9 @@ class ExperimentConfig:
     """A validated experiment description.
 
     Constructed from a nested dict (see DEFAULT_CONFIG for the schema and
-    defaults); ``to_dict()`` returns the effective values, which reproduce
-    the run exactly when fed back in.
+    defaults). Each value is typed once, here, so callers read it as it is;
+    ``to_dict()`` returns the effective values, which reproduce the run
+    exactly when fed back in.
     """
 
     def __init__(self, values: Optional[dict] = None):
@@ -151,12 +163,19 @@ class ExperimentConfig:
         v = self._values
         if v["task"] not in ("regression", "classification"):
             raise UsageError(f"task must be regression or classification, got {v['task']!r}")
-        if v["task"] == "classification" and not v["num_classes"]:
-            raise UsageError("classification experiments need num_classes")
+        if v["task"] == "classification" and (v["num_classes"] is None or v["num_classes"] < 2):
+            raise UsageError(f"classification experiments need num_classes >= 2, got {v['num_classes']}")
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
-        if int(v["optimizer"]["epochs"]) < 1 or int(v["optimizer"]["batch_size"]) < 1:
-            raise UsageError("epochs and batch_size must be >= 1")
+        for seed in v["seeds"]:
+            check_seed(seed, "seeds")
+        check_fractions(v["split_fractions"])
+        if v["optimizer"]["epochs"] < 1 or v["optimizer"]["batch_size"] < 1:
+            raise UsageError("optimizer.epochs and optimizer.batch_size must be >= 1")
+        if any(size < 1 for size in v["model"]["hidden"]):
+            raise UsageError(f"model.hidden sizes must be >= 1, got {v['model']['hidden']}")
+        if v["model"]["activation"] not in ACTIVATIONS:
+            raise UsageError(f"model.activation must be one of {ACTIVATIONS}, got {v['model']['activation']!r}")
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
         self.mixup_config()
@@ -165,7 +184,7 @@ class ExperimentConfig:
             raise UsageError(f"metrics.num_bins must be >= 1, got {self.num_bins}")
         if v["task"] == "regression" and self.mc_samples < 2:  # regression evaluates by MC dropout
             raise UsageError(f"metrics.mc_samples must be >= 2 for regression, got {self.mc_samples}")
-        if v["task"] == "regression" and not float(v["model"]["dropout_rate"]) > 0.0:
+        if v["task"] == "regression" and not v["model"]["dropout_rate"] > 0.0:
             raise UsageError(f"model.dropout_rate must be > 0 for regression, got {v['model']['dropout_rate']}")
 
     @classmethod
@@ -216,7 +235,7 @@ class ExperimentConfig:
 
     @property
     def seeds(self) -> list:
-        return [int(s) for s in self._values["seeds"]]
+        return list(self._values["seeds"])
 
     @property
     def split_fractions(self) -> tuple:
@@ -228,45 +247,21 @@ class ExperimentConfig:
 
     @property
     def num_bins(self) -> int:
-        return int(self._values["metrics"]["num_bins"])
+        return self._values["metrics"]["num_bins"]
 
     @property
     def mc_samples(self) -> int:
-        return int(self._values["metrics"]["mc_samples"])
+        return self._values["metrics"]["mc_samples"]
 
     def mixup_config(self) -> MixupConfig:
         m = self._values["mixup"]
-        kernels = {}
-        for side in ("input_kernel", "output_kernel"):
-            spec = m[side]
-            kernels[side] = (
-                None
-                if spec is None
-                else KernelConfig(
-                    tau_max=float(spec["tau_max"]),
-                    tau_std=float(spec["tau_std"]),
-                    backend=spec["backend"],
-                )
-            )
-        return MixupConfig(
-            alpha=float(m["alpha"]),
-            mode=m["mode"],
-            input_kernel=kernels["input_kernel"],
-            output_kernel=kernels["output_kernel"],
-            per_batch_coeff=bool(m["per_batch_coeff"]),
-        )
+        kernels = {side: None if m[side] is None else KernelConfig(**m[side])
+                   for side in ("input_kernel", "output_kernel")}
+        return MixupConfig(**{**m, **kernels})
 
     def optimizer_state(self) -> OptimizerState:
         o = self._values["optimizer"]
-        return OptimizerState(
-            kind=o["kind"],
-            learning_rate=float(o["learning_rate"]),
-            momentum=float(o["momentum"]),
-            beta1=float(o["beta1"]),
-            beta2=float(o["beta2"]),
-            eps=float(o["eps"]),
-            weight_decay=float(o["weight_decay"]),
-        )
+        return OptimizerState(**{k: v for k, v in o.items() if k not in ("epochs", "batch_size")})
 
     def load_dataset(self) -> Dataset:
         d = self._values["dataset"]
@@ -278,7 +273,7 @@ class ExperimentConfig:
                 features=ds.features,
                 targets=ds.targets,
                 name=ds.name,
-                num_classes=int(self.num_classes),
+                num_classes=self.num_classes,
             )
         return ds
 
@@ -377,17 +372,17 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     task = config.task
     norm = splits.normalization
 
-    num_classes = None if task == "regression" else int(config.num_classes)
+    num_classes = None if task == "regression" else config.num_classes
     targets = splits.train.targets if num_classes else norm.normalize_targets(splits.train.targets)
     # Every check of a minibatch, made once over the whole train split; the
     # step slices its minibatches from the checked arrays.
     checked = CheckedBatch(splits.train.features, targets, num_classes=num_classes)
     features, targets = checked.inputs, checked.targets
 
-    model_cfg = config.to_dict()["model"]
-    dims = [features.shape[1], *[int(h) for h in model_cfg["hidden"]], num_classes or 1]
+    model_cfg, opt_cfg = config._values["model"], config._values["optimizer"]
+    dims = [features.shape[1], *model_cfg["hidden"], num_classes or 1]
     root = RngStream(seed)
-    model = init_mlp(dims, float(model_cfg["dropout_rate"]), root.child(STREAM_INIT),
+    model = init_mlp(dims, model_cfg["dropout_rate"], root.child(STREAM_INIT),
                      hidden_activation=model_cfg["activation"])
     opt = config.optimizer_state()
     mix_cfg = config.mixup_config()
@@ -396,8 +391,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     onehot = None if num_classes is None else np.eye(num_classes)
     grads = _gradient_views(opt, model)  # backward writes, the optimizer reads
     valid_buffers = _layer_buffers(model, len(splits.valid))
-    epochs = int(config.to_dict()["optimizer"]["epochs"])
-    batch_size = int(config.to_dict()["optimizer"]["batch_size"])
+    epochs, batch_size = opt_cfg["epochs"], opt_cfg["batch_size"]
 
     n = features.shape[0]
     trace = []
@@ -440,7 +434,7 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     scaled test probabilities. The metrics are ``metrics_from_payload(payload)``.
     """
     norm = splits.normalization
-    outputs = 1 if config.task == "regression" else int(config.num_classes)
+    outputs = 1 if config.task == "regression" else config.num_classes
     if model.layers[-1].weights.shape[1] != outputs:
         raise UsageError(f"{config.task} evaluation needs a model with {outputs} outputs")
     payload = {"task": config.task, "num_bins": config.num_bins}

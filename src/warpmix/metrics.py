@@ -195,9 +195,14 @@ def _parse_payload(payload: dict):
         raise UsageError(f"{labels.size} labels for {probs.shape[0]} probability rows")
     if not (np.all((probs >= 0.0) & (probs <= 1.0)) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)):
         raise UsageError("probs must be non-negative and sum to 1 within 1e-9")
-    if not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < probs.shape[1])):
-        raise UsageError(f"labels must be integers in [0, {probs.shape[1]})")
-    return task, num_bins, (probs, labels.astype(np.int64))
+    return task, num_bins, (probs, _class_labels(labels, probs.shape[1]))
+
+
+def _class_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Float ``labels`` as int64, or UsageError unless each is an integer in [0, num_classes)."""
+    if not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < num_classes)):
+        raise UsageError(f"labels must be integers in [0, {num_classes})")
+    return labels.astype(np.int64)
 
 
 def payload_bins(payload: dict):
@@ -312,11 +317,12 @@ def temperature_scale(logits, labels) -> float:
     never reorders a row, so predicted classes are unchanged for any T.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] < 1:
         raise UsageError(f"logits must be a non-empty (n, c) array, got shape {logits.shape}")
     if labels.shape != (logits.shape[0],):
         raise UsageError("labels must align with logits rows")
+    labels = _class_labels(labels, logits.shape[1])
 
     grid = np.geomspace(_T_LO, _T_HI, _T_GRID)
     losses = [_nll_at_temperature(logits, labels, t) for t in grid]

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DatasetError, UsageError
 from .metrics import PredictiveDistribution
 from .rng import RngStream
 
@@ -394,21 +395,28 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
+    """Read a checkpoint written by ``save_model``. A missing file raises
+    DatasetError (code ``missing_file``); any other unreadable checkpoint,
+    UsageError."""
+    if not os.path.isfile(path):
+        raise DatasetError(f"checkpoint file not found: {path}", code="missing_file")
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise UsageError(f"not a recognized checkpoint: format={payload.get('format')!r}")
-    layers = [
-        Layer(
-            weights=np.array(spec["weights"], dtype=np.float64),
-            biases=np.array(spec["biases"], dtype=np.float64),
-            activation=spec["activation"],
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"checkpoint {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise UsageError(f"{path!r} is not a {CHECKPOINT_FORMAT} checkpoint")
+    try:
+        layers = [
+            Layer(weights=spec["weights"], biases=spec["biases"], activation=spec["activation"])
+            for spec in payload["layers"]
+        ]
+        return ModelState(
+            layers=layers,
+            dropout_rate=float(payload["dropout_rate"]),
+            mode="eval",
+            step_count=int(payload.get("step_count", 0)),
         )
-        for spec in payload["layers"]
-    ]
-    return ModelState(
-        layers=layers,
-        dropout_rate=float(payload["dropout_rate"]),
-        mode="eval",
-        step_count=int(payload.get("step_count", 0)),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"checkpoint {path!r} is malformed: {exc!r}") from None

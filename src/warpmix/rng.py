@@ -15,6 +15,13 @@ from .errors import UsageError
 _SEED_MAX = 2**64
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed``, or UsageError naming ``name`` unless it is in [0, 2**64)."""
+    if not 0 <= seed < _SEED_MAX:
+        raise UsageError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 class RngStream:
     """A seeded pseudo-random stream with deterministic child splitting.
 
@@ -25,10 +32,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed < _SEED_MAX:
-            raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
+        self.seed = check_seed(int(seed))
         self.path = tuple(int(p) for p in path)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, *self.path)))

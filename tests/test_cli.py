@@ -356,6 +356,48 @@ def test_bad_evaluation_setting_fails_before_training(workspace, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("verb, extra, override, key", [
+    ("train", [], "seeds=[0,-1]", "seeds"),
+    ("train", [], "model.hidden=[8.5]", "model.hidden"),
+    ("train", [], "output_dir=3", "output_dir"),
+    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "split_fractions=[0.5,0.5,0.5]",
+     "split_fractions"),
+])
+def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra,
+                                                       override, key):
+    # seed 0 of seeds=[0,-1] would train; a grid would record every cell as failed and exit 0
+    code = main([verb, "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
+                 *extra, override])
+    assert code == USAGE_EXIT
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no file at all
+    "{not json",
+    "[1, 2]",
+    json.dumps({"format": "warpmix-mlp-v1", "dropout_rate": 0.2}),
+    json.dumps({"format": "warpmix-mlp-v1", "layers": [], "dropout_rate": 0.2}),
+    json.dumps({"format": "warpmix-mlp-v1", "layers": [{"weights": [[1.0]], "biases": [0.0]}],
+                "dropout_rate": 0.2}),
+    json.dumps({"format": "warpmix-mlp-v1", "dropout_rate": 0.2,
+                "layers": [{"weights": [[1.0]], "activation": "identity"}]}),
+    json.dumps({"format": "warpmix-mlp-v1",
+                "layers": [{"weights": [[1.0]], "biases": [0.0], "activation": "identity"}]}),
+    json.dumps({"format": "warpmix-mlp-v1", "dropout_rate": 0.2, "layers": [3]}),
+])
+def test_eval_bad_checkpoint_is_usage_error(workspace, tmp_path, capsys, content):
+    checkpoint = tmp_path / "checkpoint.json"
+    if content is not None:
+        checkpoint.write_text(content)
+    code = main(["eval", "--config", str(workspace["reg_config"]), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "o")])
+    assert code == USAGE_EXIT
+    assert str(checkpoint) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -------------------------------------------------------------------- grid
 
 

@@ -125,6 +125,22 @@ def test_config_validation_rules():
         tiny_config("classification", metrics__num_bins=0)
     # classification evaluates without MC dropout, so it accepts both
     tiny_config("classification", model__dropout_rate=0.0, metrics__mc_samples=1)
+    # rules that split, RngStream and the model apply hold when the config is built, not
+    # after the first seed has trained
+    for tweaks, key in (
+        ({"seeds": [0, -1]}, "seeds"),
+        ({"seeds": [2**64]}, "seeds"),
+        ({"split_fractions": [0.5, 0.5, 0.5]}, "split_fractions"),
+        ({"split_fractions": [0.5, 0.5]}, "split_fractions"),
+        ({"split_fractions": [0.8, 0.2, 0.0]}, "split_fractions"),
+        ({"model__hidden": [8, 0]}, r"model\.hidden"),
+        ({"model__activation": "tanh"}, r"model\.activation"),
+    ):
+        with pytest.raises(UsageError, match=key):
+            tiny_config(**tweaks)
+    for num_classes in (1, 0):
+        with pytest.raises(UsageError, match="num_classes >= 2"):
+            tiny_config("classification", num_classes=num_classes)
 
 
 def test_overrides_dotted_paths():
@@ -193,11 +209,51 @@ def test_config_round_trips_through_dict_and_file(tmp_path):
     ("seeds", 3),
     ("split_fractions", ["a", 0.2, 0.2]),
     ("num_classes", "two"),
+    # values that a per-use int(), float() or bool() would truncate or misread
+    ("optimizer.epochs", 2.5),
+    ("optimizer.batch_size", 16.9),
+    ("optimizer.batch_size", True),
+    ("model.hidden", [8.5]),
+    ("seeds", [0.5]),
+    ("num_classes", 2.7),
+    ("metrics.mc_samples", 2.5),
+    ("optimizer.epochs", "3"),
+    ("mixup.alpha", "0.5"),
+    ("mixup.per_batch_coeff", "false"),
+    ("output_dir", 3),
+    ("mixup.alpha", 10**400),
+    ("model.dropout_rate", float("nan")),
+    ("model", None),
 ])
 def test_ill_typed_numbers_name_their_key(dotted, value):
     with pytest.raises(UsageError) as info:
         ExperimentConfig().with_overrides([f"{dotted}={json.dumps(value)}"])
     assert repr(dotted) in str(info.value)
+
+
+def test_config_stores_typed_values():
+    cfg = ExperimentConfig({
+        "optimizer": {"epochs": 3.0, "learning_rate": 1},
+        "mixup": {"alpha": 1, "per_batch_coeff": True, "input_kernel": {"tau_max": 2}},
+        "model": {"hidden": [8.0, 4]},
+        "seeds": [1.0, 2**63],
+        "dataset": {"target_column": "y"},
+    })
+    d = cfg.to_dict()
+    for value, expected in (
+        (d["optimizer"]["epochs"], 3),
+        (d["optimizer"]["learning_rate"], 1.0),
+        (d["mixup"]["alpha"], 1.0),
+        (d["mixup"]["per_batch_coeff"], True),
+        (d["mixup"]["input_kernel"]["tau_max"], 2.0),
+        (d["model"]["hidden"], [8, 4]),
+        (cfg.seeds, [1, 2**63]),
+        (d["dataset"]["target_column"], "y"),
+    ):
+        assert value == expected and type(value) is type(expected)
+        if isinstance(value, list):
+            assert [type(v) for v in value] == [type(v) for v in expected]
+    assert ExperimentConfig({"optimizer": {"epochs": 10**30}}).to_dict()["optimizer"]["epochs"] == 10**30
 
 
 @pytest.mark.parametrize("label", [1.7, 5, -1])

@@ -372,6 +372,15 @@ def test_temperature_shape_errors():
         temperature_scale(np.zeros((4, 3)), np.zeros(5, dtype=int))
 
 
+@pytest.mark.parametrize("bad", [1.7, -1, 3, float("nan")])
+def test_temperature_rejects_labels_outside_the_classes(bad):
+    # a cast to int64 would make 1.7 class 1, -1 the last class, and 3 an IndexError
+    logits = np.arange(12.0).reshape(4, 3)
+    assert temperature_scale(logits, [0, 1, 2, 2.0]) > 0.0
+    with pytest.raises(UsageError, match=r"labels must be integers in \[0, 3\)"):
+        temperature_scale(logits, [0, 1, 2, bad])
+
+
 # --------------------------------------------------------- point metrics
 
 
