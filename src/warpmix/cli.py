@@ -34,9 +34,12 @@ RUNTIME_EXIT = 1
 
 def _comma_floats(text: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise UsageError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -93,8 +96,9 @@ def _bin_table(payload: dict) -> str:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
+    dataset = config.load_dataset()
     out = _out_dir(config)
-    result = run_experiment(config)
+    result = run_experiment(config, dataset)
     _write(os.path.join(out, "report.json"), result.report.to_json())
     _write(os.path.join(out, "effective_config.json"), json.dumps(config.to_dict(), indent=2, sort_keys=True))
     for seed, train_result in result.train_results.items():
@@ -126,13 +130,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
+    tau_max_list, tau_std_list = _comma_floats(args.tau_max_list), _comma_floats(args.tau_std_list)
+    dataset = config.load_dataset()
     out = _out_dir(config)
-    result = grid_search(
-        config,
-        _comma_floats(args.tau_max_list),
-        _comma_floats(args.tau_std_list),
-        jobs=int(args.jobs),
-    )
+    result = grid_search(config, tau_max_list, tau_std_list, jobs=int(args.jobs), dataset=dataset)
     _write(os.path.join(out, "grid.csv"), result.to_csv())
     _write(
         os.path.join(out, "grid.json"),

@@ -26,7 +26,7 @@ from .errors import DivergenceError, UsageError, WarpmixError
 from .metrics import log_softmax, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _mixed_nll, _mse, _nll, mix_batch
 from .model import ModelState, OptimizerState, _dropout_stream, _gradient_views, _layer_buffers
-from .model import ACTIVATIONS, _propagate, init_mlp, mc_dropout_predict
+from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
 # calls the unchecked kernels, each under the name of the public function that
 # checks and then calls it: per-layer traces time the step's stages by these names.
@@ -176,6 +176,9 @@ class ExperimentConfig:
             raise UsageError(f"model.hidden sizes must be >= 1, got {v['model']['hidden']}")
         if v["model"]["activation"] not in ACTIVATIONS:
             raise UsageError(f"model.activation must be one of {ACTIVATIONS}, got {v['model']['activation']!r}")
+        check_dropout_rate(v["model"]["dropout_rate"], "model.dropout_rate")
+        if not v["output_dir"]:
+            raise UsageError("output_dir must be a non-empty path")
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
         self.mixup_config()

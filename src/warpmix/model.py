@@ -62,6 +62,12 @@ class Layer:
             raise UsageError(f"unknown activation {self.activation!r}")
 
 
+def check_dropout_rate(rate, name: str = "dropout_rate") -> None:
+    """The rule every model's dropout rate obeys: a number in [0, 1)."""
+    if not 0.0 <= float(rate) < 1.0:
+        raise UsageError(f"{name} must be in [0, 1), got {rate}")
+
+
 @dataclass
 class ModelState:
     layers: list
@@ -85,8 +91,7 @@ class ModelState:
         for layer, (w, b) in zip(self.layers, _layer_views(self.params, self.layers)):
             layer.weights, layer.biases = w, b
         self.num_weights = sum(layer.weights.size for layer in self.layers)
-        if not 0.0 <= float(self.dropout_rate) < 1.0:
-            raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        check_dropout_rate(self.dropout_rate)
         if self.mode not in ("train", "eval"):
             raise UsageError(f"mode must be train or eval, got {self.mode!r}")
 
@@ -302,8 +307,6 @@ def _optimizer_step(opt: OptimizerState, model: ModelState) -> None:
     if opt.slots is None:
         opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, g.size))
 
-    # out= ufuncs into the workspace, applying the textbook update's
-    # operations in its order, so the result is the same to the bit
     lr = opt.learning_rate
     params = model.params
     opt.step += 1
@@ -312,18 +315,19 @@ def _optimizer_step(opt: OptimizerState, model: ModelState) -> None:
         velocity *= opt.momentum
         velocity += g
         params -= np.multiply(lr, velocity, out=tmp)
-    else:  # adam: params -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
-        correct1 = 1.0 - opt.beta1**opt.step
-        correct2 = 1.0 - opt.beta2**opt.step
+    else:  # adam in PyTorch's order, with c1 = 1 - beta1^t and c2 = 1 - beta2^t:
+        # params -= m / (sqrt(v) * (1 / sqrt(c2)) + eps) * (lr / c1)
         m, v = opt.slots
         m *= opt.beta1
         m += np.multiply(1.0 - opt.beta1, g, out=tmp)
         v *= opt.beta2
         v += np.multiply(1.0 - opt.beta2, np.square(g, out=tmp), out=tmp)
-        np.multiply(lr, np.divide(m, correct1, out=tmp), out=tmp)
-        np.sqrt(np.divide(v, correct2, out=tmp2), out=tmp2)
+        np.sqrt(v, out=tmp2)
+        tmp2 *= 1.0 / math.sqrt(1.0 - opt.beta2**opt.step)
         tmp2 += opt.eps
-        params -= np.divide(tmp, tmp2, out=tmp)
+        np.divide(m, tmp2, out=tmp)
+        tmp *= lr / (1.0 - opt.beta1**opt.step)
+        params -= tmp
     if opt.weight_decay:
         weights = params[: model.num_weights]
         weights -= np.multiply(lr * opt.weight_decay, weights, out=tmp[: model.num_weights])

@@ -3,18 +3,33 @@
 Everything here is pure and deterministic given its inputs (the sampler is
 deterministic given its stream). The regularized incomplete beta function
 is the warping engine of the whole package, so it is implemented from
-first principles: a modified Lentz continued fraction with the usual
-symmetry switch, plus a cancellation-free log prefactor so that accuracy
-holds out to very large symmetric shape parameters.
+first principles. ``incomplete_beta_reg`` takes scalars or arrays and checks
+them once per call; each point then runs on Python floats, in one of three
+regimes:
 
-``incomplete_beta_reg`` takes scalars or arrays and checks them once per
-call; the continued fraction then runs point by point on Python floats. A
-masked, vectorized Lentz iteration was slower at training batch sizes,
-because every point waits for the slowest one. The saving comes from
-symmetric points far enough from 0.5 that the result is exactly 0 or 1:
-those skip the continued fraction. The training step's warp calls the
-unchecked ``_incomplete_beta``: its strengths come clamped from the
-similarity kernel.
+1. The exact cut. A symmetric point far enough from 0.5 that the result is
+   exactly 0 or 1 in double precision returns it without further work.
+2. The closed form at large symmetric shapes. For a == b >= _ASYMPTOTIC_MIN
+   = 1000, I_x(a, a) = I_{4x(1-x)}(a, 1/2) / 2 is summed from the
+   asymptotic expansion of DiDonato & Morris (ACM TOMS 708, 1992, BGRAT) at
+   b = 1/2: a leading erfc term plus at most nine corrections in 1/(a - 1/4),
+   a few ``math.erfc``/``math.exp``/``math.log`` calls per point. Against
+   mpmath, over +-12 standard deviations around 0.5 and both tails down to
+   1e-300, its worst relative error is 1.3e-13 at a = 1000 and 1.2e-13 at
+   a = 1e6, where the continued fraction's is 2.6e-13 and 1.1e-10 (and the
+   continued fraction does not converge near 0.5 above a ~ 7e5). At a = 500
+   nine terms no longer reach double precision in the far tail and the
+   closed form is the worse of the two (2.3e-13 against 1.1e-13), so the
+   switch-over sits at 1000. Every warp strength of the paper's regression
+   setting (tau >= 8007) takes this path.
+3. The continued fraction, for asymmetric shapes and for symmetric shapes
+   below the switch-over: a modified Lentz iteration with the usual symmetry
+   switch, plus a cancellation-free log prefactor. A masked, vectorized
+   Lentz iteration was slower at training batch sizes, because every point
+   waits for the slowest one.
+
+The training step's warp calls the unchecked ``_incomplete_beta``: its
+strengths come clamped from the similarity kernel.
 
 Beta draws come from numpy's ``Generator.beta``: Johnk's method for
 shapes up to 1, falling back to logs where its powers underflow, and a
@@ -71,6 +86,27 @@ _STIRLING_COEFFS = (
     1.0 / 1188.0,
     -691.0 / 360360.0,
 )
+
+# Symmetric shapes from here up take the closed form of _incbeta_symmetric.
+_ASYMPTOTIC_MIN = 1000.0
+
+# p_1 .. p_9, the coefficients of u^(2n) in (sinh(u/2) / (u/2))^(-1/2). Term n
+# of the expansion is about p_n z^(2n) relative to the leading one, and z stays
+# below 0.75 wherever a >= 1000 leaves the result nonzero, so nine terms reach
+# double precision.
+_SYMMETRIC_COEFFS = (
+    -1.0 / 48.0,
+    1.0 / 2560.0,
+    -61.0 / 7741440.0,
+    1261.0 / 7431782400.0,
+    -79.0 / 20761804800.0,
+    66643.0 / 761775532277760.0,
+    -16820653.0 / 8227175748599808000.0,
+    3745813.0 / 77499283242221568000.0,
+    -1975649524361.0 / 1714327544916556728238080000.0,
+)
+
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
 _log = logging.getLogger("warpmix.numerics")
 
@@ -208,6 +244,55 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     )
 
 
+def _incbeta_symmetric(x: float, a: float) -> float:
+    """I_x(a, a) for a >= _ASYMPTOTIC_MIN and 0 < x < 1, x != 1/2.
+
+    For x < 1/2, I_x(a, a) = I_y(a, 1/2) / 2 with y = 4x(1-x) = exp(-z).
+    Writing the integration variable as exp(-u) and expanding
+    (sinh(u/2) / (u/2))^(-1/2) = sum p_n u^(2n) gives, with t = a - 1/4 and
+    w = t z,
+
+        I_y(a, 1/2) = R(a) sum_n p_n Gamma(2n + 1/2, w) / (sqrt(pi) t^(2n)),
+
+    where R(a) = Gamma(a + 1/2) / (Gamma(a) sqrt(t)) = 1 + 1/(64 a^2) + ...
+    The n = 0 term is erfc(sqrt(w)); the others follow by the upward
+    recurrence Gamma(s + 1, w) = s Gamma(s, w) + w^s exp(-w), whose terms are
+    all positive. x > 1/2 is mirrored, and the lower half is capped at 1/2 so
+    that rounding cannot cross the exact value at x = 1/2.
+    """
+    upper = x > 0.5
+    if upper:
+        x = 1.0 - x  # exact for x in [1/2, 1]
+    if x < 0.25:
+        z = -math.log(4.0 * x * (1.0 - x))
+    else:  # 1 - 2x is exact here, and log1p keeps z's relative accuracy near 1/2
+        d = 1.0 - 2.0 * x
+        z = -math.log1p(-d * d)
+    t = a - 0.25
+    w = t * z
+    q = math.sqrt(w)
+    # g is Gamma(s, w) / (sqrt(pi) t^(s - 1/2)) and k is z^s exp(-w) / (sqrt(pi t)),
+    # both at s = 1/2 here; each half-step below raises s by one
+    g = math.erfc(q)
+    k = q * math.exp(-w) * _RSQRT_PI / t
+    total = g
+    s = 0.5
+    for p in _SYMMETRIC_COEFFS:
+        g = s * g / t + k
+        k *= z
+        s += 1.0
+        g = s * g / t + k
+        k *= z
+        s += 1.0
+        term = p * g
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+    r = 1.0 / a
+    value = min(0.5, 0.5 * total * (1.0 + r * r * (1.0 / 64.0 + r * (1.0 / 128.0 + r * (5.0 / 8192.0)))))
+    return 1.0 - value if upper else value
+
+
 def _incbeta(x: float, a: float, b: float) -> float:
     """I_x(a, b) for one checked point with clamped shapes."""
     if x == 0.0:
@@ -225,6 +310,8 @@ def _incbeta(x: float, a: float, b: float) -> float:
         # without running the continued fraction.
         if a * math.log(4.0 * x * (1.0 - x)) + 0.5 * math.log(a) < _ZERO_FRONT_LOG:
             return 0.0 if x < 0.5 else 1.0
+        if a >= _ASYMPTOTIC_MIN:
+            return _incbeta_symmetric(x, a)
     if x < (a + 1.0) / (a + b + 2.0):
         value = math.exp(_log_front(x, a, b)) * _beta_cont_frac(a, b, x) / a
     else:

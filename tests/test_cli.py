@@ -373,6 +373,35 @@ def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("verb, extra", [
+    ("train", []),
+    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"]),
+])
+def test_missing_dataset_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra):
+    missing = tmp_path / "missing.csv"
+    code = main([verb, "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
+                 *extra, f"dataset.path={missing}"])
+    assert code == USAGE_EXIT
+    assert "dataset file not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_classifier_dropout_rate_fails_before_the_output_dir_exists(workspace, tmp_path, capsys):
+    code = main(["train", "--config", str(workspace["clf_config"]), "--out", str(tmp_path / "o"),
+                 "model.dropout_rate=1.5"])
+    assert code == USAGE_EXIT
+    assert "model.dropout_rate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_output_dir_is_usage_error(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", "--config", str(workspace["reg_config"]), 'output_dir=""'])
+    assert code == USAGE_EXIT
+    assert "output_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("content", [
     None,  # no file at all
     "{not json",
@@ -426,6 +455,17 @@ def test_grid_bad_tau_list_is_usage_error(workspace, tmp_path, capsys):
     ])
     assert code == USAGE_EXIT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tau_max_list", ["0.5,abc", "", " , "])
+def test_grid_bad_tau_list_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, tau_max_list):
+    code = main([
+        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
+        "--tau-max-list", tau_max_list, "--tau-std-list", "1.0",
+    ])
+    assert code == USAGE_EXIT
+    assert "expected comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 # --------------------------------------------------------------- warp-demo
@@ -489,6 +529,7 @@ def test_warp_demo_needs_taus_or_distances(tmp_path, capsys):
     assert main([
         "warp-demo", "--taus", "1.0", "--samples", "0", "--out", str(tmp_path / "d")
     ]) == USAGE_EXIT
+    assert main(["warp-demo", "--taus", "", "--out", str(tmp_path / "d")]) == USAGE_EXIT
     capsys.readouterr()
 
 

@@ -143,6 +143,19 @@ def test_config_validation_rules():
             tiny_config("classification", num_classes=num_classes)
 
 
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
+def test_config_checks_dropout_rate_for_every_task(task, rate):
+    # the model's own rule, when the config is built rather than inside train
+    with pytest.raises(UsageError, match=r"model\.dropout_rate must be in \[0, 1\)"):
+        tiny_config(task, model__dropout_rate=rate)
+
+
+def test_config_rejects_empty_output_dir():
+    with pytest.raises(UsageError, match="output_dir"):
+        tiny_config(output_dir="")
+
+
 def test_overrides_dotted_paths():
     cfg = ExperimentConfig().with_overrides(
         ["mixup.alpha=0.7", "optimizer.epochs=5", "model.hidden=[32, 16]", "dataset.path=a.csv"]
@@ -448,6 +461,27 @@ def test_classification_loss_and_grad_equal_softmax_reference():
         convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
         assert loss == _mixed_nll(log_softmax(logits), mixed)
         assert np.array_equal(grad, (softmax(logits) - convex) / 24)
+
+
+def test_saturated_warp_strengths_train_without_error():
+    # tau_max = 1e-6 clamps most strengths at SHAPE_MAX = 1e6, where the continued
+    # fraction did not converge within about 2e-5 of 0.5: both seeds used to raise
+    # NonConvergenceError within their first second
+    kernel = {"tau_max": 1e-6, "tau_std": 1.5}
+    config = ExperimentConfig({
+        "task": "regression",
+        "seeds": [0, 2],
+        "model": {"hidden": [128, 128], "dropout_rate": 0.2},
+        "optimizer": {"kind": "adam", "learning_rate": 0.01, "epochs": 20, "batch_size": 16},
+        "mixup": {"mode": "kernel_warped", "alpha": 0.5,
+                  "input_kernel": {**kernel, "backend": "raw_input"},
+                  "output_kernel": {**kernel, "backend": "label"}},
+        "metrics": {"num_bins": 15, "mc_samples": 5},
+    })
+    report = run_experiment(config, dataset=synth_regression(n=1503, d=5, seed=0)).report
+    assert sorted(report.per_seed) == [0, 2]
+    values = [v for metrics in report.per_seed.values() for v in metrics.values() if v is not None]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 def test_classification_training_runs():

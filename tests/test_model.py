@@ -406,8 +406,10 @@ def test_flat_update_matches_per_layer_reference(kind):
                         m += (1.0 - b1) * g
                         v *= b2
                         v += (1.0 - b2) * g**2
-                    w -= lr * (mw / (1.0 - b1**t)) / (np.sqrt(vw / (1.0 - b2**t)) + opt.eps)
-                    b -= lr * (mb / (1.0 - b1**t)) / (np.sqrt(vb / (1.0 - b2**t)) + opt.eps)
+                    # PyTorch's order: one step size, the denominator scaled by 1/sqrt(correct2)
+                    step, scale = lr / (1.0 - b1**t), 1.0 / math.sqrt(1.0 - b2**t)
+                    w -= mw / (np.sqrt(vw) * scale + opt.eps) * step
+                    b -= mb / (np.sqrt(vb) * scale + opt.eps) * step
                 w -= lr * wd * w
         for layer, (w, b) in zip(model.layers, ref):
             assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)

@@ -171,12 +171,12 @@ def test_incbeta_rejects_bad_inputs():
 
 
 def test_incbeta_reports_nonconvergence():
-    # the continued fraction stalls just off the symmetry point at the
-    # largest allowed shapes; the error carries the offending arguments
+    # the continued fraction stalls at the symmetry point of the largest
+    # allowed shapes when they differ; the error carries the offending arguments
     with pytest.raises(NonConvergenceError) as info:
-        incomplete_beta_reg(0.49999, 1e6, 1e6)
-    assert info.value.x == 0.49999
-    assert info.value.a == 1e6 and info.value.b == 1e6
+        incomplete_beta_reg(0.5, 1e6, 999999.0)
+    assert info.value.x == 0.5
+    assert info.value.a == 1e6 and info.value.b == 999999.0
 
 
 def test_incbeta_output_clamped_to_unit_interval():
@@ -189,9 +189,19 @@ def test_incbeta_output_clamped_to_unit_interval():
         assert 0.0 <= v <= 1.0
 
 
+def cf_incbeta(x, a, b):
+    """I_x(a, b) for 0 < x < 1 by the continued fraction alone."""
+    if x < (a + 1.0) / (a + b + 2.0):
+        value = math.exp(special._log_front(x, a, b)) * special._beta_cont_frac(a, b, x) / a
+    else:
+        value = 1.0 - math.exp(special._log_front(1.0 - x, b, a)) * special._beta_cont_frac(b, a, 1.0 - x) / b
+    return min(1.0, max(0.0, value))
+
+
 def ungated_incbeta(x, a, b):
-    """I_x(a, b) with every interior point through the continued fraction, as
-    before the symmetric cut; shapes must already lie in the accepted range."""
+    """I_x(a, b) with every interior point through the closed form (a == b >=
+    _ASYMPTOTIC_MIN) or the continued fraction, as before the symmetric cut;
+    shapes must already lie in the accepted range."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -200,11 +210,9 @@ def ungated_incbeta(x, a, b):
         return x
     if a == b and x == 0.5:
         return 0.5
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(special._log_front(x, a, b)) * special._beta_cont_frac(a, b, x) / a
-    else:
-        value = 1.0 - math.exp(special._log_front(1.0 - x, b, a)) * special._beta_cont_frac(b, a, 1.0 - x) / b
-    return min(1.0, max(0.0, value))
+    if a == b and a >= special._ASYMPTOTIC_MIN:
+        return special._incbeta_symmetric(x, a)
+    return cf_incbeta(x, a, b)
 
 
 def cut_points(tau):
@@ -236,24 +244,116 @@ def test_incbeta_symmetric_cut_is_bit_identical(tau):
 
 def test_incbeta_cut_skips_the_continued_fraction(monkeypatch):
     calls = []
-    original = special._beta_cont_frac
 
-    def counted(a, b, x):
-        calls.append(x)
-        return original(a, b, x)
+    def count(name):
+        original = getattr(special, name)
 
-    monkeypatch.setattr(special, "_beta_cont_frac", counted)
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(special, name, counted)
+
+    count("_beta_cont_frac")
+    count("_incbeta_symmetric")
     assert incomplete_beta_reg(0.2, 1e4, 1e4) == 0.0
     assert incomplete_beta_reg(0.8, 1e4, 1e4) == 1.0
     assert calls == []
+    # inside the cut, symmetric shapes from the switch-over up take the closed form
+    amin = special._ASYMPTOTIC_MIN
     assert 0.0 < incomplete_beta_reg(0.499, 1e4, 1e4) < 0.5
-    assert len(calls) == 1
+    assert 0.0 < incomplete_beta_reg(0.499, amin, amin) < 0.5
+    assert calls == ["_incbeta_symmetric"] * 2
+    below = np.nextafter(amin, 0.0)
+    assert 0.0 < incomplete_beta_reg(0.499, below, below) < 0.5
+    assert calls[2:] == ["_beta_cont_frac"]
+
+
+def symmetric_oracle(x, a):
+    """I_x(a, a) = 1/2 - I_{(1-2x)^2}(1/2, a) / 2 for x <= 1/2, mirrored above.
+
+    mpmath's betainc(a, a, ...) does not converge at large a, but this half
+    identity does. The subtraction cancels about a z / ln 10 digits, z =
+    -ln(4x(1-x)), so the working precision grows with them. Where the tail
+    lies below 1e-310 it is returned as exactly 0 (or 1), which is exact to
+    far better than any absolute error measured here.
+    """
+    d = abs(1.0 - 2.0 * x)
+    digits = a * -math.log1p(-d * d) / math.log(10.0) if d < 1.0 else math.inf
+    if digits > 310.0:
+        return 0.0 if x < 0.5 else 1.0
+    with mpmath.workdps(30 + int(digits)):
+        half = mpmath.betainc(0.5, a, 0, (1 - 2 * mpmath.mpf(x)) ** 2, regularized=True) / 2
+        return 0.5 - half if x <= 0.5 else 0.5 + half
+
+
+def oracle_grid(a):
+    """+-12 standard deviations around 0.5, the float neighbours of 0.5, both
+    tails from e^-30 down to e^-690, and the float neighbours of the cut."""
+    sigma = math.sqrt(1.0 / (8.0 * a))
+    xs = list(np.linspace(0.5 - 12.0 * sigma, 0.5 + 12.0 * sigma, 49))
+    xs += [0.5 - 2.0**-54, 0.5 - 2.0**-52, 0.5 + 2.0**-53, 0.5 + 2.0**-51]
+    for w in (30.0, 100.0, 300.0, 500.0, 650.0, 690.0):  # the value is about e^-w
+        d = math.sqrt(-math.expm1(-w / (a - 0.25)))
+        xs += [0.5 * (1.0 - d), 0.5 * (1.0 + d)]
+    xs += cut_points(a).tolist()
+    return [x for x in xs if 0.0 < x < 1.0]
+
+
+def test_incbeta_symmetric_closed_form_matches_oracle():
+    # both sides of the switch-over, the paper's regression strengths (tau >=
+    # 8007), and the saturated clamp at 1e6
+    amin = special._ASYMPTOTIC_MIN
+    worst = {path: [0.0, 0.0] for path in ("public", "closed", "cf")}  # max absolute, relative error
+    points = 0
+    for a in (float(np.nextafter(amin, 0.0)), amin, 2000.0, 8007.0, 3e4, 1e5, 7e5, 1e6):
+        for x in oracle_grid(a):
+            want = symmetric_oracle(x, a)
+            got = {"public": incomplete_beta_reg(x, a, a)}
+            if a >= amin:
+                got["closed"] = got["public"]
+            try:
+                got["cf"] = cf_incbeta(x, a, a)
+            except NonConvergenceError:
+                pass  # near 0.5 above a ~ 7e5
+            for path, value in got.items():
+                err = abs(value - want)
+                worst[path][0] = max(worst[path][0], float(err))
+                if want >= 1e-300:
+                    worst[path][1] = max(worst[path][1], float(err / want))
+            points += 1
+    assert points < 3000  # the oracle takes up to a few ms a point in the far tails
+    assert worst["public"][0] <= worst["cf"][0], worst
+    assert worst["public"][1] <= worst["cf"][1], worst
+    # measured: 1.2e-16 and 1.8e-13
+    assert worst["closed"][0] < 1e-15 and worst["closed"][1] < 1e-12, worst
+
+
+def test_incbeta_largest_symmetric_shape_is_finite_everywhere():
+    # the continued fraction stalled within about 2e-5 of 0.5 at this shape
+    xs = np.concatenate([np.linspace(0.0, 1.0, 1001), np.linspace(0.5 - 1e-4, 0.5 + 1e-4, 1001)])
+    got = incomplete_beta_reg(xs, 1e6, 1e6)
+    assert np.all(np.isfinite(got)) and np.all((got >= 0.0) & (got <= 1.0))
+
+
+@pytest.mark.parametrize("a", [1000.0, 8007.0, 1e6])
+def test_incbeta_closed_form_monotone_and_mirrored(a):
+    sigma = math.sqrt(1.0 / (8.0 * a))
+    half = np.array([0.5 - 2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 0.5 + 2.0**-52])
+    xs = np.sort(np.concatenate([np.linspace(0.5 - 12.0 * sigma, 0.5 + 12.0 * sigma, 4001), half]))
+    got = incomplete_beta_reg(xs, a, a)
+    assert np.all(np.diff(got) >= 0.0)
+    assert got[xs == 0.5][0] == 0.5
+    # 1 - x is exact for x >= 1/2, so the mirror holds to the bit
+    upper = xs[xs >= 0.5]
+    assert np.array_equal(incomplete_beta_reg(upper, a, a), 1.0 - incomplete_beta_reg(1.0 - upper, a, a))
 
 
 def test_incbeta_array_still_reports_nonconvergence():
     with pytest.raises(NonConvergenceError) as info:
-        incomplete_beta_reg(np.array([0.2, 0.49999]), 1e6, 1e6)
-    assert info.value.x == 0.49999
+        incomplete_beta_reg(np.array([0.2, 0.5]), 1e6, 999999.0)
+    assert info.value.x == 0.5
+    assert info.value.a == 1e6 and info.value.b == 999999.0
 
 
 def test_incbeta_arrays_match_scalar_calls():
