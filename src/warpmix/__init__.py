@@ -31,21 +31,11 @@ from .mixer import (
     sample_permutation,
 )
 from .metrics import (
-    BinningConfig,
-    ClassifPrediction,
-    PredictiveDistribution,
-    accuracy,
     bin_stats,
-    brier,
-    ece,
-    ence,
     log_softmax,
     metrics_from_payload,
-    nll,
-    regression_point_metrics,
     softmax,
     temperature_scale,
-    uce,
 )
 from .model import (
     Layer,
@@ -58,7 +48,6 @@ from .model import (
     load_model,
     mc_dropout_predict,
     optimizer_step,
-    predictive_distributions,
     save_model,
 )
 from .data import Dataset, DataSplits, Normalization, load_csv, split

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DatasetError, DomainError, UsageError, WarpmixError
 from .data import split
-from .harness import ExperimentConfig, evaluate, grid_search, run_experiment
+from .harness import ExperimentConfig, check_jobs, evaluate, grid_search, run_experiment
 from .metrics import metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
@@ -30,6 +30,7 @@ __all__ = ["main"]
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _comma_floats(text: str) -> list:
@@ -131,9 +132,10 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     config = _load_config(args)
     tau_max_list, tau_std_list = _comma_floats(args.tau_max_list), _comma_floats(args.tau_std_list)
+    check_jobs(args.jobs)
     dataset = config.load_dataset()
     out = _out_dir(config)
-    result = grid_search(config, tau_max_list, tau_std_list, jobs=int(args.jobs), dataset=dataset)
+    result = grid_search(config, tau_max_list, tau_std_list, jobs=args.jobs, dataset=dataset)
     _write(os.path.join(out, "grid.csv"), result.to_csv())
     _write(
         os.path.join(out, "grid.json"),
@@ -147,7 +149,6 @@ def _cmd_grid(args) -> int:
 
 def _cmd_warp_demo(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     samples = int(args.samples)
     num_bins = int(args.bins)
     if samples < 1 or num_bins < 1:
@@ -176,7 +177,7 @@ def _cmd_warp_demo(args) -> int:
             lo, hi = float(edges[b]), float(edges[b + 1])
             density = float(counts[b]) / (samples * (hi - lo))
             lines.append(f"{d_txt},{tau!r},{lo!r},{hi!r},{int(counts[b])},{density!r}")
-    path = os.path.join(out, "warp_demo.csv")
+    path = os.path.join(_out_dir(config), "warp_demo.csv")
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="warpmix",
         description="Similarity-warped mixup: training, evaluation, grids, and warp demos.",
     )
-    parser.add_argument("--log-level", default="WARNING", help="logging level (DEBUG shows numerics clamps)")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=LOG_LEVELS,
+                        help="logging level (DEBUG shows numerics clamps)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, with_overrides=True):
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
     except (UsageError, DomainError, DatasetError) as exc:

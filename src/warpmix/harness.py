@@ -518,6 +518,12 @@ def _run_cell(args):
     return tau_max, tau_std, result.report, None
 
 
+def check_jobs(jobs) -> None:
+    """UsageError unless ``jobs``, the number of grid workers, is an int >= 1."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def grid_search(
     config: ExperimentConfig,
     tau_max_list,
@@ -531,6 +537,7 @@ def grid_search(
     Cells are independent deterministic jobs: results depend only on the cell
     config and seeds, never on execution order or worker count.
     """
+    check_jobs(jobs)
     tau_max_list = [float(t) for t in tau_max_list]
     tau_std_list = [float(t) for t in tau_std_list]
     if not tau_max_list or not tau_std_list:
@@ -544,7 +551,8 @@ def grid_search(
         for ts in tau_std_list
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+        # under fork the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(t) for t in tasks]

@@ -1,7 +1,8 @@
 """Calibration and accuracy metrics, plus temperature scaling.
 
-All metrics come from ``metrics_from_payload``, on arrays; the per-row API
-(ClassifPrediction, PredictiveDistribution) stacks its rows into a payload.
+Every metric comes from ``metrics_from_payload``: it takes one predictions
+payload of arrays (probabilities and labels, or predictive means, variances
+and targets), validates it once and returns all of the task's metrics.
 Binning follows one rule, in ``bin_stats``: equal-width bins, a value
 exactly on an interior edge goes to the higher bin, and the top bin is
 closed. ENCE averages over non-empty bins only; a bin whose root mean
@@ -11,85 +12,22 @@ variance is zero yields the infinity sentinel unless its RMSE is also zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import UsageError
 
 __all__ = [
-    "ClassifPrediction",
-    "PredictiveDistribution",
-    "BinningConfig",
     "softmax",
     "log_softmax",
-    "accuracy",
-    "ece",
-    "brier",
-    "nll",
-    "uce",
-    "ence",
     "temperature_scale",
-    "regression_point_metrics",
     "bin_stats",
     "payload_bins",
     "metrics_from_payload",
 ]
 
 _PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class ClassifPrediction:
-    """One classified sample: a probability vector and its true label."""
-
-    probs: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        payload = {"task": "classification", "num_bins": 1, "probs": [self.probs], "labels": [self.label]}
-        probs, labels = _parse_payload(payload)[2]
-        object.__setattr__(self, "probs", probs[0])
-        object.__setattr__(self, "label", int(labels[0]))
-
-
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """One regression prediction: mean and variance against a true target."""
-
-    mean: float
-    variance: float
-    target: float
-
-    def __post_init__(self):
-        payload = {"task": "regression", "num_bins": 1, "means": [self.mean],
-                   "variances": [self.variance], "targets": [self.target]}
-        for name, values in zip(("mean", "variance", "target"), _parse_payload(payload)[2]):
-            object.__setattr__(self, name, float(values[0]))
-
-
-@dataclass(frozen=True)
-class BinningConfig:
-    """Equal-width binning: how many bins, and over which quantity."""
-
-    num_bins: int = 15
-    scheme: Optional[str] = None  # None = whatever the metric requires
-
-    _SCHEMES = ("equal_width_confidence", "equal_width_variance")
-
-    def __post_init__(self):
-        m = int(self.num_bins)
-        if m < 1:
-            raise UsageError(f"num_bins must be >= 1, got {self.num_bins}")
-        object.__setattr__(self, "num_bins", m)
-        if self.scheme is not None and self.scheme not in self._SCHEMES:
-            raise UsageError(f"unknown binning scheme {self.scheme!r}")
-
-    def _require(self, scheme: str) -> int:
-        if self.scheme is not None and self.scheme != scheme:
-            raise UsageError(f"binning scheme {self.scheme!r} cannot drive a {scheme} metric")
-        return self.num_bins
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -168,7 +106,7 @@ def _payload_value(payload: dict, key: str, kind: Optional[type] = None):
 
 def _parse_payload(payload: dict):
     """(task, num_bins, validated arrays) of a predictions payload; the one
-    input check behind every metric and both per-row dataclasses."""
+    input check behind every metric and ``payload_bins``."""
     if not isinstance(payload, dict):
         raise UsageError(f"predictions payload must be an object, got {type(payload).__name__}")
     task = _payload_value(payload, "task")
@@ -249,56 +187,6 @@ def metrics_from_payload(payload: dict) -> dict:
     }
 
 
-def _rows_metrics(preds: Sequence, bins: Optional[BinningConfig] = None, scheme: Optional[str] = None) -> dict:
-    """metrics_from_payload of per-row ClassifPrediction or PredictiveDistribution."""
-    num_bins = (bins or BinningConfig(scheme=scheme))._require(scheme) if scheme else 1
-    if len(preds) == 0:
-        raise UsageError("metric needs at least one prediction")
-    if isinstance(preds[0], ClassifPrediction):
-        probs, labels = np.stack([p.probs for p in preds]), [p.label for p in preds]
-        return metrics_from_payload({"task": "classification", "num_bins": num_bins, "temperature": 1.0,
-                                     "probs": probs, "labels": labels})
-    rows = {key: [getattr(p, key[:-1]) for p in preds] for key in ("means", "variances", "targets")}
-    return metrics_from_payload({"task": "regression", "num_bins": num_bins, **rows})
-
-
-def accuracy(preds: Sequence[ClassifPrediction]) -> float:
-    return _rows_metrics(preds)["accuracy"]
-
-
-def ece(preds: Sequence[ClassifPrediction], bins: Optional[BinningConfig] = None) -> float:
-    """Expected calibration error over equal-width confidence bins on [0, 1]."""
-    return _rows_metrics(preds, bins, "equal_width_confidence")["ece"]
-
-
-def brier(preds: Sequence[ClassifPrediction]) -> float:
-    """Mean squared error between probability vectors and one-hot targets."""
-    return _rows_metrics(preds)["brier"]
-
-
-def nll(preds: Sequence[ClassifPrediction]) -> float:
-    """Mean negative log-likelihood; probabilities floored at 1e-12."""
-    return _rows_metrics(preds)["nll"]
-
-
-def uce(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] = None) -> float:
-    """Bin-weighted gap between mean squared error and mean predicted variance.
-
-    Binned by predicted variance, equal width over [min, max] of the
-    observed variances.
-    """
-    return _rows_metrics(preds, bins, "equal_width_variance")["uce"]
-
-
-def ence(preds: Sequence[PredictiveDistribution], bins: Optional[BinningConfig] = None) -> float:
-    """Per-bin normalized gap between RMSE and root mean variance.
-
-    Averages |RMSE - RMV| / RMV over non-empty bins. A bin with RMV = 0 and
-    RMSE > 0 makes the metric infinity; RMV = 0 with RMSE = 0 contributes 0.
-    """
-    return _rows_metrics(preds, bins, "equal_width_variance")["ence"]
-
-
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
     logp = log_softmax(logits / temperature)
     return float(-np.mean(logp[np.arange(labels.shape[0]), labels]))
@@ -345,13 +233,3 @@ def temperature_scale(logits, labels) -> float:
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = _nll_at_temperature(logits, labels, x2)
     return float(0.5 * (lo + hi))
-
-
-def regression_point_metrics(preds: Sequence[PredictiveDistribution]):
-    """(rmse, mape): root mean squared error and mean absolute percentage error.
-
-    MAPE is returned as None when any target is exactly zero (the ratio is
-    undefined there); RMSE is always returned.
-    """
-    metrics = _rows_metrics(preds)
-    return metrics["rmse"], metrics["mape"]

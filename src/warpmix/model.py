@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import DatasetError, UsageError
-from .metrics import PredictiveDistribution
 from .rng import RngStream
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "backward",
     "optimizer_step",
     "mc_dropout_predict",
-    "predictive_distributions",
     "embed",
     "save_model",
     "load_model",
@@ -337,9 +335,8 @@ def _optimizer_step(opt: OptimizerState, model: ModelState) -> None:
 def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     """Monte-Carlo dropout: repeated stochastic passes with dropout active.
 
-    Returns one PredictiveDistribution-ready pair of arrays: per-input sample
-    mean and unbiased sample variance of the outputs, each shaped like one
-    forward output.
+    Returns the per-input sample mean and unbiased sample variance of the
+    outputs, each shaped like one forward output.
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
@@ -356,19 +353,6 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     for s in range(samples):
         outs[s] = _propagate(model, x, len(model.layers), rng, buffers)[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
-
-
-def predictive_distributions(means, variances, targets):
-    """Zip MC-dropout outputs with targets into PredictiveDistribution rows."""
-    means = np.asarray(means, dtype=np.float64).ravel()
-    variances = np.asarray(variances, dtype=np.float64).ravel()
-    targets = np.asarray(targets, dtype=np.float64).ravel()
-    if not means.shape == variances.shape == targets.shape:
-        raise UsageError("means, variances and targets must align")
-    return [
-        PredictiveDistribution(mean=m, variance=v, target=t)
-        for m, v, t in zip(means, variances, targets)
-    ]
 
 
 def embed(model: ModelState, inputs) -> np.ndarray:

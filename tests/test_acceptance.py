@@ -18,28 +18,21 @@ from scipy.integrate import quad
 
 from warpmix import (
     Batch,
-    BinningConfig,
-    ClassifPrediction,
     ExperimentConfig,
     KernelConfig,
     MixupConfig,
-    PredictiveDistribution,
     RngStream,
     backward,
     beta_sample,
-    brier,
-    ece,
-    ence,
     forward,
     incomplete_beta_reg,
     init_mlp,
     log_beta,
+    metrics_from_payload,
     mix_batch,
     normalized_distances,
-    nll,
     run_experiment,
     save_model,
-    uce,
     warp_pairwise,
 )
 
@@ -209,7 +202,7 @@ def random_classif_instance(rng):
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, c, size=n)
-    return [ClassifPrediction(p, int(y)) for p, y in zip(probs, labels)]
+    return probs, labels
 
 
 def random_regression_instance(rng):
@@ -217,7 +210,7 @@ def random_regression_instance(rng):
     means = rng.standard_normal(n) * 3.0
     variances = np.exp(rng.standard_normal(n))
     targets = means + np.sqrt(variances) * rng.standard_normal(n)
-    return [PredictiveDistribution(m, v, t) for m, v, t in zip(means, variances, targets)]
+    return means, variances, targets
 
 
 def test_criterion_06_metrics_match_bruteforce_references():
@@ -226,23 +219,24 @@ def test_criterion_06_metrics_match_bruteforce_references():
     checked = 0
     rng = RngStream(6000)
     for _ in range(200):  # 200 instances x 5 metrics = 1000 checks
-        bins = BinningConfig(int(rng.integers(1, 21)), "equal_width_confidence")
-        preds = random_classif_instance(rng)
-        probs = [p.probs.tolist() for p in preds]
-        labels = [p.label for p in preds]
-        worst = max(worst, abs(ece(preds, bins) - ref.ref_ece(probs, labels, bins.num_bins)))
-        worst = max(worst, abs(brier(preds) - ref.ref_brier(probs, labels)))
-        worst = max(worst, abs(nll(preds) - ref.ref_nll(probs, labels)))
+        bins = int(rng.integers(1, 21))
+        probs, labels = random_classif_instance(rng)
+        got = metrics_from_payload({"task": "classification", "num_bins": bins, "temperature": 1.0,
+                                    "probs": probs, "labels": labels})
+        probs, labels = probs.tolist(), labels.tolist()
+        worst = max(worst, abs(got["ece"] - ref.ref_ece(probs, labels, bins)))
+        worst = max(worst, abs(got["brier"] - ref.ref_brier(probs, labels)))
+        worst = max(worst, abs(got["nll"] - ref.ref_nll(probs, labels)))
         checked += 3
 
-        vbins = BinningConfig(int(rng.integers(1, 21)), "equal_width_variance")
-        rpreds = random_regression_instance(rng)
-        means = [p.mean for p in rpreds]
-        variances = [p.variance for p in rpreds]
-        targets = [p.target for p in rpreds]
-        worst = max(worst, abs(uce(rpreds, vbins) - ref.ref_uce(means, variances, targets, vbins.num_bins)))
-        got_e = ence(rpreds, vbins)
-        want_e = ref.ref_ence(means, variances, targets, vbins.num_bins)
+        vbins = int(rng.integers(1, 21))
+        means, variances, targets = random_regression_instance(rng)
+        got = metrics_from_payload({"task": "regression", "num_bins": vbins, "means": means,
+                                    "variances": variances, "targets": targets})
+        means, variances, targets = means.tolist(), variances.tolist(), targets.tolist()
+        worst = max(worst, abs(got["uce"] - ref.ref_uce(means, variances, targets, vbins)))
+        got_e = got["ence"]
+        want_e = ref.ref_ence(means, variances, targets, vbins)
         if math.isinf(want_e):
             assert math.isinf(got_e)
         else:

@@ -6,6 +6,7 @@ as a subprocess.
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -468,6 +469,17 @@ def test_grid_bad_tau_list_fails_before_the_output_dir_exists(workspace, tmp_pat
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_bad_jobs_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, jobs):
+    code = main([
+        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
+        "--tau-max-list", "1", "--tau-std-list", "1", "--jobs", jobs,
+    ])
+    assert code == USAGE_EXIT
+    assert "jobs must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 # --------------------------------------------------------------- warp-demo
 
 
@@ -540,6 +552,46 @@ def test_warp_demo_bad_tau_is_usage_error(tmp_path, capsys, tau):
     ]) == USAGE_EXIT
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "d" / "warp_demo.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--taus", "1.0", "--samples", "0"],
+    ["--taus", "abc"],
+    ["--taus", "1.0", "--alpha", "-1"],
+    ["--tau-max", "0", "--distances", "1"],
+    [],
+], ids=["zero_samples", "bad_taus", "negative_alpha", "zero_tau_max", "no_taus_or_distances"])
+def test_warp_demo_bad_flags_fail_before_the_output_dir_exists(tmp_path, capsys, flags):
+    code = main(["warp-demo", "--samples", "100", "--out", str(tmp_path / "d"), *flags])
+    assert code == USAGE_EXIT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "d").exists()
+
+
+# --------------------------------------------------------------- log level
+
+
+@pytest.mark.parametrize("level", ["bogus", "basic_format"])
+def test_bad_log_level_is_usage_error(tmp_path, monkeypatch, capsys, level):
+    # BASIC_FORMAT names a logging attribute, but not a level
+    configured = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
+    code = main(["--log-level", level, "warp-demo", "--taus", "1", "--samples", "10",
+                 "--out", str(tmp_path / "d")])
+    assert code == USAGE_EXIT
+    assert "invalid choice" in capsys.readouterr().err
+    assert configured == []
+    assert not (tmp_path / "d").exists()
+
+
+def test_log_level_is_case_insensitive(tmp_path, monkeypatch, capsys):
+    configured = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
+    code = main(["--log-level", "debug", "warp-demo", "--taus", "1", "--samples", "10",
+                 "--out", str(tmp_path / "d")])
+    assert code == 0
+    assert configured == [{"level": "DEBUG"}]
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------- subprocess

@@ -10,10 +10,7 @@ import numpy as np
 import pytest
 
 from warpmix import (
-    BinningConfig,
-    ClassifPrediction,
     DivergenceError,
-    PredictiveDistribution,
     Dataset,
     DatasetError,
     DEFAULT_CONFIG,
@@ -23,19 +20,13 @@ from warpmix import (
     ModelState,
     RngStream,
     UsageError,
-    accuracy,
-    brier,
-    ece,
-    ence,
     evaluate,
     grid_search,
     init_mlp,
-    nll,
-    regression_point_metrics,
+    metrics_from_payload,
     run_experiment,
     split,
     train,
-    uce,
 )
 import warpmix.harness as harness
 from warpmix.harness import STREAM_INIT
@@ -524,29 +515,18 @@ def test_evaluate_metrics_match_exported_predictions_regression():
     cfg = tiny_config()
     result = train(cfg, seed=2, dataset=REG_DATA)
     metrics, payload = evaluate(result.model, result.splits, cfg, seed=2)
-    preds = [
-        PredictiveDistribution(m, v, t)
-        for m, v, t in zip(payload["means"], payload["variances"], payload["targets"])
-    ]
-    rmse, mape = regression_point_metrics(preds)
-    assert rmse == metrics["rmse"] and mape == metrics["mape"]
-    bins = BinningConfig(payload["num_bins"], "equal_width_variance")
-    assert uce(preds, bins) == metrics["uce"]
-    assert ence(preds, bins) == metrics["ence"]
+    exported = json.loads(json.dumps(payload))  # what `warpmix metrics` reads back
+    assert metrics_from_payload(exported) == metrics
+    assert set(metrics) == {"rmse", "mape", "uce", "ence"}
 
 
 def test_evaluate_metrics_match_exported_predictions_classification():
     cfg = tiny_config("classification", optimizer__epochs=3)
     result = train(cfg, seed=4, dataset=CLF_DATA)
     metrics, payload = evaluate(result.model, result.splits, cfg, seed=4)
-    preds = [
-        ClassifPrediction(np.array(p), int(y))
-        for p, y in zip(payload["probs"], payload["labels"])
-    ]
-    assert accuracy(preds) == metrics["accuracy"]
-    assert brier(preds) == metrics["brier"]
-    assert nll(preds) == metrics["nll"]
-    assert ece(preds, BinningConfig(payload["num_bins"], "equal_width_confidence")) == metrics["ece"]
+    exported = json.loads(json.dumps(payload))  # what `warpmix metrics` reads back
+    assert metrics_from_payload(exported) == metrics
+    assert set(metrics) == {"accuracy", "ece", "brier", "nll", "temperature"}
 
 
 def test_evaluate_deterministic_given_seed():
@@ -735,6 +715,38 @@ def test_grid_parallel_matches_serial():
     parallel = grid_search(cfg, [0.5, 2.0], [1.0], dataset=REG_DATA, jobs=2)
     assert serial.rows == parallel.rows
     assert [c["mean"] for c in serial.cells] == [c["mean"] for c in parallel.cells]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
+def test_grid_rejects_bad_jobs(jobs):
+    with pytest.raises(UsageError, match="jobs"):
+        grid_search(tiny_config(), [1.0], [1.0], dataset=REG_DATA, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs, cells, workers", [(64, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_grid_pool_is_sized_by_the_work(monkeypatch, jobs, cells, workers):
+    # a fork pool starts all max_workers processes at its first submit
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_run_cell", lambda task: (task[1], task[2], None, "skipped"))
+    grid = grid_search(tiny_config(), [0.5 * (k + 1) for k in range(cells)], [1.0],
+                       dataset=REG_DATA, jobs=jobs)
+    assert sizes == [workers]
+    assert len(grid.cells) == cells
 
 
 def test_grid_csv_round_trips_floats():

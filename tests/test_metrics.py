@@ -1,7 +1,8 @@
 """Tests for calibration metrics, temperature scaling, and point metrics.
 
-Every metric is cross-checked against the naive loop references in
-reference_metrics.py on randomized instances.
+Every metric comes from ``metrics_from_payload`` on arrays and is
+cross-checked against the naive loop references in reference_metrics.py on
+randomized instances.
 """
 
 import math
@@ -10,33 +11,35 @@ import numpy as np
 import pytest
 
 from warpmix import (
-    BinningConfig,
-    ClassifPrediction,
-    PredictiveDistribution,
     UsageError,
-    accuracy,
     bin_stats,
-    brier,
-    ece,
-    ence,
     log_softmax,
     metrics_from_payload,
-    nll,
-    regression_point_metrics,
     softmax,
     temperature_scale,
-    uce,
 )
 
 import reference_metrics as ref
 
 
-def cpred(probs, label):
-    return ClassifPrediction(probs=np.asarray(probs, dtype=np.float64), label=label)
+def clf_payload(probs, labels, num_bins=15):
+    """Predictions payload of probability rows and their labels, at temperature 1."""
+    return {"task": "classification", "num_bins": num_bins, "temperature": 1.0,
+            "probs": probs, "labels": labels}
 
 
-def rpred(mean, variance, target):
-    return PredictiveDistribution(mean=mean, variance=variance, target=target)
+def reg_payload(means, variances, targets, num_bins=15):
+    """Predictions payload of predictive means and variances against targets."""
+    return {"task": "regression", "num_bins": num_bins, "means": means, "variances": variances,
+            "targets": targets}
+
+
+def clf_metrics(probs, labels, num_bins=15):
+    return metrics_from_payload(clf_payload(probs, labels, num_bins))
+
+
+def reg_metrics(means, variances, targets, num_bins=15):
+    return metrics_from_payload(reg_payload(means, variances, targets, num_bins))
 
 
 def random_classif(rng, n=None, c=None):
@@ -45,7 +48,7 @@ def random_classif(rng, n=None, c=None):
     raw = rng.random((n, c)) + 1e-6
     probs = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, c, size=n)
-    return [cpred(probs[i], int(labels[i])) for i in range(n)], probs, labels
+    return probs, labels
 
 
 def random_regression(rng, n=None):
@@ -53,42 +56,31 @@ def random_regression(rng, n=None):
     means = rng.standard_normal(n) * 3.0
     variances = rng.random(n) * 2.0
     targets = rng.standard_normal(n) * 3.0
-    preds = [rpred(means[i], variances[i], targets[i]) for i in range(n)]
-    return preds, means, variances, targets
+    return means, variances, targets
 
 
-# -------------------------------------------------------------- data types
+# ------------------------------------------------------------- validation
 
 
-def test_classif_prediction_validation():
+@pytest.mark.parametrize("payload", [
+    pytest.param(clf_payload([[0.7, 0.2]], [0]), id="probs_not_summing_to_1"),
+    pytest.param(clf_payload([[1.2, -0.2]], [0]), id="probs_outside_0_1"),
+    pytest.param(clf_payload([[1.0]], [0]), id="single_class"),
+    pytest.param(clf_payload([[0.5, 0.5]], [2]), id="label_out_of_range"),
+    pytest.param(clf_payload([[0.5, 0.5]], [[0]]), id="2d_label"),
+    pytest.param(clf_payload([[[0.5, 0.5]]], [0]), id="3d_probs"),
+    pytest.param(reg_payload([0.0], [-1e-9], [0.0]), id="negative_variance"),
+    pytest.param(reg_payload([0.0], [math.nan], [0.0]), id="nan_variance"),
+    pytest.param(reg_payload([1.0, 2.0], [0.5, 0.25], [1.0]), id="misaligned_targets"),
+    pytest.param(reg_payload([1.0], [0.5], [1.0], num_bins=0), id="zero_bins"),
+])
+def test_metrics_from_payload_rejects_bad_rows(payload):
     with pytest.raises(UsageError):
-        cpred([0.7, 0.2], 0)  # does not sum to 1
-    with pytest.raises(UsageError):
-        cpred([1.2, -0.2], 0)
-    with pytest.raises(UsageError):
-        cpred([1.0], 0)  # single class is not a classification
-    with pytest.raises(UsageError):
-        cpred([0.5, 0.5], 2)
-    with pytest.raises(UsageError):
-        cpred([[0.5, 0.5]], 0)
+        metrics_from_payload(payload)
 
 
-def test_predictive_distribution_validation():
-    with pytest.raises(UsageError):
-        rpred(0.0, -1e-9, 0.0)
-    with pytest.raises(UsageError):
-        rpred(0.0, math.nan, 0.0)
-    assert rpred(1.0, 0.0, 2.0).variance == 0.0
-
-
-def test_binning_config_validation():
-    with pytest.raises(UsageError):
-        BinningConfig(num_bins=0)
-    with pytest.raises(UsageError):
-        BinningConfig(num_bins=5, scheme="quantile")
-    cfg = BinningConfig(num_bins=10, scheme="equal_width_variance")
-    with pytest.raises(UsageError):
-        ece([cpred([0.6, 0.4], 0)], cfg)  # confidence metric, variance scheme
+def test_metrics_from_payload_accepts_zero_variance():
+    assert reg_metrics([1.0], [0.0], [2.0])["rmse"] == 1.0
 
 
 # ---------------------------------------------------------------- binning
@@ -119,19 +111,18 @@ def test_bin_stats_matches_reference_bins():
 # ---------------------------------------------------------------- payloads
 
 
-def test_metrics_from_payload_matches_per_row_api():
+def test_metrics_from_payload_takes_lists_or_arrays():
+    # a payload read back from JSON holds lists; one built in memory, arrays
     rng = np.random.default_rng(6)
-    preds, probs, labels = random_classif(rng, n=40)
+    probs, labels = random_classif(rng, n=40)
     got = metrics_from_payload({"task": "classification", "num_bins": 7, "temperature": 1.5,
                                 "probs": probs.tolist(), "labels": labels.tolist()})
-    assert got == {"accuracy": accuracy(preds), "ece": ece(preds, BinningConfig(7)),
-                   "brier": brier(preds), "nll": nll(preds), "temperature": 1.5}
-    rpreds, means, variances, targets = random_regression(rng, n=40)
-    got = metrics_from_payload({"task": "regression", "num_bins": 7, "means": means.tolist(),
-                                "variances": variances.tolist(), "targets": targets.tolist()})
-    rmse, mape = regression_point_metrics(rpreds)
-    assert got == {"rmse": rmse, "mape": mape, "uce": uce(rpreds, BinningConfig(7)),
-                   "ence": ence(rpreds, BinningConfig(7))}
+    assert got == {**clf_metrics(probs, labels, 7), "temperature": 1.5}
+    assert set(got) == {"accuracy", "ece", "brier", "nll", "temperature"}
+    means, variances, targets = random_regression(rng, n=40)
+    got = reg_metrics(means.tolist(), variances.tolist(), targets.tolist(), 7)
+    assert got == reg_metrics(means, variances, targets, 7)
+    assert set(got) == {"rmse", "mape", "uce", "ence"}
 
 
 # ------------------------------------------------------- softmax utilities
@@ -157,70 +148,68 @@ def test_log_softmax_consistent_with_softmax():
 
 
 def test_ece_perfect_and_worst_case():
-    sure_right = [cpred([1.0, 0.0], 0)] * 5
-    assert ece(sure_right) == 0.0
-    sure_wrong = [cpred([1.0, 0.0], 1)] * 5
-    assert ece(sure_wrong) == 1.0
+    assert clf_metrics([[1.0, 0.0]] * 5, [0] * 5)["ece"] == 0.0  # sure and right
+    assert clf_metrics([[1.0, 0.0]] * 5, [1] * 5)["ece"] == 1.0  # sure and wrong
 
 
 def test_ece_hand_binned_example():
     # two bins: confidences .9 (correct) and .8 (wrong) up top, .3 and .4
     # (both correct) below -> 0.5*|0.5-0.85| + 0.5*|1.0-0.35| = 0.5
-    preds = [
-        cpred([0.9, 0.04, 0.03, 0.03], 0),
-        cpred([0.8, 0.1, 0.05, 0.05], 1),
-        cpred([0.3, 0.25, 0.25, 0.2], 0),
-        cpred([0.4, 0.3, 0.2, 0.1], 0),
+    probs = [
+        [0.9, 0.04, 0.03, 0.03],
+        [0.8, 0.1, 0.05, 0.05],
+        [0.3, 0.25, 0.25, 0.2],
+        [0.4, 0.3, 0.2, 0.1],
     ]
-    got = ece(preds, BinningConfig(num_bins=2))
+    got = clf_metrics(probs, [0, 1, 0, 0], num_bins=2)["ece"]
     assert got == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ece_edge_confidence_goes_to_upper_bin():
     # conf exactly 0.5 joins the upper of two bins; if it fell to the lower
     # bin this instance would score 0.6 instead of 0.1
-    preds = [cpred([0.5, 0.5], 0), cpred([0.7, 0.3], 1)]
-    assert ece(preds, BinningConfig(num_bins=2)) == pytest.approx(0.1, abs=1e-12)
+    got = clf_metrics([[0.5, 0.5], [0.7, 0.3]], [0, 1], num_bins=2)["ece"]
+    assert got == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ece_matches_bruteforce():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        preds, probs, labels = random_classif(rng)
+        probs, labels = random_classif(rng)
         m = int(rng.integers(1, 16))
-        got = ece(preds, BinningConfig(num_bins=m))
+        got = clf_metrics(probs, labels, num_bins=m)["ece"]
         want = ref.ref_ece(probs.tolist(), labels.tolist(), m)
         assert abs(got - want) <= 1e-12
 
 
 def test_ece_permutation_invariant():
     rng = np.random.default_rng(12)
-    preds, _, _ = random_classif(rng, n=40)
-    base = ece(preds)
-    shuffled = [preds[i] for i in rng.permutation(40)]
-    assert abs(ece(shuffled) - base) <= 1e-12
+    probs, labels = random_classif(rng, n=40)
+    base = clf_metrics(probs, labels)["ece"]
+    perm = rng.permutation(40)
+    assert abs(clf_metrics(probs[perm], labels[perm])["ece"] - base) <= 1e-12
 
 
 def test_ece_empty_input():
     with pytest.raises(UsageError):
-        ece([])
+        clf_metrics(np.zeros((0, 2)), np.zeros(0))
 
 
 # ------------------------------------------------------------------ brier
 
 
 def test_brier_known_values():
-    assert brier([cpred([0.0, 1.0], 1)]) == 0.0
-    assert brier([cpred([0.5, 0.5], 0)]) == pytest.approx(0.5, abs=1e-15)
-    assert brier([cpred([1.0, 0.0, 0.0], 1)]) == pytest.approx(2.0, abs=1e-15)
-    assert brier([cpred([1.0, 0.0, 0.0, 0.0, 0.0], 4)]) == pytest.approx(2.0, abs=1e-15)
+    assert clf_metrics([[0.0, 1.0]], [1])["brier"] == 0.0
+    assert clf_metrics([[0.5, 0.5]], [0])["brier"] == pytest.approx(0.5, abs=1e-15)
+    assert clf_metrics([[1.0, 0.0, 0.0]], [1])["brier"] == pytest.approx(2.0, abs=1e-15)
+    assert clf_metrics([[1.0, 0.0, 0.0, 0.0, 0.0]], [4])["brier"] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_brier_matches_bruteforce_and_range():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        preds, probs, labels = random_classif(rng)
-        got = brier(preds)
+        probs, labels = random_classif(rng)
+        got = clf_metrics(probs, labels)["brier"]
         want = ref.ref_brier(probs.tolist(), labels.tolist())
         assert abs(got - want) <= 1e-12
         assert 0.0 <= got <= 2.0
@@ -230,16 +219,16 @@ def test_brier_matches_bruteforce_and_range():
 
 
 def test_nll_known_values():
-    assert nll([cpred([1.0, 0.0], 0)]) == 0.0
-    assert nll([cpred([0.5, 0.5], 1)] * 3) == pytest.approx(math.log(2.0), rel=1e-12)
-    two = [cpred([0.9, 0.1], 0), cpred([0.2, 0.8], 1)]
-    assert nll(two) == pytest.approx(0.164252, abs=1e-6)
-    assert nll(two) == pytest.approx(-(math.log(0.9) + math.log(0.8)) / 2.0, rel=1e-12)
+    assert clf_metrics([[1.0, 0.0]], [0])["nll"] == 0.0
+    assert clf_metrics([[0.5, 0.5]] * 3, [1] * 3)["nll"] == pytest.approx(math.log(2.0), rel=1e-12)
+    two = clf_metrics([[0.9, 0.1], [0.2, 0.8]], [0, 1])["nll"]
+    assert two == pytest.approx(0.164252, abs=1e-6)
+    assert two == pytest.approx(-(math.log(0.9) + math.log(0.8)) / 2.0, rel=1e-12)
 
 
 def test_nll_zero_probability_clamped():
     # zero mass on the target class floors at 1e-12, not infinity
-    got = nll([cpred([1.0, 0.0], 1)])
+    got = clf_metrics([[1.0, 0.0]], [1])["nll"]
     assert got == pytest.approx(-math.log(1e-12), rel=1e-12)
     assert math.isfinite(got)
 
@@ -247,28 +236,28 @@ def test_nll_zero_probability_clamped():
 def test_nll_matches_bruteforce():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        preds, probs, labels = random_classif(rng)
-        assert abs(nll(preds) - ref.ref_nll(probs.tolist(), labels.tolist())) <= 1e-12
+        probs, labels = random_classif(rng)
+        assert abs(clf_metrics(probs, labels)["nll"] - ref.ref_nll(probs.tolist(), labels.tolist())) <= 1e-12
 
 
 # -------------------------------------------------------------------- uce
 
 
 def test_uce_known_values():
-    calibrated = [rpred(1.0, 4.0, 3.0), rpred(0.0, 0.25, 0.5)]  # (mu-y)^2 == var
-    assert uce(calibrated, BinningConfig(num_bins=1)) == 0.0
-    matched_bin = [rpred(1.0, 2.0, 0.0), rpred(math.sqrt(3.0), 2.0, 0.0)]
-    assert uce(matched_bin, BinningConfig(num_bins=1)) == pytest.approx(0.0, abs=1e-12)
-    gap = [rpred(1.0, 4.0, 0.0), rpred(1.0, 2.0, 0.0)]  # sq errs (1,1), vars (4,2)
-    assert uce(gap, BinningConfig(num_bins=1)) == pytest.approx(2.0, abs=1e-12)
+    calibrated = reg_metrics([1.0, 0.0], [4.0, 0.25], [3.0, 0.5], num_bins=1)  # (mu-y)^2 == var
+    assert calibrated["uce"] == 0.0
+    matched_bin = reg_metrics([1.0, math.sqrt(3.0)], [2.0, 2.0], [0.0, 0.0], num_bins=1)
+    assert matched_bin["uce"] == pytest.approx(0.0, abs=1e-12)
+    gap = reg_metrics([1.0, 1.0], [4.0, 2.0], [0.0, 0.0], num_bins=1)  # sq errs (1,1), vars (4,2)
+    assert gap["uce"] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_uce_matches_bruteforce():
     rng = np.random.default_rng(41)
     for _ in range(50):
-        preds, means, variances, targets = random_regression(rng)
+        means, variances, targets = random_regression(rng)
         m = int(rng.integers(1, 16))
-        got = uce(preds, BinningConfig(num_bins=m))
+        got = reg_metrics(means, variances, targets, num_bins=m)["uce"]
         want = ref.ref_uce(means.tolist(), variances.tolist(), targets.tolist(), m)
         assert abs(got - want) <= 1e-12
 
@@ -277,27 +266,23 @@ def test_uce_matches_bruteforce():
 
 
 def test_ence_known_values():
-    gap = [rpred(2.0, 1.0, 0.0), rpred(-2.0, 1.0, 0.0)]  # sq errs (4,4), vars (1,1)
-    assert ence(gap, BinningConfig(num_bins=1)) == pytest.approx(1.0, abs=1e-12)
-    flat = [rpred(1.0, 1.0, 0.0), rpred(-1.0, 1.0, 0.0)]
-    assert ence(flat, BinningConfig(num_bins=1)) == pytest.approx(0.0, abs=1e-12)
+    gap = reg_metrics([2.0, -2.0], [1.0, 1.0], [0.0, 0.0], num_bins=1)  # sq errs (4,4), vars (1,1)
+    assert gap["ence"] == pytest.approx(1.0, abs=1e-12)
+    flat = reg_metrics([1.0, -1.0], [1.0, 1.0], [0.0, 0.0], num_bins=1)
+    assert flat["ence"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ence_zero_variance_sentinel():
-    degenerate = [rpred(1.0, 0.0, 0.0)]  # rmse 1, rmv 0
-    assert ence(degenerate, BinningConfig(num_bins=1)) == math.inf
-    harmless = [rpred(0.0, 0.0, 0.0)]  # rmse 0, rmv 0
-    assert ence(harmless, BinningConfig(num_bins=1)) == 0.0
+    assert reg_metrics([1.0], [0.0], [0.0], num_bins=1)["ence"] == math.inf  # rmse 1, rmv 0
+    assert reg_metrics([0.0], [0.0], [0.0], num_bins=1)["ence"] == 0.0  # rmse 0, rmv 0
 
 
 def test_ence_averages_nonempty_bins_only():
     # variances cluster at the range ends, leaving middle bins empty
-    preds = [rpred(1.0, 0.0, 0.0), rpred(1.0, 10.0, 0.0)]
-    got = ence(preds, BinningConfig(num_bins=10))
+    got = reg_metrics([1.0, 1.0], [0.0, 10.0], [0.0, 0.0], num_bins=10)["ence"]
     # bin of var=0: rmse 1, rmv 0 -> but rmse > 0 -> infinity sentinel
     assert got == math.inf
-    preds = [rpred(0.5, 1.0, 0.0), rpred(2.0, 10.0, 0.0)]
-    got = ence(preds, BinningConfig(num_bins=10))
+    got = reg_metrics([0.5, 2.0], [1.0, 10.0], [0.0, 0.0], num_bins=10)["ence"]
     want = 0.5 * (abs(0.5 - 1.0) / 1.0 + abs(2.0 - math.sqrt(10.0)) / math.sqrt(10.0))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -305,9 +290,9 @@ def test_ence_averages_nonempty_bins_only():
 def test_ence_matches_bruteforce():
     rng = np.random.default_rng(51)
     for _ in range(50):
-        preds, means, variances, targets = random_regression(rng)
+        means, variances, targets = random_regression(rng)
         m = int(rng.integers(1, 16))
-        got = ence(preds, BinningConfig(num_bins=m))
+        got = reg_metrics(means, variances, targets, num_bins=m)["ence"]
         want = ref.ref_ence(means.tolist(), variances.tolist(), targets.tolist(), m)
         if math.isinf(want):
             assert math.isinf(got)
@@ -317,14 +302,13 @@ def test_ence_matches_bruteforce():
 
 def test_regression_metrics_permutation_invariant():
     rng = np.random.default_rng(52)
-    preds, _, _, _ = random_regression(rng, n=48)
+    means, variances, targets = random_regression(rng, n=48)
     perm = rng.permutation(48)
-    shuffled = [preds[i] for i in perm]
-    for metric in (uce, ence):
-        assert abs(metric(shuffled) - metric(preds)) <= 1e-12
-    r1, m1 = regression_point_metrics(preds)
-    r2, m2 = regression_point_metrics(shuffled)
-    assert abs(r1 - r2) <= 1e-12 and abs(m1 - m2) <= 1e-9
+    base = reg_metrics(means, variances, targets)
+    shuffled = reg_metrics(means[perm], variances[perm], targets[perm])
+    for metric in ("uce", "ence", "rmse"):
+        assert abs(shuffled[metric] - base[metric]) <= 1e-12
+    assert abs(shuffled["mape"] - base["mape"]) <= 1e-9
 
 
 # ---------------------------------------------------- temperature scaling
@@ -385,47 +369,45 @@ def test_temperature_rejects_labels_outside_the_classes(bad):
 
 
 def test_point_metrics_known_values():
-    exact = [rpred(2.0, 0.1, 2.0), rpred(-1.0, 0.1, -1.0)]
-    assert regression_point_metrics(exact) == (0.0, 0.0)
+    exact = reg_metrics([2.0, -1.0], [0.1, 0.1], [2.0, -1.0])
+    assert (exact["rmse"], exact["mape"]) == (0.0, 0.0)
 
-    two = [rpred(2.0, 0.0, 1.0), rpred(4.0, 0.0, 2.0)]
-    rmse, mape = regression_point_metrics(two)
-    assert rmse == pytest.approx(math.sqrt(2.5), rel=1e-12)
-    assert mape == pytest.approx(100.0, rel=1e-12)
+    two = reg_metrics([2.0, 4.0], [0.0, 0.0], [1.0, 2.0])
+    assert two["rmse"] == pytest.approx(math.sqrt(2.5), rel=1e-12)
+    assert two["mape"] == pytest.approx(100.0, rel=1e-12)
 
-    offset = [rpred(2.0, 0.0, 1.0), rpred(2.0, 0.0, 1.0), rpred(2.0, 0.0, 1.0)]
-    rmse, mape = regression_point_metrics(offset)
-    assert rmse == pytest.approx(1.0, rel=1e-12)
-    assert mape == pytest.approx(100.0, rel=1e-12)
+    offset = reg_metrics([2.0] * 3, [0.0] * 3, [1.0] * 3)
+    assert offset["rmse"] == pytest.approx(1.0, rel=1e-12)
+    assert offset["mape"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_point_metrics_zero_target_drops_mape():
-    rmse, mape = regression_point_metrics([rpred(1.0, 0.0, 0.0), rpred(2.0, 0.0, 1.0)])
-    assert mape is None
-    assert rmse == pytest.approx(math.sqrt((1.0 + 1.0) / 2.0), rel=1e-12)
+    got = reg_metrics([1.0, 2.0], [0.0, 0.0], [0.0, 1.0])
+    assert got["mape"] is None
+    assert got["rmse"] == pytest.approx(math.sqrt((1.0 + 1.0) / 2.0), rel=1e-12)
 
 
 def test_point_metrics_match_bruteforce():
     rng = np.random.default_rng(71)
     for _ in range(30):
-        preds, means, variances, targets = random_regression(rng)
-        rmse, mape = regression_point_metrics(preds)
-        assert abs(rmse - ref.ref_rmse(means.tolist(), targets.tolist())) <= 1e-12
+        means, variances, targets = random_regression(rng)
+        got = reg_metrics(means, variances, targets)
+        assert abs(got["rmse"] - ref.ref_rmse(means.tolist(), targets.tolist())) <= 1e-12
         want_mape = ref.ref_mape(means.tolist(), targets.tolist())
-        assert abs(mape - want_mape) <= 1e-9 * max(1.0, abs(want_mape))
+        assert abs(got["mape"] - want_mape) <= 1e-9 * max(1.0, abs(want_mape))
 
 
 def test_accuracy_matches_bruteforce():
     rng = np.random.default_rng(81)
     for _ in range(20):
-        preds, probs, labels = random_classif(rng)
-        assert accuracy(preds) == ref.ref_accuracy(probs.tolist(), labels.tolist())
+        probs, labels = random_classif(rng)
+        assert clf_metrics(probs, labels)["accuracy"] == ref.ref_accuracy(probs.tolist(), labels.tolist())
 
 
 def test_empty_inputs_rejected_everywhere():
-    for metric in (accuracy, brier, nll, ece):
+    for probs in ([], np.zeros((0, 2))):
         with pytest.raises(UsageError):
-            metric([])
-    for metric in (uce, ence, regression_point_metrics):
+            clf_metrics(probs, [])
+    for empty in ([], np.zeros(0)):
         with pytest.raises(UsageError):
-            metric([])
+            reg_metrics(empty, empty, empty)

@@ -23,7 +23,6 @@ from warpmix import (
     load_model,
     mc_dropout_predict,
     optimizer_step,
-    predictive_distributions,
     save_model,
 )
 
@@ -524,16 +523,6 @@ def test_mc_dropout_restores_mode():
     model = init_mlp([2, 4, 1], dropout_rate=0.3, rng=RngStream(0)).eval()
     mc_dropout_predict(model, np.zeros((2, 2)), samples=5, rng=RngStream(1))
     assert model.mode == "eval"
-
-
-def test_predictive_distributions_builder():
-    means = np.array([[1.0], [2.0]])
-    variances = np.array([[0.5], [0.25]])
-    preds = predictive_distributions(means, variances, np.array([1.5, 2.5]))
-    assert len(preds) == 2
-    assert preds[0].mean == 1.0 and preds[0].variance == 0.5 and preds[0].target == 1.5
-    with pytest.raises(UsageError):
-        predictive_distributions(means, variances, np.array([1.0]))
 
 
 # ------------------------------------------------------------------- embed
