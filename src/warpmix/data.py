@@ -20,7 +20,7 @@ _STD_FLOOR = 1e-8
 
 @dataclass
 class Dataset:
-    """Feature matrix plus targets; ``num_classes`` is None for regression,
+    """Feature matrix (N, d) plus targets (N,); ``num_classes`` is None for regression,
     otherwise the targets must be integer labels in ``[0, num_classes)``.
     Every feature and target must be finite; errors name the 1-based row and
     column."""
@@ -34,18 +34,20 @@ class Dataset:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise UsageError(f"features must be (N, d), got shape {self.features.shape}")
+        targets = np.asarray(self.targets, dtype=np.float64)
+        if targets.ndim != 1:
+            raise UsageError(f"targets must be a vector (N,), got shape {targets.shape}")
         if self.num_classes is None:
-            self.targets = np.asarray(self.targets, dtype=np.float64)
+            self.targets = targets
         else:
-            labels = np.asarray(self.targets, dtype=np.float64)
-            bad = np.flatnonzero((labels != np.floor(labels)) | (labels < 0) | (labels >= self.num_classes))
+            bad = np.flatnonzero((targets != np.floor(targets)) | (targets < 0) | (targets >= self.num_classes))
             if bad.size:
                 raise DatasetError(
-                    f"label {float(labels[bad[0]])!r} at row {bad[0] + 1} "
+                    f"label {float(targets[bad[0]])!r} at row {bad[0] + 1} "
                     f"is not a class in [0, {self.num_classes})",
                     code="bad_label",
                 )
-            self.targets = labels.astype(np.int64)
+            self.targets = targets.astype(np.int64)
         for kind, values in (("feature", self.features), ("target", self.targets)):
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:

@@ -23,14 +23,14 @@ import numpy as np
 
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
-from .metrics import log_softmax, metrics_from_payload, softmax, temperature_scale
-from .mixer import Batch as CheckedBatch, MixupConfig, _mixed_nll, _mse, _nll, mix_batch
+from .metrics import _nll, log_softmax, metrics_from_payload, softmax, temperature_scale
+from .mixer import Batch as CheckedBatch, MixupConfig, _mse, mix_batch
 from .model import ModelState, OptimizerState, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
 # calls the unchecked kernels, each under the name of the public function that
 # checks and then calls it: per-layer traces time the step's stages by these names.
-from .mixer import _batch as Batch
+from .mixer import _batch as Batch, _mixed_loss as _loss_and_grad
 from .model import _backward as backward, _forward as forward, _optimizer_step as optimizer_step
 from .rng import RngStream, check_seed
 from .similarity import KernelConfig
@@ -338,31 +338,10 @@ class MetricReport:
         )
 
 
-def _loss_and_grad(outputs: np.ndarray, mixed, task: str, onehot: Optional[np.ndarray]):
-    """Mixed-batch loss and its gradient in the outputs, unchecked.
-
-    The classification loss is taken from ``log_softmax`` of the logits, so
-    it grows without bound as the model diverges; probabilities clipped at
-    1e-12 would cap it near 27.6. ``onehot`` is ``np.eye`` of the class count
-    (None for regression)."""
-    n = mixed.size
-    if task == "regression":
-        targets = mixed.mixed_targets
-        return _mse(outputs[:, 0], targets), 2.0 * (outputs - targets[:, None]) / n
-    # softmax and log_softmax from one shifted exp pass, by their own operations
-    z = outputs - outputs.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=-1, keepdims=True)
-    probs = e / total
-    c = mixed.target_coeffs[:, None]
-    convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
-    return _mixed_nll(z - np.log(total), mixed), (probs - convex) / n
-
-
-def _plain_valid_loss(model: ModelState, part: Dataset, task: str, norm, buffers=None) -> float:
+def _plain_valid_loss(model: ModelState, part: Dataset, norm, buffers=None) -> float:
     """The loss of an eval-mode forward over ``part``; ``buffers`` as for ``_propagate``."""
     outputs = _propagate(model, part.features, len(model.layers), None, buffers)[0]
-    if task == "regression":
+    if part.num_classes is None:
         return _mse(outputs[:, 0], norm.normalize_targets(part.targets))
     return float(np.mean(_nll(log_softmax(outputs), part.targets)))
 
@@ -371,11 +350,13 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     """Train one model for one seed; deterministic given (config, seed)."""
     if dataset is None:
         dataset = config.load_dataset()
-    splits = split(dataset, config.split_fractions, seed)
     task = config.task
+    num_classes = None if task == "regression" else config.num_classes
+    if (dataset.num_classes is None) != (num_classes is None):
+        raise UsageError(f"a {task} config cannot train on a dataset with num_classes={dataset.num_classes}")
+    splits = split(dataset, config.split_fractions, seed)
     norm = splits.normalization
 
-    num_classes = None if task == "regression" else config.num_classes
     targets = splits.train.targets if num_classes else norm.normalize_targets(splits.train.targets)
     # Every check of a minibatch, made once over the whole train split; the
     # step slices its minibatches from the checked arrays.
@@ -407,7 +388,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
             try:
                 mixed = mix_batch(batch, mix_cfg, train_rng, model)  # checks model features
                 outputs, cache = forward(model, mixed.inputs, dropout_rng)
-                loss, out_grad = _loss_and_grad(outputs, mixed, task, onehot)
+                loss, out_grad = _loss_and_grad(outputs, mixed, onehot)
                 if not math.isfinite(loss):
                     raise DivergenceError("non-finite training loss")
                 backward(model, cache, out_grad, grads)
@@ -421,7 +402,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
             {
                 "epoch": epoch,
                 "train_loss": float(np.mean(batch_losses)),
-                "valid_loss": _plain_valid_loss(model, splits.valid, task, norm, valid_buffers),
+                "valid_loss": _plain_valid_loss(model, splits.valid, norm, valid_buffers),
             }
         )
     model.eval()

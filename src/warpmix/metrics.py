@@ -30,18 +30,26 @@ __all__ = [
 _PROB_FLOOR = 1e-12
 
 
+def _shifted_exp(logits: np.ndarray):
+    """(z, exp(z)) for float64 ``logits`` shifted so each row's largest is 0."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z, np.exp(z)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    _, e = _shifted_exp(np.asarray(logits, dtype=np.float64))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z, e = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    return z - np.log(e.sum(axis=-1, keepdims=True))
+
+
+def _nll(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row negative log-likelihood of integer ``labels``."""
+    return -log_probs[np.arange(len(labels)), labels]
 
 
 def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
@@ -188,8 +196,7 @@ def metrics_from_payload(payload: dict) -> dict:
 
 
 def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    logp = log_softmax(logits / temperature)
-    return float(-np.mean(logp[np.arange(labels.shape[0]), labels]))
+    return float(np.mean(_nll(log_softmax(logits / temperature), labels)))
 
 
 _T_LO, _T_HI = 0.05, 20.0

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .metrics import _nll, _shifted_exp
 from .rng import RngStream
 from .similarity import KernelConfig, extract_features
 # The step draws its own permutation and extract_features returns float64 (n, d)
@@ -52,7 +53,7 @@ _CONSTANT_TAUS = {
 
 @dataclass
 class Batch:
-    """A minibatch: inputs (n, d) plus targets.
+    """A minibatch: inputs (n, d) plus targets (n,).
 
     Classification batches carry integer class labels and ``num_classes``;
     regression batches carry real targets and ``num_classes=None``. Every
@@ -85,10 +86,8 @@ class Batch:
             # one reduction: as uint64 a negative index wraps past any class count
             if self.targets.size and self.targets.astype(np.uint64).max() >= self.num_classes:
                 raise UsageError("class indices must lie in [0, num_classes)")
-        if self.targets.shape[0] != n:
-            raise UsageError(
-                f"targets length {self.targets.shape[0]} does not match batch size {n}"
-            )
+        if self.targets.shape != (n,):
+            raise UsageError(f"targets must be a vector of one per row, shape ({n},), got {self.targets.shape}")
         for kind, values in (("input", self.inputs), ("target", self.targets)):
             finite = np.isfinite(values)
             if not finite.all():
@@ -186,8 +185,6 @@ class MixedBatch:
         if self.num_classes is not None:
             raise UsageError("mixed_targets is regression-only; use the target pair for classification")
         c = self.target_coeffs
-        if self.targets_a.ndim > 1:
-            c = c[:, None]
         return c * self.targets_a + (1.0 - c) * self.targets_b
 
 
@@ -253,50 +250,47 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     )
 
 
-def mixed_loss(predictions, mixed: MixedBatch, task: str) -> float:
-    """Training loss on a mixed batch.
+def mixed_loss(outputs, mixed: MixedBatch):
+    """Training loss on a mixed batch and its gradient in ``outputs``.
 
-    Classification: per-sample weighted cross-entropy c*CE(p, y_a) +
-    (1-c)*CE(p, y_b), averaged; equal in value to cross-entropy against the
-    convex label vector. Regression: mean squared error against the
-    materialized convex targets.
+    ``outputs`` has the shape ``forward`` returns: (n, num_classes) logits
+    for classification, (n, 1) for regression; any other shape raises
+    UsageError. Classification: per-sample weighted cross-entropy
+    c*CE(y_a) + (1-c)*CE(y_b) of softmax(outputs), averaged; equal in value
+    to cross-entropy against the convex label vector. Regression: mean
+    squared error against the materialized convex targets. Returns
+    ``(loss, grad)``, with ``grad`` of the outputs' shape. Probabilities p
+    may be passed as the logits ``np.log(p)``.
     """
-    if task not in ("classification", "regression"):
-        raise UsageError(f"unknown task {task!r}")
-    preds = np.asarray(predictions, dtype=np.float64)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    expected = (mixed.size, mixed.num_classes or 1)
+    if outputs.shape != expected:
+        raise UsageError(f"outputs shape {outputs.shape} does not match the batch's {expected}")
+    onehot = None if mixed.num_classes is None else np.eye(mixed.num_classes)
+    return _mixed_loss(outputs, mixed, onehot)
+
+
+def _mixed_loss(outputs: np.ndarray, mixed: MixedBatch, onehot: Optional[np.ndarray]):
+    """``mixed_loss`` of float64 outputs of the batch's shape, unchecked.
+
+    The classification loss is taken from the log-softmax of the logits, so
+    it grows without bound as the model diverges; probabilities clipped at
+    1e-12 would cap it near 27.6. ``onehot`` is ``np.eye`` of the class count
+    (None for regression)."""
     n = mixed.size
-
-    if task == "classification":
-        if mixed.num_classes is None:
-            raise UsageError("classification loss on a regression batch")
-        if preds.shape != (n, mixed.num_classes):
-            raise UsageError(
-                f"predictions shape {preds.shape} does not match (n, c)=({n}, {mixed.num_classes})"
-            )
-        return _mixed_nll(np.log(np.clip(preds, 1e-12, None)), mixed)
-
-    if mixed.num_classes is not None:
-        raise UsageError("regression loss on a classification batch")
-    targets = mixed.mixed_targets
-    if preds.ndim == 2 and preds.shape[1] == 1 and targets.ndim == 1:
-        preds = preds[:, 0]
-    if preds.shape != targets.shape:
-        raise UsageError(f"predictions shape {preds.shape} does not match targets {targets.shape}")
-    return _mse(preds, targets)
+    if mixed.num_classes is None:
+        targets = mixed.mixed_targets
+        return _mse(outputs[:, 0], targets), 2.0 * (outputs - targets[:, None]) / n
+    # softmax and log_softmax from one shifted exp pass, by their own operations
+    z, e = _shifted_exp(outputs)
+    total = e.sum(axis=-1, keepdims=True)
+    log_probs = z - np.log(total)
+    a, b, c = mixed.targets_a, mixed.targets_b, mixed.target_coeffs
+    loss = float(np.mean(c * _nll(log_probs, a) + (1.0 - c) * _nll(log_probs, b)))
+    convex = c[:, None] * onehot[a] + (1.0 - c[:, None]) * onehot[b]
+    return loss, (e / total - convex) / n
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error of two float64 arrays of one shape, unchecked."""
     return float(np.mean((preds - targets) ** 2))
-
-
-def _nll(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row negative log-likelihood of integer ``labels``."""
-    return -log_probs[np.arange(len(labels)), labels]
-
-
-def _mixed_nll(log_probs: np.ndarray, mixed: MixedBatch) -> float:
-    """The mixed-batch cross-entropy from (n, c) log-probabilities, unchecked."""
-    c = mixed.target_coeffs
-    loss_a, loss_b = _nll(log_probs, mixed.targets_a), _nll(log_probs, mixed.targets_b)
-    return float(np.mean(c * loss_a + (1.0 - c) * loss_b))

@@ -160,8 +160,7 @@ def extract_features(batch, backend: str, model=None) -> np.ndarray:
     if backend == "label":
         if batch.num_classes is not None:
             raise UsageError("the label backend measures target distances and is regression-only")
-        targets = np.asarray(batch.targets, dtype=np.float64)
-        return targets[:, None] if targets.ndim == 1 else targets
+        return np.asarray(batch.targets, dtype=np.float64)[:, None]
     # Both remaining backends need a live model.
     if model is None:
         raise UsageError(f"the {backend!r} backend requires a model")

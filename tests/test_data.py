@@ -95,6 +95,14 @@ def test_inf_target_rejected_by_dataset():
     assert "target inf at row 3" in str(info.value)
 
 
+@pytest.mark.parametrize("num_classes", [None, 2], ids=["regression", "classification"])
+@pytest.mark.parametrize("shape", [(4, 2), (4, 1), ()])
+def test_targets_that_are_not_a_vector_rejected_by_dataset(num_classes, shape):
+    # 2-D targets used to pass here and then crash training with a numpy broadcast error
+    with pytest.raises(UsageError, match="targets must be a vector"):
+        Dataset(features=np.ones((4, 3)), targets=np.zeros(shape), num_classes=num_classes)
+
+
 def test_feature_overflowing_normalization_names_its_row():
     # column 0 is constant on the train rows, so its std is floored and a
     # far-off held-out value overflows to inf once normalized

@@ -288,6 +288,16 @@ def test_off_mode_zero_lr_keeps_initial_parameters():
         assert np.array_equal(trained.biases, initial.biases)
 
 
+@pytest.mark.parametrize("task, dataset", [
+    ("regression", CLF_DATA),
+    ("classification", Dataset(features=CLF_DATA.features, targets=CLF_DATA.targets.astype(float))),
+], ids=["regression_config", "classification_config"])
+def test_train_rejects_a_dataset_of_the_other_task(task, dataset):
+    # the dataset's num_classes decides the validation loss, so it must agree with the config
+    with pytest.raises(UsageError, match="cannot train on a dataset"):
+        train(tiny_config(task), seed=0, dataset=dataset)
+
+
 def test_training_is_bit_reproducible():
     cfg = tiny_config(optimizer__epochs=1)
     a = train(cfg, seed=5, dataset=REG_DATA)
@@ -318,8 +328,8 @@ def test_split_inside_train_matches_module_split():
 def _public_step_training(config, seed, dataset):
     """``train``'s loop written with the public, checked functions: the model
     and the training stream after the last step, plus the per-epoch mean of
-    the regression batch losses."""
-    from warpmix import Batch, backward, forward, mix_batch, mixed_loss, optimizer_step, softmax
+    the batch losses."""
+    from warpmix import Batch, backward, forward, mix_batch, mixed_loss, optimizer_step
 
     splits = split(dataset, config.split_fractions, seed)
     values = config.to_dict()
@@ -340,15 +350,10 @@ def _public_step_training(config, seed, dataset):
             batch = Batch(splits.train.features[idx], targets[idx], num_classes=num_classes)
             mixed = mix_batch(batch, mix_cfg, rng, model)
             outputs, cache = forward(model, mixed.inputs, rng)
-            if num_classes is None:
-                losses[-1].append(mixed_loss(outputs, mixed, "regression"))
-                out_grad = 2.0 * (outputs - mixed.mixed_targets[:, None]) / batch.size
-            else:
-                onehot, c = np.eye(num_classes), mixed.target_coeffs[:, None]
-                convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
-                out_grad = (softmax(outputs) - convex) / batch.size
-            optimizer_step(opt, model, backward(model, cache, out_grad))
-    return model, rng, [float(np.mean(epoch)) for epoch in losses if epoch]
+            loss, grad = mixed_loss(outputs, mixed)
+            losses[-1].append(loss)
+            optimizer_step(opt, model, backward(model, cache, grad))
+    return model, rng, [float(np.mean(epoch)) for epoch in losses]
 
 
 @pytest.mark.parametrize("task, in_backend, out_backend", [
@@ -380,19 +385,18 @@ def test_training_step_equals_public_composition(monkeypatch, task, in_backend, 
         assert np.array_equal(result.model.params, model.params), mode
         assert result.model.step_count == model.step_count
         assert streams[harness.STREAM_TRAIN].uniform(size=3).tolist() == rng.uniform(size=3).tolist(), mode
-        if task == "regression":
-            assert [row["train_loss"] for row in result.trace] == losses, mode
+        assert [row["train_loss"] for row in result.trace] == losses, mode
 
 
 def test_valid_loss_through_buffers_equals_unbuffered_pass():
     for task, dataset in (("regression", REG_DATA), ("classification", CLF_DATA)):
         result = train(tiny_config(task), seed=2, dataset=dataset)
         valid, norm = result.splits.valid, result.splits.normalization
-        plain = harness._plain_valid_loss(result.model, valid, task, norm)
+        plain = harness._plain_valid_loss(result.model, valid, norm)
         assert result.trace[-1]["valid_loss"] == plain  # train passes its buffers
         buffers = harness._layer_buffers(result.model, len(valid))
         for _ in range(2):  # and reusing them changes nothing
-            assert harness._plain_valid_loss(result.model, valid, task, norm, buffers) == plain
+            assert harness._plain_valid_loss(result.model, valid, norm, buffers) == plain
 
 
 @pytest.mark.parametrize(
@@ -439,18 +443,19 @@ def test_diverged_classifier_loss_is_not_capped():
 def test_classification_loss_and_grad_equal_softmax_reference():
     # one exp pass yields both the probabilities and the log-probabilities, bit for bit
     from warpmix.metrics import log_softmax, softmax
-    from warpmix.mixer import Batch, MixupConfig, _mixed_nll, mix_batch
+    from warpmix.mixer import Batch, MixupConfig, mix_batch, mixed_loss
 
     rng = RngStream(5)
     batch = Batch(inputs=rng.standard_normal((24, 3)), targets=rng.integers(0, 4, size=24), num_classes=4)
     mixed = mix_batch(batch, MixupConfig(alpha=0.6, mode="vanilla"), RngStream(6))
+    rows, c = np.arange(24), mixed.target_coeffs
     for scale in (1.0, 40.0, 1e3):
         logits = scale * rng.standard_normal((24, 4))
-        loss, grad = harness._loss_and_grad(logits, mixed, "classification", np.eye(4))
-        c = mixed.target_coeffs[:, None]
+        loss, grad = mixed_loss(logits, mixed)
+        logp = log_softmax(logits)
         onehot = np.eye(4)
-        convex = c * onehot[mixed.targets_a] + (1.0 - c) * onehot[mixed.targets_b]
-        assert loss == _mixed_nll(log_softmax(logits), mixed)
+        convex = c[:, None] * onehot[mixed.targets_a] + (1.0 - c[:, None]) * onehot[mixed.targets_b]
+        assert loss == float(np.mean(c * -logp[rows, mixed.targets_a] + (1.0 - c) * -logp[rows, mixed.targets_b]))
         assert np.array_equal(grad, (softmax(logits) - convex) / 24)
 
 

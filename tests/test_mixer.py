@@ -70,6 +70,13 @@ def test_batch_validation():
         Batch(inputs=np.array([[-math.inf], [1.0]]), targets=np.array([0, 1]), num_classes=2)
 
 
+@pytest.mark.parametrize("num_classes", [None, 2], ids=["regression", "classification"])
+@pytest.mark.parametrize("shape", [(4, 2), (4, 1), ()])
+def test_batch_rejects_targets_that_are_not_a_vector(num_classes, shape):
+    with pytest.raises(UsageError, match="targets must be a vector"):
+        Batch(inputs=np.zeros((4, 3)), targets=np.zeros(shape, dtype=np.int64), num_classes=num_classes)
+
+
 def test_mixup_config_validation():
     with pytest.raises(DomainError):
         MixupConfig(alpha=0.0, mode="vanilla")
@@ -420,7 +427,8 @@ def test_loss_with_unit_coefficients_is_plain_loss():
     mixed = mix_batch(batch, MixupConfig(alpha=1.0, mode="off"), RngStream(0))
     preds = RngStream(33).standard_normal(8)
     plain_mse = float(np.mean((preds - batch.targets) ** 2))
-    assert mixed_loss(preds, mixed, "regression") == pytest.approx(plain_mse, rel=1e-15)
+    loss, _ = mixed_loss(preds[:, None], mixed)
+    assert loss == pytest.approx(plain_mse, rel=1e-15)
 
 
 def test_half_half_loss_is_log_two():
@@ -437,15 +445,17 @@ def test_half_half_loss_is_log_two():
             break
     assert mixed is not None
     mixed.target_coeffs = np.array([0.5, 0.5])
-    preds = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert mixed_loss(preds, mixed, "classification") == pytest.approx(math.log(2.0), rel=1e-12)
+    loss, _ = mixed_loss(np.zeros((2, 2)), mixed)  # zero logits: p = (0.5, 0.5)
+    assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_perfect_regression_prediction_gives_zero_loss():
     batch = regression_batch(n=16, seed=40)
     cfg = MixupConfig(alpha=0.5, mode="vanilla")
     mixed = mix_batch(batch, cfg, RngStream(3))
-    assert mixed_loss(mixed.mixed_targets, mixed, "regression") == 0.0
+    loss, grad = mixed_loss(mixed.mixed_targets[:, None], mixed)
+    assert loss == 0.0
+    assert grad.shape == (16, 1) and not grad.any()
 
 
 def test_classification_loss_matches_bruteforce():
@@ -458,7 +468,7 @@ def test_classification_loss_matches_bruteforce():
         mixed = mix_batch(batch, cfg, RngStream(trial))
         raw = rng.random((n, c)) + 1e-3
         probs = raw / raw.sum(axis=1, keepdims=True)
-        got = mixed_loss(probs, mixed, "classification")
+        got, _ = mixed_loss(np.log(probs), mixed)
         want = ref_weighted_ce(
             probs.tolist(),
             list(mixed.targets_a),
@@ -468,12 +478,40 @@ def test_classification_loss_matches_bruteforce():
         assert abs(got - want) <= 1e-12, trial
 
 
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_mixed_loss_gradient_matches_central_differences(task):
+    # the analytic gradient against (L(o + h e_ij) - L(o - h e_ij)) / 2h for every
+    # output; the bound covers the O(h^2) truncation and the O(eps / h) rounding
+    h, bound = 1e-5, 1e-8
+    rng = np.random.default_rng(70)
+    for trial in range(6):
+        n, d = int(rng.integers(2, 10)), 3
+        classes = int(rng.integers(2, 5)) if task == "classification" else None
+        targets = rng.integers(0, classes, size=n) if classes else rng.standard_normal(n)
+        batch = Batch(inputs=rng.standard_normal((n, d)), targets=targets, num_classes=classes)
+        cfg = MixupConfig(alpha=0.4, mode="vanilla", per_batch_coeff=trial % 2 == 1)
+        mixed = mix_batch(batch, cfg, RngStream(trial))
+        outputs = 3.0 * rng.standard_normal((n, classes or 1))
+        _, grad = mixed_loss(outputs, mixed)
+        numeric = np.zeros_like(outputs)
+        for idx in np.ndindex(outputs.shape):
+            step = np.zeros_like(outputs)
+            step[idx] = h
+            numeric[idx] = (mixed_loss(outputs + step, mixed)[0] - mixed_loss(outputs - step, mixed)[0]) / (2 * h)
+        assert np.max(np.abs(grad - numeric)) <= bound, trial
+
+
 def test_loss_shape_and_task_errors():
     batch = regression_batch(n=4, seed=0)
     mixed = mix_batch(batch, MixupConfig(alpha=1.0, mode="vanilla"), RngStream(0))
     with pytest.raises(UsageError):
-        mixed_loss(np.zeros(3), mixed, "regression")
+        mixed_loss(np.zeros(3), mixed)
     with pytest.raises(UsageError):
-        mixed_loss(np.zeros((4, 2)), mixed, "classification")
+        mixed_loss(np.zeros(4), mixed)  # regression outputs are (n, 1), as forward returns them
     with pytest.raises(UsageError):
-        mixed_loss(np.zeros(4), mixed, "ranking")
+        mixed_loss(np.zeros((4, 2)), mixed)  # classification logits on a regression batch
+    labels = Batch(inputs=np.zeros((4, 2)), targets=np.array([0, 1, 2, 0]), num_classes=3)
+    mixed = mix_batch(labels, MixupConfig(alpha=1.0, mode="vanilla"), RngStream(0))
+    for shape in ((4, 1), (4, 2), (4, 4), (3, 3), (4,)):
+        with pytest.raises(UsageError):
+            mixed_loss(np.zeros(shape), mixed)
