@@ -31,8 +31,22 @@ _PROB_FLOOR = 1e-12
 
 
 def _shifted_exp(logits: np.ndarray):
-    """(z, exp(z)) for float64 ``logits`` shifted so each row's largest is 0."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    """(z, exp(z)) for float64 ``logits`` shifted so each row's largest is 0.
+
+    The row max is one ``np.maximum`` per further class column: a reduction
+    along the short class axis costs more than the whole exp. ``maximum`` is
+    exact, so the shift equals ``logits.max(axis=-1)`` bit for bit. An empty
+    class axis raises UsageError; a 0-d input is its own row.
+    """
+    if logits.ndim == 0:
+        top = logits
+    elif logits.shape[-1] == 0:
+        raise UsageError(f"logits need at least one class, got shape {logits.shape}")
+    else:
+        top = logits[..., :1]
+        for j in range(1, logits.shape[-1]):
+            top = np.maximum(top, logits[..., j : j + 1])
+    z = logits - top
     return z, np.exp(z)
 
 
@@ -195,13 +209,31 @@ def metrics_from_payload(payload: dict) -> dict:
     }
 
 
-def _nll_at_temperature(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
-    return float(np.mean(_nll(log_softmax(logits / temperature), labels)))
-
-
 _T_LO, _T_HI = 0.05, 20.0
 _T_GRID = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# float64 values per (temperatures, rows, classes) chunk: 100 KB, so each
+# temporary stays under glibc's 128 KiB mmap threshold (16 temperatures of a
+# (400, 2) split)
+_CHUNK_VALUES = 16 * 400 * 2
+
+
+def _nll_at_temperatures(logits: np.ndarray, labels: np.ndarray, temps: np.ndarray) -> np.ndarray:
+    """Mean NLL of softmax(logits / t) for each t in ``temps``, checked inputs.
+
+    Each entry is bit-equal to ``np.mean(_nll(log_softmax(logits / t), labels))``:
+    every step is elementwise or reduces one row as that call does. The class
+    total stays numpy's last-axis sum, which is pairwise from 8 classes on, and
+    each mean runs over a C-contiguous row of the gathered losses.
+    """
+    n, c = logits.shape
+    step = max(1, _CHUNK_VALUES // (n * c))
+    rows = np.arange(n)
+    out = np.empty(temps.shape[0])
+    for start in range(0, temps.shape[0], step):
+        log_probs = log_softmax(logits / temps[start : start + step, None, None])
+        out[start : start + step] = np.mean(np.ascontiguousarray(-log_probs[:, rows, labels]), axis=-1)
+    return out
 
 
 def temperature_scale(logits, labels) -> float:
@@ -213,30 +245,32 @@ def temperature_scale(logits, labels) -> float:
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] < 1:
-        raise UsageError(f"logits must be a non-empty (n, c) array, got shape {logits.shape}")
+    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
+        raise UsageError(f"logits must be a non-empty (n, c) array with c >= 2, got shape {logits.shape}")
     if labels.shape != (logits.shape[0],):
         raise UsageError("labels must align with logits rows")
     labels = _class_labels(labels, logits.shape[1])
 
     grid = np.geomspace(_T_LO, _T_HI, _T_GRID)
-    losses = [_nll_at_temperature(logits, labels, t) for t in grid]
-    best = int(np.argmin(losses))
+    best = int(np.argmin(_nll_at_temperatures(logits, labels, grid)))
     lo = grid[max(0, best - 1)]
     hi = grid[min(_T_GRID - 1, best + 1)]
+
+    def nll(t: float) -> float:
+        return float(_nll_at_temperatures(logits, labels, np.array([t]))[0])
 
     # golden-section shrink of [lo, hi]
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _nll_at_temperature(logits, labels, x1)
-    f2 = _nll_at_temperature(logits, labels, x2)
+    f1 = nll(x1)
+    f2 = nll(x2)
     while (hi - lo) > 1e-4 * (0.5 * (lo + hi)):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _nll_at_temperature(logits, labels, x1)
+            f1 = nll(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _nll_at_temperature(logits, labels, x2)
+            f2 = nll(x2)
     return float(0.5 * (lo + hi))

@@ -19,6 +19,8 @@ from warpmix import (
     temperature_scale,
 )
 
+import warpmix.metrics as metrics_module
+
 import reference_metrics as ref
 
 
@@ -142,6 +144,102 @@ def test_log_softmax_consistent_with_softmax():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((10, 4)) * 3
     assert np.allclose(log_softmax(z), np.log(softmax(z)), atol=1e-12)
+
+
+def test_softmax_rejects_an_empty_class_axis():
+    for fn in (softmax, log_softmax):
+        for shape in ((3, 0), (0,), (2, 4, 0)):
+            with pytest.raises(UsageError, match="at least one class"):
+                fn(np.zeros(shape))
+    # a 0-d input is one row of one class, and a vector is one row
+    assert softmax(3.0) == 1.0 and log_softmax(-2.0) == 0.0
+    assert np.array_equal(softmax([0.0, 0.0]), [0.5, 0.5])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_shifted_exp_shift_is_the_row_max_bit_for_bit():
+    rng = np.random.default_rng(3)
+    inf, nan = math.inf, math.nan
+    special_rows = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [inf, 1.0], [1.0, inf],
+                    [-inf, -inf], [-inf, 2.0], [nan, 1.0], [1.0, nan], [inf, nan], [1e308, -1e308]]
+    for c in (1, 2, 3, 7, 8, 13):
+        logits = rng.standard_normal((40, c)) * 10.0 ** rng.uniform(-2, 2.5, (40, 1))
+        logits[::3] = np.round(logits[::3])  # ties
+        for row in special_rows:
+            logits = np.vstack([logits, (row * c)[:c]])
+        for shaped in (logits, logits.reshape(2, -1, c)):
+            with np.errstate(over="ignore", invalid="ignore"):  # the inf rows
+                z, e = metrics_module._shifted_exp(shaped)
+                want = shaped - shaped.max(axis=-1, keepdims=True)
+            assert np.array_equal(bits(z), bits(want))
+            assert np.array_equal(bits(e), bits(np.exp(want)))
+
+
+# the per-temperature loss that _nll_at_temperatures must reproduce bit for bit,
+# with the row max and class total written out as numpy reductions
+def reference_nll_at_temperature(logits, labels, t):
+    scaled = logits / t
+    z = scaled - scaled.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return float(np.mean(metrics_module._nll(log_probs, labels)))
+
+
+def reference_temperature_scale(logits, labels):
+    """temperature_scale's grid and golden-section search over the reference loss."""
+    logits, labels = np.asarray(logits, dtype=np.float64), np.asarray(labels)
+    grid = np.geomspace(0.05, 20.0, 200)
+    best = int(np.argmin([reference_nll_at_temperature(logits, labels, t) for t in grid]))
+    lo, hi = grid[max(0, best - 1)], grid[min(199, best + 1)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1 = reference_nll_at_temperature(logits, labels, x1)
+    f2 = reference_nll_at_temperature(logits, labels, x2)
+    while (hi - lo) > 1e-4 * (0.5 * (lo + hi)):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = reference_nll_at_temperature(logits, labels, x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = reference_nll_at_temperature(logits, labels, x2)
+    return float(0.5 * (lo + hi))
+
+
+def grid_cases():
+    """(logits, labels) over 2 to 13 classes: random scales, n = 1, ties, signed zeros
+    and huge logits."""
+    rng = np.random.default_rng(17)
+    for c in (2, 3, 7, 8, 13):
+        for n in (1, 5, 400, 1199):
+            logits = rng.standard_normal((n, c)) * 10.0 ** rng.uniform(-2, 2.5)
+            yield logits, rng.integers(0, c, n)
+        ties = np.round(rng.standard_normal((60, c)))
+        ties[::2, : c // 2 + 1] = 1.0
+        yield ties, rng.integers(0, c, 60)
+        zeros = rng.choice([0.0, -0.0, 1e-300, -1e-320], size=(30, c))
+        yield zeros, rng.integers(0, c, 30)
+        huge = rng.standard_normal((50, c)) * 1e300
+        huge[0] = 1.7e308  # overflows at T < 1, so those losses are NaN
+        yield huge, rng.integers(0, c, 50)
+
+
+def test_nll_at_temperatures_bit_equal_to_single_temperatures():
+    grid = np.geomspace(0.05, 20.0, 200)
+    for logits, labels in grid_cases():
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge logits
+            got = metrics_module._nll_at_temperatures(logits, labels, grid)
+            want = [reference_nll_at_temperature(logits, labels, t) for t in grid]
+        assert np.array_equal(bits(got), bits(want)), logits.shape
+
+
+def test_temperature_scale_fits_the_reference_temperature_exactly():
+    with np.errstate(over="ignore", invalid="ignore"):  # the huge logits
+        for logits, labels in grid_cases():
+            assert temperature_scale(logits, labels) == reference_temperature_scale(logits, labels)
 
 
 # -------------------------------------------------------------------- ece
@@ -354,6 +452,9 @@ def test_temperature_shape_errors():
         temperature_scale(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(UsageError):
         temperature_scale(np.zeros((4, 3)), np.zeros(5, dtype=int))
+    for one_class in (np.zeros((4, 1)), np.zeros((4, 0))):  # the payload rule asks for >= 2 classes
+        with pytest.raises(UsageError, match="c >= 2"):
+            temperature_scale(one_class, np.zeros(4, dtype=int))
 
 
 @pytest.mark.parametrize("bad", [1.7, -1, 3, float("nan")])

@@ -19,6 +19,7 @@ from warpmix import (
     kernel_tau,
     normalized_distances,
     warp,
+    warp_pairwise,
 )
 
 SHAPE_MIN, SHAPE_MAX = 1e-4, 1e6
@@ -157,6 +158,24 @@ def test_closer_pairs_mix_more():
             if prev is not None:
                 assert w >= prev - 1e-12
             prev = w
+
+
+def test_warped_mixing_strength_rises_with_distance():
+    # the paper's direction: similar pairs mix more strongly. Squared pair
+    # distances 0..4 have batch mean 2, so the normalized distances are exactly
+    # 0, 0.5, 1, 1.5 and 2, and E|w_tau(lam) - 1/2| must rise along them.
+    points = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 0, 0]], dtype=float)
+    points = np.vstack([points, np.zeros_like(points)])
+    perm = np.array([5, 6, 7, 8, 9, 0, 1, 2, 3, 4])
+    assert list(normalized_distances(points, perm)[:5]) == [0.0, 0.5, 1.0, 1.5, 2.0]
+    lam = np.random.default_rng(11).beta(0.5, 0.5, size=4000)  # vanilla's raw coefficients
+    for tau_std in (0.5, 1.0, 1.5):
+        taus = batch_taus(points, perm, make_config(tau_max=1.0, tau_std=tau_std))[:5]
+        strength = [np.mean(np.abs(warp_pairwise(lam, np.full(lam.shape, t)) - 0.5)) for t in taus]
+        assert np.all(np.diff(strength) > 0.0), (tau_std, strength)
+        # an average pair under tau_max = 1 gets tau = 1: exactly vanilla mixup
+        assert taus[2] == 1.0
+        assert np.array_equal(warp_pairwise(lam, np.full(lam.shape, taus[2])), lam)
 
 
 # ------------------------------------------------------------- batch_taus
