@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: train, eval, grid, warp-demo, metrics. Every command writes only
-inside its output directory; exit code 0 means success, 2 a usage problem
-(bad flags, bad config, missing file), 1 a runtime failure (divergence,
-non-convergence, I/O trouble mid-run).
+inside its output directory and creates it at its first write, so a command
+that fails before writing leaves no directory; exit code 0 means success, 2
+a usage problem (bad flags, bad config, missing file), 1 a runtime failure
+(divergence, non-convergence, I/O trouble mid-run).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import DatasetError, DomainError, UsageError, WarpmixError
 from .data import split
-from .harness import ExperimentConfig, check_jobs, evaluate, grid_search, run_experiment
-from .metrics import metrics_from_payload, payload_bins
+from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, run_experiment
+from .metrics import bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
 from .similarity import KernelConfig, kernel_tau
@@ -44,26 +45,21 @@ def _comma_floats(text: str) -> list:
 
 
 def _load_config(args) -> ExperimentConfig:
-    overrides = list(getattr(args, "overrides", []) or [])
     if args.config:
-        config = ExperimentConfig.from_file(args.config, overrides)
+        config = ExperimentConfig.from_file(args.config, args.overrides)
     else:
-        config = ExperimentConfig().with_overrides(overrides)
+        config = ExperimentConfig().with_overrides(args.overrides)
     extra = []
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         extra.append(f"seeds=[{args.seed}]")
-    if getattr(args, "out", None):
+    if args.out:
         extra.append(f"output_dir={json.dumps(args.out)}")
     return config.with_overrides(extra)
 
 
-def _out_dir(config: ExperimentConfig) -> str:
-    path = config.output_dir
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory first."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -82,11 +78,16 @@ def _write_trace_csv(path: str, trace) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _bin_edges(lo: float, hi: float, m: int) -> list:
+    """The m + 1 edges of ``bin_stats``'s equal-width bins of [lo, hi]."""
+    return (lo + (hi - lo) * np.arange(m + 1) / m).tolist()
+
+
 def _bin_table(payload: dict) -> str:
     """The per-bin table behind ECE (classification) or UCE/ENCE (regression)."""
     lo, hi, counts, sums = payload_bins(payload)
     m = counts.shape[0]
-    edges = (lo + (hi - lo) * np.arange(m + 1) / m).tolist()
+    edges = _bin_edges(lo, hi, m)
     means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0).tolist()
     columns = "mse,mean_variance" if payload["task"] == "regression" else "accuracy,confidence"
     lines = [f"bin_lo,bin_hi,count,{columns}"] + [
@@ -97,9 +98,8 @@ def _bin_table(payload: dict) -> str:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    dataset = config.load_dataset()
-    out = _out_dir(config)
-    result = run_experiment(config, dataset)
+    result = run_experiment(config)
+    out = config.output_dir
     _write(os.path.join(out, "report.json"), result.report.to_json())
     _write(os.path.join(out, "effective_config.json"), json.dumps(config.to_dict(), indent=2, sort_keys=True))
     for seed, train_result in result.train_results.items():
@@ -121,7 +121,7 @@ def _cmd_eval(args) -> int:
     seed = config.seeds[0]  # --seed replaces the seed list
     splits = split(config.load_dataset(), config.split_fractions, seed)
     metrics, payload = evaluate(model, splits, config, seed)
-    out = _out_dir(config)
+    out = config.output_dir
     _write(os.path.join(out, "predictions.json"), json.dumps(payload, indent=2, sort_keys=True))
     _write(os.path.join(out, "bins.csv"), _bin_table(payload))
     _write_metrics(out, metrics)
@@ -132,10 +132,8 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     config = _load_config(args)
     tau_max_list, tau_std_list = _comma_floats(args.tau_max_list), _comma_floats(args.tau_std_list)
-    check_jobs(args.jobs)
-    dataset = config.load_dataset()
-    out = _out_dir(config)
-    result = grid_search(config, tau_max_list, tau_std_list, jobs=args.jobs, dataset=dataset)
+    result = grid_search(config, tau_max_list, tau_std_list, jobs=args.jobs)
+    out = config.output_dir
     _write(os.path.join(out, "grid.csv"), result.to_csv())
     _write(
         os.path.join(out, "grid.json"),
@@ -148,36 +146,30 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_warp_demo(args) -> int:
-    config = _load_config(args)
-    samples = int(args.samples)
-    num_bins = int(args.bins)
+    samples, num_bins = args.samples, args.bins
     if samples < 1 or num_bins < 1:
         raise UsageError("samples and bins must be >= 1")
 
     if args.distances is not None:
-        kernel = KernelConfig(tau_max=float(args.tau_max), tau_std=float(args.tau_std))
-        cases = [
-            (distance, kernel_tau(distance, kernel))
-            for distance in _comma_floats(args.distances)
-        ]
+        kernel = KernelConfig(tau_max=args.tau_max, tau_std=args.tau_std)
+        cases = [(distance, kernel_tau(distance, kernel)) for distance in _comma_floats(args.distances)]
     elif args.taus is not None:
         cases = [(None, tau) for tau in _comma_floats(args.taus)]
     else:
         raise UsageError("warp-demo needs either --taus or --distances with --tau-max/--tau-std")
 
-    rng = RngStream(int(args.seed) if args.seed is not None else 0)
+    rng = RngStream(args.seed)
+    edges = _bin_edges(0.0, 1.0, num_bins)
     lines = ["distance,tau,bin_lo,bin_hi,count,density"]
     for case_index, (distance, tau) in enumerate(cases):
-        stream = rng.child(case_index)
-        raw = beta_sample(float(args.alpha), stream, size=samples)
-        warped = warp_pairwise(raw, np.full(samples, tau))
-        counts, edges = np.histogram(warped, bins=num_bins, range=(0.0, 1.0))
-        d_txt = "" if distance is None else repr(float(distance))
+        raw = beta_sample(args.alpha, rng.child(case_index), size=samples)
+        counts, _ = bin_stats(warp_pairwise(raw, np.full(samples, tau)), 0.0, 1.0, num_bins)
+        d_txt = "" if distance is None else repr(distance)
         for b in range(num_bins):
-            lo, hi = float(edges[b]), float(edges[b + 1])
+            lo, hi = edges[b], edges[b + 1]
             density = float(counts[b]) / (samples * (hi - lo))
             lines.append(f"{d_txt},{tau!r},{lo!r},{hi!r},{int(counts[b])},{density!r}")
-    path = os.path.join(_out_dir(config), "warp_demo.csv")
+    path = os.path.join(args.out, "warp_demo.csv")
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
@@ -191,10 +183,7 @@ def _cmd_metrics(args) -> int:
             payload = json.load(fh)
         except ValueError as exc:
             raise UsageError(f"predictions file {args.predictions!r} is not valid JSON: {exc}") from None
-    metrics = metrics_from_payload(payload)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    _write_metrics(out, metrics)
+    _write_metrics(args.out, metrics_from_payload(payload))
     return 0
 
 
@@ -206,14 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=LOG_LEVELS,
                         help="logging level (DEBUG shows numerics clamps)")
     sub = parser.add_subparsers(dest="verb", required=True)
+    default_out = DEFAULT_CONFIG["output_dir"]
 
-    def common(p, with_overrides=True):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="replace the config seed list with this seed")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        if with_overrides:
-            p.add_argument("overrides", nargs="*", metavar="key=value",
-                           help="dotted-path config overrides, e.g. mixup.alpha=0.5")
+        p.add_argument("overrides", nargs="*", metavar="key=value",
+                       help="dotted-path config overrides, e.g. mixup.alpha=0.5")
 
     p_train = sub.add_parser("train", help="train/evaluate all config seeds, write report + checkpoints")
     common(p_train)
@@ -232,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=_cmd_grid)
 
     p_demo = sub.add_parser("warp-demo", help="histogram warped coefficient densities as CSV")
-    common(p_demo)
+    p_demo.add_argument("--seed", type=int, default=0, help="seed of the raw draws")
+    p_demo.add_argument("--out", default=default_out, help=f"output directory (default: {default_out})")
     p_demo.add_argument("--alpha", type=float, default=1.0, help="Beta(alpha, alpha) of the raw draws")
     p_demo.add_argument("--samples", type=int, default=100_000)
     p_demo.add_argument("--bins", type=int, default=50)
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from an exported predictions file")
     p_metrics.add_argument("--predictions", required=True, help="predictions JSON written by eval/train")
-    p_metrics.add_argument("--out", default=None, help="output directory (default: current)")
+    p_metrics.add_argument("--out", default=default_out, help=f"output directory (default: {default_out})")
     p_metrics.set_defaults(func=_cmd_metrics)
     return parser
 

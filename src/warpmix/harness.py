@@ -477,15 +477,13 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
-def _cell_config(config: ExperimentConfig, tau_max: float, tau_std: float, seeds) -> ExperimentConfig:
+def _cell_config(config: ExperimentConfig, tau_max: float, tau_std: float) -> ExperimentConfig:
     values = config.to_dict()
     for side in ("input_kernel", "output_kernel"):
         kernel = values["mixup"][side] or {}
         kernel["tau_max"] = tau_max
         kernel["tau_std"] = tau_std
         values["mixup"][side] = kernel
-    if seeds is not None:
-        values["seeds"] = list(seeds)
     return ExperimentConfig(values)
 
 
@@ -509,14 +507,14 @@ def grid_search(
     config: ExperimentConfig,
     tau_max_list,
     tau_std_list,
-    seeds=None,
     jobs: int = 1,
     dataset: Optional[Dataset] = None,
 ) -> GridResult:
     """Train/evaluate each (tau_max, tau_std) cell; failures don't stop the sweep.
 
-    Cells are independent deterministic jobs: results depend only on the cell
-    config and seeds, never on execution order or worker count.
+    Each cell runs every seed of ``config``. Cells are independent
+    deterministic jobs: results depend only on the cell config, never on
+    execution order or worker count.
     """
     check_jobs(jobs)
     tau_max_list = [float(t) for t in tau_max_list]
@@ -527,7 +525,7 @@ def grid_search(
         dataset = config.load_dataset()
 
     tasks = [
-        (_cell_config(config, tm, ts, seeds).to_dict(), tm, ts, dataset)
+        (_cell_config(config, tm, ts).to_dict(), tm, ts, dataset)
         for tm in tau_max_list
         for ts in tau_std_list
     ]

@@ -242,17 +242,26 @@ def temperature_scale(logits, labels) -> float:
     Coarse geometric grid over [0.05, 20], then golden-section refinement of
     the best bracket to relative width 1e-4. Dividing by a positive scalar
     never reorders a row, so predicted classes are unchanged for any T.
+    Raises UsageError when a logit is not finite, or when the loss at some
+    grid temperature is not (``logits / T`` overflowed).
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
         raise UsageError(f"logits must be a non-empty (n, c) array with c >= 2, got shape {logits.shape}")
+    if not np.isfinite(logits).all():
+        raise UsageError("logits must be finite")
     if labels.shape != (logits.shape[0],):
         raise UsageError("labels must align with logits rows")
     labels = _class_labels(labels, logits.shape[1])
 
     grid = np.geomspace(_T_LO, _T_HI, _T_GRID)
-    best = int(np.argmin(_nll_at_temperatures(logits, labels, grid)))
+    losses = _nll_at_temperatures(logits, labels, grid)
+    finite = np.isfinite(losses)
+    if not finite.all():
+        raise UsageError(f"validation NLL is not finite at temperature {grid[~finite][0]:.6g}: "
+                         "the logits overflow when scaled")
+    best = int(np.argmin(losses))
     lo = grid[max(0, best - 1)]
     hi = grid[min(_T_GRID - 1, best + 1)]
 

@@ -115,15 +115,16 @@ _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 _log = logging.getLogger("warpmix.numerics")
 
 
-def _checked_shapes(a, b):
-    """Shape arrays checked positive and finite, then clamped into the range.
+def _checked_shapes(*shapes):
+    """One or two shape arrays (a, then b) checked positive and finite, then
+    clamped into the range.
 
     Clamping leaves at most one debug record per call, however many values
     it moved.
     """
     moved = 0
     out = []
-    for name, value in (("a", a), ("b", b)):
+    for name, value in zip("ab", shapes):
         # NaN propagates through min and max and fails both tests; the
         # initial values keep an empty array valid
         lo, hi = value.min(initial=math.inf), value.max(initial=-math.inf)

@@ -52,7 +52,7 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     if not ok.all():
         raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
     finite = np.isfinite(taus)
-    taus[finite] = _checked_shapes(taus[finite], taus[finite])[0]
+    taus[finite] = _checked_shapes(taus[finite])[0]
     return _warp(coeffs, taus)
 
 

@@ -7,6 +7,7 @@ as a subprocess.
 
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from warpmix import RngStream, beta_sample, bin_stats, warp_pairwise
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
 
 from _support import synth_blobs, synth_regression, write_csv
@@ -114,6 +116,7 @@ def test_divergence_is_runtime_error(workspace, tmp_path, capsys):
         ])
     assert code == RUNTIME_EXIT
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_metrics_missing_predictions_file(tmp_path, capsys):
@@ -309,6 +312,15 @@ def test_metrics_malformed_payload_is_usage_error(tmp_path, capsys, case):
     assert code == USAGE_EXIT
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "m" / "metrics.json").exists()
+
+
+def test_metrics_writes_into_the_default_output_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "predictions.json").write_text(json.dumps(REG_PAYLOAD))
+    assert main(["metrics", "--predictions", "predictions.json"]) == 0
+    assert (tmp_path / "warpmix-out" / "metrics.json").is_file()
+    assert not (tmp_path / "metrics.json").exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("payload", [REG_PAYLOAD, CLF_PAYLOAD], ids=["regression", "classification"])
@@ -534,6 +546,33 @@ def test_warp_demo_distance_mode_applies_kernel(tmp_path, capsys):
     assert {r[0] for r in rows} == {"1.0"}
     assert {r[1] for r in rows} == {"0.25"}  # exp(0)/tau_max
     assert counts.sum() == 1000
+
+
+def test_warp_demo_counts_with_bin_stats(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["warp-demo", "--taus", "0.5,inf", "--alpha", "0.5", "--samples", "2000",
+                 "--bins", "10", "--seed", "3", "--out", str(out)]) == 0
+    rows, _, counts = demo_counts(out / "warp_demo.csv")
+    edges = (0.0 + 1.0 * np.arange(11) / 10).tolist()  # the edges of bins.csv: lo + (hi - lo) * k / m
+    for r, lo, hi in zip(rows, edges[:-1] * 2, edges[1:] * 2):
+        assert (float(r[2]), float(r[3])) == (lo, hi)
+    for case, tau in enumerate([0.5, math.inf]):
+        raw = beta_sample(0.5, RngStream(3).child(case), size=2000)
+        warped = warp_pairwise(raw, np.full(2000, tau))
+        assert np.array_equal(counts[10 * case : 10 * case + 10], bin_stats(warped, 0.0, 1.0, 10)[0])
+    assert {r[1] for r in rows[10:]} == {"inf"}
+    step = counts[10:]  # the inf warp is the exact 0/1 step, and the top bin is closed
+    assert (step[0], step[-1]) == (np.sum(raw < 0.5), np.sum(raw >= 0.5)) and step[1:-1].sum() == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["config", "override"])
+def test_warp_demo_takes_no_experiment_config(workspace, tmp_path, capsys, kind):
+    extra = ["--config", str(workspace["reg_config"])] if kind == "config" else ["mixup.alpha=0.3"]
+    code = main(["warp-demo", "--taus", "1", "--samples", "10", "--out", str(tmp_path / "d"), *extra])
+    assert code == USAGE_EXIT
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_warp_demo_needs_taus_or_distances(tmp_path, capsys):

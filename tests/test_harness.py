@@ -660,7 +660,7 @@ def test_grid_single_cell_equals_single_run():
     grid = grid_search(cfg, [0.5], [1.5], dataset=REG_DATA)
     assert len(grid.cells) == 1 and grid.cells[0]["status"] == "ok"
 
-    cell_cfg = harness._cell_config(cfg, 0.5, 1.5, None)
+    cell_cfg = harness._cell_config(cfg, 0.5, 1.5)
     direct = run_experiment(cell_cfg, dataset=REG_DATA).report
     assert grid.cells[0]["mean"] == direct.mean
     by_metric = {r["metric"]: r["value"] for r in grid.rows}
@@ -677,8 +677,8 @@ def test_identical_cells_identical_results():
 
 
 def test_grid_seed_override_and_empty_lists():
-    cfg = tiny_config()
-    grid = grid_search(cfg, [1.0], [1.0], seeds=[4, 5], dataset=REG_DATA)
+    cfg = tiny_config(seeds=[4, 5])
+    grid = grid_search(cfg, [1.0], [1.0], dataset=REG_DATA)
     assert sorted({r["seed"] for r in grid.rows}) == [4, 5]
     with pytest.raises(UsageError):
         grid_search(cfg, [], [1.0], dataset=REG_DATA)

@@ -223,8 +223,11 @@ def grid_cases():
         zeros = rng.choice([0.0, -0.0, 1e-300, -1e-320], size=(30, c))
         yield zeros, rng.integers(0, c, 30)
         huge = rng.standard_normal((50, c)) * 1e300
-        huge[0] = 1.7e308  # overflows at T < 1, so those losses are NaN
-        yield huge, rng.integers(0, c, 50)
+        labels = rng.integers(0, c, 50)
+        yield huge, labels
+        overflow = huge.copy()
+        overflow[0] = 1.7e308  # overflows at T < 1, so those losses are NaN
+        yield overflow, labels
 
 
 def test_nll_at_temperatures_bit_equal_to_single_temperatures():
@@ -237,9 +240,27 @@ def test_nll_at_temperatures_bit_equal_to_single_temperatures():
 
 
 def test_temperature_scale_fits_the_reference_temperature_exactly():
-    with np.errstate(over="ignore", invalid="ignore"):  # the huge logits
+    grid = np.geomspace(0.05, 20.0, 200)
+    fitted = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing logits
         for logits, labels in grid_cases():
-            assert temperature_scale(logits, labels) == reference_temperature_scale(logits, labels)
+            if np.isfinite([reference_nll_at_temperature(logits, labels, t) for t in grid]).all():
+                assert temperature_scale(logits, labels) == reference_temperature_scale(logits, labels)
+                fitted += 1
+            else:
+                with pytest.raises(UsageError, match="not finite at temperature 0.05"):
+                    temperature_scale(logits, labels)
+    assert fitted == 5 * 7  # every case but the 1.7e308 rows, the 1e300-scale ones included
+
+
+def test_temperature_scale_rejects_non_finite_logits_and_losses():
+    # every grid loss is NaN, so the first grid temperature (0.05) used to win
+    with pytest.raises(UsageError, match="logits must be finite"):
+        temperature_scale([[1, 0], [np.nan, 0], [0, 2]], [0, 0, 1])
+    with pytest.raises(UsageError, match="logits must be finite"):
+        temperature_scale([[1, 0], [np.inf, 0]], [0, 1])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(UsageError, match="overflow"):
+        temperature_scale([[1.7e308, -1.7e308], [0, 1]], [0, 1])
 
 
 # -------------------------------------------------------------------- ece

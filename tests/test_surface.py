@@ -1,11 +1,12 @@
-"""The public surface: every exported name exists, and the README's Python
-examples run as written.
+"""The public surface: every exported name exists, the README's Python
+examples run as written, and its CLI examples parse.
 """
 
 import importlib
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import warpmix
+from warpmix.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(warpmix.__path__))
@@ -35,3 +37,16 @@ def test_readme_python_blocks_run(tmp_path):
         proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, f"{block}\n{proc.stderr}"
+
+
+def test_readme_cli_lines_parse():
+    # parsed, not run: a flag that a verb no longer takes must not stay documented
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("warpmix ")]
+    assert len(lines) >= 6  # train, then the five verbs under one config
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
