@@ -247,6 +247,8 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     logging.basicConfig(level=args.log_level)
     try:
+        if args.out == "":  # every verb has --out; an empty path is the working directory
+            raise UsageError("--out must be a non-empty path")
         return args.func(args)
     except (UsageError, DomainError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

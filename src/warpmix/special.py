@@ -3,29 +3,31 @@
 Everything here is pure and deterministic given its inputs (the sampler is
 deterministic given its stream). The regularized incomplete beta function
 is the warping engine of the whole package, so it is implemented from
-first principles. ``incomplete_beta_reg`` takes scalars or arrays and checks
-them once per call; each point then runs on Python floats, in one of three
-regimes:
+first principles. The warp only ever needs the CDF of a symmetric
+Beta(a, a), so ``incomplete_beta_reg`` computes I_x(a, a) and rejects
+a != b. It takes scalars or arrays and checks them once per call; each
+lane then runs on Python floats, in one of three regimes:
 
-1. The exact cut. A symmetric point far enough from 0.5 that the result is
+1. The exact cut. For a > 1, a point far enough from 0.5 that the result is
    exactly 0 or 1 in double precision returns it without further work.
-2. The closed form at large symmetric shapes. For a == b >= _ASYMPTOTIC_MIN
-   = 1000, I_x(a, a) = I_{4x(1-x)}(a, 1/2) / 2 is summed from the
-   asymptotic expansion of DiDonato & Morris (ACM TOMS 708, 1992, BGRAT) at
-   b = 1/2: a leading erfc term plus at most nine corrections in 1/(a - 1/4),
-   a few ``math.erfc``/``math.exp``/``math.log`` calls per point. Against
-   mpmath, over +-12 standard deviations around 0.5 and both tails down to
-   1e-300, its worst relative error is 1.3e-13 at a = 1000 and 1.2e-13 at
-   a = 1e6, where the continued fraction's is 2.6e-13 and 1.1e-10 (and the
-   continued fraction needs up to about 560 iterations near 0.5). At a = 500
-   nine terms no longer reach double precision in the far tail and the
-   closed form is the worse of the two (2.3e-13 against 1.1e-13), so the
+2. The closed form at large shapes. For a >= _ASYMPTOTIC_MIN = 1000,
+   I_x(a, a) = I_{4x(1-x)}(a, 1/2) / 2 is summed from the asymptotic
+   expansion of DiDonato & Morris (ACM TOMS 708, 1992, BGRAT) at b = 1/2:
+   a leading erfc term plus at most nine corrections in 1/(a - 1/4), a few
+   ``math.erfc``/``math.exp``/``math.log`` calls per point. Against mpmath,
+   over +-12 standard deviations around 0.5 and both tails down to 1e-300,
+   its worst relative error is 1.3e-13 at a = 1000 and 1.2e-13 at a = 1e6,
+   where the continued fraction's is 2.6e-13 and 1.1e-10. At a = 500 nine
+   terms no longer reach double precision in the far tail and the closed
+   form is the worse of the two (2.3e-13 against 1.1e-13), so the
    switch-over sits at 1000. Every warp strength of the paper's regression
    setting (tau >= 8007) takes this path.
-3. The continued fraction, for asymmetric shapes and for symmetric shapes
-   below the switch-over: a modified Lentz iteration with the usual symmetry
-   switch, plus a cancellation-free log prefactor. A masked, vectorized
-   Lentz iteration was slower at training batch sizes, because every point
+3. The continued fraction below the switch-over: Numerical Recipes'
+   modified Lentz ``betacf`` at b = a, run on x < 1/2 and mirrored above
+   (for a = b the usual switch point (a + 1)/(a + b + 2) is exactly 1/2 in
+   floating point), times a cancellation-free log prefactor. It needs at
+   most 52 iterations (see _CF_MAX_ITER). A masked, vectorized Lentz
+   iteration was slower at training batch sizes, because every point
    waits for the slowest one.
 
 The training step's warp calls the unchecked ``_incomplete_beta``: its
@@ -66,14 +68,16 @@ SHAPE_MAX = 1e6
 
 _CF_EPS = 1e-14
 _CF_TINY = 1e-30
-# The iteration count peaks where both shapes are large and x sits at the mean.
-# A scan at SHAPE_MAX (a = 1e6, b from SHAPE_MIN to a, x within +-6 standard
-# deviations of the mean and on a grid of [0, 1], both orders) needed at most
-# 560 iterations, at x = 0.5, b ~ 999967.
-_CF_MAX_ITER = 1000
+# The iteration count peaks next to x = 1/2 at the largest shape below the
+# switch-over. A scan of 121 shapes (120 log-spaced from SHAPE_MIN to 999.999,
+# and the float below 1000), each on 199 interior grid points of x, 161 points
+# within +-8 standard deviations of 1/2 and the float neighbours of 1/2 and of
+# the endpoints, needed at most 52 iterations (a = 999.999 at the float below
+# 1/2), and 6 in the median; the cap leaves a margin of more than four times.
+_CF_MAX_ITER = 240
 
 # exp of anything below -745.2 is exactly 0.0 in double precision; the margin
-# covers the rounding of the symmetric cut test in _incbeta.
+# covers the rounding of the cut test in _incbeta.
 _ZERO_FRONT_LOG = -800.0
 
 # Stirling's expansion is used once both arguments exceed this; below it,
@@ -150,7 +154,15 @@ def _stirling_delta(z: float) -> float:
     return acc * r
 
 
-def _log_beta_raw(a: float, b: float) -> float:
+def log_beta(a, b) -> float:
+    """Natural log of the Euler beta function B(a, b).
+
+    Accurate to a relative error far below 1e-12 across the accepted shape
+    range, including extreme asymmetric pairs where naive lgamma differences
+    lose ten digits.
+    """
+    a, b = _checked_shapes(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a, b = float(a), float(b)
     lo, hi = (a, b) if a <= b else (b, a)
     if hi < _STIRLING_MIN:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -166,86 +178,57 @@ def _log_beta_raw(a: float, b: float) -> float:
     )
 
 
-def log_beta(a, b) -> float:
-    """Natural log of the Euler beta function B(a, b).
-
-    Accurate to a relative error far below 1e-12 across the accepted shape
-    range, including extreme asymmetric pairs where naive lgamma differences
-    lose ten digits.
-    """
-    a, b = _checked_shapes(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return _log_beta_raw(float(a), float(b))
-
-
-def _log_front(x: float, a: float, b: float) -> float:
-    """ln[x^a (1-x)^b / B(a, b)], the prefactor of the continued fraction.
-
-    For large a and b the three naive terms are each O(a ln a) and cancel to
-    O(1); combining them through Stirling's expansion first keeps the absolute
-    error near machine precision instead of ~1e-10.
-    """
-    if a >= _STIRLING_MIN and b >= _STIRLING_MIN:
-        s = a + b
-        return (
-            a * math.log(x * s / a)
-            + b * math.log((1.0 - x) * s / b)
-            + 0.5 * math.log(a * b / (2.0 * math.pi * s))
-            - _stirling_delta(a)
-            - _stirling_delta(b)
-            + _stirling_delta(s)
-        )
-    return a * math.log(x) + b * math.log1p(-x) - _log_beta_raw(a, b)
-
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta integral, by modified Lentz.
-
-    Only valid on the convergent side of the symmetry point; the caller is
-    responsible for the switch.
-    """
-    qab = a + b
+def _beta_cont_frac(a: float, x: float) -> float:
+    """Continued fraction of I_x(a, a) by modified Lentz (Numerical Recipes'
+    ``betacf`` at b = a), for 0 < x < 1/2, the side where it converges; the
+    caller mirrors the upper half."""
+    # the loop reads its bounds from locals: a global load and a negation in
+    # each of its five tests cost about a tenth of a blobs_embed-sized call
+    neg_tiny, tiny, eps = -_CF_TINY, _CF_TINY, _CF_EPS
+    qab = a + a
     qap = a + 1.0
     qam = a - 1.0
 
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    # qab x / qap < a / (a + 1) for x < 1/2, so this d needs no guard against 0
+    d = 1.0 / (1.0 - qab * x / qap)
     h = d
 
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
+    m = 0.0
+    for _ in range(_CF_MAX_ITER):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
         # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        aa = m * (a - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if neg_tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if neg_tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         h *= d * c
         # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
+        if neg_tiny < d < tiny:
+            d = tiny
         c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
+        if neg_tiny < c < tiny:
+            c = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
 
     raise NonConvergenceError(
         f"incomplete beta continued fraction did not converge within "
-        f"{_CF_MAX_ITER} iterations at x={x!r}, a={a!r}, b={b!r}",
+        f"{_CF_MAX_ITER} iterations at x={x!r}, a=b={a!r}",
         x=x,
         a=a,
-        b=b,
+        b=a,
     )
 
 
@@ -298,42 +281,53 @@ def _incbeta_symmetric(x: float, a: float) -> float:
     return 1.0 - value if upper else value
 
 
-def _incbeta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) for one checked point with clamped shapes."""
+def _incbeta(x: float, a: float) -> float:
+    """I_x(a, a) for one lane with x in [0, 1] and a clamped."""
     if x == 0.0:
         return 0.0
-    if x == 1.0:
-        return 1.0
-    if a == 1.0 and b == 1.0:
+    if x == 1.0 or x == 0.5 or a == 1.0:
         return x
-    if a == b:
-        if x == 0.5:
-            return 0.5
-        # ln[x^a (1-x)^a / B(a, a)] <= a ln(4x(1-x)) + ln(a)/2 - 1.26 by Legendre's
-        # duplication formula and Wendel's bound Gamma(a + 1/2) / Gamma(a) <= sqrt(a);
-        # below the cut the prefactor's exp is exactly 0.0, so the result is exact
-        # without running the continued fraction.
-        if a * math.log(4.0 * x * (1.0 - x)) + 0.5 * math.log(a) < _ZERO_FRONT_LOG:
-            return 0.0 if x < 0.5 else 1.0
-        if a >= _ASYMPTOTIC_MIN:
-            return _incbeta_symmetric(x, a)
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(_log_front(x, a, b)) * _beta_cont_frac(a, b, x) / a
+    # ln[x^a (1-x)^a / B(a, a)] <= a ln(4x(1-x)) + ln(a)/2 - 1.26 by Legendre's
+    # duplication formula and Wendel's bound Gamma(a + 1/2) / Gamma(a) <= sqrt(a);
+    # below the cut the prefactor's exp is exactly 0.0, so the result is exact
+    # without running the continued fraction. For a <= 1 the left side is at
+    # least -742.4 - 4.6 (x = 5e-324, a = SHAPE_MIN), so the cut cannot fire.
+    if a > 1.0 and a * math.log(4.0 * x * (1.0 - x)) + 0.5 * math.log(a) < _ZERO_FRONT_LOG:
+        return 0.0 if x < 0.5 else 1.0
+    if a >= _ASYMPTOTIC_MIN:
+        return _incbeta_symmetric(x, a)
+    # the continued fraction runs on the lower half and is mirrored; 1 - x is
+    # exact for x >= 1/2
+    y = x if x < 0.5 else 1.0 - x
+    if a < _STIRLING_MIN:
+        lg = math.lgamma(a)
+        front = a * math.log(y) + a * math.log1p(-y) - (lg + lg - math.lgamma(a + a))
     else:
-        value = 1.0 - math.exp(_log_front(1.0 - x, b, a)) * _beta_cont_frac(b, a, 1.0 - x) / b
+        # ln[y^a (1-y)^a / B(a, a)]: its three naive terms are each O(a ln a) and
+        # cancel to O(1), so they are combined through Stirling's expansion first
+        s = a + a
+        front = (
+            a * math.log(y * s / a)
+            + a * math.log((1.0 - y) * s / a)
+            + 0.5 * math.log(a * a / (2.0 * math.pi * s))
+            - _stirling_delta(a)
+            - _stirling_delta(a)
+            + _stirling_delta(s)
+        )
+    value = math.exp(front) * _beta_cont_frac(a, y) / a
     # Guard against last-ulp excursions outside [0, 1].
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, value if x < 0.5 else 1.0 - value))
 
 
 def incomplete_beta_reg(x, a, b):
-    """Regularized incomplete beta function I_x(a, b).
+    """Regularized incomplete beta function I_x(a, b) for symmetric shapes a == b.
 
-    This is the CDF of a Beta(a, b) variable at x, so with a = b it is the
-    warping function used on interpolation coefficients. ``x``, ``a`` and
-    ``b`` are scalars or arrays of one shape (scalars broadcast); scalars
-    give a float, arrays an array of that shape. Exact at the endpoints,
-    exact for the uniform case a = b = 1, and exact at x = 0.5 for any
-    symmetric pair (by symmetry of the density).
+    This is the CDF of a Beta(a, a) variable at x, the warping function used
+    on interpolation coefficients; a pair a != b raises ``UsageError``.
+    ``x``, ``a`` and ``b`` are scalars or arrays of one shape (scalars
+    broadcast); scalars give a float, arrays an array of that shape. Exact
+    at the endpoints, exact for the uniform case a = b = 1, and exact at
+    x = 0.5 (by symmetry of the density).
     """
     x, a, b = (np.asarray(v, dtype=np.float64) for v in (x, a, b))
     if not x.shape == a.shape == b.shape:
@@ -346,15 +340,17 @@ def incomplete_beta_reg(x, a, b):
     if not (x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0):
         bad = x[~((x >= 0.0) & (x <= 1.0))][0]
         raise DomainError(f"x must lie in [0, 1], got {bad}")
-    a, b = _checked_shapes(a, b)
-    values = _incomplete_beta(x.ravel(), a.ravel(), b.ravel())
+    shapes = _checked_shapes(a, b)[0]
+    if not np.array_equal(a, b):
+        raise UsageError(f"shapes must be symmetric (a == b), got a={a[a != b][0]} and b={b[a != b][0]}")
+    values = _incomplete_beta(x.ravel(), shapes.ravel())
     return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
 
 
-def _incomplete_beta(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """incomplete_beta_reg for 1-d float64 arrays of one length, with x in
+def _incomplete_beta(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """I_x(a, a) lane by lane, for 1-d float64 arrays of one length with x in
     [0, 1] and shapes already in [SHAPE_MIN, SHAPE_MAX]; nothing is checked."""
-    return np.array(list(map(_incbeta, x.tolist(), a.tolist(), b.tolist())), dtype=np.float64)
+    return np.array(list(map(_incbeta, x.tolist(), a.tolist())), dtype=np.float64)
 
 
 def beta_sample(alpha, rng, size=None):

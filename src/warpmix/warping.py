@@ -61,8 +61,8 @@ def _warp(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     inf or in [SHAPE_MIN, SHAPE_MAX], in one incomplete beta call."""
     finite = np.isfinite(taus)
     if finite.all():
-        return incomplete_beta_reg(coeffs, taus, taus)
+        return incomplete_beta_reg(coeffs, taus)
     out = np.where(coeffs >= 0.5, 1.0, 0.0)
     if finite.any():
-        out[finite] = incomplete_beta_reg(coeffs[finite], taus[finite], taus[finite])
+        out[finite] = incomplete_beta_reg(coeffs[finite], taus[finite])
     return out

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from warpmix import RngStream, beta_sample, bin_stats, warp_pairwise
+from warpmix import RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
 
 from _support import synth_blobs, synth_regression, write_csv
@@ -413,6 +413,30 @@ def test_empty_output_dir_is_usage_error(workspace, tmp_path, monkeypatch, capsy
     assert code == USAGE_EXIT
     assert "output_dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "grid", "warp-demo", "metrics"])
+def test_empty_out_flag_is_usage_error(workspace, tmp_path, monkeypatch, capsys, verb):
+    # each input is valid, so only the empty --out stops the command, which
+    # would otherwise write into the config's output_dir or the working directory
+    checkpoint, predictions = tmp_path / "checkpoint.json", tmp_path / "predictions.json"
+    save_model(init_mlp([3, 8, 1], dropout_rate=0.2, rng=RngStream(0)), str(checkpoint))
+    predictions.write_text(json.dumps(REG_PAYLOAD))
+    config = ["--config", str(workspace["reg_config"])]
+    argv = {
+        "train": ["train", *config],
+        "eval": ["eval", *config, "--checkpoint", str(checkpoint)],
+        "grid": ["grid", *config, "--tau-max-list", "1", "--tau-std-list", "1"],
+        "warp-demo": ["warp-demo", "--taus", "1", "--samples", "10"],
+        "metrics": ["metrics", "--predictions", str(predictions)],
+    }[verb]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main([*argv, "--out", ""]) == USAGE_EXIT
+    assert capsys.readouterr().err == "error: --out must be a non-empty path\n"
+    assert list(cwd.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "cwd", "predictions.json"]
 
 
 @pytest.mark.parametrize("content", [

@@ -192,9 +192,9 @@ def test_incomplete_beta_lanes_per_distinct_side(monkeypatch):
     # equal sides share their lanes: n lanes when both sides are equal, 2n otherwise
     lanes = []
 
-    def recorded(x, a, b):
+    def recorded(x, a):
         lanes.append(np.asarray(x).size)
-        return incomplete_beta_reg(x, a, b)
+        return incomplete_beta_reg(x, a)
 
     incomplete_beta_reg = warping_module.incomplete_beta_reg
     monkeypatch.setattr(warping_module, "incomplete_beta_reg", recorded)
@@ -318,6 +318,37 @@ def test_vanilla_equals_kernel_mode_at_identity_strength():
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.plan.input_coeffs, b.plan.input_coeffs)
         assert np.array_equal(a.target_coeffs, b.target_coeffs)
+
+
+def endpoint_share(tau_max, tau_std):
+    """Share of pairs mixed with kernel_warped (alpha 1/2, raw_input and label
+    kernels) whose input and target coefficients both lie within 1e-3 of the
+    same endpoint: to that tolerance, one original example with its own target.
+    The rows come from airfoil-shaped regression data (a smooth function of 5
+    gaussian features), 16 at a time, in 400 seeded batches."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1503, 5))
+    y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2] + 0.2 * x[:, 0] ** 2 + 0.05 * rng.standard_normal(1503)
+    ik, ok = kernel_pair(tau_max=tau_max, tau_std=tau_std)
+    cfg = MixupConfig(alpha=0.5, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
+    stream = RngStream(0)
+    hits = 0
+    for _ in range(400):
+        rows = rng.choice(x.shape[0], 16, replace=False)
+        plan = mix_batch(Batch(inputs=x[rows], targets=y[rows]), cfg, stream).plan
+        low = (plan.input_coeffs < 1e-3) & (plan.target_coeffs < 1e-3)
+        high = (plan.input_coeffs > 1.0 - 1e-3) & (plan.target_coeffs > 1.0 - 1e-3)
+        hits += np.count_nonzero(low | high)
+    return hits / (16 * 400)
+
+
+def test_kernel_setting_pins_the_mixing_regime():
+    # at the acceptance criteria's kernels (tau_max 1e-4, tau_std 1.5) almost
+    # every pair is an original example with its own target, so training is
+    # close to ERM on re-drawn pairs; at the config default (1, 1) almost none is
+    # (measured: 0.987 and 0.031)
+    assert endpoint_share(1e-4, 1.5) > 0.9
+    assert endpoint_share(1.0, 1.0) < 0.1
 
 
 def test_input_only_variant_snaps_targets():

@@ -21,6 +21,7 @@ from warpmix import (
 from warpmix import special
 
 from _support import ks_statistic
+from reference_incbeta import ref_beta_cont_frac, ref_incbeta, ref_log_front
 
 mpmath.mp.dps = 50
 
@@ -122,11 +123,10 @@ def test_incbeta_against_scipy_wide_grid():
     shapes = [1e-3, 0.05, 0.2, 1.0, 2.0, 7.0, 40.0, 1e3, 1e5]
     xs = np.linspace(0.0, 1.0, 41)
     for a in shapes:
-        for b in shapes:
-            for x in xs:
-                got = incomplete_beta_reg(float(x), a, b)
-                want = scipy.special.betainc(a, b, float(x))
-                assert abs(got - want) <= 1e-10, (x, a, b, got, want)
+        for x in xs:
+            got = incomplete_beta_reg(float(x), a, a)
+            want = scipy.special.betainc(a, a, float(x))
+            assert abs(got - want) <= 1e-10, (x, a, got, want)
 
 
 def test_incbeta_against_scipy_sharp_transition():
@@ -143,14 +143,13 @@ def test_incbeta_symmetry_relation():
     shapes = [0.02, 0.5, 1.0, 2.5, 40.0, 1e3]
     xs = np.linspace(0.0, 1.0, 201)
     for a in shapes:
-        for b in shapes:
-            for x in xs:
-                lhs = incomplete_beta_reg(float(x), a, b)
-                rhs = 1.0 - incomplete_beta_reg(float(1.0 - x), b, a)
-                assert abs(lhs - rhs) <= 1e-12
+        for x in xs:
+            lhs = incomplete_beta_reg(float(x), a, a)
+            rhs = 1.0 - incomplete_beta_reg(float(1.0 - x), a, a)
+            assert abs(lhs - rhs) <= 1e-12
 
 
-@pytest.mark.parametrize("a,b", [(0.2, 0.2), (1.0, 3.0), (7.0, 7.0), (500.0, 2.0)])
+@pytest.mark.parametrize("a,b", [(0.2, 0.2), (7.0, 7.0)])
 def test_incbeta_monotone_in_x(a, b):
     xs = np.linspace(0.0, 1.0, 401)
     vals = [incomplete_beta_reg(float(x), a, b) for x in xs]
@@ -171,22 +170,48 @@ def test_incbeta_rejects_bad_inputs():
 
 
 def test_incbeta_reports_nonconvergence(monkeypatch):
-    # under a cap this low the continued fraction stalls at the symmetry point of
-    # the largest allowed shapes when they differ; the error carries the arguments
-    monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
+    # the continued fraction needs 52 iterations next to 1/2 just below the
+    # switch-over, so under a cap of 40 it stalls there; the error carries the
+    # arguments
+    monkeypatch.setattr(special, "_CF_MAX_ITER", 40)
     with pytest.raises(NonConvergenceError) as info:
-        incomplete_beta_reg(0.5, 1e6, 999999.0)
-    assert info.value.x == 0.5
-    assert info.value.a == 1e6 and info.value.b == 999999.0
+        incomplete_beta_reg(0.4999, 999.0, 999.0)
+    assert info.value.x == 0.4999
+    assert info.value.a == 999.0 and info.value.b == 999.0
 
 
-def test_incbeta_converges_at_the_largest_asymmetric_shapes():
-    # the continued fraction takes 536 and 506 iterations at these points;
-    # measured errors against scipy are 3.3e-11 and 3.7e-12
-    for x, a, b in ((0.5, 1e6, 999999.0), (0.49998, 1e6, 999999.5)):
-        got = incomplete_beta_reg(x, a, b)
-        assert abs(got - scipy.special.betainc(a, b, x)) <= 1e-10, (x, a, b)
-        assert abs((1.0 - incomplete_beta_reg(1.0 - x, b, a)) - got) <= 1e-10
+def test_incbeta_rejects_asymmetric_shapes():
+    # only the symmetric Beta(a, a) CDF is implemented; a pair that differs
+    # anywhere, also beyond the clamp, is a usage error
+    for x, a, b in ((0.3, 2.0, 3.0), ([0.1, 0.2], [2.0, 2.0], [2.0, 2.5]), (0.3, 1e7, 2e7)):
+        with pytest.raises(UsageError, match="a == b"):
+            incomplete_beta_reg(x, a, b)
+    # a bad shape is still a domain error first
+    with pytest.raises(DomainError):
+        incomplete_beta_reg(0.3, 2.0, math.nan)
+
+
+def test_incbeta_symmetric_scan_converges_within_a_quarter_of_the_cap(monkeypatch):
+    # the scan that sets _CF_MAX_ITER: 121 shapes below the switch-over, each on
+    # the interior of a grid, +-8 standard deviations around 1/2 and the float
+    # neighbours of 1/2 and of the endpoints
+    shapes = np.geomspace(1e-4, 999.999, 120).tolist() + [float(np.nextafter(1000.0, 0.0))]
+    monkeypatch.setattr(special, "_CF_MAX_ITER", special._CF_MAX_ITER // 4)
+    for a in shapes:
+        sigma = math.sqrt(1.0 / (8.0 * a))
+        xs = np.concatenate([
+            np.linspace(0.0, 1.0, 201)[1:-1],
+            np.clip(np.linspace(0.5 - 8.0 * sigma, 0.5 + 8.0 * sigma, 161), 0.0, 1.0),
+            [0.5 - 2.0**-54, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1e-300, 1.0 - 2.0**-53],
+        ])
+        got = incomplete_beta_reg(xs, a, a)
+        assert np.all((got >= 0.0) & (got <= 1.0)), a
+    # the scan's worst point needs exactly 52 iterations
+    monkeypatch.setattr(special, "_CF_MAX_ITER", 51)
+    with pytest.raises(NonConvergenceError):
+        incomplete_beta_reg(0.5 - 2.0**-54, 999.999, 999.999)
+    monkeypatch.setattr(special, "_CF_MAX_ITER", 52)
+    incomplete_beta_reg(0.5 - 2.0**-54, 999.999, 999.999)
 
 
 def test_incbeta_output_clamped_to_unit_interval():
@@ -194,17 +219,16 @@ def test_incbeta_output_clamped_to_unit_interval():
     for _ in range(500):
         x = float(rng.uniform())
         a = float(10.0 ** rng.uniform(-3, 4))
-        b = float(10.0 ** rng.uniform(-3, 4))
-        v = incomplete_beta_reg(x, a, b)
+        v = incomplete_beta_reg(x, a, a)
         assert 0.0 <= v <= 1.0
 
 
 def cf_incbeta(x, a, b):
-    """I_x(a, b) for 0 < x < 1 by the continued fraction alone."""
+    """I_x(a, b) for 0 < x < 1 by the reference continued fraction alone."""
     if x < (a + 1.0) / (a + b + 2.0):
-        value = math.exp(special._log_front(x, a, b)) * special._beta_cont_frac(a, b, x) / a
+        value = math.exp(ref_log_front(x, a, b)) * ref_beta_cont_frac(a, b, x) / a
     else:
-        value = 1.0 - math.exp(special._log_front(1.0 - x, b, a)) * special._beta_cont_frac(b, a, 1.0 - x) / b
+        value = 1.0 - math.exp(ref_log_front(1.0 - x, b, a)) * ref_beta_cont_frac(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, value))
 
 
@@ -250,6 +274,49 @@ def test_incbeta_symmetric_cut_is_bit_identical(tau):
     got = incomplete_beta_reg(xs, np.full(xs.shape, tau), np.full(xs.shape, tau))
     want = np.array([ungated_incbeta(x, tau, tau) for x in xs.tolist()])
     assert np.array_equal(got, want)
+
+
+def test_incbeta_bit_equal_to_the_general_reference(monkeypatch):
+    # the symmetric kernel against the general I_x(a, b) engine it replaced, on
+    # 311 shapes from SHAPE_MIN to SHAPE_MAX (300 log-uniform draws, the ends,
+    # and 1, 20 and 1000 with their float neighbours) with 1014 lanes each: the
+    # ends and 1/2, a grid, both tails down to 1e-300, +-6 standard deviations
+    # around 1/2, uniform draws and the cut points
+    paths = {"_beta_cont_frac": 0, "_incbeta_symmetric": 0}
+    for name in paths:
+        def counted(*args, name=name, original=getattr(special, name)):
+            paths[name] += 1
+            return original(*args)
+        monkeypatch.setattr(special, name, counted)
+    rng = np.random.default_rng(2024)
+    edges = [1.0, 20.0, 1000.0]  # where the lane's path changes
+    taus = np.concatenate([
+        10.0 ** rng.uniform(-4.0, 6.0, size=300),
+        [1e-4, 1e6], np.nextafter(edges, 0.0), np.nextafter(edges, math.inf), edges,
+    ])
+    lanes, cut = 0, 0
+    for tau in taus.tolist():
+        sigma = math.sqrt(1.0 / (8.0 * tau))
+        xs = np.concatenate([
+            [0.0, 1.0, 0.5],
+            np.linspace(0.0, 1.0, 101),
+            10.0 ** -rng.uniform(1.0, 300.0, size=300),
+            1.0 - 10.0 ** -rng.uniform(1.0, 16.0, size=150),
+            np.clip(0.5 + sigma * rng.uniform(-6.0, 6.0, size=300), 0.0, 1.0),
+            rng.uniform(size=120),
+            cut_points(tau),
+        ])
+        got = incomplete_beta_reg(xs, tau, tau)
+        want = np.array([ref_incbeta(x, tau, tau) for x in xs.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), tau
+        lanes += xs.size
+        if tau > 1.0:
+            cut += np.count_nonzero((xs > 0.0) & (xs < 1.0) & ((got == 0.0) | (got == 1.0)))
+    assert lanes == 311 * 1014
+    # each regime carries a good share of the lanes (counted: 150900 through the
+    # continued fraction, 30645 through the closed form, 96835 interior lanes
+    # of a > 1 at exactly 0 or 1, nearly all of them cut)
+    assert paths["_beta_cont_frac"] > 100_000 and paths["_incbeta_symmetric"] > 20_000 and cut > 50_000, (paths, cut)
 
 
 def test_incbeta_cut_skips_the_continued_fraction(monkeypatch):
@@ -360,22 +427,21 @@ def test_incbeta_closed_form_monotone_and_mirrored(a):
 
 
 def test_incbeta_array_still_reports_nonconvergence(monkeypatch):
-    monkeypatch.setattr(special, "_CF_MAX_ITER", 100)
+    monkeypatch.setattr(special, "_CF_MAX_ITER", 40)
     with pytest.raises(NonConvergenceError) as info:
-        incomplete_beta_reg(np.array([0.2, 0.5]), 1e6, 999999.0)
-    assert info.value.x == 0.5
-    assert info.value.a == 1e6 and info.value.b == 999999.0
+        incomplete_beta_reg(np.array([0.2, 0.4999]), 999.0, 999.0)
+    assert info.value.x == 0.4999
+    assert info.value.a == 999.0 and info.value.b == 999.0
 
 
 def test_incbeta_arrays_match_scalar_calls():
     rng = np.random.default_rng(5)
     xs = rng.uniform(size=(4, 6))
     a = 10.0 ** rng.uniform(-3, 4, size=(4, 6))
-    b = 10.0 ** rng.uniform(-3, 4, size=(4, 6))
-    got = incomplete_beta_reg(xs, a, b)
+    got = incomplete_beta_reg(xs, a, a)
     assert got.shape == (4, 6) and got.dtype == np.float64
     for i, j in np.ndindex(4, 6):
-        assert got[i, j] == incomplete_beta_reg(float(xs[i, j]), float(a[i, j]), float(b[i, j]))
+        assert got[i, j] == incomplete_beta_reg(float(xs[i, j]), float(a[i, j]), float(a[i, j]))
     assert type(incomplete_beta_reg(0.3, 2.0, 2.0)) is float
     # scalars broadcast against arrays
     assert np.array_equal(incomplete_beta_reg(xs[0], 2.0, 2.0), incomplete_beta_reg(xs[0], [2.0] * 6, [2.0] * 6))
@@ -395,9 +461,11 @@ def test_incbeta_array_validation():
 
 def test_incbeta_clamps_with_one_record_per_call(caplog):
     xs = np.linspace(0.1, 0.9, 9)
+    shapes = np.where(xs < 0.5, 1e9, 1e-7)
     with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):
-        got = incomplete_beta_reg(xs, np.full(9, 1e9), np.full(9, 1e-7))
-    assert np.array_equal(got, incomplete_beta_reg(xs, 1e6, 1e-4))
+        got = incomplete_beta_reg(xs, shapes, shapes)
+    clamped = np.where(xs < 0.5, 1e6, 1e-4)
+    assert np.array_equal(got, incomplete_beta_reg(xs, clamped, clamped))
     assert len([rec for rec in caplog.records if "clamp" in rec.message]) == 1
 
 
