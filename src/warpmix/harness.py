@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -501,6 +500,16 @@ def check_jobs(jobs) -> None:
     """UsageError unless ``jobs``, the number of grid workers, is an int >= 1."""
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported only when a grid runs in
+    parallel: the import pulls multiprocessing, socket and subprocess into
+    the process, which every ``import warpmix`` would otherwise pay for.
+    It keeps the class's name, under which a test substitutes a fake pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def grid_search(

@@ -142,50 +142,64 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
     return ModelState(layers=layers, dropout_rate=float(dropout_rate))
 
 
-def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None, buffers=None):
+def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None, buffers=None,
+               start: int = 0):
     """The layer loop of ``forward``, ``embed`` and ``mc_dropout_predict``:
     the inputs through the first ``depth`` layers, with dropout after each
     hidden layer if ``rng`` is given. Returns the activations and the
-    per-layer records. ``buffers`` (from ``_layer_buffers``) makes the pass
-    write every per-layer array into them instead of allocating new ones."""
+    per-layer records. ``start`` resumes a pass after its first ``start``
+    layers: ``inputs`` are then layer ``start - 1``'s activations before
+    dropout, as ``_propagate(model, x, start)`` returns them. ``buffers``
+    (from ``_layer_buffers``) makes the pass write each layer's activations
+    into its buffer instead of allocating new ones, with relu and dropout
+    applied in place; such a pass keeps no masks and its records are not
+    for ``backward``."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    fan_in = model.layers[0].weights.shape[0]
+    first = max(start - 1, 0)
+    fan_in = model.layers[first].biases.size if start else model.layers[0].weights.shape[0]
     if x.ndim != 2 or x.shape[1] != fan_in:
-        raise UsageError(f"inputs of shape {x.shape} do not match first layer fan-in {fan_in}")
+        raise UsageError(f"inputs of shape {x.shape} do not match layer {start} fan-in {fan_in}")
     keep = 1.0 - model.dropout_rate
+    scale = 1.0 / keep  # (u < keep) * scale is bit-equal to (u < keep) / keep
     acts = x
     records = []
     last = len(model.layers) - 1
-    for k, layer in enumerate(model.layers[:depth]):
-        z_out, h_out, mask_out, kept_out = buffers[k] if buffers else (None,) * 4
-        z = np.matmul(acts, layer.weights, out=z_out)
-        z += layer.biases
-        h = np.maximum(z, 0.0, out=h_out) if layer.activation == "relu" else z
+    for k in range(first, depth):
+        layer = model.layers[k]
+        out, kept_out = buffers[k] if buffers else (None, None)
+        if k < start:  # ``inputs`` are this layer's activations
+            z = h = acts
+        else:
+            z = np.matmul(acts, layer.weights, out=out)
+            z += layer.biases
+            h = np.maximum(z, 0.0, out=out) if layer.activation == "relu" else z
         mask = None
         if rng is not None and k < last:
             kept = np.less(rng.uniform(size=h.shape), keep, out=kept_out)
-            mask = np.divide(kept, keep, out=mask_out)
-            h = np.multiply(h, mask, out=h_out)
+            if buffers:  # (h * kept) * scale is bit-equal to h * (kept * scale)
+                h = np.multiply(h, kept, out=out)
+                h *= scale
+            else:
+                mask = np.multiply(kept, scale)
+                h = h * mask
         records.append((acts, z, mask))
         acts = h
     return acts, records
 
 
 def _layer_buffers(model: ModelState, rows: int) -> list:
-    """One (z, h, mask, kept) set of arrays per layer for ``rows`` inputs."""
-    return [
-        (*np.empty((3, rows, layer.biases.size)), np.empty((rows, layer.biases.size), dtype=bool))
-        for layer in model.layers
-    ]
+    """One (activations, kept) pair of arrays per layer for ``rows`` inputs."""
+    return [(np.empty((rows, layer.biases.size)), np.empty((rows, layer.biases.size), dtype=bool))
+            for layer in model.layers]
 
 
 def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
     """Run the network; returns (outputs, cache) with cache usable by backward.
 
     Dropout is active only in train mode with a positive rate, uses inverted
-    scaling (kept units divided by the keep probability), and draws one mask
+    scaling (kept units times 1 / keep probability), and draws one mask
     per hidden layer from ``rng`` in layer order.
     """
     return _forward(model, inputs, _dropout_stream(model, rng))
@@ -336,7 +350,10 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     """Monte-Carlo dropout: repeated stochastic passes with dropout active.
 
     Returns the per-input sample mean and unbiased sample variance of the
-    outputs, each shaped like one forward output.
+    outputs, each shaped like one forward output. Bit-equal to one
+    train-mode ``forward`` per sample, with the same draws in the same
+    order. Layer 0 before dropout is computed once, and each sample resumes
+    the layer loop from it with relu and masks applied in place.
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
@@ -345,13 +362,13 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
         raise UsageError(f"need at least 2 stochastic samples, got {samples}")
     if rng is None and len(model.layers) > 1:
         raise UsageError("train-mode forward with dropout needs an rng stream")
-    x = _propagate(model, inputs, 0)[0]  # the checked (n, fan_in) inputs
     # every pass writes into the same buffers: arrays this size would
     # otherwise go back to the OS on each free and be faulted in again
-    buffers = _layer_buffers(model, x.shape[0])
-    outs = np.empty((samples, x.shape[0], model.layers[-1].biases.size))
+    first = _propagate(model, inputs, 1)[0]
+    buffers = _layer_buffers(model, first.shape[0])
+    outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
     for s in range(samples):
-        outs[s] = _propagate(model, x, len(model.layers), rng, buffers)[0]
+        outs[s] = _propagate(model, first, len(model.layers), rng, buffers, start=1)[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 

@@ -159,9 +159,12 @@ def log_beta(a, b) -> float:
 
     Accurate to a relative error far below 1e-12 across the accepted shape
     range, including extreme asymmetric pairs where naive lgamma differences
-    lose ten digits.
+    lose ten digits. Takes scalar shapes only: an array raises UsageError.
     """
-    a, b = _checked_shapes(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim or b.ndim:
+        raise UsageError(f"log_beta takes scalar shapes, got arrays of shape {a.shape} and {b.shape}")
+    a, b = _checked_shapes(a, b)
     a, b = float(a), float(b)
     lo, hi = (a, b) if a <= b else (b, a)
     if hi < _STIRLING_MIN:

@@ -498,25 +498,79 @@ def per_sample_forward_reference(model, inputs, samples, rng):
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 
-@pytest.mark.parametrize(
-    "dims, activation, rows",
-    [
-        ([5, 128, 128, 1], "relu", (301,)),  # the regression workload's test split
-        ([3, 7, 2], "identity", (9,)),
-        ([4, 6, 6, 1], "relu", ()),  # one 1-d input
-    ],
-    ids=["regression_shape", "identity_hidden", "one_d_input"],
-)
-def test_mc_dropout_bit_equal_to_per_sample_forward(dims, activation, rows):
-    model = init_mlp(dims, dropout_rate=0.2, rng=RngStream(4), hidden_activation=activation).eval()
-    x = RngStream(5).standard_normal((*rows, dims[0]))
+def assert_mc_dropout_matches_reference(model, x, samples):
+    """mc_dropout_predict against one train-mode forward per sample: the same
+    bytes (signed zeros and NaN included) and the same next draw."""
     got_rng, want_rng = RngStream(6), RngStream(6)
-    means, variances = mc_dropout_predict(model, x, samples=12, rng=got_rng)
-    want_means, want_variances = per_sample_forward_reference(model, x, 12, want_rng)
-    assert np.array_equal(means, want_means) and np.array_equal(variances, want_variances)
+    means, variances = mc_dropout_predict(model, x, samples=samples, rng=got_rng)
+    want_means, want_variances = per_sample_forward_reference(model, x, samples, want_rng)
     assert means.shape == want_means.shape and means.dtype == np.float64
+    assert means.tobytes() == want_means.tobytes() and variances.tobytes() == want_variances.tobytes()
     assert got_rng.uniform() == want_rng.uniform()  # both streams stopped at the same draw
     assert model.mode == "eval"
+    return means, variances
+
+
+MC_SHAPES = [
+    ([5, 128, 128, 1], "relu", (301,)),  # the regression workload's test split
+    ([3, 7, 2], "identity", (9,)),
+    ([4, 6, 6, 1], "relu", ()),  # one 1-d input
+    ([10, 64, 2], "relu", (100,)),  # the blobs_embed model
+    ([4, 9, 5, 3, 1], "relu", (13,)),  # unequal widths, three hidden layers
+    ([5, 8, 3], "identity", (1,)),
+]
+MC_SHAPE_IDS = ["regression_shape", "identity_hidden", "one_d_input", "blobs_embed_shape",
+                "unequal_widths", "single_row"]
+
+
+@pytest.mark.parametrize("dims, activation, rows", MC_SHAPES, ids=MC_SHAPE_IDS)
+def test_mc_dropout_bit_equal_to_per_sample_forward(dims, activation, rows):
+    model = init_mlp(dims, dropout_rate=0.2, rng=RngStream(4), hidden_activation=activation).eval()
+    assert_mc_dropout_matches_reference(model, RngStream(5).standard_normal((*rows, dims[0])), 12)
+
+
+@pytest.mark.parametrize("rate", [0.05, 1 / 3, 0.5, 0.9])
+@pytest.mark.parametrize("dims, activation, rows", MC_SHAPES, ids=MC_SHAPE_IDS)
+def test_mc_dropout_bit_equal_at_other_rates(dims, activation, rows, rate):
+    model = init_mlp(dims, dropout_rate=rate, rng=RngStream(4), hidden_activation=activation).eval()
+    assert_mc_dropout_matches_reference(model, RngStream(5).standard_normal((*rows, dims[0])), 12)
+
+
+def test_mc_dropout_bit_equal_on_signed_zeros_and_non_finite_inputs():
+    # identity hidden units keep their sign, so a dropped negative unit is -0.0;
+    # an infinite unit times a dropped mask is NaN
+    model = init_mlp([3, 6, 6, 2], dropout_rate=0.5, rng=RngStream(4), hidden_activation="identity").eval()
+    x = np.array([[-0.0, -0.0, -0.0], [1.0, -2.0, 0.5], [np.inf, 1.0, 0.0], [np.nan, 0.0, 1.0],
+                  [-np.inf, np.inf, 2.0], [-1e300, 1e300, -3.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        means, _ = assert_mc_dropout_matches_reference(model, x, 8)
+    assert np.isnan(means[2:5]).all()
+
+
+def test_mc_dropout_one_layer_model_is_deterministic():
+    # dyadic weights and integer inputs: every output and every sum of
+    # outputs is exact, so the mean is the output and the variance is 0
+    layer = Layer(weights=np.array([[0.5, -1.25], [2.0, 0.25], [-0.75, 1.0]]), biases=np.array([0.125, -0.5]))
+    model = ModelState(layers=[layer], dropout_rate=0.3, mode="eval")
+    x = RngStream(5).integers(-3, 4, size=(7, 3)).astype(np.float64)
+    rng, untouched = RngStream(6), RngStream(6)
+    means, variances = mc_dropout_predict(model, x, samples=9, rng=rng)
+    assert not variances.any()
+    assert rng.uniform() == untouched.uniform()  # no draws consumed
+    assert means.tobytes() == forward(model, x)[0].tobytes()
+    assert_mc_dropout_matches_reference(model, x, 9)
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.2, 1 / 3, 0.5, 0.9])
+def test_forward_mask_is_kept_over_keep(rate):
+    model = init_mlp([4, 9, 5, 1], dropout_rate=rate, rng=RngStream(4)).train()
+    _, cache = forward(model, RngStream(5).standard_normal((11, 4)), RngStream(6))
+    draws = RngStream(6)
+    keep = 1.0 - rate
+    for k in range(2):
+        want = (draws.uniform(size=(11, cache.records[k][2].shape[1])) < keep) / keep
+        assert cache.records[k][2].tobytes() == want.tobytes()
+    assert cache.records[2][2] is None
 
 
 def test_mc_dropout_restores_mode():

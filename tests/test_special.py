@@ -74,6 +74,12 @@ def test_log_beta_rejects_bad_shapes(bad):
         log_beta(1.0, bad)
 
 
+@pytest.mark.parametrize("a, b", [([1.0, 2.0], [1.0, 2.0]), ([], []), ([[1.0]], 1.0), (1.0, [2.0])])
+def test_log_beta_rejects_array_shapes(a, b):
+    with pytest.raises(UsageError, match="scalar shapes"):
+        log_beta(a, b)
+
+
 def test_log_beta_clamps_tiny_shapes(caplog):
     # shapes below 1e-4 are pulled up to the boundary and logged
     with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):

@@ -28,6 +28,16 @@ def test_every_name_in_all_exists(name):
     assert missing == []
 
 
+def test_import_leaves_the_process_pool_out():
+    # only a parallel grid needs multiprocessing; importing it costs every other user
+    code = ("import sys, warpmix; print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_readme_python_blocks_run(tmp_path):
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
                         re.MULTILINE | re.DOTALL)
