@@ -2,10 +2,17 @@
 
 One integer seed determines everything about a run through documented
 stream splitting: the split shuffle uses the root stream for that seed,
-weight init uses child 1, the training loop (epoch shuffles, mix draws,
-dropout masks, consumed in that order within each step) uses child 2, and
-MC-Dropout evaluation uses child 3. Two runs with the same config and seed
-are therefore bit-identical, regardless of which process runs them.
+weight init uses child 1, the training loop uses child 2, and MC-Dropout
+evaluation uses child 3. Two runs with the same config and seed are
+therefore bit-identical, regardless of which process runs them.
+
+The training loop makes each epoch's draws up front, in the order the steps
+consume them: the epoch's shuffle, then for each step its mix draws and its
+dropout masks (one per hidden layer, kept as packed bits until the step).
+Each step then uses its own. When no warp strength reads the model,
+strengths, warps and mixed inputs are computed once per epoch over all of
+its full batches; strengths from the model are computed at the step that
+uses them.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ import numpy as np
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
 from .metrics import _nll, log_softmax, metrics_from_payload, softmax, temperature_scale
-from .mixer import Batch as CheckedBatch, MixupConfig, _mse, mix_batch
-from .model import ModelState, OptimizerState, _dropout_stream, _gradient_views, _layer_buffers
+from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _draw, _mse
+from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
 # calls the unchecked kernels, each under the name of the public function that
 # checks and then calls it: per-layer traces time the step's stages by these names.
-from .mixer import _batch as Batch, _mixed_loss as _loss_and_grad
+# Its mix_batch is its batch's share of the epoch's block mix.
+from .mixer import _batch as Batch, _mix_step as mix_batch, _mixed_loss as _loss_and_grad
 from .model import _backward as backward, _forward as forward, _optimizer_step as optimizer_step
 from .rng import RngStream, check_seed
 from .similarity import KernelConfig
@@ -180,7 +188,7 @@ class ExperimentConfig:
             raise UsageError("output_dir must be a non-empty path")
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
-        self.mixup_config()
+        mix = self.mixup_config()
         self.optimizer_state()
         if self.num_bins < 1:
             raise UsageError(f"metrics.num_bins must be >= 1, got {self.num_bins}")
@@ -188,6 +196,9 @@ class ExperimentConfig:
             raise UsageError(f"metrics.mc_samples must be >= 2 for regression, got {self.mc_samples}")
         if v["task"] == "regression" and not v["model"]["dropout_rate"] > 0.0:
             raise UsageError(f"model.dropout_rate must be > 0 for regression, got {v['model']['dropout_rate']}")
+        # MC dropout drops hidden units, and the embedding backend reads a hidden layer
+        if not v["model"]["hidden"] and (v["task"] == "regression" or "embedding" in mix._backends):
+            raise UsageError("model.hidden needs a hidden layer for MC dropout and embedding kernels, got []")
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ExperimentConfig":
@@ -379,14 +390,23 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     n = features.shape[0]
     trace = []
     for epoch in range(epochs):
+        # every draw of the epoch, up front: the shuffle, then each step's mix draws,
+        # written at the step's rows, and its dropout masks, kept as packed bits
+        # until the step (bool masks for the whole epoch would hold 8x the memory)
         order = train_rng.permutation(n)
-        batch_losses = []
+        perm, raw, masks = np.empty(n, dtype=np.int64), np.empty(n), []
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            batch = Batch(features[idx], targets[idx], num_classes)
-            try:
-                mixed = mix_batch(batch, mix_cfg, train_rng, model)  # checks model features
-                outputs, cache = forward(model, mixed.inputs, dropout_rng)
+            _draw(mix_cfg, train_rng, perm[start : start + batch_size], raw[start : start + batch_size])
+            kept = _draw_masks(model, min(batch_size, n - start), dropout_rng)
+            masks.append(kept and [np.packbits(mask, axis=-1) for mask in kept])
+        mixing = _Epoch(Batch(features[order], targets[order], num_classes), batch_size, perm, raw, mix_cfg)
+        batch_losses = []
+        try:
+            for step, bits in enumerate(masks):
+                mixed = mix_batch(mixing, step, model)  # checks model features
+                kept = bits and [np.unpackbits(b, axis=-1, count=layer.biases.size).view(bool)
+                                 for b, layer in zip(bits, model.layers)]
+                outputs, cache = forward(model, mixed.inputs, kept)
                 loss, out_grad = _loss_and_grad(outputs, mixed, onehot)
                 if not math.isfinite(loss):
                     raise DivergenceError("non-finite training loss")
@@ -394,9 +414,9 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
                 optimizer_step(opt, model)
                 if not np.isfinite(model.params).all():
                     raise DivergenceError("non-finite parameters")
-            except DivergenceError as exc:
-                raise DivergenceError(f"{exc} at epoch {epoch}, seed {seed}", trace=trace) from None
-            batch_losses.append(loss)
+                batch_losses.append(loss)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} at epoch {epoch}, seed {seed}", trace=trace) from None
         trace.append(
             {
                 "epoch": epoch,

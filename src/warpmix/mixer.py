@@ -19,10 +19,10 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .metrics import _nll, _shifted_exp
 from .rng import RngStream
-from .similarity import KernelConfig, extract_features
-# The step draws its own permutation and extract_features returns float64 (n, d)
-# arrays, so the step skips batch_taus's input checks. The unchecked kernel keeps
-# the name batch_taus, under which per-layer traces time the step's tau stage.
+from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
+# Mixing draws its own permutations and extract_features returns float64 (n, d)
+# arrays, so it skips batch_taus's input checks. The unchecked block kernel keeps
+# the name batch_taus, under which per-layer traces time the tau stage.
 from .similarity import _batch_taus as batch_taus
 from .special import beta_sample
 # Likewise the step's coefficients and strengths are in range by construction,
@@ -43,8 +43,10 @@ __all__ = [
 MIX_MODES = ("off", "vanilla", "kernel_warped", "input_only", "target_only")
 
 # (input, target) warp strengths of the modes that ignore similarity: 1 keeps
-# the raw coefficient, inf snaps it to the nearer endpoint.
+# the raw coefficient, inf snaps it to the nearer endpoint. Mode off's plan
+# reports strength 1 and never warps.
 _CONSTANT_TAUS = {
+    "off": (1.0, 1.0),
     "vanilla": (1.0, 1.0),
     "input_only": (1.0, math.inf),
     "target_only": (math.inf, 1.0),
@@ -134,13 +136,15 @@ class MixupConfig:
             raise UsageError("kernel_warped mode requires both input_kernel and output_kernel")
         # Derived once here, not per step, and not fields, so equality and repr ignore
         # them: the distinct strength sources (kernels, or constant taus) in first-seen
-        # order, the row of them that each side takes, and the kernels' distinct backends.
+        # order, the row of them that each side takes, the kernels' distinct backends,
+        # and whether any strength reads the model.
         sources = _CONSTANT_TAUS.get(self.mode, (self.input_kernel, self.output_kernel))
         distinct = tuple(dict.fromkeys(sources))
         object.__setattr__(self, "_distinct", distinct)
         object.__setattr__(self, "_rows", [distinct.index(s) for s in sources])
         backends = (k.backend for k in distinct if isinstance(k, KernelConfig))
         object.__setattr__(self, "_backends", tuple(dict.fromkeys(backends)))
+        object.__setattr__(self, "_reads_model", not set(self._backends) <= set(_MODEL_FREE_BACKENDS))
 
 
 @dataclass
@@ -203,51 +207,99 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     permutation, then the raw coefficients as one sized Beta(alpha, alpha)
     draw of n values (a single shared draw with per_batch_coeff). Mode
     ``off`` consumes none and returns the batch unchanged under an identity
-    plan.
+    plan. This is the one-batch case of the block kernel that training runs
+    over the batches of an epoch.
     """
-    n = batch.size
-    if config.mode == "off":
-        plan = MixPlan(np.arange(n), *np.ones((5, n)))  # every coefficient and strength is 1
-        return MixedBatch(
-            inputs=batch.inputs,
-            targets_a=batch.targets,
-            targets_b=batch.targets,
-            target_coeffs=plan.target_coeffs,
-            num_classes=batch.num_classes,
-            plan=plan,
-        )
+    perm, raw = np.empty(batch.size, dtype=np.int64), np.empty(batch.size)
+    _draw(config, rng, perm, raw)
+    return _mix_block(batch, perm, raw, config, model)
 
-    perm = sample_permutation(n, rng)
-    if config.per_batch_coeff:
-        raw = np.full(n, beta_sample(config.alpha, rng))
-    else:
-        raw = beta_sample(config.alpha, rng, size=n)
 
+def _draw(config: MixupConfig, rng: RngStream, perm: np.ndarray, raw: np.ndarray) -> None:
+    """Write the draws of mixing one batch of len(perm) rows into ``perm``
+    and ``raw``, as ``mix_batch`` makes them: the permutation, then the raw
+    coefficients. Mode ``off`` draws nothing and writes the identity
+    permutation and coefficients of 1."""
+    off = config.mode == "off"
+    perm[:] = np.arange(perm.size) if off else sample_permutation(perm.size, rng)
+    raw[:] = 1.0 if off else beta_sample(config.alpha, rng, size=None if config.per_batch_coeff else raw.size)
+
+
+def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConfig, model=None,
+               count: int = 1) -> MixedBatch:
+    """``mix_batch`` of each of the ``count`` equal batches that ``rows``
+    stacks, given their draws as ``_draw`` writes them, batch after batch,
+    into ``perm`` and ``raw``. Returns one MixedBatch whose rows and plan
+    lanes stack the batches' own, bit for bit (each batch's permutation
+    indexes its own rows). Strengths, warps and mixed inputs are each
+    computed once over the whole block."""
+    n = rows.size // count
+    if config.mode == "off":  # every coefficient and strength is 1
+        plan = MixPlan(perm, raw, *np.ones((4, rows.size)))
+        return MixedBatch(rows.inputs, rows.targets, rows.targets, plan.target_coeffs, rows.num_classes, plan)
+
+    # each row's partner, as a row of the block
+    pairs = perm.reshape(count, n) + np.arange(0, rows.size, n)[:, None]
     # Equal strength sources give bitwise-equal strengths and coefficients, so each
-    # distinct source is computed once and one warp call covers them all, n lanes
-    # each, the input side's first.
+    # distinct source is computed once and one warp call covers them all, one lane
+    # per row each, the input side's first.
     distinct = config._distinct
     if config.mode in _CONSTANT_TAUS:
-        taus = np.repeat(distinct, n)
+        taus = np.repeat(distinct, rows.size)
     else:  # kernel_warped: features once per distinct backend
-        feats = {b: extract_features(batch, b, model) for b in config._backends}
-        taus = np.concatenate([batch_taus(feats[k.backend], perm, k) for k in distinct])
+        feats = {b: extract_features(rows, b, model) for b in config._backends}
+        taus = np.concatenate([batch_taus(feats[k.backend], pairs, k) for k in distinct])
     coeffs = warp_pairwise(np.concatenate([raw] * len(distinct)), taus)
     # one row per side, copied out of the lanes, so the two sides never share memory
-    side_taus = taus.reshape(-1, n).take(config._rows, axis=0)
-    side_coeffs = coeffs.reshape(-1, n).take(config._rows, axis=0)
+    side_taus = taus.reshape(-1, rows.size).take(config._rows, axis=0)
+    side_coeffs = coeffs.reshape(-1, rows.size).take(config._rows, axis=0)
 
     plan = MixPlan(perm, raw, *side_taus, *side_coeffs)  # each side's row: input, then target
     ci = plan.input_coeffs[:, None]
-    mixed_inputs = ci * batch.inputs + (1.0 - ci) * batch.inputs[perm]
-    return MixedBatch(
-        inputs=mixed_inputs,
-        targets_a=batch.targets,
-        targets_b=batch.targets[perm],
-        target_coeffs=plan.target_coeffs,
-        num_classes=batch.num_classes,
-        plan=plan,
-    )
+    pairs = pairs.ravel()
+    mixed = ci * rows.inputs  # + (1 - ci) * partners, in place: fewer temporaries
+    partners = rows.inputs[pairs]
+    partners *= 1.0 - ci
+    mixed += partners
+    return MixedBatch(mixed, rows.targets, rows.targets[pairs], plan.target_coeffs, rows.num_classes, plan)
+
+
+@dataclass
+class _Epoch:
+    """The mixing of one training epoch: its rows in epoch order, every
+    step's draws as ``_draw`` writes them, a step's at its rows, and the
+    block of steps mixed last, as (first step, stop step, its MixedBatch)."""
+
+    rows: Batch
+    batch_size: int
+    perm: np.ndarray
+    raw: np.ndarray
+    config: MixupConfig
+    block: tuple = (0, 0, None)
+
+
+def _mix_step(epoch: _Epoch, step: int, model=None) -> MixedBatch:
+    """Step ``step``'s MixedBatch: ``mix_batch`` of its batch with its draws.
+
+    A step outside the block mixed last mixes its own block first. When no
+    strength source reads the model, the epoch's full batches are one block
+    and a short last batch another, so the first step mixes every full
+    batch; otherwise each step is its own block, mixed against the model as
+    it is at that step."""
+    first, stop, block = epoch.block
+    if not first <= step < stop:
+        full = epoch.rows.size // epoch.batch_size
+        first, stop = (step, step + 1) if epoch.config._reads_model or step >= full else (0, full)
+        lo, hi = first * epoch.batch_size, min(stop * epoch.batch_size, epoch.rows.size)
+        rows = _batch(epoch.rows.inputs[lo:hi], epoch.rows.targets[lo:hi], epoch.rows.num_classes)
+        block = _mix_block(rows, epoch.perm[lo:hi], epoch.raw[lo:hi], epoch.config, model, stop - first)
+        epoch.block = first, stop, block
+    if stop - first == 1:
+        return block
+    own = slice((step - first) * epoch.batch_size, (step - first + 1) * epoch.batch_size)
+    plan = MixPlan(*(lanes[own] for lanes in vars(block.plan).values()))
+    return MixedBatch(block.inputs[own], block.targets_a[own], block.targets_b[own], plan.target_coeffs,
+                      block.num_classes, plan)
 
 
 def mixed_loss(outputs, mixed: MixedBatch):

@@ -142,18 +142,18 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
     return ModelState(layers=layers, dropout_rate=float(dropout_rate))
 
 
-def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] = None, buffers=None,
-               start: int = 0):
+def _propagate(model: ModelState, inputs, depth: int, masks=None, buffers=None, start: int = 0):
     """The layer loop of ``forward``, ``embed`` and ``mc_dropout_predict``:
     the inputs through the first ``depth`` layers, with dropout after each
-    hidden layer if ``rng`` is given. Returns the activations and the
-    per-layer records. ``start`` resumes a pass after its first ``start``
-    layers: ``inputs`` are then layer ``start - 1``'s activations before
-    dropout, as ``_propagate(model, x, start)`` returns them. ``buffers``
-    (from ``_layer_buffers``) makes the pass write each layer's activations
-    into its buffer instead of allocating new ones, with relu and dropout
-    applied in place; such a pass keeps no masks and its records are not
-    for ``backward``."""
+    hidden layer if the pass's kept ``masks`` are given, as ``_draw_masks``
+    draws them before the pass. Returns the activations and the per-layer
+    records. ``start`` resumes a pass after its first ``start`` layers:
+    ``inputs`` are then layer ``start - 1``'s activations before dropout, as
+    ``_propagate(model, x, start)`` returns them. ``buffers`` (from
+    ``_layer_buffers``) makes the pass write each layer's activations into
+    its buffer instead of allocating new ones, with relu and dropout applied
+    in place; such a pass keeps no masks and its records are not for
+    ``backward``."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -161,14 +161,13 @@ def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] =
     fan_in = model.layers[first].biases.size if start else model.layers[0].weights.shape[0]
     if x.ndim != 2 or x.shape[1] != fan_in:
         raise UsageError(f"inputs of shape {x.shape} do not match layer {start} fan-in {fan_in}")
-    keep = 1.0 - model.dropout_rate
-    scale = 1.0 / keep  # (u < keep) * scale is bit-equal to (u < keep) / keep
+    scale = 1.0 / (1.0 - model.dropout_rate)  # kept * scale is bit-equal to kept / keep
     acts = x
     records = []
     last = len(model.layers) - 1
     for k in range(first, depth):
         layer = model.layers[k]
-        out, kept_out = buffers[k] if buffers else (None, None)
+        out = buffers[k] if buffers else None
         if k < start:  # ``inputs`` are this layer's activations
             z = h = acts
         else:
@@ -176,23 +175,31 @@ def _propagate(model: ModelState, inputs, depth: int, rng: Optional[RngStream] =
             z += layer.biases
             h = np.maximum(z, 0.0, out=out) if layer.activation == "relu" else z
         mask = None
-        if rng is not None and k < last:
-            kept = np.less(rng.uniform(size=h.shape), keep, out=kept_out)
+        if masks is not None and k < last:
             if buffers:  # (h * kept) * scale is bit-equal to h * (kept * scale)
-                h = np.multiply(h, kept, out=out)
+                h = np.multiply(h, masks[k], out=out)
                 h *= scale
             else:
-                mask = np.multiply(kept, scale)
+                mask = np.multiply(masks[k], scale)
                 h = h * mask
         records.append((acts, z, mask))
         acts = h
     return acts, records
 
 
+def _draw_masks(model: ModelState, rows: int, rng: Optional[RngStream], out=None) -> Optional[list]:
+    """The kept masks of one dropout pass over ``rows`` inputs: one bool
+    array per hidden layer, in layer order, each ``u < keep`` for uniforms
+    ``u`` drawn from ``rng``. None without ``rng``. ``out`` lists one bool
+    array per hidden layer to draw them into."""
+    keep = 1.0 - model.dropout_rate
+    return rng and [np.less(rng.uniform(size=(rows, layer.biases.size)), keep, out=out[k] if out else None)
+                    for k, layer in enumerate(model.layers[:-1])]
+
+
 def _layer_buffers(model: ModelState, rows: int) -> list:
-    """One (activations, kept) pair of arrays per layer for ``rows`` inputs."""
-    return [(np.empty((rows, layer.biases.size)), np.empty((rows, layer.biases.size), dtype=bool))
-            for layer in model.layers]
+    """One activations array per layer for ``rows`` inputs."""
+    return [np.empty((rows, layer.biases.size)) for layer in model.layers]
 
 
 def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
@@ -200,9 +207,10 @@ def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
 
     Dropout is active only in train mode with a positive rate, uses inverted
     scaling (kept units times 1 / keep probability), and draws one mask
-    per hidden layer from ``rng`` in layer order.
+    per hidden layer from ``rng`` in layer order, before the pass.
     """
-    return _forward(model, inputs, _dropout_stream(model, rng))
+    x = np.asarray(inputs, dtype=np.float64)
+    return _forward(model, x, _draw_masks(model, len(x) if x.ndim == 2 else 1, _dropout_stream(model, rng)))
 
 
 def _dropout_stream(model: ModelState, rng: Optional[RngStream]) -> Optional[RngStream]:
@@ -213,9 +221,9 @@ def _dropout_stream(model: ModelState, rng: Optional[RngStream]) -> Optional[Rng
     return rng if use_dropout else None
 
 
-def _forward(model: ModelState, inputs, rng: Optional[RngStream]):
-    """forward with dropout drawn from ``rng`` exactly when it is given."""
-    acts, records = _propagate(model, inputs, len(model.layers), rng)
+def _forward(model: ModelState, inputs, masks: Optional[list]):
+    """forward with the pass's kept masks, as ``_draw_masks`` returns them."""
+    acts, records = _propagate(model, inputs, len(model.layers), masks)
     return acts, ForwardCache(records=records, step_count=model.step_count)
 
 
@@ -352,8 +360,9 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     Returns the per-input sample mean and unbiased sample variance of the
     outputs, each shaped like one forward output. Bit-equal to one
     train-mode ``forward`` per sample, with the same draws in the same
-    order. Layer 0 before dropout is computed once, and each sample resumes
-    the layer loop from it with relu and masks applied in place.
+    order. Layer 0 before dropout is computed once, and each sample draws
+    its masks, then resumes the layer loop from layer 0 with relu and masks
+    applied in place.
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
@@ -366,9 +375,11 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     # otherwise go back to the OS on each free and be faulted in again
     first = _propagate(model, inputs, 1)[0]
     buffers = _layer_buffers(model, first.shape[0])
+    kept = [np.empty_like(acts, dtype=bool) for acts in buffers[:-1]]
     outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
     for s in range(samples):
-        outs[s] = _propagate(model, first, len(model.layers), rng, buffers, start=1)[0]
+        masks = _draw_masks(model, len(first), rng, kept)
+        outs[s] = _propagate(model, first, len(model.layers), masks, buffers, start=1)[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 

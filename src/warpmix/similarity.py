@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 FEATURE_BACKENDS = ("raw_input", "embedding", "class_weight", "label")
+# the backends whose features depend on the data alone, never on the model
+_MODEL_FREE_BACKENDS = ("raw_input", "label")
 
 # Below this batch-mean squared distance the batch is treated as degenerate
 # (all points coincide) and every pair is assigned the average distance 1.
@@ -79,21 +81,31 @@ def normalized_distances(points, permutation) -> np.ndarray:
     perm = np.asarray(permutation)
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise UsageError("permutation must be a permutation of range(n)")
-    return _pair_distances(points, perm)
+    return _pair_distances(points, perm[None])
 
 
-def _pair_distances(points: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """normalized_distances for a float64 (n, d) array and a checked permutation."""
-    diffs = points - points[perm]
-    raw = np.einsum("ij,ij->i", diffs, diffs)
-    mean = float(raw.mean())
-    if math.isinf(mean) and np.isfinite(points).all():
-        # squares of finite points overflowed; the result is scale-free, so rescale exactly
-        _, exponent = np.frexp(np.abs(points).max())
-        return _pair_distances(np.ldexp(points, -int(exponent)), perm)
-    if mean < _DEGENERATE_MEAN:
-        return np.ones(points.shape[0], dtype=np.float64)
-    return raw / mean
+def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """normalized_distances of each batch of a block, flattened: float64
+    points (B * n, d) stacking B batches of n rows, and ``pairs`` (B, n),
+    each row's partner as a row of the block. Bit-equal batch by batch."""
+    count, n = pairs.shape
+    diffs = points[pairs.ravel()]
+    np.subtract(points, diffs, out=diffs)  # points - partners, without another array
+    raw = np.einsum("ij,ij->i", diffs, diffs).reshape(count, n)
+    means = np.add.reduce(raw, axis=1, keepdims=True) / n  # each batch's raw.mean(), bit for bit
+    # every batch regular (a NaN mean, from NaN points, divides through either way)
+    if _DEGENERATE_MEAN <= min(listed := means.ravel().tolist()) and max(listed) < math.inf:
+        return (raw / means).ravel()
+    dists = np.ones_like(raw)  # a degenerate batch, where all pairs coincide, keeps its ones
+    for b, mean in enumerate(listed):
+        rows = points[b * n : (b + 1) * n]
+        if math.isinf(mean) and np.isfinite(rows).all():
+            # squares of finite points overflowed; the result is scale-free, so rescale exactly
+            _, exponent = np.frexp(np.abs(rows).max())
+            dists[b] = _pair_distances(np.ldexp(rows, -int(exponent)), pairs[b : b + 1] - b * n)
+        elif not mean < _DEGENERATE_MEAN:
+            dists[b] = raw[b] / mean
+    return dists.ravel()
 
 
 def _checked_distances(dists: np.ndarray) -> np.ndarray:
@@ -134,9 +146,10 @@ def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
     return _distances_to_taus(_checked_distances(normalized_distances(features, permutation)), config)
 
 
-def _batch_taus(features: np.ndarray, perm: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """batch_taus for float64 (n, d) features and a permutation known to be one."""
-    return _distances_to_taus(_pair_distances(features, perm), config)
+def _batch_taus(features: np.ndarray, pairs: np.ndarray, config: KernelConfig) -> np.ndarray:
+    """batch_taus of each batch of a block, flattened, for float64 features
+    and partner rows as ``_pair_distances`` takes them, unchecked."""
+    return _distances_to_taus(_pair_distances(features, pairs), config)
 
 
 def extract_features(batch, backend: str, model=None) -> np.ndarray:

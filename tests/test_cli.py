@@ -375,6 +375,7 @@ def test_bad_evaluation_setting_fails_before_training(workspace, tmp_path, capsy
     ("train", [], "output_dir=3", "output_dir"),
     ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "split_fractions=[0.5,0.5,0.5]",
      "split_fractions"),
+    ("train", [], "model.hidden=[]", "model.hidden"),  # regression's MC dropout needs a hidden layer
 ])
 def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra,
                                                        override, key):

@@ -142,6 +142,27 @@ def test_config_checks_dropout_rate_for_every_task(task, rate):
         tiny_config(task, model__dropout_rate=rate)
 
 
+def test_config_needs_a_hidden_layer_for_mc_dropout_and_embeddings():
+    # regression evaluates by MC dropout and the embedding backend reads a hidden
+    # layer; without one, regression would report a meaningless ENCE and an
+    # embedding kernel would fail inside train at its first step
+    embedding = {"tau_max": 1.0, "tau_std": 1.0, "backend": "embedding"}
+    for task, tweaks in (
+        ("regression", {}),
+        ("regression", {"mixup__mode": "off"}),
+        ("classification", {"mixup__input_kernel": embedding}),
+        ("classification", {"mixup__input_kernel": embedding, "mixup__output_kernel": embedding}),
+    ):
+        with pytest.raises(UsageError, match=r"model\.hidden needs a hidden layer"):
+            tiny_config(task, model__hidden=[], **tweaks)
+    # class weights live in the output layer, and a mode other than kernel_warped
+    # never reads its kernels
+    tiny_config("classification", model__hidden=[])
+    tiny_config("classification", model__hidden=[], mixup__mode="vanilla", mixup__input_kernel=embedding)
+    cfg = tiny_config("classification", model__hidden=[], optimizer__epochs=1)
+    assert train(cfg, seed=0, dataset=CLF_DATA).model.dims == (4, 3)
+
+
 def test_config_rejects_empty_output_dir():
     with pytest.raises(UsageError, match="output_dir"):
         tiny_config(output_dir="")
@@ -424,6 +445,19 @@ def test_divergence_aborts_with_diagnostic(task, tweaks):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
         train(cfg, seed=0, dataset=data)
     assert isinstance(info.value.trace, list)
+
+
+def test_divergence_after_the_first_epoch_reports_as_before():
+    # each epoch draws its randomness before its first step: a run that diverges
+    # in epoch 2 still names that epoch and carries the rows of epochs 0 and 1
+    cfg = tiny_config(optimizer__kind="sgd_momentum", optimizer__learning_rate=2.0, optimizer__epochs=3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        train(cfg, seed=0, dataset=REG_DATA)
+    assert str(info.value) == "non-finite training loss at epoch 2, seed 0"
+    assert info.value.trace == [
+        {"epoch": 0, "train_loss": 10208919.709856234, "valid_loss": 5.5500774066720373e+23},
+        {"epoch": 1, "train_loss": 3.141774892890621e+222, "valid_loss": math.inf},
+    ]
 
 
 def test_diverged_classifier_loss_is_not_capped():

@@ -220,6 +220,70 @@ def test_incomplete_beta_lanes_per_distinct_side(monkeypatch):
         assert lanes == [expected], cfg
 
 
+def assert_mixed_equal(got, want):
+    """Two MixedBatches hold the same bytes, plan included."""
+    for name in ("inputs", "targets_a", "targets_b", "target_coeffs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("permutation", "raw_coeffs", "input_taus", "target_taus", "input_coeffs", "target_coeffs"):
+        assert getattr(got.plan, name).tobytes() == getattr(want.plan, name).tobytes(), name
+    assert got.num_classes == want.num_classes
+
+
+def epoch_of(rows, batch_size, cfg, rng):
+    """An epoch's mixing of ``rows`` with every step's draws made up front, as training makes them."""
+    perm, raw = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+    for start in range(0, rows.size, batch_size):
+        mixer_module._draw(cfg, rng, perm[start : start + batch_size], raw[start : start + batch_size])
+    return mixer_module._Epoch(rows, batch_size, perm, raw, cfg)
+
+
+@pytest.mark.parametrize("per_batch", [False, True])
+@pytest.mark.parametrize("mode", MIX_MODES)
+def test_block_mix_equals_one_mix_batch_per_batch(mode, per_batch):
+    # training mixes an epoch's full batches as one block, then a short last batch:
+    # each step's share is the same bytes as mix_batch on its batch, from the same stream
+    ik, ok = kernel_pair(tau_max=1e-4, tau_std=1.5)
+    cfg = MixupConfig(alpha=0.5, mode=mode, input_kernel=ik, output_kernel=ok, per_batch_coeff=per_batch)
+    rows = regression_batch(n=7 * 16 + 5, d=5, seed=11)
+    sizes = [16] * 7 + [5]
+    drawn, replayed = RngStream(12), RngStream(12)
+    epoch = epoch_of(rows, 16, cfg, drawn)
+    block = mixer_module._mix_block(mixer_module._batch(rows.inputs[:112], rows.targets[:112]),
+                                    epoch.perm[:112], epoch.raw[:112], cfg, count=7)
+    for step, size in enumerate(sizes):
+        lanes = slice(16 * step, 16 * step + size)
+        want = mix_batch(Batch(rows.inputs[lanes], rows.targets[lanes]), cfg, replayed)
+        assert_mixed_equal(mixer_module._mix_step(epoch, step), want)
+        if step < 7:  # the block's rows and lanes, one batch at a time
+            assert block.inputs[lanes].tobytes() == want.inputs.tobytes()
+            for name, values in vars(block.plan).items():
+                assert values[lanes].tobytes() == getattr(want.plan, name).tobytes(), name
+    assert drawn.uniform() == replayed.uniform()
+
+
+@pytest.mark.parametrize("backend", ["raw_input", "embedding"])
+def test_epoch_steps_equal_one_mix_batch_per_batch(backend):
+    # an epoch with a short last batch; embedding strengths are mixed per step,
+    # against the model as it is at that step
+    ik, ok = kernel_pair(tau_max=0.5, tau_std=1.0, in_backend=backend,
+                         out_backend="label" if backend == "raw_input" else backend)
+    cfg = MixupConfig(alpha=0.5, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
+    rows = regression_batch(n=5 * 16 + 3, d=3, seed=13)
+    model = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(14))
+    drawn, replayed = RngStream(15), RngStream(15)
+    sizes = [16] * 5 + [3]
+    epoch = epoch_of(rows, 16, cfg, drawn)
+    for step, size in enumerate(sizes):
+        start = 16 * step
+        batch = Batch(rows.inputs[start : start + size], rows.targets[start : start + size])
+        got = mixer_module._mix_step(epoch, step, model)
+        assert_mixed_equal(got, mix_batch(batch, cfg, replayed, model))
+        features = {"raw_input": batch.inputs, "label": batch.targets, "embedding": embed(model, batch.inputs)}
+        for taus, kernel in ((got.plan.input_taus, ik), (got.plan.target_taus, ok)):
+            assert taus.tobytes() == batch_taus(features[kernel.backend], got.plan.permutation, kernel).tobytes()
+        model.params += 0.25  # the next step sees another model
+
+
 def test_plan_sides_never_share_memory():
     batch = regression_batch(n=12, seed=2)
     raw_input = KernelConfig(tau_max=2.0, tau_std=1.0, backend="raw_input")

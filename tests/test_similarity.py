@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import warpmix.similarity as similarity
 from warpmix import (
     Batch,
     DivergenceError,
@@ -229,6 +230,54 @@ def test_batch_taus_bit_identical_to_scalar_kernel():
                 inside += SHAPE_MIN < t < SHAPE_MAX
     # the grid reaches both clamps, the overflow guard and many unclamped values
     assert min(clamped_low, clamped_high, saturated) > 0 and inside >= 1000
+
+
+def assert_block_taus_equal_per_batch(batches, config, seed=0):
+    """Training's block kernel over the stacked batches equals the public
+    ``batch_taus`` of each batch alone, bit for bit; returns its strengths."""
+    rng = RngStream(seed)
+    perms = [rng.permutation(len(batch)) for batch in batches]
+    n = len(batches[0])
+    pairs = np.stack(perms) + np.arange(0, n * len(batches), n)[:, None]
+    got = similarity._batch_taus(np.concatenate(batches), pairs, config)
+    want = np.concatenate([batch_taus(batch, perm, config) for batch, perm in zip(batches, perms)])
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("width", [1, 5, 10, 64, 128])
+def test_block_taus_equal_per_batch_taus(width):
+    rng = RngStream(width)
+    batches = [rng.standard_normal((16, width)) * rng.uniform() * 10.0 for _ in range(56)]
+    assert_block_taus_equal_per_batch(batches, make_config(tau_max=1e-4, tau_std=1.5))
+    assert_block_taus_equal_per_batch(batches[:1], make_config(tau_max=2.0, tau_std=0.5))
+
+
+def test_block_taus_of_one_row_batches_are_all_degenerate():
+    # batch_size=1: every row is paired with itself, so every distance is 1
+    cfg = make_config(tau_max=2.0, tau_std=1.0)
+    batches = list(RngStream(2).standard_normal((40, 1, 5)))
+    assert np.array_equal(assert_block_taus_equal_per_batch(batches, cfg), np.full(40, 0.5))
+
+
+def test_block_taus_mix_degenerate_and_normal_batches():
+    rng = RngStream(3)
+    normal = [rng.standard_normal((8, 3)) for _ in range(4)]
+    same = np.tile(rng.standard_normal(3), (8, 1))  # all pairs coincide
+    tiny = rng.standard_normal((8, 3)) * 1e-9  # mean squared distance below 1e-12
+    batches = [normal[0], same, normal[1], tiny, normal[2], normal[3]]
+    cfg = make_config(tau_max=0.7, tau_std=0.9)
+    taus = assert_block_taus_equal_per_batch(batches, cfg).reshape(6, 8)
+    assert np.array_equal(taus[[1, 3]], np.full((2, 8), 1.0 / 0.7))
+
+
+def test_block_taus_rescale_an_overflowing_batch_on_its_own_rows():
+    rng = RngStream(4)
+    batches = [rng.standard_normal((9, 3)) for _ in range(5)]
+    cfg = make_config(tau_max=1.0, tau_std=1.0)
+    plain = assert_block_taus_equal_per_batch(batches, cfg, seed=7)
+    batches[2] = batches[2] * 2.0**600  # its squares overflow; distances are scale-free
+    assert np.array_equal(assert_block_taus_equal_per_batch(batches, cfg, seed=7), plain)
 
 
 # ------------------------------------------------------- extract_features
