@@ -4,7 +4,7 @@ Verbs: train, eval, grid, warp-demo, metrics. Every command writes only
 inside its output directory and creates it at its first write, so a command
 that fails before writing leaves no directory; exit code 0 means success, 2
 a usage problem (bad flags, bad config, missing file), 1 a runtime failure
-(divergence, non-convergence, I/O trouble mid-run).
+(divergence, non-convergence, I/O trouble or running out of memory mid-run).
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (WarpmixError, OSError) as exc:
+    except (WarpmixError, OSError, MemoryError) as exc:  # MemoryError: e.g. a huge metrics.mc_samples
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -187,13 +188,16 @@ def _propagate(model: ModelState, inputs, depth: int, masks=None, buffers=None, 
     return acts, records
 
 
-def _draw_masks(model: ModelState, rows: int, rng: Optional[RngStream], out=None) -> Optional[list]:
+def _draw_masks(model: ModelState, rows: int, rng: Optional[RngStream], out=None,
+                uniforms=None) -> Optional[list]:
     """The kept masks of one dropout pass over ``rows`` inputs: one bool
     array per hidden layer, in layer order, each ``u < keep`` for uniforms
     ``u`` drawn from ``rng``. None without ``rng``. ``out`` lists one bool
-    array per hidden layer to draw them into."""
+    array per hidden layer to draw them into, and ``uniforms`` one float64
+    array per hidden layer to draw the uniforms into."""
     keep = 1.0 - model.dropout_rate
-    return rng and [np.less(rng.uniform(size=(rows, layer.biases.size)), keep, out=out[k] if out else None)
+    return rng and [np.less(rng.uniform(size=(rows, layer.biases.size), out=uniforms[k] if uniforms else None),
+                            keep, out=out[k] if out else None)
                     for k, layer in enumerate(model.layers[:-1])]
 
 
@@ -360,9 +364,14 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     Returns the per-input sample mean and unbiased sample variance of the
     outputs, each shaped like one forward output. Bit-equal to one
     train-mode ``forward`` per sample, with the same draws in the same
-    order. Layer 0 before dropout is computed once, and each sample draws
-    its masks, then resumes the layer loop from layer 0 with relu and masks
-    applied in place.
+    order. Layer 0 before dropout is computed once. The passes then run as
+    two stages over two mask sets: a drawer thread draws each sample's
+    masks from ``rng``, sample by sample and layer by layer, into one set,
+    while the calling thread resumes the layer loop from layer 0 on the
+    previous sample's set, with relu and masks applied in place. Only the
+    drawer touches ``rng``, so its draws do not depend on thread timing.
+    The drawer is joined before the call returns or raises; an exception
+    it raised is raised here.
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
@@ -375,11 +384,43 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     # otherwise go back to the OS on each free and be faulted in again
     first = _propagate(model, inputs, 1)[0]
     buffers = _layer_buffers(model, first.shape[0])
-    kept = [np.empty_like(acts, dtype=bool) for acts in buffers[:-1]]
+    kept = [[np.empty_like(acts, dtype=bool) for acts in buffers[:-1]] for _ in range(2)]
+    # the drawer allocates nothing: a thread's allocations would grow a malloc arena of its own
+    flat = np.empty(max([acts.size for acts in buffers[:-1]], default=0))
+    uniforms = [flat[: acts.size].reshape(acts.shape) for acts in buffers[:-1]]
     outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
-    for s in range(samples):
-        masks = _draw_masks(model, len(first), rng, kept)
-        outs[s] = _propagate(model, first, len(model.layers), masks, buffers, start=1)[0]
+    # sample s uses set s % 2: ``free`` counts the sets the drawer may fill,
+    # ``ready`` the filled sets the caller has not yet run
+    free, ready = threading.Semaphore(2), threading.Semaphore(0)
+    stop, failure = [], []
+
+    def draw():
+        try:
+            for s in range(samples):
+                free.acquire()
+                if stop:
+                    return
+                _draw_masks(model, len(first), rng, kept[s % 2], uniforms)
+                ready.release()
+        except BaseException as exc:  # the caller re-raises it after the join
+            failure.append(exc)
+            ready.release()
+
+    drawer = threading.Thread(target=draw, name="mc-dropout-drawer")
+    drawer.start()
+    try:
+        for s in range(samples):
+            ready.acquire()
+            if failure:
+                break
+            outs[s] = _propagate(model, first, len(model.layers), kept[s % 2], buffers, start=1)[0]
+            free.release()
+    finally:
+        stop.append(True)
+        free.release()  # wakes a drawer waiting for a set, which then sees ``stop``
+        drawer.join()
+    if failure:
+        raise failure[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 

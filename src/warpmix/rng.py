@@ -42,9 +42,10 @@ class RngStream:
         """Return the independent sub-stream at ``index``."""
         return RngStream(self.seed, self.path + (int(index),))
 
-    def uniform(self, size=None):
-        """Draw from U[0, 1): a float if ``size`` is None, else an array."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Draw from U[0, 1): a float if ``size`` and ``out`` are None, else
+        an array, written into ``out`` if it is given."""
+        return self._gen.random(size, out=out)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)

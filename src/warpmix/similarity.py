@@ -58,6 +58,12 @@ class KernelConfig:
             if not math.isfinite(v) or v <= 0.0:
                 raise DomainError(f"{name} must be a positive finite number, got {v}")
             object.__setattr__(self, name, v)
+        try:  # the kernel divides by its scale 2 std^2, as _distances_to_taus computes it
+            scale = 2.0 * self.tau_std**2
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise DomainError(f"tau_std must keep the kernel scale 2 tau_std^2 in (0, inf), got {self.tau_std}")
         if self.backend not in FEATURE_BACKENDS:
             raise UsageError(
                 f"unknown feature backend {self.backend!r}; expected one of {FEATURE_BACKENDS}"

@@ -17,6 +17,7 @@ import pytest
 import scipy.stats
 
 from warpmix import RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise
+from warpmix import cli, harness
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
 
 from _support import synth_blobs, synth_regression, write_csv
@@ -116,6 +117,23 @@ def test_divergence_is_runtime_error(workspace, tmp_path, capsys):
         ])
     assert code == RUNTIME_EXIT
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "eval"])
+def test_out_of_memory_is_runtime_error(workspace, tmp_path, monkeypatch, capsys, verb):
+    # as metrics.mc_samples=1e9 fails in evaluation, without allocating anything large
+    def evaluate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+    monkeypatch.setattr(harness, "evaluate", evaluate)
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_model(init_mlp([3, 8, 1], dropout_rate=0.2, rng=RngStream(0)), str(checkpoint))
+    argv = ["--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o")]
+    extra = ["--checkpoint", str(checkpoint)] if verb == "eval" else []
+    assert main([verb, *argv, *extra]) == RUNTIME_EXIT
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
     assert not (tmp_path / "o").exists()
 
 
@@ -493,6 +511,21 @@ def test_grid_bad_tau_list_is_usage_error(workspace, tmp_path, capsys):
     ])
     assert code == USAGE_EXIT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tau_std", ["1e-300", "1e200"])
+@pytest.mark.parametrize("verb", ["train", "grid", "warp-demo"])
+def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path, capsys, verb, tau_std):
+    # 2 tau_std^2 underflows to 0 or overflows: the kernel would divide by it at the first mixed step
+    config = ["--config", str(workspace["reg_config"])]
+    argv = {
+        "train": ["train", *config, f"mixup.input_kernel.tau_std={tau_std}"],
+        "grid": ["grid", *config, "--tau-max-list", "1", "--tau-std-list", f"1,{tau_std}"],
+        "warp-demo": ["warp-demo", "--distances", "1,2", "--tau-std", tau_std],
+    }[verb]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == USAGE_EXIT
+    assert "tau_std" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("tau_max_list", ["0.5,abc", "", " , "])

@@ -6,6 +6,8 @@ import copy
 import json
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from warpmix import (
     optimizer_step,
     save_model,
 )
+from warpmix import model as model_module
 
 from _support import central_diff_grads, max_rel_grad_error
 
@@ -559,6 +562,109 @@ def test_mc_dropout_one_layer_model_is_deterministic():
     assert rng.uniform() == untouched.uniform()  # no draws consumed
     assert means.tobytes() == forward(model, x)[0].tobytes()
     assert_mc_dropout_matches_reference(model, x, 9)
+
+
+# The passes run beside a drawer thread: an exception on either side reaches
+# the caller, no thread outlives the call, and none leaves an unhandled-thread warning.
+NO_THREAD_WARNING = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+
+
+class FailingStream:
+    """An RngStream whose ``uniform`` raises ``exc`` on its ``fail_at``-th call."""
+
+    def __init__(self, fail_at, exc):
+        self.stream, self.calls, self.fail_at, self.exc = RngStream(6), 0, fail_at, exc
+
+    def uniform(self, size=None, out=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc
+        return self.stream.uniform(size, out)
+
+
+@NO_THREAD_WARNING
+@pytest.mark.parametrize("exc", [ValueError("draw failed"), MemoryError(), KeyboardInterrupt()],
+                         ids=["value_error", "memory_error", "keyboard_interrupt"])
+@pytest.mark.parametrize("fail_at", [1, 2, 7, 24])
+def test_mc_dropout_raises_what_the_drawer_raised(exc, fail_at):
+    model = init_mlp([4, 9, 5, 1], dropout_rate=0.2, rng=RngStream(4)).eval()
+    threads = threading.active_count()
+    rng = FailingStream(fail_at, exc)
+    with pytest.raises(type(exc)) as raised:
+        mc_dropout_predict(model, np.ones((3, 4)), samples=12, rng=rng)  # 24 draws: 2 per sample
+    assert raised.value is exc
+    assert threading.active_count() == threads
+
+
+@NO_THREAD_WARNING
+@pytest.mark.parametrize("exc", [RuntimeError("pass failed"), KeyboardInterrupt()],
+                         ids=["runtime_error", "keyboard_interrupt"])
+def test_mc_dropout_raises_what_a_pass_raised(monkeypatch, exc):
+    model = init_mlp([4, 9, 5, 1], dropout_rate=0.2, rng=RngStream(4)).eval()
+    propagate, calls = model_module._propagate, []
+
+    def failing_propagate(*args, **kwargs):
+        calls.append(kwargs.get("start", 0))
+        if calls.count(1) == 4:  # the pass of sample 3
+            raise exc
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_propagate", failing_propagate)
+    threads = threading.active_count()
+    with pytest.raises(type(exc)) as raised:
+        mc_dropout_predict(model, np.ones((3, 4)), samples=12, rng=RngStream(6))
+    assert raised.value is exc
+    assert threading.active_count() == threads
+
+
+@NO_THREAD_WARNING
+def test_mc_dropout_leaves_no_thread_behind():
+    model = init_mlp([4, 9, 5, 1], dropout_rate=0.2, rng=RngStream(4)).eval()
+    threads = threading.active_count()
+    for call in range(20):
+        mc_dropout_predict(model, np.ones((3, 4)), samples=2 + call, rng=RngStream(call))
+    assert threading.active_count() == threads
+
+
+@NO_THREAD_WARNING
+def test_mc_dropout_one_layer_model_without_a_stream_has_zero_variance():
+    # nothing to draw, so no stream is needed; dyadic weights keep every sum exact
+    layer = Layer(weights=np.array([[0.5, -1.25], [2.0, 0.25]]), biases=np.array([0.125, -0.5]))
+    model = ModelState(layers=[layer], dropout_rate=0.3, mode="eval")
+    x = np.array([[1.0, -2.0], [3.0, 0.0], [-1.0, 4.0]])
+    means, variances = mc_dropout_predict(model, x, samples=6, rng=None)
+    assert not variances.any() and not np.signbit(variances).any()
+    assert means.tobytes() == forward(model, x)[0].tobytes()
+
+
+@NO_THREAD_WARNING
+def test_mc_dropout_concurrent_calls_under_fast_thread_switching():
+    # more callers than cores, each with its own drawer, switching threads every
+    # few bytecodes: a mask set handed over too early would change the bytes
+    model = init_mlp([5, 32, 32, 1], dropout_rate=0.3, rng=RngStream(4)).eval()
+    x = RngStream(5).standard_normal((20, 5))
+    want = [per_sample_forward_reference(model, x, 30, RngStream(seed)) for seed in range(4)]
+    got = [None] * 4
+
+    def call(seed):
+        for _ in range(5):
+            got[seed] = mc_dropout_predict(model, x, samples=30, rng=RngStream(seed))
+            if any(a.tobytes() != b.tobytes() for a, b in zip(got[seed], want[seed])):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for (means, variances), (want_means, want_variances) in zip(got, want):
+        assert means.tobytes() == want_means.tobytes() and variances.tobytes() == want_variances.tobytes()
 
 
 @pytest.mark.parametrize("rate", [0.05, 0.2, 1 / 3, 0.5, 0.9])

@@ -148,6 +148,20 @@ def test_kernel_config_validation():
         KernelConfig(tau_max=1.0, tau_std=1.0, backend="cosine")
 
 
+@pytest.mark.parametrize("tau_std", [1e200, 1e154, 1e-300, 1e-162])
+def test_kernel_config_rejects_a_scale_that_overflows_or_underflows(tau_std):
+    # 2 tau_std^2 raises OverflowError, is inf, or is 0: the kernel cannot divide by it
+    with pytest.raises(DomainError, match="tau_std"):
+        KernelConfig(tau_max=1.0, tau_std=tau_std)
+
+
+@pytest.mark.parametrize("tau_std, near, far", [(1e-160, 1e-4, 1e6), (1e10, 1.0, 1.0), (1e150, 1.0, 1.0)])
+def test_kernel_tau_at_extreme_but_representable_scales(tau_std, near, far):
+    # a subnormal scale saturates the clamp; a huge one gives every pair 1 / tau_max
+    config = KernelConfig(tau_max=1.0, tau_std=tau_std)
+    assert kernel_tau(0.0, config) == near and kernel_tau(1.5, config) == far
+
+
 def test_closer_pairs_mix_more():
     # composed property: larger distance -> larger tau -> coefficients
     # pushed harder toward the endpoints
