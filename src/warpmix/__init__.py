@@ -28,7 +28,6 @@ from .mixer import (
     MixupConfig,
     mix_batch,
     mixed_loss,
-    sample_permutation,
 )
 from .metrics import (
     bin_stats,

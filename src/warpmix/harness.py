@@ -2,17 +2,18 @@
 
 One integer seed determines everything about a run through documented
 stream splitting: the split shuffle uses the root stream for that seed,
-weight init uses child 1, the training loop uses child 2, and MC-Dropout
-evaluation uses child 3. Two runs with the same config and seed are
-therefore bit-identical, regardless of which process runs them.
+weight init uses child 1, the training loop's shuffles and mix draws use
+child 2, MC-Dropout evaluation uses child 3, and training's dropout masks
+use child 4. Two runs with the same config and seed are therefore
+bit-identical, regardless of which process runs them.
 
-The training loop makes each epoch's draws up front, in the order the steps
-consume them: the epoch's shuffle, then for each step its mix draws and its
-dropout masks (one per hidden layer, kept as packed bits until the step).
-Each step then uses its own. When no warp strength reads the model,
-strengths, warps and mixed inputs are computed once per epoch over all of
-its full batches; strengths from the model are computed at the step that
-uses them.
+Each training epoch draws its shuffle, then each step's mix draws, in step
+order, from child 2; each step draws its dropout masks at the step (one per
+hidden layer, into buffers kept for the run) from child 4. When no warp
+strength reads the model, strengths, warps and mixed inputs are computed
+once over all of an epoch's full batches, at its first step, which then
+makes their mix draws; strengths from the model are computed at the step
+that uses them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
 from .metrics import _nll, log_softmax, metrics_from_payload, softmax, temperature_scale
-from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _draw, _mse
+from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
@@ -60,6 +61,7 @@ __all__ = [
 STREAM_INIT = 1
 STREAM_TRAIN = 2
 STREAM_EVAL = 3
+STREAM_DROPOUT = 4
 
 # Every config field with its documented default. Unknown keys are rejected;
 # omitted keys take these values.
@@ -381,32 +383,26 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     opt = config.optimizer_state()
     mix_cfg = config.mixup_config()
     train_rng = root.child(STREAM_TRAIN)
-    dropout_rng = _dropout_stream(model, train_rng)
+    dropout_rng = _dropout_stream(model, root.child(STREAM_DROPOUT))
     onehot = None if num_classes is None else np.eye(num_classes)
     grads = _gradient_views(opt, model)  # backward writes, the optimizer reads
     valid_buffers = _layer_buffers(model, len(splits.valid))
     epochs, batch_size = opt_cfg["epochs"], opt_cfg["batch_size"]
 
     n = features.shape[0]
+    # each step draws its dropout masks into these, a short last step into their first rows
+    uniforms = _layer_buffers(model, min(batch_size, n))[:-1]
+    kept = [np.empty(u.shape, dtype=bool) for u in uniforms]
     trace = []
     for epoch in range(epochs):
-        # every draw of the epoch, up front: the shuffle, then each step's mix draws,
-        # written at the step's rows, and its dropout masks, kept as packed bits
-        # until the step (bool masks for the whole epoch would hold 8x the memory)
         order = train_rng.permutation(n)
-        perm, raw, masks = np.empty(n, dtype=np.int64), np.empty(n), []
-        for start in range(0, n, batch_size):
-            _draw(mix_cfg, train_rng, perm[start : start + batch_size], raw[start : start + batch_size])
-            kept = _draw_masks(model, min(batch_size, n - start), dropout_rng)
-            masks.append(kept and [np.packbits(mask, axis=-1) for mask in kept])
-        mixing = _Epoch(Batch(features[order], targets[order], num_classes), batch_size, perm, raw, mix_cfg)
+        mixing = _Epoch(Batch(features[order], targets[order], num_classes), batch_size, train_rng, mix_cfg)
         batch_losses = []
         try:
-            for step, bits in enumerate(masks):
+            for step in range(math.ceil(n / batch_size)):
                 mixed = mix_batch(mixing, step, model)  # checks model features
-                kept = bits and [np.unpackbits(b, axis=-1, count=layer.biases.size).view(bool)
-                                 for b, layer in zip(bits, model.layers)]
-                outputs, cache = forward(model, mixed.inputs, kept)
+                masks = _draw_masks(model, mixed.size, dropout_rng, kept, uniforms)
+                outputs, cache = forward(model, mixed.inputs, masks)
                 loss, out_grad = _loss_and_grad(outputs, mixed, onehot)
                 if not math.isfinite(loss):
                     raise DivergenceError("non-finite training loss")

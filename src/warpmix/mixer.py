@@ -35,7 +35,6 @@ __all__ = [
     "MixupConfig",
     "MixPlan",
     "MixedBatch",
-    "sample_permutation",
     "mix_batch",
     "mixed_loss",
 ]
@@ -192,14 +191,6 @@ class MixedBatch:
         return c * self.targets_a + (1.0 - c) * self.targets_b
 
 
-def sample_permutation(n: int, rng: RngStream) -> np.ndarray:
-    """A uniformly random permutation of range(n)."""
-    n = int(n)
-    if n < 1:
-        raise UsageError(f"permutation size must be >= 1, got {n}")
-    return rng.permutation(n)
-
-
 def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> MixedBatch:
     """Mix one batch according to ``config``.
 
@@ -221,7 +212,7 @@ def _draw(config: MixupConfig, rng: RngStream, perm: np.ndarray, raw: np.ndarray
     coefficients. Mode ``off`` draws nothing and writes the identity
     permutation and coefficients of 1."""
     off = config.mode == "off"
-    perm[:] = np.arange(perm.size) if off else sample_permutation(perm.size, rng)
+    perm[:] = np.arange(perm.size) if off else rng.permutation(perm.size)
     raw[:] = 1.0 if off else beta_sample(config.alpha, rng, size=None if config.per_batch_coeff else raw.size)
 
 
@@ -266,37 +257,42 @@ def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConf
 
 @dataclass
 class _Epoch:
-    """The mixing of one training epoch: its rows in epoch order, every
-    step's draws as ``_draw`` writes them, a step's at its rows, and the
-    block of steps mixed last, as (first step, stop step, its MixedBatch)."""
+    """The mixing of one training epoch: its rows in epoch order, the stream
+    that its steps draw from, and the block of steps mixed last, as (first
+    step, stop step, its MixedBatch)."""
 
     rows: Batch
     batch_size: int
-    perm: np.ndarray
-    raw: np.ndarray
+    rng: RngStream
     config: MixupConfig
     block: tuple = (0, 0, None)
 
 
 def _mix_step(epoch: _Epoch, step: int, model=None) -> MixedBatch:
-    """Step ``step``'s MixedBatch: ``mix_batch`` of its batch with its draws.
+    """Step ``step``'s MixedBatch: ``mix_batch`` of its batch from the epoch's stream.
 
-    A step outside the block mixed last mixes its own block first. When no
-    strength source reads the model, the epoch's full batches are one block
-    and a short last batch another, so the first step mixes every full
+    Steps are mixed in order. A step outside the block mixed last mixes its
+    own block first, making the block's draws as ``_draw`` makes them, batch
+    after batch, so the stream gives each batch what ``mix_batch`` would take.
+    When no strength source reads the model, the epoch's full batches are one
+    block and a short last batch another, so the first step mixes every full
     batch; otherwise each step is its own block, mixed against the model as
     it is at that step."""
     first, stop, block = epoch.block
+    size = epoch.batch_size
     if not first <= step < stop:
-        full = epoch.rows.size // epoch.batch_size
+        full = epoch.rows.size // size
         first, stop = (step, step + 1) if epoch.config._reads_model or step >= full else (0, full)
-        lo, hi = first * epoch.batch_size, min(stop * epoch.batch_size, epoch.rows.size)
+        lo, hi = first * size, min(stop * size, epoch.rows.size)
         rows = _batch(epoch.rows.inputs[lo:hi], epoch.rows.targets[lo:hi], epoch.rows.num_classes)
-        block = _mix_block(rows, epoch.perm[lo:hi], epoch.raw[lo:hi], epoch.config, model, stop - first)
+        perm, raw = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
+        for start in range(0, rows.size, size):
+            _draw(epoch.config, epoch.rng, perm[start : start + size], raw[start : start + size])
+        block = _mix_block(rows, perm, raw, epoch.config, model, stop - first)
         epoch.block = first, stop, block
     if stop - first == 1:
         return block
-    own = slice((step - first) * epoch.batch_size, (step - first + 1) * epoch.batch_size)
+    own = slice((step - first) * size, (step - first + 1) * size)
     plan = MixPlan(*(lanes[own] for lanes in vars(block.plan).values()))
     return MixedBatch(block.inputs[own], block.targets_a[own], block.targets_b[own], plan.target_coeffs,
                       block.num_classes, plan)

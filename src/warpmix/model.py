@@ -194,10 +194,12 @@ def _draw_masks(model: ModelState, rows: int, rng: Optional[RngStream], out=None
     array per hidden layer, in layer order, each ``u < keep`` for uniforms
     ``u`` drawn from ``rng``. None without ``rng``. ``out`` lists one bool
     array per hidden layer to draw them into, and ``uniforms`` one float64
-    array per hidden layer to draw the uniforms into."""
+    array per hidden layer to draw the uniforms into; each of these arrays
+    has at least ``rows`` rows, and its first ``rows`` are written."""
     keep = 1.0 - model.dropout_rate
-    return rng and [np.less(rng.uniform(size=(rows, layer.biases.size), out=uniforms[k] if uniforms else None),
-                            keep, out=out[k] if out else None)
+    return rng and [np.less(rng.uniform(size=(rows, layer.biases.size),
+                                        out=uniforms[k][:rows] if uniforms else None),
+                            keep, out=out[k][:rows] if out else None)
                     for k, layer in enumerate(model.layers[:-1])]
 
 

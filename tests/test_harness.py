@@ -347,9 +347,9 @@ def test_split_inside_train_matches_module_split():
 
 
 def _public_step_training(config, seed, dataset):
-    """``train``'s loop written with the public, checked functions: the model
-    and the training stream after the last step, plus the per-epoch mean of
-    the batch losses."""
+    """``train``'s loop written with the public, checked functions: the model,
+    the training stream and the dropout stream after the last step, plus the
+    per-epoch mean of the batch losses."""
     from warpmix import Batch, backward, forward, mix_batch, mixed_loss, optimizer_step
 
     splits = split(dataset, config.split_fractions, seed)
@@ -361,6 +361,7 @@ def _public_step_training(config, seed, dataset):
     dims = [dataset.features.shape[1], *values["model"]["hidden"], num_classes or 1]
     model = init_mlp(dims, values["model"]["dropout_rate"], root.child(STREAM_INIT))
     opt, mix_cfg, rng = config.optimizer_state(), config.mixup_config(), root.child(harness.STREAM_TRAIN)
+    dropout_rng = root.child(harness.STREAM_DROPOUT)
     n, batch_size = len(splits.train), values["optimizer"]["batch_size"]
     losses = []
     for _ in range(values["optimizer"]["epochs"]):
@@ -370,11 +371,11 @@ def _public_step_training(config, seed, dataset):
             idx = order[start : start + batch_size]
             batch = Batch(splits.train.features[idx], targets[idx], num_classes=num_classes)
             mixed = mix_batch(batch, mix_cfg, rng, model)
-            outputs, cache = forward(model, mixed.inputs, rng)
+            outputs, cache = forward(model, mixed.inputs, dropout_rng)
             loss, grad = mixed_loss(outputs, mixed)
             losses[-1].append(loss)
             optimizer_step(opt, model, backward(model, cache, grad))
-    return model, rng, [float(np.mean(epoch)) for epoch in losses]
+    return model, rng, dropout_rng, [float(np.mean(epoch)) for epoch in losses]
 
 
 @pytest.mark.parametrize("task, in_backend, out_backend", [
@@ -385,7 +386,7 @@ def _public_step_training(config, seed, dataset):
 @pytest.mark.parametrize("per_batch", [False, True])
 def test_training_step_equals_public_composition(monkeypatch, task, in_backend, out_backend, per_batch):
     # train's unchecked step and the checked public functions make the same model
-    # and leave the training stream at the same draw, bit for bit
+    # and leave the training and dropout streams at the same draw, bit for bit
     streams = {}
 
     class RecordingStream(RngStream):
@@ -402,10 +403,11 @@ def test_training_step_equals_public_composition(monkeypatch, task, in_backend, 
     for mode in ("off", "vanilla", "kernel_warped", "input_only", "target_only"):
         cfg = tiny_config(task, mixup__mode=mode, **tweaks)
         result = train(cfg, seed=4, dataset=dataset)
-        model, rng, losses = _public_step_training(cfg, 4, dataset)
+        model, rng, dropout_rng, losses = _public_step_training(cfg, 4, dataset)
         assert np.array_equal(result.model.params, model.params), mode
         assert result.model.step_count == model.step_count
-        assert streams[harness.STREAM_TRAIN].uniform(size=3).tolist() == rng.uniform(size=3).tolist(), mode
+        for index, stream in ((harness.STREAM_TRAIN, rng), (harness.STREAM_DROPOUT, dropout_rng)):
+            assert streams[index].uniform(size=3).tolist() == stream.uniform(size=3).tolist(), (mode, index)
         assert [row["train_loss"] for row in result.trace] == losses, mode
 
 
@@ -448,15 +450,14 @@ def test_divergence_aborts_with_diagnostic(task, tweaks):
 
 
 def test_divergence_after_the_first_epoch_reports_as_before():
-    # each epoch draws its randomness before its first step: a run that diverges
-    # in epoch 2 still names that epoch and carries the rows of epochs 0 and 1
+    # an epoch mixes its full batches as one block at its first step: a run that
+    # diverges in epoch 1 still names that epoch and carries the row of epoch 0
     cfg = tiny_config(optimizer__kind="sgd_momentum", optimizer__learning_rate=2.0, optimizer__epochs=3)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
         train(cfg, seed=0, dataset=REG_DATA)
-    assert str(info.value) == "non-finite training loss at epoch 2, seed 0"
+    assert str(info.value) == "non-finite training loss at epoch 1, seed 0"
     assert info.value.trace == [
-        {"epoch": 0, "train_loss": 10208919.709856234, "valid_loss": 5.5500774066720373e+23},
-        {"epoch": 1, "train_loss": 3.141774892890621e+222, "valid_loss": math.inf},
+        {"epoch": 0, "train_loss": 1521264.4419187712, "valid_loss": 2.56941282898763e+20},
     ]
 
 

@@ -25,7 +25,6 @@ from warpmix import (
     init_mlp,
     mix_batch,
     mixed_loss,
-    sample_permutation,
     warp_pairwise,
 )
 
@@ -90,25 +89,27 @@ def test_mixup_config_validation():
     MixupConfig(alpha=1.0, mode="kernel_warped", input_kernel=ik, output_kernel=ok)
 
 
-# ------------------------------------------------------ sample_permutation
+# ------------------------------------------------------- the permutation
 
 
 def test_permutation_basics():
-    assert list(sample_permutation(1, RngStream(0))) == [0]
-    with pytest.raises(UsageError):
-        sample_permutation(0, RngStream(0))
-    a = sample_permutation(10, RngStream(42))
-    b = sample_permutation(10, RngStream(42))
+    cfg = MixupConfig(alpha=0.5, mode="vanilla")
+    assert list(mix_batch(regression_batch(n=1), cfg, RngStream(0)).plan.permutation) == [0]
+    batch = regression_batch(n=10)
+    a = mix_batch(batch, cfg, RngStream(42)).plan.permutation
+    b = mix_batch(batch, cfg, RngStream(42)).plan.permutation
     assert np.array_equal(a, b)
     assert sorted(a) == list(range(10))
 
 
 def test_permutation_uniform_over_s3():
     counts = {p: 0 for p in itertools.permutations(range(3))}
+    cfg = MixupConfig(alpha=0.5, mode="vanilla")
+    batch = regression_batch(n=3)
     stream = RngStream(777)
     draws = 60_000
     for _ in range(draws):
-        counts[tuple(sample_permutation(3, stream))] += 1
+        counts[tuple(mix_batch(batch, cfg, stream).plan.permutation)] += 1
     for p, c in counts.items():
         assert abs(c / draws - 1.0 / 6.0) < 0.01, (p, c)
 
@@ -230,11 +231,8 @@ def assert_mixed_equal(got, want):
 
 
 def epoch_of(rows, batch_size, cfg, rng):
-    """An epoch's mixing of ``rows`` with every step's draws made up front, as training makes them."""
-    perm, raw = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
-    for start in range(0, rows.size, batch_size):
-        mixer_module._draw(cfg, rng, perm[start : start + batch_size], raw[start : start + batch_size])
-    return mixer_module._Epoch(rows, batch_size, perm, raw, cfg)
+    """An epoch's mixing of ``rows``, its steps drawing from ``rng`` as training's do."""
+    return mixer_module._Epoch(rows, batch_size, rng, cfg)
 
 
 @pytest.mark.parametrize("per_batch", [False, True])
@@ -246,10 +244,13 @@ def test_block_mix_equals_one_mix_batch_per_batch(mode, per_batch):
     cfg = MixupConfig(alpha=0.5, mode=mode, input_kernel=ik, output_kernel=ok, per_batch_coeff=per_batch)
     rows = regression_batch(n=7 * 16 + 5, d=5, seed=11)
     sizes = [16] * 7 + [5]
-    drawn, replayed = RngStream(12), RngStream(12)
+    drawn, replayed, blocked = RngStream(12), RngStream(12), RngStream(12)
     epoch = epoch_of(rows, 16, cfg, drawn)
+    perm, raw = np.empty(112, dtype=np.int64), np.empty(112)
+    for start in range(0, 112, 16):
+        mixer_module._draw(cfg, blocked, perm[start : start + 16], raw[start : start + 16])
     block = mixer_module._mix_block(mixer_module._batch(rows.inputs[:112], rows.targets[:112]),
-                                    epoch.perm[:112], epoch.raw[:112], cfg, count=7)
+                                    perm, raw, cfg, count=7)
     for step, size in enumerate(sizes):
         lanes = slice(16 * step, 16 * step + size)
         want = mix_batch(Batch(rows.inputs[lanes], rows.targets[lanes]), cfg, replayed)
