@@ -11,13 +11,12 @@ from .errors import (
 )
 from .rng import RngStream
 from .special import SHAPE_MAX, SHAPE_MIN, beta_sample, incomplete_beta_reg, log_beta
-from .warping import warp, warp_pairwise
+from .warping import warp_pairwise
 from .similarity import (
     FEATURE_BACKENDS,
     KernelConfig,
     batch_taus,
     extract_features,
-    kernel_tau,
     normalized_distances,
 )
 from .mixer import (

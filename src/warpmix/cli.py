@@ -23,7 +23,7 @@ from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, ru
 from .metrics import bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
-from .similarity import KernelConfig, kernel_tau
+from .similarity import KernelConfig, _checked_distances, _distances_to_taus
 from .special import beta_sample
 from .warping import warp_pairwise
 
@@ -152,19 +152,19 @@ def _cmd_warp_demo(args) -> int:
 
     if args.distances is not None:
         kernel = KernelConfig(tau_max=args.tau_max, tau_std=args.tau_std)
-        cases = [(distance, kernel_tau(distance, kernel)) for distance in _comma_floats(args.distances)]
+        distances = _checked_distances(np.array(_comma_floats(args.distances)))
+        cases = list(zip(map(repr, distances.tolist()), _distances_to_taus(distances, kernel).tolist()))
     elif args.taus is not None:
-        cases = [(None, tau) for tau in _comma_floats(args.taus)]
+        cases = [("", tau) for tau in _comma_floats(args.taus)]
     else:
         raise UsageError("warp-demo needs either --taus or --distances with --tau-max/--tau-std")
 
     rng = RngStream(args.seed)
     edges = _bin_edges(0.0, 1.0, num_bins)
     lines = ["distance,tau,bin_lo,bin_hi,count,density"]
-    for case_index, (distance, tau) in enumerate(cases):
+    for case_index, (d_txt, tau) in enumerate(cases):
         raw = beta_sample(args.alpha, rng.child(case_index), size=samples)
         counts, _ = bin_stats(warp_pairwise(raw, np.full(samples, tau)), 0.0, 1.0, num_bins)
-        d_txt = "" if distance is None else repr(distance)
         for b in range(num_bins):
             lo, hi = edges[b], edges[b + 1]
             density = float(counts[b]) / (samples * (hi - lo))

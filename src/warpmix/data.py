@@ -18,6 +18,17 @@ __all__ = ["Dataset", "Normalization", "DataSplits", "load_csv", "split"]
 _STD_FLOOR = 1e-8
 
 
+def check_num_classes(num_classes) -> int:
+    """``num_classes`` as an int, or UsageError unless it is an integer >= 2.
+
+    An integral float counts as its integer (3.0 is 3), as config keys allow;
+    bools and strings are never class counts."""
+    if isinstance(num_classes, (int, float, np.integer, np.floating)) and not isinstance(num_classes, bool):
+        if num_classes >= 2 and float(num_classes).is_integer():
+            return int(num_classes)
+    raise UsageError(f"num_classes must be an integer >= 2, got {num_classes!r}")
+
+
 @dataclass
 class Dataset:
     """Feature matrix (N, d) plus targets (N,); ``num_classes`` is None for regression,
@@ -40,6 +51,7 @@ class Dataset:
         if self.num_classes is None:
             self.targets = targets
         else:
+            self.num_classes = check_num_classes(self.num_classes)
             bad = np.flatnonzero((targets != np.floor(targets)) | (targets < 0) | (targets >= self.num_classes))
             if bad.size:
                 raise DatasetError(

@@ -338,17 +338,6 @@ class MetricReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        payload = json.loads(text)
-        return cls(
-            per_seed={int(s): m for s, m in payload["per_seed"].items()},
-            mean=payload["mean"],
-            std=payload["std"],
-            config=payload["config"],
-            duration_s=payload["duration_s"],
-        )
-
 
 def _plain_valid_loss(model: ModelState, part: Dataset, norm, buffers=None) -> float:
     """The loss of an eval-mode forward over ``part``; ``buffers`` as for ``_propagate``."""
@@ -364,8 +353,9 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
         dataset = config.load_dataset()
     task = config.task
     num_classes = None if task == "regression" else config.num_classes
-    if (dataset.num_classes is None) != (num_classes is None):
-        raise UsageError(f"a {task} config cannot train on a dataset with num_classes={dataset.num_classes}")
+    if dataset.num_classes != num_classes:
+        raise UsageError(f"a {task} config with num_classes={num_classes} cannot train on a dataset "
+                         f"with num_classes={dataset.num_classes}")
     splits = split(dataset, config.split_fractions, seed)
     norm = splits.normalization
 

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import check_num_classes
 from .errors import DomainError, UsageError
 from .metrics import _nll, _shifted_exp
 from .rng import RngStream
@@ -75,9 +76,7 @@ class Batch:
         if self.num_classes is None:
             self.targets = np.asarray(self.targets, dtype=np.float64)
         else:
-            if int(self.num_classes) < 2:
-                raise UsageError(f"num_classes must be >= 2, got {self.num_classes}")
-            self.num_classes = int(self.num_classes)
+            self.num_classes = check_num_classes(self.num_classes)
             self.targets = np.asarray(self.targets)
             if self.targets.dtype.kind not in "iu":
                 as_int = self.targets.astype(np.int64)

@@ -25,7 +25,6 @@ __all__ = [
     "FEATURE_BACKENDS",
     "KernelConfig",
     "normalized_distances",
-    "kernel_tau",
     "batch_taus",
     "extract_features",
 ]
@@ -135,16 +134,6 @@ def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
         for d in dists.tolist()
     ]
     return np.clip(np.array(taus, dtype=np.float64), SHAPE_MIN, SHAPE_MAX)
-
-
-def kernel_tau(norm_distance, config: KernelConfig) -> float:
-    """Warp strength for one normalized pair distance.
-
-    exp((d - 1) / (2 std^2)) / tau_max, clamped to the shape-parameter
-    range accepted by the warping functions. An average pair (d = 1) maps
-    exactly to 1 / tau_max.
-    """
-    return float(_distances_to_taus(_checked_distances(np.array([float(norm_distance)])), config)[0])
 
 
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:

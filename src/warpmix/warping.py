@@ -18,12 +18,7 @@ from .errors import DomainError, UsageError
 # warp calls the unchecked kernel, under the name per-layer traces time it by.
 from .special import _checked_shapes, _incomplete_beta as incomplete_beta_reg
 
-__all__ = ["warp", "warp_pairwise"]
-
-
-def warp(coeff, tau) -> float:
-    """Warp one coefficient in [0, 1] by strength ``tau`` (``math.inf`` for the step)."""
-    return float(warp_pairwise([coeff], [tau])[0])
+__all__ = ["warp_pairwise"]
 
 
 def warp_pairwise(coeffs, taus) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from warpmix import RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise
+from warpmix import SHAPE_MAX, SHAPE_MIN, RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise
 from warpmix import cli, harness
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
 
@@ -604,6 +604,23 @@ def test_warp_demo_distance_mode_applies_kernel(tmp_path, capsys):
     assert {r[0] for r in rows} == {"1.0"}
     assert {r[1] for r in rows} == {"0.25"}  # exp(0)/tau_max
     assert counts.sum() == 1000
+
+    def taus(distances, tau_max, tau_std):
+        out = tmp_path / f"demo-{tau_std}"
+        assert main(["warp-demo", "--distances", distances, "--tau-max", tau_max, "--tau-std", tau_std,
+                     "--samples", "10", "--bins", "1", "--out", str(out)]) == 0
+        return [float(r[1]) for r in demo_counts(out / "warp_demo.csv")[0]]
+
+    # exp((d - 1) / (2 std^2)) / tau_max, and exactly 1 / tau_max for an average pair
+    assert taus("0,1", "1e-2", "1.5") == [math.exp(-1.0 / 4.5) / 1e-2, 1.0 / 1e-2]
+    # a tiny std saturates the kernel at both ends of the shape range
+    assert taus("0,1,50", "1", "1e-3") == [SHAPE_MIN, 1.0, SHAPE_MAX]
+    capsys.readouterr()
+    for bad in ("-0.5", "nan", "inf"):
+        bad_out = tmp_path / f"bad-{bad}"
+        assert main(["warp-demo", "--distances", f"1,{bad}", "--out", str(bad_out)]) == USAGE_EXIT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not bad_out.exists()
 
 
 def test_warp_demo_counts_with_bin_stats(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warpmix import Dataset, DatasetError, UsageError, load_csv, split
+from warpmix import Batch, Dataset, DatasetError, UsageError, load_csv, split
 from warpmix.rng import RngStream
 
 from _support import write_csv
@@ -101,6 +101,23 @@ def test_targets_that_are_not_a_vector_rejected_by_dataset(num_classes, shape):
     # 2-D targets used to pass here and then crash training with a numpy broadcast error
     with pytest.raises(UsageError, match="targets must be a vector"):
         Dataset(features=np.ones((4, 3)), targets=np.zeros(shape), num_classes=num_classes)
+
+
+@pytest.mark.parametrize("kind", [Dataset, Batch])
+@pytest.mark.parametrize("num_classes", [2.5, True, 1, "3", np.nan, np.int64(1)],
+                         ids=["half", "bool", "one", "string", "nan", "int64_one"])
+def test_num_classes_that_is_not_an_integer_of_at_least_two_rejected(kind, num_classes):
+    with pytest.raises(UsageError, match="num_classes must be an integer >= 2"):
+        kind(np.ones((4, 3)), np.array([0, 1, 1, 0]), num_classes=num_classes)
+
+
+@pytest.mark.parametrize("kind", [Dataset, Batch])
+@pytest.mark.parametrize("num_classes", [3, 3.0, np.int64(3), np.float64(3.0)],
+                         ids=["int", "float", "int64", "float64"])
+def test_integral_num_classes_stored_as_int(kind, num_classes):
+    # as a config key does: an integral float counts as its integer
+    stored = kind(np.ones((4, 3)), np.array([0, 1, 2, 0]), num_classes=num_classes).num_classes
+    assert type(stored) is int and stored == 3
 
 
 def test_feature_overflowing_normalization_names_its_row():

@@ -319,6 +319,13 @@ def test_train_rejects_a_dataset_of_the_other_task(task, dataset):
         train(tiny_config(task), seed=0, dataset=dataset)
 
 
+def test_train_rejects_a_dataset_of_another_class_count():
+    # a 7-class dataset used to train under a 3-class config, then fail mid-run on a label >= 3
+    dataset = Dataset(features=CLF_DATA.features, targets=CLF_DATA.targets, num_classes=7)
+    with pytest.raises(UsageError, match="num_classes=3 cannot train on a dataset with num_classes=7"):
+        train(tiny_config("classification"), seed=0, dataset=dataset)
+
+
 def test_training_is_bit_reproducible():
     cfg = tiny_config(optimizer__epochs=1)
     a = train(cfg, seed=5, dataset=REG_DATA)
@@ -667,16 +674,6 @@ def test_report_skips_metrics_missing_for_any_seed():
     mean, std = MetricReport.aggregate(per_seed)
     assert "mape" not in mean and "mape" not in std
     assert mean["rmse"] == 1.5
-
-
-def test_report_json_round_trip():
-    cfg = tiny_config()
-    report = run_experiment(cfg, dataset=REG_DATA).report
-    back = MetricReport.from_json(report.to_json())
-    assert back.per_seed == report.per_seed  # keys back to ints
-    assert back.mean == report.mean and back.std == report.std
-    assert back.config == report.config
-    assert back.duration_s == report.duration_s
 
 
 def test_seed_isolation():

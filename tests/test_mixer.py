@@ -167,8 +167,6 @@ def test_convex_combination_arithmetic():
 def test_plan_internal_consistency():
     # each distinct side is warped once, all in one call; each side is what the public warp
     # gives for it alone, and each lane what it gives for that lane alone
-    from warpmix import warp
-
     batch = regression_batch(n=24, seed=3)
     model = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(4))
     embedding = KernelConfig(tau_max=3.0, tau_std=0.8, backend="embedding")
@@ -183,8 +181,9 @@ def test_plan_internal_consistency():
             assert np.array_equal(plan.input_taus, plan.target_taus)
             assert np.array_equal(plan.input_coeffs, plan.target_coeffs)
         for i in range(batch.size):
-            assert plan.input_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.input_taus[i])
-            assert plan.target_coeffs[i] == warp(float(plan.raw_coeffs[i]), plan.target_taus[i])
+            lane = plan.raw_coeffs[i : i + 1]
+            assert plan.input_coeffs[i] == warp_pairwise(lane, plan.input_taus[i : i + 1])[0]
+            assert plan.target_coeffs[i] == warp_pairwise(lane, plan.target_taus[i : i + 1])[0]
             assert 0.0 <= plan.input_coeffs[i] <= 1.0
             assert 0.0 <= plan.target_coeffs[i] <= 1.0
 

@@ -17,9 +17,7 @@ from warpmix import (
     embed,
     extract_features,
     init_mlp,
-    kernel_tau,
     normalized_distances,
-    warp,
     warp_pairwise,
 )
 
@@ -98,45 +96,59 @@ def test_invalid_permutation_rejected():
         normalized_distances(pts, np.array([0, 1]))
 
 
-# ------------------------------------------------------------- kernel_tau
+# ------------------------------------------------------ the strength kernel
 
 
 def make_config(tau_max=2.0, tau_std=1.0, backend="raw_input"):
     return KernelConfig(tau_max=tau_max, tau_std=tau_std, backend=backend)
 
 
+def taus_at(squared, config):
+    """batch_taus of pairs k with integer squared distances ``squared[k]`` (a row of
+    that many ones against a zero row), and the pairs' normalized distances,
+    which are squared[k] / mean(squared) exactly where that quotient is."""
+    squared = np.asarray(squared)
+    ones = (np.arange(squared.max()) < squared[:, None]).astype(np.float64)
+    points = np.vstack([ones, np.zeros_like(ones)])
+    k = squared.size
+    perm = np.concatenate([np.arange(k, 2 * k), np.arange(k)])
+    return batch_taus(points, perm, config)[:k], normalized_distances(points, perm)[:k]
+
+
 def test_mean_distance_gives_inverse_amplitude():
-    assert kernel_tau(1.0, make_config(tau_max=2.0)) == 0.5
-    assert kernel_tau(1.0, make_config(tau_max=1.0)) == 1.0
-    assert kernel_tau(1.0, make_config(tau_max=0.25, tau_std=17.0)) == 4.0
+    for tau_max, tau_std, want in ((2.0, 1.0, 0.5), (1.0, 1.0, 1.0), (0.25, 17.0, 4.0)):
+        taus, dists = taus_at([1, 1], make_config(tau_max=tau_max, tau_std=tau_std))
+        assert dists.tolist() == [1.0, 1.0] and taus.tolist() == [want, want]
 
 
 def test_zero_distance_value():
-    got = kernel_tau(0.0, make_config(tau_max=2.0, tau_std=1.0))
-    assert got == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)
-    assert got == pytest.approx(0.30327, abs=1e-5)
+    taus, dists = taus_at([0, 2], make_config(tau_max=2.0, tau_std=1.0))
+    assert dists.tolist() == [0.0, 2.0]
+    assert taus[0] == pytest.approx(0.5 * math.exp(-0.5), abs=1e-15)
+    assert taus[0] == pytest.approx(0.30327, abs=1e-5)
 
 
 def test_kernel_monotone_in_distance():
-    cfg = make_config(tau_max=2.0, tau_std=1.0)
-    dbars = np.linspace(0.0, 10.0, 50)
-    taus = [kernel_tau(float(v), cfg) for v in dbars]
-    assert np.all(np.diff(taus) > 0.0)
+    # 200 coinciding pairs put the batch mean at 4.9, so the rest span 0 to 10
+    taus, dists = taus_at([0] * 200 + list(range(50)), make_config(tau_max=2.0, tau_std=1.0))
+    assert dists[-1] == 10.0
+    assert np.all(np.diff(taus[200:]) > 0.0)
 
 
 def test_kernel_clamps_to_shape_range():
     # tiny std makes the exponential explode/vanish; output must stay
     # inside the supported shape range
-    cfg = make_config(tau_max=1.0, tau_std=1e-3)
-    assert kernel_tau(50.0, cfg) == SHAPE_MAX
-    assert kernel_tau(0.0, cfg) == SHAPE_MIN
+    taus, dists = taus_at([0] * 49 + [50], make_config(tau_max=1.0, tau_std=1e-3))
+    assert (dists[0], dists[-1]) == (0.0, 50.0)
+    assert (taus[0], taus[-1]) == (SHAPE_MIN, SHAPE_MAX)
 
 
 def test_kernel_rejects_bad_distances():
-    cfg = make_config()
-    for bad in (math.nan, math.inf, -0.5):
-        with pytest.raises(DomainError):
-            kernel_tau(bad, cfg)
+    # non-finite features give non-finite distances; warp-demo --distances,
+    # the one caller that takes distances as given, also rejects negative ones
+    for bad in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            batch_taus(np.array([[0.0], [bad], [1.0]]), np.array([1, 2, 0]), make_config())
 
 
 def test_kernel_config_validation():
@@ -158,21 +170,18 @@ def test_kernel_config_rejects_a_scale_that_overflows_or_underflows(tau_std):
 @pytest.mark.parametrize("tau_std, near, far", [(1e-160, 1e-4, 1e6), (1e10, 1.0, 1.0), (1e150, 1.0, 1.0)])
 def test_kernel_tau_at_extreme_but_representable_scales(tau_std, near, far):
     # a subnormal scale saturates the clamp; a huge one gives every pair 1 / tau_max
-    config = KernelConfig(tau_max=1.0, tau_std=tau_std)
-    assert kernel_tau(0.0, config) == near and kernel_tau(1.5, config) == far
+    taus, dists = taus_at([0, 3, 3], KernelConfig(tau_max=1.0, tau_std=tau_std))
+    assert dists.tolist() == [0.0, 1.5, 1.5] and taus.tolist() == [near, far, far]
 
 
 def test_closer_pairs_mix_more():
     # composed property: larger distance -> larger tau -> coefficients
     # pushed harder toward the endpoints
-    cfg = make_config(tau_max=1.0, tau_std=0.7)
+    taus, dists = taus_at([0, 1, 2, 4, 8, 1, 0, 0], make_config(tau_max=1.0, tau_std=0.7))
+    assert dists[:5].tolist() == [0.0, 0.5, 1.0, 2.0, 4.0]
     for lam in (0.6, 0.75, 0.9):
-        prev = None
-        for dbar in (0.0, 0.5, 1.0, 2.0, 4.0):
-            w = warp(lam, kernel_tau(dbar, cfg))
-            if prev is not None:
-                assert w >= prev - 1e-12
-            prev = w
+        w = warp_pairwise(np.full(5, lam), taus[:5])
+        assert np.all(np.diff(w) >= -1e-12), lam
 
 
 def test_warped_mixing_strength_rises_with_distance():
@@ -233,7 +242,6 @@ def test_batch_taus_bit_identical_to_scalar_kernel():
             cfg = make_config(tau_max=tau_max, tau_std=tau_std)
             taus = batch_taus(points, perm, cfg)
             for d, t in zip(dists.tolist(), taus.tolist()):
-                assert t == kernel_tau(d, cfg)
                 # the documented formula, one math.exp per pair
                 arg = (d - 1.0) / (2.0 * tau_std**2)
                 assert t == (SHAPE_MAX if arg > 700.0 else

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from warpmix import DomainError, RngStream, UsageError, incomplete_beta_reg, warp, warp_pairwise
+from warpmix import DomainError, RngStream, UsageError, incomplete_beta_reg, warp_pairwise
 
 from _support import ks_statistic
 
 
 def test_identity_at_tau_one():
-    for lam in np.linspace(0.0, 1.0, 101):
-        assert warp(float(lam), 1.0) == pytest.approx(float(lam), abs=1e-12)
+    lams = np.linspace(0.0, 1.0, 101)
+    assert np.allclose(warp_pairwise(lams, np.ones(101)), lams, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -27,28 +27,26 @@ def test_identity_at_tau_one():
     ],
 )
 def test_finite_warp_values(lam, tau, expected):
-    assert warp(lam, tau) == pytest.approx(expected, abs=1e-12)
+    assert warp_pairwise([lam], [tau])[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_infinite_warp_is_a_step():
-    inf_tau = math.inf
-    assert warp(0.3, inf_tau) == 0.0
-    assert warp(0.7, inf_tau) == 1.0
-    assert warp(0.0, inf_tau) == 0.0
-    assert warp(1.0, inf_tau) == 1.0
-    # documented tie-break: the midpoint goes to the first pair member
-    assert warp(0.5, inf_tau) == 1.0
+    # documented tie-break: the midpoint 0.5 goes to the first pair member
+    out = warp_pairwise([0.3, 0.7, 0.0, 1.0, 0.5], [math.inf] * 5)
+    assert out.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0]
 
 
 def test_plain_floats_accepted_for_tau():
-    assert warp(0.3, 2.0) == pytest.approx(0.216, abs=1e-12)
-    assert warp(0.3, math.inf) == 0.0
+    # plain Python lists of floats, an integer among them, stand for the arrays
+    out = warp_pairwise([0.3, 0.3, 0.3], [2.0, math.inf, 2])
+    assert out[0] == pytest.approx(0.216, abs=1e-12)
+    assert out[1] == 0.0 and out[2] == out[0]
 
 
 def test_warp_rejects_out_of_range_coefficients():
     for bad in (-0.01, 1.01, math.nan):
         with pytest.raises(DomainError):
-            warp(bad, 1.0)
+            warp_pairwise([bad], [1.0])
         with pytest.raises(DomainError):
             warp_pairwise([0.3, bad], [2.0, 2.0])
 
@@ -56,32 +54,30 @@ def test_warp_rejects_out_of_range_coefficients():
 def test_warp_strength_validation():
     for bad_tau in (0.0, -3.0, math.nan):
         with pytest.raises(DomainError):
-            warp(0.3, bad_tau)
+            warp_pairwise([0.3], [bad_tau])
         with pytest.raises(DomainError):
             warp_pairwise([0.3, 0.6], [2.0, bad_tau])
     # inf is the step limit, not an error
-    assert warp(0.7, math.inf) == 1.0
     assert list(warp_pairwise([0.3, 0.7], [math.inf, math.inf])) == [0.0, 1.0]
-    assert 0.7 < warp(0.7, 2.0) < 1.0
+    assert 0.7 < warp_pairwise([0.7], [2.0])[0] < 1.0
 
 
 def test_point_symmetry():
+    lams = np.linspace(0.0, 1.0, 81)
     for tau in (0.2, 0.5, 1.0, 2.0, 7.0, 50.0):
-        for lam in np.linspace(0.0, 1.0, 81):
-            lhs = warp(float(1.0 - lam), tau)
-            rhs = 1.0 - warp(float(lam), tau)
-            assert abs(lhs - rhs) <= 1e-12
+        taus = np.full(lams.shape, tau)
+        lhs = warp_pairwise(1.0 - lams, taus)
+        rhs = 1.0 - warp_pairwise(lams, taus)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12), tau
 
 
 def test_direction_of_warping():
     # tau > 1 pushes coefficients toward the endpoints, tau < 1 pulls
     # them toward 0.5
-    for lam in np.linspace(0.51, 0.99, 25):
-        assert warp(float(lam), 4.0) >= float(lam)
-        assert warp(float(lam), 0.3) <= float(lam)
-    for lam in np.linspace(0.01, 0.49, 25):
-        assert warp(float(lam), 4.0) <= float(lam)
-        assert warp(float(lam), 0.3) >= float(lam)
+    upper, lower = np.linspace(0.51, 0.99, 25), np.linspace(0.01, 0.49, 25)
+    push, pull = np.full(25, 4.0), np.full(25, 0.3)
+    assert np.all(warp_pairwise(upper, push) >= upper) and np.all(warp_pairwise(upper, pull) <= upper)
+    assert np.all(warp_pairwise(lower, push) <= lower) and np.all(warp_pairwise(lower, pull) >= lower)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.7, 1.0, 3.0, 20.0])
@@ -90,7 +86,7 @@ def test_strictly_increasing_for_finite_tau(tau):
     # far tails of large tau the CDF saturates to exactly 0.0/1.0 (so
     # does scipy), so only require non-decreasing overall
     xs = np.linspace(0.0, 1.0, 201)
-    vals = np.array([warp(float(x), tau) for x in xs])
+    vals = warp_pairwise(xs, np.full(xs.shape, tau))
     assert np.all(np.diff(vals) >= 0.0)
     interior = (vals > 1e-9) & (vals < 1.0 - 1e-9)
     assert interior.sum() > 50
@@ -107,7 +103,7 @@ def test_pairwise_matches_scalar_calls():
     out = warp_pairwise(lams, taus)
     for i in range(lams.shape[0]):
         lam, tau = float(lams[i]), float(taus[i])
-        assert out[i] == warp(lam, tau)
+        assert out[i] == warp_pairwise([lam], [tau])[0]  # each lane as if warped alone
         if tau == math.inf:
             assert out[i] == (1.0 if lam >= 0.5 else 0.0)
         else:
