@@ -222,17 +222,30 @@ def _nll_at_temperatures(logits: np.ndarray, labels: np.ndarray, temps: np.ndarr
     """Mean NLL of softmax(logits / t) for each t in ``temps``, checked inputs.
 
     Each entry is bit-equal to ``np.mean(_nll(log_softmax(logits / t), labels))``:
-    every step is elementwise or reduces one row as that call does. The class
-    total stays numpy's last-axis sum, which is pairwise from 8 classes on, and
-    each mean runs over a C-contiguous row of the gathered losses.
+    every loss takes the same floating-point operations on the same values. The
+    label column is picked out of the shifted logits first, so log(total) is
+    subtracted from one value per row instead of from every class. The class
+    total adds the columns left to right below 8 classes, as numpy's sum of
+    fewer than 8 values does, and stays numpy's pairwise last-axis sum from 8
+    on. Each mean is the sum of a C-contiguous row of losses divided by n, as
+    ``np.mean`` computes it.
     """
     n, c = logits.shape
     step = max(1, _CHUNK_VALUES // (n * c))
-    rows = np.arange(n)
+    picks = np.arange(n) * c + labels  # each row's label as a flat index into its (n, c) block
     out = np.empty(temps.shape[0])
     for start in range(0, temps.shape[0], step):
-        log_probs = log_softmax(logits / temps[start : start + step, None, None])
-        out[start : start + step] = np.mean(np.ascontiguousarray(-log_probs[:, rows, labels]), axis=-1)
+        z, e = _shifted_exp(logits / temps[start : start + step, None, None])
+        if c < 8:
+            total = e[..., 0] + e[..., 1]
+            for j in range(2, c):
+                total += e[..., j]
+        else:
+            total = e.sum(axis=-1)
+        losses = z.reshape(z.shape[0], n * c).take(picks, axis=-1)
+        losses -= np.log(total)
+        np.negative(losses, out=losses)
+        out[start : start + step] = np.add.reduce(losses, axis=-1) / n
     return out
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as model_module  # by attribute, so a patched model.embed applies
 from .errors import DivergenceError, DomainError, UsageError
 from .special import SHAPE_MAX, SHAPE_MIN
 
@@ -72,21 +73,26 @@ class KernelConfig:
 def normalized_distances(points, permutation) -> np.ndarray:
     """Squared pair distances divided by their batch mean.
 
-    ``points`` is (n, d) (a 1-d array is treated as n scalars) and
-    ``permutation`` pairs row i with row permutation[i]. The result always
-    has mean exactly 1 by construction, except for a degenerate batch where
-    all pairs coincide, which maps to all ones.
+    ``points`` is (n, d) (a 1-d array is treated as n scalars) of finite
+    values; a NaN or infinite point raises UsageError naming its 0-based row.
+    ``permutation`` pairs row i with row permutation[i]; integral floats
+    count as their integers. The result always has mean exactly 1 by
+    construction, except for a degenerate batch where all pairs coincide,
+    which maps to all ones.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
         raise UsageError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise UsageError(f"non-finite point at row {np.flatnonzero(~finite)[0]} of the batch")
     n = points.shape[0]
     perm = np.asarray(permutation)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    if perm.dtype.kind not in "iuf" or perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise UsageError("permutation must be a permutation of range(n)")
-    return _pair_distances(points, perm[None])
+    return _pair_distances(points, perm[None].astype(np.int64, copy=False))
 
 
 def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -137,8 +143,9 @@ def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
 
 
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
-    """Per-sample warp strengths (float64) for a batch of feature vectors."""
-    return _distances_to_taus(_checked_distances(normalized_distances(features, permutation)), config)
+    """Per-sample warp strengths (float64) for a batch of feature vectors,
+    checked as ``normalized_distances`` checks its points and permutation."""
+    return _distances_to_taus(normalized_distances(features, permutation), config)
 
 
 def _batch_taus(features: np.ndarray, pairs: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -173,9 +180,7 @@ def extract_features(batch, backend: str, model=None) -> np.ndarray:
     if model is None:
         raise UsageError(f"the {backend!r} backend requires a model")
     if backend == "embedding":
-        from .model import embed
-
-        features = embed(model, batch.inputs)
+        features = model_module.embed(model, batch.inputs)
     else:  # class_weight
         if batch.num_classes is None:
             raise UsageError("the class_weight backend requires classification targets")

@@ -75,6 +75,10 @@ _CF_TINY = 1e-30
 # the endpoints, needed at most 52 iterations (a = 999.999 at the float below
 # 1/2), and 6 in the median; the cap leaves a margin of more than four times.
 _CF_MAX_ITER = 240
+# (m, 2m) for each iteration m of the continued fraction: exact small floats,
+# so reading them costs the loop less than computing them. The loop slices
+# them to the cap, which is the whole tuple (no copy) unless the cap is lowered
+_CF_STEPS = tuple((float(m), float(2 * m)) for m in range(1, _CF_MAX_ITER + 1))
 
 # exp of anything below -745.2 is exactly 0.0 in double precision; the margin
 # covers the rounding of the cut test in _incbeta.
@@ -197,10 +201,7 @@ def _beta_cont_frac(a: float, x: float) -> float:
     d = 1.0 / (1.0 - qab * x / qap)
     h = d
 
-    m = 0.0
-    for _ in range(_CF_MAX_ITER):
-        m += 1.0
-        m2 = m + m
+    for m, m2 in _CF_STEPS[:_CF_MAX_ITER]:
         am2 = a + m2
         # even step
         aa = m * (a - m) * x / ((qam + m2) * am2)

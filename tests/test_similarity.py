@@ -1,6 +1,7 @@
 """Tests for batch-normalized pair distances and the distance->strength kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,37 @@ def test_invalid_permutation_rejected():
         normalized_distances(pts, np.array([0, 1, 1]))
     with pytest.raises(UsageError):
         normalized_distances(pts, np.array([0, 1]))
+    # integral floats count as their integers; any other value is no permutation
+    pts = np.array([[0.0], [2.0], [1.0]])
+    config = make_config()
+    want, want_taus = normalized_distances(pts, [1, 2, 0]), batch_taus(pts, [1, 2, 0], config)
+    for perm in ([1.0, 2.0, 0.0], np.array([1.0, 2.0, -0.0]), np.array([1, 2, 0], dtype=np.uint8)):
+        assert normalized_distances(pts, perm).tobytes() == want.tobytes()
+        assert batch_taus(pts, perm, config).tobytes() == want_taus.tobytes()
+    for perm in ([1.0, 2.0, 0.5], [1.5, 2.0, 0.0], [1.0, 2.0, math.nan], ["1", "2", "0"]):
+        for call in (lambda: normalized_distances(pts, perm), lambda: batch_taus(pts, perm, config)):
+            with pytest.raises(UsageError, match=r"permutation must be a permutation of range\(n\)"):
+                call()
+    with pytest.raises(UsageError, match="permutation must be"):
+        normalized_distances(pts[:2], [True, False])
+
+
+def test_non_finite_point_rejected_naming_its_row():
+    # checked before any arithmetic, so numpy warns of nothing; the first bad row is named
+    rows = np.arange(10.0).reshape(5, 2)
+    rows[1, 1], rows[3, 0], rows[4, 1] = math.inf, -math.inf, math.nan
+    cases = [(rows, 1)]
+    for row, bad in ((1, math.inf), (3, -math.inf), (4, math.nan)):
+        alone = np.arange(10.0).reshape(5, 2)
+        alone[row, 1] = bad
+        cases.append((alone, row))
+    for points, row in cases:
+        for call in (lambda: normalized_distances(points, [1, 2, 3, 4, 0]),
+                     lambda: batch_taus(points, [1, 2, 3, 4, 0], make_config())):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UsageError, match=f"^non-finite point at row {row} of the batch$"):
+                    call()
 
 
 # ------------------------------------------------------ the strength kernel
@@ -144,10 +176,11 @@ def test_kernel_clamps_to_shape_range():
 
 
 def test_kernel_rejects_bad_distances():
-    # non-finite features give non-finite distances; warp-demo --distances,
-    # the one caller that takes distances as given, also rejects negative ones
+    # non-finite features are rejected before any distance is taken; warp-demo
+    # --distances, the one caller that takes distances as given, rejects
+    # non-finite and negative distances
     for bad in (math.nan, math.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        with pytest.raises(UsageError, match="non-finite point at row 1"):
             batch_taus(np.array([[0.0], [bad], [1.0]]), np.array([1, 2, 0]), make_config())
 
 
