@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError
-from .metrics import _nll, log_softmax, metrics_from_payload, softmax, temperature_scale
+from .metrics import _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
@@ -151,6 +151,14 @@ def _typed(name: str, default, value):
     raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
+def _check_distinct(values: list, name: str) -> None:
+    """UsageError naming the first value that ``values`` repeats: a repeated
+    seed or grid value would run the same work twice and report it as two."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{name} lists {value!r} more than once")
+
+
 def _parse_override_value(text: str):
     try:
         return json.loads(text)
@@ -178,6 +186,7 @@ class ExperimentConfig:
             raise UsageError("at least one seed is required")
         for seed in v["seeds"]:
             check_seed(seed, "seeds")
+        _check_distinct(v["seeds"], "seeds")
         check_fractions(v["split_fractions"])
         if v["optimizer"]["epochs"] < 1 or v["optimizer"]["batch_size"] < 1:
             raise UsageError("optimizer.epochs and optimizer.batch_size must be >= 1")
@@ -344,7 +353,7 @@ def _plain_valid_loss(model: ModelState, part: Dataset, norm, buffers=None) -> f
     outputs = _propagate(model, part.features, len(model.layers), None, buffers)[0]
     if part.num_classes is None:
         return _mse(outputs[:, 0], norm.normalize_targets(part.targets))
-    return float(np.mean(_nll(log_softmax(outputs), part.targets)))
+    return float(_nll_at_temperatures(outputs, part.targets, np.ones(1))[0])  # the fit's loss at T = 1
 
 
 def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None) -> TrainResult:
@@ -529,13 +538,16 @@ def grid_search(
 
     Each cell runs every seed of ``config``. Cells are independent
     deterministic jobs: results depend only on the cell config, never on
-    execution order or worker count.
+    execution order or worker count. A value repeated in either list raises
+    UsageError.
     """
     check_jobs(jobs)
     tau_max_list = [float(t) for t in tau_max_list]
     tau_std_list = [float(t) for t in tau_std_list]
     if not tau_max_list or not tau_std_list:
         raise UsageError("grid lists must be non-empty")
+    _check_distinct(tau_max_list, "tau_max_list")
+    _check_distinct(tau_std_list, "tau_std_list")
     if dataset is None:
         dataset = config.load_dataset()
 

@@ -61,9 +61,30 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(e.sum(axis=-1, keepdims=True))
 
 
-def _nll(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-row negative log-likelihood of integer ``labels``."""
-    return -log_probs[np.arange(len(labels)), labels]
+def _picked_nll(logits: np.ndarray, picks: np.ndarray):
+    """(losses, e, total): -log softmax of float64 ``logits`` (..., n, c) at ``picks``.
+
+    ``picks`` are flat indices ``row * c + label`` into each (n, c) block, in
+    any shape whose last axis is the rows. Each loss is bit-equal to
+    ``-log_softmax(logits)`` at its pick: the label column is picked out of the
+    shifted logits first, so log(total) is subtracted from one value per pick
+    instead of from every class. The class total adds the columns left to
+    right below 8 classes, as numpy's sum of fewer than 8 values does, and is
+    numpy's pairwise last-axis sum from 8 on. ``e`` is the shifted exp and
+    ``total`` its class total, which a softmax gradient needs.
+    """
+    z, e = _shifted_exp(logits)
+    n, c = logits.shape[-2:]
+    if c < 8:
+        total = e[..., 0] + e[..., 1]
+        for j in range(2, c):
+            total += e[..., j]
+    else:
+        total = e.sum(axis=-1)
+    losses = z.reshape(*z.shape[:-2], n * c).take(picks, axis=-1)
+    losses -= np.log(total)
+    np.negative(losses, out=losses)
+    return losses, e, total
 
 
 def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
@@ -221,30 +242,18 @@ _CHUNK_VALUES = 16 * 400 * 2
 def _nll_at_temperatures(logits: np.ndarray, labels: np.ndarray, temps: np.ndarray) -> np.ndarray:
     """Mean NLL of softmax(logits / t) for each t in ``temps``, checked inputs.
 
-    Each entry is bit-equal to ``np.mean(_nll(log_softmax(logits / t), labels))``:
-    every loss takes the same floating-point operations on the same values. The
-    label column is picked out of the shifted logits first, so log(total) is
-    subtracted from one value per row instead of from every class. The class
-    total adds the columns left to right below 8 classes, as numpy's sum of
-    fewer than 8 values does, and stays numpy's pairwise last-axis sum from 8
-    on. Each mean is the sum of a C-contiguous row of losses divided by n, as
-    ``np.mean`` computes it.
+    Each entry is bit-equal to ``np.mean(-log_softmax(logits / t)[rows, labels])``:
+    ``_picked_nll`` takes the same floating-point operations on the same values,
+    and each mean is the sum of a C-contiguous row of losses divided by n, as
+    ``np.mean`` computes it. At ``temps`` of one 1.0 it is the unscaled loss,
+    since x / 1.0 == x.
     """
     n, c = logits.shape
     step = max(1, _CHUNK_VALUES // (n * c))
     picks = np.arange(n) * c + labels  # each row's label as a flat index into its (n, c) block
     out = np.empty(temps.shape[0])
     for start in range(0, temps.shape[0], step):
-        z, e = _shifted_exp(logits / temps[start : start + step, None, None])
-        if c < 8:
-            total = e[..., 0] + e[..., 1]
-            for j in range(2, c):
-                total += e[..., j]
-        else:
-            total = e.sum(axis=-1)
-        losses = z.reshape(z.shape[0], n * c).take(picks, axis=-1)
-        losses -= np.log(total)
-        np.negative(losses, out=losses)
+        losses = _picked_nll(logits / temps[start : start + step, None, None], picks)[0]
         out[start : start + step] = np.add.reduce(losses, axis=-1) / n
     return out
 

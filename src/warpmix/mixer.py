@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import check_num_classes
 from .errors import DomainError, UsageError
-from .metrics import _nll, _shifted_exp
+from .metrics import _picked_nll
 from .rng import RngStream
 from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
 # Mixing draws its own permutations and extract_features returns float64 (n, d)
@@ -328,14 +328,12 @@ def _mixed_loss(outputs: np.ndarray, mixed: MixedBatch, onehot: Optional[np.ndar
     if mixed.num_classes is None:
         targets = mixed.mixed_targets
         return _mse(outputs[:, 0], targets), 2.0 * (outputs - targets[:, None]) / n
-    # softmax and log_softmax from one shifted exp pass, by their own operations
-    z, e = _shifted_exp(outputs)
-    total = e.sum(axis=-1, keepdims=True)
-    log_probs = z - np.log(total)
+    # both label sets' losses from one shifted exp pass and one log of the class total
     a, b, c = mixed.targets_a, mixed.targets_b, mixed.target_coeffs
-    loss = float(np.mean(c * _nll(log_probs, a) + (1.0 - c) * _nll(log_probs, b)))
+    (loss_a, loss_b), e, total = _picked_nll(outputs, np.arange(n) * mixed.num_classes + np.stack((a, b)))
+    loss = float(np.add.reduce(c * loss_a + (1.0 - c) * loss_b) / n)
     convex = c[:, None] * onehot[a] + (1.0 - c[:, None]) * onehot[b]
-    return loss, (e / total - convex) / n
+    return loss, (e / total[:, None] - convex) / n
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> float:

@@ -104,17 +104,17 @@ def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     np.subtract(points, diffs, out=diffs)  # points - partners, without another array
     raw = np.einsum("ij,ij->i", diffs, diffs).reshape(count, n)
     means = np.add.reduce(raw, axis=1, keepdims=True) / n  # each batch's raw.mean(), bit for bit
-    # every batch regular (a NaN mean, from NaN points, divides through either way)
+    # every batch regular; the points are finite, so a mean is finite or +inf, never NaN
     if _DEGENERATE_MEAN <= min(listed := means.ravel().tolist()) and max(listed) < math.inf:
         return (raw / means).ravel()
     dists = np.ones_like(raw)  # a degenerate batch, where all pairs coincide, keeps its ones
     for b, mean in enumerate(listed):
-        rows = points[b * n : (b + 1) * n]
-        if math.isinf(mean) and np.isfinite(rows).all():
-            # squares of finite points overflowed; the result is scale-free, so rescale exactly
+        if math.isinf(mean):
+            # squares of the points overflowed; the result is scale-free, so rescale exactly
+            rows = points[b * n : (b + 1) * n]
             _, exponent = np.frexp(np.abs(rows).max())
             dists[b] = _pair_distances(np.ldexp(rows, -int(exponent)), pairs[b : b + 1] - b * n)
-        elif not mean < _DEGENERATE_MEAN:
+        elif mean >= _DEGENERATE_MEAN:
             dists[b] = raw[b] / mean
     return dists.ravel()
 

@@ -394,6 +394,8 @@ def test_bad_evaluation_setting_fails_before_training(workspace, tmp_path, capsy
     ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "split_fractions=[0.5,0.5,0.5]",
      "split_fractions"),
     ("train", [], "model.hidden=[]", "model.hidden"),  # regression's MC dropout needs a hidden layer
+    ("train", [], "seeds=[1,0,1]", "seeds lists 1 more than once"),  # seed 1 would train twice
+    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "seeds=[0,0]", "seeds lists 0 more than once"),
 ])
 def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra,
                                                        override, key):
@@ -536,6 +538,23 @@ def test_grid_bad_tau_list_fails_before_the_output_dir_exists(workspace, tmp_pat
     ])
     assert code == USAGE_EXIT
     assert "expected comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("tau_max_list, tau_std_list, message", [
+    ("0.5,0.5", "1.0", "tau_max_list lists 0.5 more than once"),
+    ("1,2,1.0", "1.0", "tau_max_list lists 1.0 more than once"),
+    ("1.0", "1.5,2,1.5", "tau_std_list lists 1.5 more than once"),
+])
+def test_grid_repeated_value_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, tau_max_list,
+                                                                tau_std_list, message):
+    # the repeated cell used to run twice and write its rows twice
+    code = main([
+        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
+        "--tau-max-list", tau_max_list, "--tau-std-list", tau_std_list,
+    ])
+    assert code == USAGE_EXIT
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
 
 

@@ -483,22 +483,49 @@ def test_diverged_classifier_loss_is_not_capped():
 
 
 def test_classification_loss_and_grad_equal_softmax_reference():
-    # one exp pass yields both the probabilities and the log-probabilities, bit for bit
+    # one exp pass yields both label sets' losses and the probabilities, bit for bit,
+    # on both sides of the class total's 8-class branch and on a one-row batch
     from warpmix.metrics import log_softmax, softmax
     from warpmix.mixer import Batch, MixupConfig, mix_batch, mixed_loss
 
     rng = RngStream(5)
-    batch = Batch(inputs=rng.standard_normal((24, 3)), targets=rng.integers(0, 4, size=24), num_classes=4)
-    mixed = mix_batch(batch, MixupConfig(alpha=0.6, mode="vanilla"), RngStream(6))
-    rows, c = np.arange(24), mixed.target_coeffs
-    for scale in (1.0, 40.0, 1e3):
-        logits = scale * rng.standard_normal((24, 4))
-        loss, grad = mixed_loss(logits, mixed)
-        logp = log_softmax(logits)
-        onehot = np.eye(4)
-        convex = c[:, None] * onehot[mixed.targets_a] + (1.0 - c[:, None]) * onehot[mixed.targets_b]
-        assert loss == float(np.mean(c * -logp[rows, mixed.targets_a] + (1.0 - c) * -logp[rows, mixed.targets_b]))
-        assert np.array_equal(grad, (softmax(logits) - convex) / 24)
+    for classes in (2, 3, 7, 8, 13):
+        for n in (1, 24):
+            batch = Batch(inputs=rng.standard_normal((n, 3)), targets=rng.integers(0, classes, size=n),
+                          num_classes=classes)
+            mixed = mix_batch(batch, MixupConfig(alpha=0.6, mode="vanilla"), RngStream(6))
+            rows, c = np.arange(n), mixed.target_coeffs
+            onehot = np.eye(classes)
+            convex = c[:, None] * onehot[mixed.targets_a] + (1.0 - c[:, None]) * onehot[mixed.targets_b]
+            for scale in (1.0, 40.0, 1e3):
+                logits = scale * rng.standard_normal((n, classes))
+                loss, grad = mixed_loss(logits, mixed)
+                logp = log_softmax(logits)
+                want = np.mean(c * -logp[rows, mixed.targets_a] + (1.0 - c) * -logp[rows, mixed.targets_b])
+                assert loss == float(want), (classes, n, scale)
+                assert np.array_equal(grad, (softmax(logits) - convex) / n), (classes, n, scale)
+
+
+def test_classification_valid_loss_equals_log_softmax_reference():
+    # the validation loss is the temperature fit's loss at T = 1, bit-equal to the
+    # mean of -log_softmax at the labels; at argmax labels each loss is log(total)
+    # alone, so a class total summed in another order shows in the mean
+    from warpmix.metrics import log_softmax
+    from warpmix.model import forward
+
+    rng = RngStream(8)
+    for classes in (2, 3, 7, 8, 13):
+        model = init_mlp([4, 6, classes], 0.0, rng)
+        for n in (1, 37):
+            features = rng.standard_normal((n, 4))
+            for scale in (1.0, 40.0, 1e3):
+                scaled = copy.deepcopy(model)
+                scaled.layers[-1].weights *= scale
+                outputs = forward(scaled, features)[0]
+                for labels in (rng.integers(0, classes, size=n), outputs.argmax(axis=1)):
+                    part = Dataset(features=features, targets=labels, num_classes=classes)
+                    want = np.mean(-log_softmax(outputs)[np.arange(n), labels])
+                    assert harness._plain_valid_loss(scaled, part, None) == float(want), (classes, n, scale)
 
 
 def test_saturated_warp_strengths_train_without_error():
@@ -702,10 +729,35 @@ def test_grid_single_cell_equals_single_run():
 
 
 def test_identical_cells_identical_results():
+    # one grid may not repeat a cell, so the same cell runs in two grids, in either order
     cfg = tiny_config()
-    grid = grid_search(cfg, [0.5, 0.5], [1.0], dataset=REG_DATA)
-    assert grid.cells[0]["mean"] == grid.cells[1]["mean"]
-    assert grid.cells[0]["std"] == grid.cells[1]["std"]
+    first = grid_search(cfg, [0.5, 2.0], [1.0], dataset=REG_DATA)
+    second = grid_search(cfg, [2.0, 0.5], [1.0], dataset=REG_DATA)
+    assert first.cells[0]["mean"] == second.cells[1]["mean"]
+    assert first.cells[0]["std"] == second.cells[1]["std"]
+
+
+def test_repeated_seed_rejected():
+    # seeds=[0, 0] trained seed 0 twice, kept one entry per seed and reported std 0.0
+    for seeds, value in (([0, 0], "0"), ([3, 1, 3.0], "3"), ([5, 2**63, 5, 2**63], "5")):
+        with pytest.raises(UsageError, match=f"seeds lists {value} more than once"):
+            ExperimentConfig({"seeds": seeds})
+    with pytest.raises(UsageError, match="seeds lists 2 more than once"):
+        tiny_config().with_overrides(["seeds=[2,2]"])
+    assert ExperimentConfig({"seeds": [2, 0, 1]}).seeds == [2, 0, 1]
+
+
+def test_grid_rejects_repeated_values(monkeypatch):
+    # a repeated value ran its cells twice and wrote their rows twice; no cell runs now
+    monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: pytest.fail("a cell ran"))
+    cfg = tiny_config()
+    for tau_max_list, tau_std_list, message in (
+        ([0.5, 0.5], [1.0], "tau_max_list lists 0.5 more than once"),
+        ([1, 2.0, 1.0], [1.0], "tau_max_list lists 1.0 more than once"),
+        ([0.5], [1.5, 2.0, 1.5], "tau_std_list lists 1.5 more than once"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            grid_search(cfg, tau_max_list, tau_std_list, dataset=REG_DATA)
 
 
 def test_grid_seed_override_and_empty_lists():

@@ -184,7 +184,7 @@ def reference_nll_at_temperature(logits, labels, t):
     scaled = logits / t
     z = scaled - scaled.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return float(np.mean(metrics_module._nll(log_probs, labels)))
+    return float(np.mean(-log_probs[np.arange(len(labels)), labels]))
 
 
 def reference_temperature_scale(logits, labels):
