@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import DatasetError, DomainError, UsageError, WarpmixError
+from .errors import DatasetError, DomainError, UsageError, WarpmixError, check_int
 from .data import split
 from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, run_experiment
 from .metrics import bin_stats, metrics_from_payload, payload_bins
@@ -146,9 +146,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_warp_demo(args) -> int:
-    samples, num_bins = args.samples, args.bins
-    if samples < 1 or num_bins < 1:
-        raise UsageError("samples and bins must be >= 1")
+    samples, num_bins = check_int(args.samples, "--samples", 1), check_int(args.bins, "--bins", 1)
 
     if args.distances is not None:
         kernel = KernelConfig(tau_max=args.tau_max, tau_std=args.tau_std)

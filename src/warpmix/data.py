@@ -10,23 +10,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DatasetError, UsageError
+from .errors import DatasetError, UsageError, check_int
 from .rng import RngStream
 
 __all__ = ["Dataset", "Normalization", "DataSplits", "load_csv", "split"]
 
 _STD_FLOOR = 1e-8
-
-
-def check_num_classes(num_classes) -> int:
-    """``num_classes`` as an int, or UsageError unless it is an integer >= 2.
-
-    An integral float counts as its integer (3.0 is 3), as config keys allow;
-    bools and strings are never class counts."""
-    if isinstance(num_classes, (int, float, np.integer, np.floating)) and not isinstance(num_classes, bool):
-        if num_classes >= 2 and float(num_classes).is_integer():
-            return int(num_classes)
-    raise UsageError(f"num_classes must be an integer >= 2, got {num_classes!r}")
 
 
 @dataclass
@@ -51,7 +40,7 @@ class Dataset:
         if self.num_classes is None:
             self.targets = targets
         else:
-            self.num_classes = check_num_classes(self.num_classes)
+            self.num_classes = check_int(self.num_classes, "num_classes", 2)
             bad = np.flatnonzero((targets != np.floor(targets)) | (targets < 0) | (targets >= self.num_classes))
             if bad.size:
                 raise DatasetError(
@@ -132,7 +121,7 @@ def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Datas
             )
         target_idx = stripped.index(target_column)
     else:
-        target_idx = int(target_column) % len(header)
+        target_idx = check_int(target_column, "target_column", -len(header), len(header) - 1) % len(header)
 
     parsed = np.empty((len(data_rows), len(header)), dtype=np.float64)
     for r, row in enumerate(data_rows, start=1):

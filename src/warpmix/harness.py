@@ -21,7 +21,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
-from .errors import DivergenceError, UsageError, WarpmixError
+from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_real
 from .metrics import _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
@@ -40,7 +39,7 @@ from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dro
 # Its mix_batch is its batch's share of the epoch's block mix.
 from .mixer import _batch as Batch, _mix_step as mix_batch, _mixed_loss as _loss_and_grad
 from .model import _backward as backward, _forward as forward, _optimizer_step as optimizer_step
-from .rng import RngStream, check_seed
+from .rng import _SEED_MAX, RngStream
 from .similarity import KernelConfig
 
 __all__ = [
@@ -124,16 +123,18 @@ def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
 
 
 _NULLABLE = ("num_classes", "mixup.input_kernel", "mixup.output_kernel")
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string", dict: "a table"}
+_KINDS = {bool: "true or false", str: "a string", dict: "a table"}
 
 
 def _typed(name: str, default, value):
     """``value`` as the type of the default it replaces, or UsageError naming the key.
 
-    Integers take integral floats (3.0 is stored as 3), floats take finite
-    integers and floats, bools are never numbers, and a list is typed item by item. ``num_classes``
-    and the kernel tables may be null, and ``dataset.target_column`` may name
-    its column."""
+    Integers and floats follow the package's two argument rules
+    (``errors.check_int`` and ``check_real``): integers take integral floats
+    (3.0 is stored as 3), floats take finite integers and floats, and bools
+    are never numbers. A list is typed item by item. ``num_classes`` and the
+    kernel tables may be null, and ``dataset.target_column`` may name its
+    column."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise UsageError(f"config key {name!r} must be a list, got {value!r}")
@@ -141,12 +142,11 @@ def _typed(name: str, default, value):
     if (value is None and name in _NULLABLE) or (name == "dataset.target_column" and isinstance(value, str)):
         return value
     kind = int if name == "num_classes" else type(default)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if kind is float and number and abs(value) <= sys.float_info.max:
-        return float(value)  # not NaN, an infinity or an int too large for a float
-    if kind is not float and isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+    if kind is int:
+        return check_int(value, f"config key {name!r}")
+    if kind is float:
+        return check_real(value, f"config key {name!r}")
+    if isinstance(value, kind):
         return value
     raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
 
@@ -185,7 +185,7 @@ class ExperimentConfig:
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
         for seed in v["seeds"]:
-            check_seed(seed, "seeds")
+            check_int(seed, "seeds", 0, _SEED_MAX)
         _check_distinct(v["seeds"], "seeds")
         check_fractions(v["split_fractions"])
         if v["optimizer"]["epochs"] < 1 or v["optimizer"]["batch_size"] < 1:
@@ -511,12 +511,6 @@ def _run_cell(args):
     return tau_max, tau_std, result.report, None
 
 
-def check_jobs(jobs) -> None:
-    """UsageError unless ``jobs``, the number of grid workers, is an int >= 1."""
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
-
-
 def ProcessPoolExecutor(max_workers: int):
     """concurrent.futures' process pool, imported only when a grid runs in
     parallel: the import pulls multiprocessing, socket and subprocess into
@@ -541,7 +535,7 @@ def grid_search(
     execution order or worker count. A value repeated in either list raises
     UsageError.
     """
-    check_jobs(jobs)
+    jobs = check_int(jobs, "jobs", 1)
     tau_max_list = [float(t) for t in tau_max_list]
     tau_std_list = [float(t) for t in tau_std_list]
     if not tau_max_list or not tau_std_list:

@@ -12,11 +12,10 @@ variance is zero yields the infinity sentinel unless its RMSE is also zero.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_int, check_real
 
 __all__ = [
     "softmax",
@@ -93,8 +92,11 @@ def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
     A value exactly on an interior edge goes to the higher bin, the top bin
     is closed, and ``hi <= lo`` puts every value in bin 0. Returns
     ``(counts, sums)``: ``counts`` has one entry per bin and ``sums[k]`` holds
-    the per-bin sums of ``columns[k]``.
+    the per-bin sums of ``columns[k]``. ``num_bins`` is an integer >= 1 by
+    the package's integer rule (an integral float or a numpy integer counts
+    as its integer); anything else raises UsageError naming it.
     """
+    num_bins = check_int(num_bins, "num_bins", 1)
     values = np.asarray(values, dtype=np.float64)
     if hi <= lo:
         idx = np.zeros(values.shape[0], dtype=np.int64)
@@ -135,16 +137,11 @@ def _ence(counts, sums) -> float:
 _PAYLOAD_ARRAYS = {"regression": ("means", "variances", "targets"), "classification": ("probs", "labels")}
 
 
-def _payload_value(payload: dict, key: str, kind: Optional[type] = None):
-    """payload[key]; with ``kind``, a finite number > 0 of that kind."""
+def _payload_value(payload: dict, key: str):
+    """payload[key], or UsageError if the payload has no ``key``."""
     if key not in payload:
         raise UsageError(f"predictions payload has no {key!r}")
-    value = payload[key]
-    if kind is None:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, kind)) or not (math.isfinite(value) and value > 0):
-        raise UsageError(f"predictions payload {key!r} must be a positive {kind.__name__}, got {value!r}")
-    return value
+    return payload[key]
 
 
 def _parse_payload(payload: dict):
@@ -155,7 +152,7 @@ def _parse_payload(payload: dict):
     task = _payload_value(payload, "task")
     if task not in ("regression", "classification"):
         raise UsageError(f"predictions payload has unknown task {task!r}")
-    num_bins = _payload_value(payload, "num_bins", int)
+    num_bins = check_int(_payload_value(payload, "num_bins"), "predictions payload 'num_bins'", 1)
     keys = _PAYLOAD_ARRAYS[task]
     values = [_payload_value(payload, key) for key in keys]
     try:
@@ -217,7 +214,8 @@ def metrics_from_payload(payload: dict) -> dict:
             "uce": _weighted_gap(counts, sums),
             "ence": _ence(counts, sums),
         }
-    temperature = _payload_value(payload, "temperature", float)
+    temperature = check_real(_payload_value(payload, "temperature"), "predictions payload 'temperature'",
+                             "> 0", lambda v: v > 0.0)
     probs, labels = arrays
     rows = np.arange(labels.shape[0])
     onehot = np.eye(probs.shape[1])[labels]

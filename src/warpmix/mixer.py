@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import check_num_classes
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_int
 from .metrics import _picked_nll
 from .rng import RngStream
 from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
@@ -76,7 +75,7 @@ class Batch:
         if self.num_classes is None:
             self.targets = np.asarray(self.targets, dtype=np.float64)
         else:
-            self.num_classes = check_num_classes(self.num_classes)
+            self.num_classes = check_int(self.num_classes, "num_classes", 2)
             self.targets = np.asarray(self.targets)
             if self.targets.dtype.kind not in "iu":
                 as_int = self.targets.astype(np.int64)

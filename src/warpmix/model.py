@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, UsageError
+from .errors import DatasetError, UsageError, check_int, check_real
 from .rng import RngStream
 
 __all__ = [
@@ -61,10 +61,10 @@ class Layer:
             raise UsageError(f"unknown activation {self.activation!r}")
 
 
-def check_dropout_rate(rate, name: str = "dropout_rate") -> None:
-    """The rule every model's dropout rate obeys: a number in [0, 1)."""
-    if not 0.0 <= float(rate) < 1.0:
-        raise UsageError(f"{name} must be in [0, 1), got {rate}")
+def check_dropout_rate(rate, name: str = "dropout_rate") -> float:
+    """The rule every model's dropout rate obeys: a real number in [0, 1),
+    returned as a float."""
+    return check_real(rate, name, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
 @dataclass
@@ -90,7 +90,8 @@ class ModelState:
         for layer, (w, b) in zip(self.layers, _layer_views(self.params, self.layers)):
             layer.weights, layer.biases = w, b
         self.num_weights = sum(layer.weights.size for layer in self.layers)
-        check_dropout_rate(self.dropout_rate)
+        self.dropout_rate = check_dropout_rate(self.dropout_rate)
+        self.step_count = check_int(self.step_count, "step_count", 0)
         if self.mode not in ("train", "eval"):
             raise UsageError(f"mode must be train or eval, got {self.mode!r}")
 
@@ -128,19 +129,24 @@ class ForwardCache:
     step_count: int
 
 
-# Weight init: U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero. Draw order
-# is layer by layer, weights only, so a fixed stream gives fixed parameters.
 def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str = "relu") -> ModelState:
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise UsageError(f"dims must list >= 2 positive sizes, got {dims}")
+    """A network of layer sizes ``dims`` (inputs first, at least 2 sizes,
+    each an integer >= 1 by the package's integer rule) and ``dropout_rate``
+    (a real number in [0, 1)); anything else raises UsageError naming it.
+
+    Weight init: U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero. Draw
+    order is layer by layer, weights only, so a fixed stream gives fixed
+    parameters."""
+    dims = [check_int(d, "dims", 1) for d in dims]
+    if len(dims) < 2:
+        raise UsageError(f"dims must list >= 2 sizes, got {dims}")
     layers = []
     for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         bound = 1.0 / math.sqrt(fan_in)
         weights = (rng.uniform(size=(fan_in, fan_out)) * 2.0 - 1.0) * bound
         act = hidden_activation if k < len(dims) - 2 else "identity"
         layers.append(Layer(weights=weights, biases=np.zeros(fan_out), activation=act))
-    return ModelState(layers=layers, dropout_rate=float(dropout_rate))
+    return ModelState(layers=layers, dropout_rate=dropout_rate)
 
 
 def _propagate(model: ModelState, inputs, depth: int, masks=None, buffers=None, start: int = 0):
@@ -275,6 +281,9 @@ class OptimizerState:
     Weight decay is decoupled (applied directly to weights, scaled by the
     learning rate, never to biases). ``slots`` holds the moment vectors in
     the params layout: one row (velocity) for SGD, two (m, v) for Adam.
+    Each rate and coefficient must be a finite Python or numpy int or float
+    (never a bool or a string) and is stored as a float; ``step`` is an
+    integer >= 0. Anything else raises UsageError naming the field.
     """
 
     kind: str = "adam"
@@ -293,17 +302,16 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
             raise UsageError(f"unknown optimizer kind {self.kind!r}")
-        for name, ok, rule in (
-            ("learning_rate", self.learning_rate >= 0.0, ">= 0"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
-            ("eps", self.eps > 0.0, "> 0"),
-            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+        for name, rule, ok in (
+            ("learning_rate", ">= 0", lambda v: v >= 0.0),
+            ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("beta1", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("beta2", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("eps", "> 0", lambda v: v > 0.0),
+            ("weight_decay", ">= 0", lambda v: v >= 0.0),
         ):
-            value = getattr(self, name)
-            if not (ok and math.isfinite(value)):
-                raise UsageError(f"optimizer.{name} must be finite and {rule}, got {value}")
+            setattr(self, name, check_real(getattr(self, name), f"optimizer.{name}", rule, ok))
+        self.step = check_int(self.step, "optimizer.step", 0)
 
 
 def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
@@ -364,7 +372,10 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     """Monte-Carlo dropout: repeated stochastic passes with dropout active.
 
     Returns the per-input sample mean and unbiased sample variance of the
-    outputs, each shaped like one forward output. Bit-equal to one
+    outputs, each shaped like one forward output. ``samples`` is an integer
+    >= 2 by the package's integer rule (an integral float or a numpy
+    integer counts as its integer); anything else raises UsageError naming
+    it. Bit-equal to one
     train-mode ``forward`` per sample, with the same draws in the same
     order. Layer 0 before dropout is computed once. The passes then run as
     two stages over two mask sets: a drawer thread draws each sample's
@@ -377,9 +388,7 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
-    samples = int(samples)
-    if samples < 2:
-        raise UsageError(f"need at least 2 stochastic samples, got {samples}")
+    samples = check_int(samples, "samples", 2)
     if rng is None and len(model.layers) > 1:
         raise UsageError("train-mode forward with dropout needs an rng stream")
     # every pass writes into the same buffers: arrays this size would
@@ -473,9 +482,9 @@ def load_model(path) -> ModelState:
         ]
         return ModelState(
             layers=layers,
-            dropout_rate=float(payload["dropout_rate"]),
+            dropout_rate=payload["dropout_rate"],
             mode="eval",
-            step_count=int(payload.get("step_count", 0)),
+            step_count=payload.get("step_count", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"checkpoint {path!r} is malformed: {exc!r}") from None

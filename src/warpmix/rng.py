@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import check_int
 
-_SEED_MAX = 2**64
-
-
-def check_seed(seed: int, name: str = "seed") -> int:
-    """``seed``, or UsageError naming ``name`` unless it is in [0, 2**64)."""
-    if not 0 <= seed < _SEED_MAX:
-        raise UsageError(f"{name} must be a 64-bit unsigned integer, got {seed}")
-    return seed
+_SEED_MAX = 2**64 - 1
 
 
 class RngStream:
@@ -29,18 +22,22 @@ class RngStream:
     ``child(k)`` derives an independent stream for sub-task ``k`` by extending
     the path, so concurrent consumers never share state: the stream for
     ``(seed=3, path=(2, 0))`` is the same in every process that constructs it.
+    The seed is an integer in [0, 2**64) and each child index an integer
+    >= 0, by the package's one integer rule: an integral float or a numpy
+    integer counts as its integer, and anything else raises UsageError
+    naming ``seed`` or ``child index``.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        self.seed = check_seed(int(seed))
-        self.path = tuple(int(p) for p in path)
+        self.seed = check_int(seed, "seed", 0, _SEED_MAX)
+        self.path = tuple(check_int(p, "child index", 0) for p in path)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, *self.path)))
         )
 
     def child(self, index: int) -> "RngStream":
         """Return the independent sub-stream at ``index``."""
-        return RngStream(self.seed, self.path + (int(index),))
+        return RngStream(self.seed, self.path + (index,))
 
     def uniform(self, size=None, out=None):
         """Draw from U[0, 1): a float if ``size`` and ``out`` are None, else

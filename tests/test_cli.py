@@ -332,6 +332,47 @@ def test_metrics_malformed_payload_is_usage_error(tmp_path, capsys, case):
     assert not (tmp_path / "m" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("verb, name, value", [
+    ("eval", "step_count", 2.5),
+    ("metrics", "num_bins", 2.5),
+    ("metrics", "num_bins", "3"),
+    ("warp-demo", "seed", -1),
+    ("train", "seeds", 2.5),
+])
+def test_integer_argument_exits_2_before_any_output(workspace, tmp_path, capsys, verb, name, value):
+    # every count, seed and index follows one integer rule; a checkpoint's 2.5 steps used to load as 2
+    out = tmp_path / "o"
+    if verb == "eval":
+        checkpoint = tmp_path / "checkpoint.json"
+        save_model(init_mlp([3, 8, 1], dropout_rate=0.2, rng=RngStream(0)), str(checkpoint))
+        checkpoint.write_text(json.dumps(dict(json.loads(checkpoint.read_text()), step_count=value)))
+        rest = ["--config", str(workspace["reg_config"]), "--checkpoint", str(checkpoint)]
+    elif verb == "metrics":
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(json.dumps(dict(REG_PAYLOAD, num_bins=value)))
+        rest = ["--predictions", str(predictions)]
+    elif verb == "warp-demo":
+        rest = ["--taus", "1", "--samples", "10", "--seed", str(value)]
+    else:
+        rest = ["--config", str(workspace["reg_config"]), f"seeds=[{value}]"]
+    assert main([verb, "--out", str(out), *rest]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
+
+
+def test_integral_float_num_bins_gives_the_integer_metrics(tmp_path, capsys):
+    # the payload's num_bins follows the integer rule, as the config key does: 2.0 is 2
+    written = []
+    for num_bins in (2, 2.0):
+        predictions = tmp_path / f"predictions_{num_bins}.json"
+        predictions.write_text(json.dumps(dict(REG_PAYLOAD, num_bins=num_bins)))
+        assert main(["metrics", "--predictions", str(predictions), "--out", str(tmp_path / str(num_bins))]) == 0
+        written.append((tmp_path / str(num_bins) / "metrics.json").read_bytes())
+    assert written[0] == written[1]
+    capsys.readouterr()
+
+
 def test_metrics_writes_into_the_default_output_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "predictions.json").write_text(json.dumps(REG_PAYLOAD))

@@ -138,7 +138,7 @@ def test_config_validation_rules():
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
 def test_config_checks_dropout_rate_for_every_task(task, rate):
     # the model's own rule, when the config is built rather than inside train
-    with pytest.raises(UsageError, match=r"model\.dropout_rate must be in \[0, 1\)"):
+    with pytest.raises(UsageError, match=r"model\.dropout_rate must be a finite number in \[0, 1\)"):
         tiny_config(task, model__dropout_rate=rate)
 
 

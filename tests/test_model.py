@@ -565,8 +565,8 @@ def test_mc_dropout_one_layer_model_is_deterministic():
 
 
 # The passes run beside a drawer thread: an exception on either side reaches
-# the caller, no thread outlives the call, and none leaves an unhandled-thread warning.
-NO_THREAD_WARNING = pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+# the caller, no thread outlives the call, and none leaves an unhandled-thread
+# warning (pyproject.toml turns that warning into an error for every test).
 
 
 class FailingStream:
@@ -582,7 +582,6 @@ class FailingStream:
         return self.stream.uniform(size, out)
 
 
-@NO_THREAD_WARNING
 @pytest.mark.parametrize("exc", [ValueError("draw failed"), MemoryError(), KeyboardInterrupt()],
                          ids=["value_error", "memory_error", "keyboard_interrupt"])
 @pytest.mark.parametrize("fail_at", [1, 2, 7, 24])
@@ -596,7 +595,6 @@ def test_mc_dropout_raises_what_the_drawer_raised(exc, fail_at):
     assert threading.active_count() == threads
 
 
-@NO_THREAD_WARNING
 @pytest.mark.parametrize("exc", [RuntimeError("pass failed"), KeyboardInterrupt()],
                          ids=["runtime_error", "keyboard_interrupt"])
 def test_mc_dropout_raises_what_a_pass_raised(monkeypatch, exc):
@@ -617,7 +615,6 @@ def test_mc_dropout_raises_what_a_pass_raised(monkeypatch, exc):
     assert threading.active_count() == threads
 
 
-@NO_THREAD_WARNING
 def test_mc_dropout_leaves_no_thread_behind():
     model = init_mlp([4, 9, 5, 1], dropout_rate=0.2, rng=RngStream(4)).eval()
     threads = threading.active_count()
@@ -626,7 +623,6 @@ def test_mc_dropout_leaves_no_thread_behind():
     assert threading.active_count() == threads
 
 
-@NO_THREAD_WARNING
 def test_mc_dropout_one_layer_model_without_a_stream_has_zero_variance():
     # nothing to draw, so no stream is needed; dyadic weights keep every sum exact
     layer = Layer(weights=np.array([[0.5, -1.25], [2.0, 0.25]]), biases=np.array([0.125, -0.5]))
@@ -637,7 +633,6 @@ def test_mc_dropout_one_layer_model_without_a_stream_has_zero_variance():
     assert means.tobytes() == forward(model, x)[0].tobytes()
 
 
-@NO_THREAD_WARNING
 def test_mc_dropout_concurrent_calls_under_fast_thread_switching():
     # more callers than cores, each with its own drawer, switching threads every
     # few bytecodes: a mask set handed over too early would change the bytes

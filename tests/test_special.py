@@ -502,7 +502,7 @@ def test_beta_sample_sized_draw_equals_single_draws(alpha):
     assert beta_sample(alpha, RngStream(0), size=np.int64(3)).shape == (3,)
 
 
-@pytest.mark.parametrize("size", [-1, 2.0, 2.5, "3", True, (2, 2)])
+@pytest.mark.parametrize("size", [-1, np.nan, 2.5, "3", True, (2, 2)])
 def test_beta_sample_rejects_bad_size(size):
     with pytest.raises(UsageError):
         beta_sample(0.5, RngStream(0), size=size)
