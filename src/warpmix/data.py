@@ -10,7 +10,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, check_int
+from .errors import DatasetError, UsageError, check_int, check_real
 from .rng import RngStream
 
 __all__ = ["Dataset", "Normalization", "DataSplits", "load_csv", "split"]
@@ -153,10 +153,11 @@ def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Datas
 
 def check_fractions(fractions) -> tuple:
     """The (train, valid, test) fractions as floats, or UsageError unless
-    they are 3 positive numbers summing to 1."""
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or not all(f > 0.0 for f in fractions):
-        raise UsageError(f"split_fractions must be 3 positive numbers, got {fractions}")
+    they are a list or tuple of 3 numbers > 0, each by the package's
+    real-number rule (``errors.check_real``), summing to 1."""
+    if not isinstance(fractions, (list, tuple)) or len(fractions) != 3:
+        raise UsageError(f"split_fractions must be a list of 3 numbers > 0, got {fractions!r}")
+    fractions = tuple(check_real(f, "split_fractions", "> 0", lambda v: v > 0.0) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise UsageError(f"split_fractions must sum to 1, got {fractions} (sum {sum(fractions)})")
     return fractions

@@ -13,11 +13,16 @@ class WarpmixError(Exception):
 
 
 class DomainError(WarpmixError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """A value handed to a numerical kernel lies outside its mathematical
+    domain: the x and shapes of incomplete_beta_reg and log_beta, the
+    coefficients and strengths of warp_pairwise, and the distances a kernel
+    turns into strengths. Every other argument that breaks a rule raises
+    UsageError."""
 
 
 class UsageError(WarpmixError, ValueError):
-    """The API was called incorrectly: bad shapes, lengths, or configuration."""
+    """The API was called incorrectly: bad shapes, lengths, or configuration,
+    or a number that breaks the integer or the real-number rule below."""
 
 
 class NonConvergenceError(WarpmixError, ArithmeticError):

@@ -123,6 +123,9 @@ def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
 
 
 _NULLABLE = ("num_classes", "mixup.input_kernel", "mixup.output_kernel")
+# the integer keys' bounds (lo, hi), for a list key each item's
+_INT_BOUNDS = {"seeds": (0, _SEED_MAX), "optimizer.epochs": (1, None), "optimizer.batch_size": (1, None),
+               "model.hidden": (1, None), "metrics.num_bins": (1, None)}
 _KINDS = {bool: "true or false", str: "a string", dict: "a table"}
 
 
@@ -131,10 +134,10 @@ def _typed(name: str, default, value):
 
     Integers and floats follow the package's two argument rules
     (``errors.check_int`` and ``check_real``): integers take integral floats
-    (3.0 is stored as 3), floats take finite integers and floats, and bools
-    are never numbers. A list is typed item by item. ``num_classes`` and the
-    kernel tables may be null, and ``dataset.target_column`` may name its
-    column."""
+    (3.0 is stored as 3) and keep their ``_INT_BOUNDS``, floats take finite
+    integers and floats, and bools are never numbers. A list is typed item
+    by item. ``num_classes`` and the kernel tables may be null, and
+    ``dataset.target_column`` may name its column."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise UsageError(f"config key {name!r} must be a list, got {value!r}")
@@ -143,7 +146,7 @@ def _typed(name: str, default, value):
         return value
     kind = int if name == "num_classes" else type(default)
     if kind is int:
-        return check_int(value, f"config key {name!r}")
+        return check_int(value, f"config key {name!r}", *_INT_BOUNDS.get(name, ()))
     if kind is float:
         return check_real(value, f"config key {name!r}")
     if isinstance(value, kind):
@@ -184,14 +187,8 @@ class ExperimentConfig:
             raise UsageError(f"classification experiments need num_classes >= 2, got {v['num_classes']}")
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
-        for seed in v["seeds"]:
-            check_int(seed, "seeds", 0, _SEED_MAX)
         _check_distinct(v["seeds"], "seeds")
         check_fractions(v["split_fractions"])
-        if v["optimizer"]["epochs"] < 1 or v["optimizer"]["batch_size"] < 1:
-            raise UsageError("optimizer.epochs and optimizer.batch_size must be >= 1")
-        if any(size < 1 for size in v["model"]["hidden"]):
-            raise UsageError(f"model.hidden sizes must be >= 1, got {v['model']['hidden']}")
         if v["model"]["activation"] not in ACTIVATIONS:
             raise UsageError(f"model.activation must be one of {ACTIVATIONS}, got {v['model']['activation']!r}")
         check_dropout_rate(v["model"]["dropout_rate"], "model.dropout_rate")
@@ -201,8 +198,6 @@ class ExperimentConfig:
         # mid-training or after it.
         mix = self.mixup_config()
         self.optimizer_state()
-        if self.num_bins < 1:
-            raise UsageError(f"metrics.num_bins must be >= 1, got {self.num_bins}")
         if v["task"] == "regression" and self.mc_samples < 2:  # regression evaluates by MC dropout
             raise UsageError(f"metrics.mc_samples must be >= 2 for regression, got {self.mc_samples}")
         if v["task"] == "regression" and not v["model"]["dropout_rate"] > 0.0:
@@ -532,16 +527,19 @@ def grid_search(
 
     Each cell runs every seed of ``config``. Cells are independent
     deterministic jobs: results depend only on the cell config, never on
-    execution order or worker count. A value repeated in either list raises
-    UsageError.
+    execution order or worker count. Each list is a non-empty list or tuple
+    of numbers > 0 by the package's real-number rule, stored as floats;
+    anything else, or a value repeated in either list, raises UsageError
+    naming the list.
     """
     jobs = check_int(jobs, "jobs", 1)
-    tau_max_list = [float(t) for t in tau_max_list]
-    tau_std_list = [float(t) for t in tau_std_list]
-    if not tau_max_list or not tau_std_list:
-        raise UsageError("grid lists must be non-empty")
-    _check_distinct(tau_max_list, "tau_max_list")
-    _check_distinct(tau_std_list, "tau_std_list")
+    checked = []
+    for name, values in (("tau_max_list", tau_max_list), ("tau_std_list", tau_std_list)):
+        if not isinstance(values, (list, tuple)) or not values:
+            raise UsageError(f"{name} must be a non-empty list of numbers > 0, got {values!r}")
+        checked.append([check_real(t, name, "> 0", lambda v: v > 0.0) for t in values])
+        _check_distinct(checked[-1], name)
+    tau_max_list, tau_std_list = checked
     if dataset is None:
         dataset = config.load_dataset()
 

@@ -92,11 +92,12 @@ def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
     A value exactly on an interior edge goes to the higher bin, the top bin
     is closed, and ``hi <= lo`` puts every value in bin 0. Returns
     ``(counts, sums)``: ``counts`` has one entry per bin and ``sums[k]`` holds
-    the per-bin sums of ``columns[k]``. ``num_bins`` is an integer >= 1 by
-    the package's integer rule (an integral float or a numpy integer counts
-    as its integer); anything else raises UsageError naming it.
+    the per-bin sums of ``columns[k]``. ``lo`` and ``hi`` are finite
+    numbers by the package's real-number rule, and ``num_bins`` an integer
+    >= 1 by its integer rule (an integral float or a numpy integer counts as
+    its integer); anything else raises UsageError naming it.
     """
-    num_bins = check_int(num_bins, "num_bins", 1)
+    lo, hi, num_bins = check_real(lo, "lo"), check_real(hi, "hi"), check_int(num_bins, "num_bins", 1)
     values = np.asarray(values, dtype=np.float64)
     if hi <= lo:
         idx = np.zeros(values.shape[0], dtype=np.int64)

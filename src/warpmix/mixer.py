@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError, check_int
+from .errors import UsageError, check_int, check_real
 from .metrics import _picked_nll
 from .rng import RngStream
 from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
@@ -113,7 +113,9 @@ class MixupConfig:
     ``mode`` picks the variant, and the two kernels (required only for
     kernel_warped) control how strengths depend on pair similarity. With
     ``per_batch_coeff`` a single raw coefficient is shared by the whole
-    batch instead of one per sample.
+    batch instead of one per sample. ``alpha`` is a number > 0 by the
+    package's real-number rule (``errors.check_real``), stored as a float;
+    anything else raises UsageError naming it.
     """
 
     alpha: float = 1.0
@@ -123,10 +125,7 @@ class MixupConfig:
     per_batch_coeff: bool = False
 
     def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or a <= 0.0:
-            raise DomainError(f"alpha must be a positive finite number, got {self.alpha}")
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", "> 0", lambda v: v > 0.0))
         if self.mode not in MIX_MODES:
             raise UsageError(f"unknown mix mode {self.mode!r}; expected one of {MIX_MODES}")
         if self.mode == "kernel_warped" and (self.input_kernel is None or self.output_kernel is None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_module  # by attribute, so a patched model.embed applies
-from .errors import DivergenceError, DomainError, UsageError
+from .errors import DivergenceError, DomainError, UsageError, check_real
 from .special import SHAPE_MAX, SHAPE_MIN
 
 __all__ = [
@@ -46,6 +46,10 @@ class KernelConfig:
     ``tau_max`` scales the overall strength (an average-distance pair gets
     1 / tau_max), ``tau_std`` controls how fast strength varies with
     distance, and ``backend`` names the feature space distances are taken in.
+    Both are numbers > 0 by the package's real-number rule
+    (``errors.check_real``), stored as floats; anything else, or a ``tau_std``
+    whose kernel scale 2 tau_std^2 overflows or rounds to 0, raises
+    UsageError naming it.
     """
 
     tau_max: float
@@ -54,16 +58,13 @@ class KernelConfig:
 
     def __post_init__(self):
         for name in ("tau_max", "tau_std"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{name} must be a positive finite number, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, check_real(getattr(self, name), name, "> 0", lambda v: v > 0.0))
         try:  # the kernel divides by its scale 2 std^2, as _distances_to_taus computes it
             scale = 2.0 * self.tau_std**2
         except OverflowError:
             scale = math.inf
         if not 0.0 < scale < math.inf:
-            raise DomainError(f"tau_std must keep the kernel scale 2 tau_std^2 in (0, inf), got {self.tau_std}")
+            raise UsageError(f"tau_std must keep the kernel scale 2 tau_std^2 in (0, inf), got {self.tau_std}")
         if self.backend not in FEATURE_BACKENDS:
             raise UsageError(
                 f"unknown feature backend {self.backend!r}; expected one of {FEATURE_BACKENDS}"

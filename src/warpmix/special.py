@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UsageError, check_int
+from .errors import DomainError, NonConvergenceError, UsageError, check_int, check_real
 
 __all__ = [
     "SHAPE_MIN",
@@ -361,13 +361,13 @@ def beta_sample(alpha, rng, size=None):
     """Draws from Beta(alpha, alpha) out of the given :class:`RngStream`.
 
     One float when ``size`` is None, else an array of ``size`` draws that is
-    bit-equal to ``size`` single draws in a row. ``size`` is an integer >= 0
-    by the package's integer rule (an integral float or a numpy integer
-    counts as its integer); anything else raises UsageError naming it.
+    bit-equal to ``size`` single draws in a row. ``alpha`` is a number > 0
+    by the package's real-number rule (a finite Python or numpy int or float,
+    never a bool or a string), and ``size`` an integer >= 0 by its integer
+    rule (an integral float or a numpy integer counts as its integer);
+    anything else raises UsageError naming it.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be a positive finite number, got {alpha}")
+    alpha = check_real(alpha, "alpha", "> 0", lambda v: v > 0.0)
     if size is None:
         return float(rng.beta(alpha, alpha))
     return rng.beta(alpha, alpha, check_int(size, "size", 0))

@@ -3,9 +3,10 @@
 Every count, seed and index follows one integer rule: a Python or numpy
 integer, or an integral float, counts as its integer (3.0 is 3), and a bool,
 a string, a fraction, NaN, an infinity or a value out of range raises
-UsageError naming the argument. Every rate and coefficient follows one
-real-number rule: a finite Python or numpy int or float, never a bool or a
-string, stored as a float.
+UsageError naming the argument. Every rate, coefficient and kernel setting
+follows one real-number rule: a finite Python or numpy int or float, never a
+bool or a string, stored as a float, and a value out of range raises
+UsageError naming the argument too.
 """
 
 import json
@@ -20,7 +21,9 @@ from warpmix import (
     Batch,
     Dataset,
     ExperimentConfig,
+    KernelConfig,
     Layer,
+    MixupConfig,
     ModelState,
     OptimizerState,
     RngStream,
@@ -70,6 +73,13 @@ def _grid_workers(jobs, monkeypatch):
     return sizes, grid.cells
 
 
+def _grid_cell(tau_max, tau_std, monkeypatch):
+    """The one cell of a grid over [tau_max] x [tau_std], with the cell
+    replaced so that nothing trains."""
+    monkeypatch.setattr(harness, "_run_cell", lambda task: (task[1], task[2], None, "skipped"))
+    return grid_search(ExperimentConfig(), [tau_max], [tau_std], dataset=DATA).cells[0]
+
+
 def _checkpoint_step_count(step_count, tmp_path):
     path = tmp_path / "checkpoint.json"
     save_model(MODEL, path)
@@ -88,6 +98,12 @@ INTEGER_ARGUMENTS = {
     "RngStream.child": ("child index", 0, lambda v, *_: RngStream(0).child(v).uniform(4)),
     "split.seed": ("seed", 0, lambda v, *_: split(DATA, (0.6, 0.2, 0.2), v).train.features),
     "ExperimentConfig.seeds": ("seeds", 0, lambda v, *_: ExperimentConfig({"seeds": [v]}).seeds),
+    **{f"ExperimentConfig.{table}.{key}": (
+        f"{table}.{key}", 1,
+        lambda v, *_, table=table, key=key: ExperimentConfig({table: {key: v}}).to_dict()[table][key])
+       for table, key in (("optimizer", "epochs"), ("optimizer", "batch_size"), ("metrics", "num_bins"))},
+    "ExperimentConfig.model.hidden": ("model.hidden", 1,
+                                      lambda v, *_: ExperimentConfig({"model": {"hidden": [8, v]}}).to_dict()),
     "init_mlp.dims": ("dims", 1, lambda v, *_: init_mlp([3, v, 1], 0.2, RngStream(0)).params),
     "mc_dropout_predict.samples": ("samples", 2, lambda v, *_: mc_dropout_predict(MODEL, X, v, RngStream(1))),
     "beta_sample.size": ("size", 0, lambda v, *_: beta_sample(0.5, RngStream(0), size=v)),
@@ -149,32 +165,72 @@ def _layers():
     return [Layer(np.ones((2, 3)), np.zeros(3), "relu"), Layer(np.ones((3, 1)), np.zeros(1))]
 
 
-# entry point -> (the name its error gives, a call with one value returning the stored value)
+# entry point -> (the name its error gives, a value out of its range, a call with one value
+# returning the stored value); each call takes the value and monkeypatch
 REAL_ARGUMENTS = {
-    "ModelState.dropout_rate": ("dropout_rate", lambda v: ModelState(_layers(), dropout_rate=v).dropout_rate),
-    "init_mlp.dropout_rate": ("dropout_rate", lambda v: init_mlp([2, 3, 1], v, RngStream(0)).dropout_rate),
-    **{f"OptimizerState.{field}": (f"optimizer.{field}",
-                                   lambda v, field=field: getattr(OptimizerState(**{field: v}), field))
-       for field in ("learning_rate", "momentum", "beta1", "beta2", "eps", "weight_decay")},
+    "ModelState.dropout_rate": ("dropout_rate", 1.0,
+                                lambda v, _: ModelState(_layers(), dropout_rate=v).dropout_rate),
+    "init_mlp.dropout_rate": ("dropout_rate", 1.0, lambda v, _: init_mlp([2, 3, 1], v, RngStream(0)).dropout_rate),
+    **{f"OptimizerState.{field}": (f"optimizer.{field}", bad,
+                                   lambda v, _, field=field: getattr(OptimizerState(**{field: v}), field))
+       for field, bad in (("learning_rate", -1.0), ("momentum", 1.0), ("beta1", 1.0), ("beta2", 1.0),
+                          ("eps", 0.0), ("weight_decay", -1.0))},
+    "KernelConfig.tau_max": ("tau_max", 0.0, lambda v, _: KernelConfig(tau_max=v, tau_std=1.0).tau_max),
+    "KernelConfig.tau_std": ("tau_std", -1.0, lambda v, _: KernelConfig(tau_max=1.0, tau_std=v).tau_std),
+    "MixupConfig.alpha": ("alpha", 0.0, lambda v, _: MixupConfig(alpha=v, mode="vanilla").alpha),
+    "grid_search.tau_max_list": ("tau_max_list", -1.0, lambda v, mp: _grid_cell(v, 1.0, mp)["tau_max"]),
+    "grid_search.tau_std_list": ("tau_std_list", 0.0, lambda v, mp: _grid_cell(1.0, v, mp)["tau_std"]),
+}
+# entry points that use the value without keeping it: each call returns its result
+USED_REALS = {
+    "beta_sample.alpha": ("alpha", -0.5, lambda v, _: beta_sample(v, RngStream(0), size=4)),
+    "split.fractions": ("split_fractions", 0.0,
+                        lambda v, _: split(DATA, (0.25, v, 0.25), 0).train.features),
+    "bin_stats.lo": ("lo", -math.inf, lambda v, _: bin_stats([0.6, 0.7, 0.9, 1.0], v, 1.0, 2, [1.0, 2.0, 3.0, 4.0])),
+    "bin_stats.hi": ("hi", -math.inf, lambda v, _: bin_stats([0.0, 0.1, 0.3, 0.4], 0.0, v, 2, [1.0, 2.0, 3.0, 4.0])),
 }
 
 NOT_REALS = {"string": "0.5", "bool_true": True, "bool_false": False, "none": None, "nan": math.nan,
              "inf": math.inf, "huge_int": 10**400, "numpy_bool": np.bool_(False), "list": [0.5]}
 
 
-@pytest.mark.parametrize("entry", sorted(REAL_ARGUMENTS))
-@pytest.mark.parametrize("case", sorted(NOT_REALS))
-def test_real_argument_rejected_naming_it(entry, case):
-    name, call = REAL_ARGUMENTS[entry]
+ALL_REALS = {**REAL_ARGUMENTS, **USED_REALS}
+FLOATS = pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)], ids=["float", "float64", "float32"])
+
+
+@pytest.mark.parametrize("entry", sorted(ALL_REALS))
+@pytest.mark.parametrize("case", [*sorted(NOT_REALS), "out_of_range"])
+def test_real_argument_rejected_naming_it(entry, case, monkeypatch):
+    name, out_of_range, call = ALL_REALS[entry]
     with pytest.raises(UsageError, match=re.escape(name) + " must be a finite number"):
-        call(NOT_REALS[case])
+        call(out_of_range if case == "out_of_range" else NOT_REALS[case], monkeypatch)
 
 
 @pytest.mark.parametrize("entry", sorted(REAL_ARGUMENTS))
-@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5)], ids=["float", "float64", "float32"])
-def test_real_argument_stored_as_a_float(entry, value):
-    stored = REAL_ARGUMENTS[entry][1](value)
+@FLOATS
+def test_real_argument_stored_as_a_float(entry, value, monkeypatch):
+    stored = REAL_ARGUMENTS[entry][2](value, monkeypatch)
     assert type(stored) is float and stored == 0.5
+
+
+@pytest.mark.parametrize("entry", sorted(USED_REALS))
+@FLOATS
+def test_real_argument_gives_the_float_result(entry, value, monkeypatch):
+    call = USED_REALS[entry][2]
+    assert same(call(value, monkeypatch), call(0.5, monkeypatch))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: split(DATA, 0.6, 0),
+    lambda: split(DATA, None, 0),
+    lambda: split(DATA, np.array([0.6, 0.2, 0.2]), 0),
+    lambda: grid_search(ExperimentConfig(), 0.5, [1.0], dataset=DATA),
+    lambda: grid_search(ExperimentConfig(), [0.5], "1", dataset=DATA),
+], ids=["split_float", "split_none", "split_array", "grid_tau_max_float", "grid_tau_std_string"])
+def test_fractions_and_tau_lists_must_be_lists(call):
+    # a bare number or None used to raise a bare TypeError, a string to split into characters
+    with pytest.raises(UsageError, match=r"(split_fractions|tau_max_list|tau_std_list) must be a (non-empty )?list"):
+        call()
 
 
 def test_integer_rates_stored_as_floats():

@@ -15,7 +15,6 @@ import warpmix.warping as warping_module
 from warpmix import (
     MIX_MODES,
     Batch,
-    DomainError,
     KernelConfig,
     MixupConfig,
     RngStream,
@@ -77,9 +76,9 @@ def test_batch_rejects_targets_that_are_not_a_vector(num_classes, shape):
 
 
 def test_mixup_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="alpha must be a finite number > 0"):
         MixupConfig(alpha=0.0, mode="vanilla")
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="alpha must be a finite number > 0"):
         MixupConfig(alpha=-1.0, mode="vanilla")
     with pytest.raises(UsageError):
         MixupConfig(alpha=1.0, mode="sideways")

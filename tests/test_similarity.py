@@ -10,7 +10,6 @@ import warpmix.similarity as similarity
 from warpmix import (
     Batch,
     DivergenceError,
-    DomainError,
     KernelConfig,
     RngStream,
     UsageError,
@@ -185,9 +184,9 @@ def test_kernel_rejects_bad_distances():
 
 
 def test_kernel_config_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="tau_max must be a finite number > 0"):
         KernelConfig(tau_max=0.0, tau_std=1.0, backend="raw_input")
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="tau_std must be a finite number > 0"):
         KernelConfig(tau_max=1.0, tau_std=-1.0, backend="raw_input")
     with pytest.raises(UsageError):
         KernelConfig(tau_max=1.0, tau_std=1.0, backend="cosine")
@@ -196,7 +195,7 @@ def test_kernel_config_validation():
 @pytest.mark.parametrize("tau_std", [1e200, 1e154, 1e-300, 1e-162])
 def test_kernel_config_rejects_a_scale_that_overflows_or_underflows(tau_std):
     # 2 tau_std^2 raises OverflowError, is inf, or is 0: the kernel cannot divide by it
-    with pytest.raises(DomainError, match="tau_std"):
+    with pytest.raises(UsageError, match="tau_std must keep the kernel scale"):
         KernelConfig(tau_max=1.0, tau_std=tau_std)
 
 

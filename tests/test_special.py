@@ -516,7 +516,7 @@ def test_beta_sample_advances_state():
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0])
 def test_beta_sample_rejects_nonpositive_alpha(alpha):
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="alpha must be a finite number > 0"):
         beta_sample(alpha, RngStream(0))
 
 
