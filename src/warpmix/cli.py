@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DatasetError, DomainError, UsageError, WarpmixError, check_int
 from .data import split
 from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, run_experiment
-from .metrics import bin_stats, metrics_from_payload, payload_bins
+from .metrics import _MAX_BINS, bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
 from .similarity import KernelConfig, _checked_distances, _distances_to_taus
@@ -146,7 +146,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_warp_demo(args) -> int:
-    samples, num_bins = check_int(args.samples, "--samples", 1), check_int(args.bins, "--bins", 1)
+    samples, num_bins = check_int(args.samples, "--samples", 1), check_int(args.bins, "--bins", 1, _MAX_BINS)
 
     if args.distances is not None:
         kernel = KernelConfig(tau_max=args.tau_max, tau_std=args.tau_std)

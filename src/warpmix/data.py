@@ -10,7 +10,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, check_int, check_real
+from .errors import DatasetError, UsageError, check_array, check_int, check_real
 from .rng import RngStream
 
 __all__ = ["Dataset", "Normalization", "DataSplits", "load_csv", "split"]
@@ -22,8 +22,10 @@ _STD_FLOOR = 1e-8
 class Dataset:
     """Feature matrix (N, d) plus targets (N,); ``num_classes`` is None for regression,
     otherwise the targets must be integer labels in ``[0, num_classes)``.
-    Every feature and target must be finite; errors name the 1-based row and
-    column."""
+    Both are arrays of ints and floats by the dtype part of the package's
+    array rule (``errors.check_array``), so a bool or a string raises
+    UsageError naming the argument. Every feature and target must be finite,
+    and errors name the 1-based row and column (DatasetError)."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -31,10 +33,10 @@ class Dataset:
     num_classes: Optional[int] = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = check_array(self.features, "features", finite=False)
         if self.features.ndim != 2:
             raise UsageError(f"features must be (N, d), got shape {self.features.shape}")
-        targets = np.asarray(self.targets, dtype=np.float64)
+        targets = check_array(self.targets, "targets", finite=False)
         if targets.ndim != 1:
             raise UsageError(f"targets must be a vector (N,), got shape {targets.shape}")
         if self.num_classes is None:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the two rules every API
-entry point applies to its arguments: one for integers (counts, seeds and
-indices) and one for real numbers (rates and coefficients)."""
+"""Exception types shared across the package, and the rules every API entry
+point applies to its arguments: one for integers (counts, seeds and
+indices), one for real numbers (rates and coefficients) and one for arrays
+(points, targets, weights, logits and the kernels' inputs), with the class
+label rule built on the last."""
 
 import math
 from typing import Callable, Optional
@@ -16,13 +18,14 @@ class DomainError(WarpmixError, ValueError):
     """A value handed to a numerical kernel lies outside its mathematical
     domain: the x and shapes of incomplete_beta_reg and log_beta, the
     coefficients and strengths of warp_pairwise, and the distances a kernel
-    turns into strengths. Every other argument that breaks a rule raises
-    UsageError."""
+    turns into strengths, once the array rule below has taken them as
+    numbers. Every other argument that breaks a rule raises UsageError."""
 
 
 class UsageError(WarpmixError, ValueError):
     """The API was called incorrectly: bad shapes, lengths, or configuration,
-    or a number that breaks the integer or the real-number rule below."""
+    or a value that breaks the integer, real-number, array or label rule
+    below."""
 
 
 class NonConvergenceError(WarpmixError, ArithmeticError):
@@ -97,3 +100,46 @@ def check_real(value, name: str, rule: str = "", ok: Optional[Callable[[float], 
     if math.isfinite(number) and (ok is None or ok(number)):
         return number
     raise UsageError(f"{name} must be a finite number{rule and ' ' + rule}, got {value!r}")
+
+
+def check_array(value, name: str, ndim: Optional[int] = None, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array (the array itself if it is one), or
+    UsageError naming ``name`` unless it is an array, a number or a nested
+    list of Python or numpy ints and floats, with ``ndim`` dimensions (if
+    given) and, if ``finite``, no NaN or infinity; the finite error names
+    the first bad row (0-based). Bools, strings, None, objects, complex
+    numbers and ragged nesting are never arrays of numbers, and neither is
+    a list that holds a bool among its numbers."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise UsageError(f"{name} must be an array of ints and floats, got ragged nesting") from None
+    # numpy takes a bool among a list's numbers as 0 or 1
+    bools = isinstance(value, (list, tuple)) and {bool, np.bool_} & {*map(type, np.asarray(value, object).flat)}
+    if bools or array.dtype.kind not in "iuf":
+        got = "a bool" if bools else f"dtype {array.dtype}"
+        raise UsageError(f"{name} must be an array of ints and floats, got {got}")
+    if ndim is not None and array.ndim != ndim:
+        raise UsageError(f"{name} must be {ndim}-dimensional, got shape {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise UsageError(f"{name} must be finite, {_first(array, ~np.isfinite(array))}")
+    return array
+
+
+def check_labels(value, name: str, num_classes: int) -> np.ndarray:
+    """``value`` as int64 class indices, or UsageError naming ``name`` unless
+    the array rule takes it (with no finite part) and each entry is an
+    integer in [0, num_classes); an integral float counts as its integer."""
+    labels = check_array(value, name, finite=False)
+    bad = ~((labels == np.floor(labels)) & (labels >= 0.0) & (labels < num_classes))
+    if bad.any():
+        raise UsageError(f"{name} must be integers in [0, {num_classes}), {_first(labels, bad)}")
+    return labels.astype(np.int64)
+
+
+def _first(array: np.ndarray, bad: np.ndarray) -> str:
+    """'got <value> at row <r>' for the first entry of ``array`` where ``bad``
+    holds, in row-major order; a 0-d array has no row."""
+    at = tuple(np.argwhere(bad)[0])
+    return f"got {float(array[at])!r}" + (f" at row {at[0]}" if at else "")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_real
-from .metrics import _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
+from .metrics import _MAX_BINS, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
@@ -124,8 +124,8 @@ def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
 
 _NULLABLE = ("num_classes", "mixup.input_kernel", "mixup.output_kernel")
 # the integer keys' bounds (lo, hi), for a list key each item's
-_INT_BOUNDS = {"seeds": (0, _SEED_MAX), "optimizer.epochs": (1, None), "optimizer.batch_size": (1, None),
-               "model.hidden": (1, None), "metrics.num_bins": (1, None)}
+_INT_BOUNDS = {"seeds": (0, _SEED_MAX), "num_classes": (2, None), "metrics.num_bins": (1, _MAX_BINS),
+               "optimizer.epochs": (1, None), "optimizer.batch_size": (1, None), "model.hidden": (1, None)}
 _KINDS = {bool: "true or false", str: "a string", dict: "a table"}
 
 
@@ -183,8 +183,9 @@ class ExperimentConfig:
         v = self._values
         if v["task"] not in ("regression", "classification"):
             raise UsageError(f"task must be regression or classification, got {v['task']!r}")
-        if v["task"] == "classification" and (v["num_classes"] is None or v["num_classes"] < 2):
-            raise UsageError(f"classification experiments need num_classes >= 2, got {v['num_classes']}")
+        if (v["task"] == "classification") != (v["num_classes"] is not None):
+            raise UsageError(f"num_classes must be an integer >= 2 for classification and null for "
+                             f"regression, got {v['num_classes']!r} for {v['task']}")
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
         _check_distinct(v["seeds"], "seeds")

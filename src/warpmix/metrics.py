@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError, check_int, check_real
+from .errors import UsageError, check_array, check_int, check_labels, check_real
 
 __all__ = [
     "softmax",
@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 _PROB_FLOOR = 1e-12
+# the most bins there can be: a value's bin index is computed in float64,
+# which holds every integer up to 2**53 exactly
+_MAX_BINS = 2**53
 
 
 def _shifted_exp(logits: np.ndarray):
@@ -50,13 +53,17 @@ def _shifted_exp(logits: np.ndarray):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
-    _, e = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    """Row-wise stable softmax. ``logits`` follow the package's array rule
+    (``errors.check_array``) less its finite part: an array of ints and
+    floats, or UsageError naming it; non-finite logits propagate as numpy
+    propagates them."""
+    _, e = _shifted_exp(check_array(logits, "logits", finite=False))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z, e = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    """Row-wise stable log-softmax; ``logits`` as for ``softmax``."""
+    z, e = _shifted_exp(check_array(logits, "logits", finite=False))
     return z - np.log(e.sum(axis=-1, keepdims=True))
 
 
@@ -93,17 +100,28 @@ def bin_stats(values, lo: float, hi: float, num_bins: int, *columns):
     is closed, and ``hi <= lo`` puts every value in bin 0. Returns
     ``(counts, sums)``: ``counts`` has one entry per bin and ``sums[k]`` holds
     the per-bin sums of ``columns[k]``. ``lo`` and ``hi`` are finite
-    numbers by the package's real-number rule, and ``num_bins`` an integer
-    >= 1 by its integer rule (an integral float or a numpy integer counts as
-    its integer); anything else raises UsageError naming it.
+    numbers by the package's real-number rule, ``num_bins`` an integer in
+    [1, 2**53] by its integer rule (an integral float or a numpy integer
+    counts as its integer), and ``values`` and each column 1-d arrays of
+    finite ints and floats by its array rule, each column as long as
+    ``values``; anything else raises UsageError naming it.
     """
-    lo, hi, num_bins = check_real(lo, "lo"), check_real(hi, "hi"), check_int(num_bins, "num_bins", 1)
-    values = np.asarray(values, dtype=np.float64)
+    lo, hi, num_bins = check_real(lo, "lo"), check_real(hi, "hi"), check_int(num_bins, "num_bins", 1, _MAX_BINS)
+    values = check_array(values, "values", 1)
+    columns = [check_array(c, f"columns[{k}]", 1) for k, c in enumerate(columns)]
+    for k, c in enumerate(columns):
+        if c.shape != values.shape:
+            raise UsageError(f"columns[{k}] must be as long as values ({values.size}), got {c.size}")
+    return _bin_stats(values, lo, hi, num_bins, columns)
+
+
+def _bin_stats(values: np.ndarray, lo: float, hi: float, num_bins: int, columns):
+    """``bin_stats`` of 1-d arrays of one length, unchecked."""
     if hi <= lo:
         idx = np.zeros(values.shape[0], dtype=np.int64)
     else:
         idx = np.clip(np.floor((values - lo) / (hi - lo) * num_bins).astype(np.int64), 0, num_bins - 1)
-    sums = [np.bincount(idx, weights=np.asarray(c, dtype=np.float64), minlength=num_bins) for c in columns]
+    sums = [np.bincount(idx, weights=c, minlength=num_bins) for c in columns]
     return np.bincount(idx, minlength=num_bins), np.array(sums)
 
 
@@ -112,10 +130,10 @@ def _calibration_bins(task: str, num_bins: int, arrays: tuple):
     if task == "regression":
         means, variances, targets = arrays
         lo, hi = float(variances.min()), float(variances.max())
-        return (lo, hi, *bin_stats(variances, lo, hi, num_bins, (means - targets) ** 2, variances))
+        return (lo, hi, *_bin_stats(variances, lo, hi, num_bins, ((means - targets) ** 2, variances)))
     probs, labels = arrays
     conf = probs.max(axis=1)
-    return (0.0, 1.0, *bin_stats(conf, 0.0, 1.0, num_bins, probs.argmax(axis=1) == labels, conf))
+    return (0.0, 1.0, *_bin_stats(conf, 0.0, 1.0, num_bins, (probs.argmax(axis=1) == labels, conf)))
 
 
 def _weighted_gap(counts, sums) -> float:
@@ -135,9 +153,6 @@ def _ence(counts, sums) -> float:
     return float(np.sum(np.abs(rmse - rmv) / np.where(rmv > 0.0, rmv, 1.0)) / np.count_nonzero(full))
 
 
-_PAYLOAD_ARRAYS = {"regression": ("means", "variances", "targets"), "classification": ("probs", "labels")}
-
-
 def _payload_value(payload: dict, key: str):
     """payload[key], or UsageError if the payload has no ``key``."""
     if key not in payload:
@@ -153,35 +168,24 @@ def _parse_payload(payload: dict):
     task = _payload_value(payload, "task")
     if task not in ("regression", "classification"):
         raise UsageError(f"predictions payload has unknown task {task!r}")
-    num_bins = check_int(_payload_value(payload, "num_bins"), "predictions payload 'num_bins'", 1)
-    keys = _PAYLOAD_ARRAYS[task]
-    values = [_payload_value(payload, key) for key in keys]
-    try:
-        arrays = [np.asarray(value, dtype=np.float64) for value in values]
-    except (TypeError, ValueError):
-        raise UsageError(f"predictions payload {', '.join(keys)} must be numeric arrays") from None
+    num_bins = check_int(_payload_value(payload, "num_bins"), "predictions payload 'num_bins'", 1, _MAX_BINS)
     if task == "regression":
-        means, variances, targets = arrays
+        means, variances, targets = (check_array(_payload_value(payload, key), f"predictions payload {key!r}")
+                                     for key in ("means", "variances", "targets"))
         if means.ndim != 1 or means.shape[0] < 1 or not means.shape == variances.shape == targets.shape:
             raise UsageError("means, variances and targets must be aligned non-empty vectors")
-        if not np.all(np.isfinite(means) & np.isfinite(targets) & np.isfinite(variances) & (variances >= 0)):
-            raise UsageError("means, variances and targets must be finite, and variances >= 0")
+        if not np.all(variances >= 0.0):
+            raise UsageError("predictions payload 'variances' must be >= 0")
         return task, num_bins, (means, variances, targets)
-    probs, labels = arrays
+    probs = check_array(_payload_value(payload, "probs"), "predictions payload 'probs'")
     if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
         raise UsageError(f"probs must be rows over >= 2 classes, got shape {probs.shape}")
+    labels = check_labels(_payload_value(payload, "labels"), "predictions payload 'labels'", probs.shape[1])
     if labels.shape != probs.shape[:1]:
         raise UsageError(f"{labels.size} labels for {probs.shape[0]} probability rows")
     if not (np.all((probs >= 0.0) & (probs <= 1.0)) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)):
         raise UsageError("probs must be non-negative and sum to 1 within 1e-9")
-    return task, num_bins, (probs, _class_labels(labels, probs.shape[1]))
-
-
-def _class_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Float ``labels`` as int64, or UsageError unless each is an integer in [0, num_classes)."""
-    if not np.all((labels == np.floor(labels)) & (labels >= 0) & (labels < num_classes)):
-        raise UsageError(f"labels must be integers in [0, {num_classes})")
-    return labels.astype(np.int64)
+    return task, num_bins, (probs, labels)
 
 
 def payload_bins(payload: dict):
@@ -195,13 +199,15 @@ def payload_bins(payload: dict):
 def metrics_from_payload(payload: dict) -> dict:
     """Validate a predictions payload and compute its metrics.
 
-    A payload holds ``task`` and ``num_bins`` (an int >= 1). Regression adds
-    aligned finite ``means``, ``variances`` (>= 0) and ``targets``; the
-    metrics are rmse, mape (None when a target is exactly 0), uce and ence.
-    Classification adds ``probs`` (rows summing to 1), integer ``labels``
-    and the fitted ``temperature`` (> 0), which is echoed; the metrics are
-    accuracy, ece, brier and nll (probabilities floored at 1e-12). Anything
-    else raises UsageError.
+    A payload holds ``task`` and ``num_bins`` (an int in [1, 2**53]).
+    Regression adds aligned finite ``means``, ``variances`` (>= 0) and
+    ``targets``; the metrics are rmse, mape (None when a target is exactly
+    0), uce and ence. Classification adds finite ``probs`` (rows summing to
+    1), ``labels`` (integers in [0, classes)) and the fitted ``temperature``
+    (> 0), which is echoed; the metrics are accuracy, ece, brier and nll
+    (probabilities floored at 1e-12). The arrays follow the package's array
+    and label rules (``errors.check_array`` and ``check_labels``). Anything
+    else raises UsageError naming the key.
     """
     task, num_bins, arrays = _parse_payload(payload)
     _, _, counts, sums = _calibration_bins(task, num_bins, arrays)
@@ -263,18 +269,18 @@ def temperature_scale(logits, labels) -> float:
     Coarse geometric grid over [0.05, 20], then golden-section refinement of
     the best bracket to relative width 1e-4. Dividing by a positive scalar
     never reorders a row, so predicted classes are unchanged for any T.
-    Raises UsageError when a logit is not finite, or when the loss at some
-    grid temperature is not (``logits / T`` overflowed).
+    ``logits`` follow the package's array rule (``errors.check_array``),
+    finite part included, and ``labels`` its label rule
+    (``errors.check_labels``): anything else raises UsageError naming it,
+    and so does a loss at some grid temperature that is not finite
+    (``logits / T`` overflowed).
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    logits = check_array(logits, "logits")
     if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2:
         raise UsageError(f"logits must be a non-empty (n, c) array with c >= 2, got shape {logits.shape}")
-    if not np.isfinite(logits).all():
-        raise UsageError("logits must be finite")
+    labels = check_labels(labels, "labels", logits.shape[1])
     if labels.shape != (logits.shape[0],):
         raise UsageError("labels must align with logits rows")
-    labels = _class_labels(labels, logits.shape[1])
 
     grid = np.geomspace(_T_LO, _T_HI, _T_GRID)
     losses = _nll_at_temperatures(logits, labels, grid)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError, check_int, check_real
+from .errors import UsageError, check_array, check_int, check_labels, check_real
 from .metrics import _picked_nll
 from .rng import RngStream
 from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
@@ -57,8 +57,12 @@ class Batch:
     """A minibatch: inputs (n, d) plus targets (n,).
 
     Classification batches carry integer class labels and ``num_classes``;
-    regression batches carry real targets and ``num_classes=None``. Every
-    input and target must be finite; errors name the 0-based row.
+    regression batches carry real targets and ``num_classes=None``. Inputs
+    and regression targets follow the package's array rule
+    (``errors.check_array``): arrays of ints and floats, every entry finite,
+    the first bad row named (0-based). Class labels follow its label rule
+    (``errors.check_labels``): integers in [0, num_classes). Anything else
+    raises UsageError naming the argument.
     """
 
     inputs: np.ndarray
@@ -66,32 +70,19 @@ class Batch:
     num_classes: Optional[int] = None
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
+        self.inputs = check_array(self.inputs, "inputs")
         if self.inputs.ndim == 1:
             self.inputs = self.inputs[:, None]
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise UsageError(f"inputs must be a non-empty (n, d) array, got shape {self.inputs.shape}")
         n = self.inputs.shape[0]
         if self.num_classes is None:
-            self.targets = np.asarray(self.targets, dtype=np.float64)
+            self.targets = check_array(self.targets, "targets")
         else:
             self.num_classes = check_int(self.num_classes, "num_classes", 2)
-            self.targets = np.asarray(self.targets)
-            if self.targets.dtype.kind not in "iu":
-                as_int = self.targets.astype(np.int64)
-                if not np.array_equal(as_int, self.targets):
-                    raise UsageError("classification targets must be integer class indices")
-                self.targets = as_int
-            # one reduction: as uint64 a negative index wraps past any class count
-            if self.targets.size and self.targets.astype(np.uint64).max() >= self.num_classes:
-                raise UsageError("class indices must lie in [0, num_classes)")
+            self.targets = check_labels(self.targets, "targets", self.num_classes)
         if self.targets.shape != (n,):
             raise UsageError(f"targets must be a vector of one per row, shape ({n},), got {self.targets.shape}")
-        for kind, values in (("input", self.inputs), ("target", self.targets)):
-            finite = np.isfinite(values)
-            if not finite.all():
-                row = np.flatnonzero(~finite.reshape(n, -1).all(axis=1))[0]
-                raise UsageError(f"non-finite {kind} at row {row} of the batch")
 
     @property
     def size(self) -> int:
@@ -300,14 +291,17 @@ def mixed_loss(outputs, mixed: MixedBatch):
 
     ``outputs`` has the shape ``forward`` returns: (n, num_classes) logits
     for classification, (n, 1) for regression; any other shape raises
-    UsageError. Classification: per-sample weighted cross-entropy
-    c*CE(y_a) + (1-c)*CE(y_b) of softmax(outputs), averaged; equal in value
-    to cross-entropy against the convex label vector. Regression: mean
-    squared error against the materialized convex targets. Returns
-    ``(loss, grad)``, with ``grad`` of the outputs' shape. Probabilities p
-    may be passed as the logits ``np.log(p)``.
+    UsageError, and so does anything that the package's array rule
+    (``errors.check_array``) does not take as an array of ints and floats;
+    non-finite outputs propagate as numpy propagates them. Classification:
+    per-sample weighted cross-entropy c*CE(y_a) + (1-c)*CE(y_b) of
+    softmax(outputs), averaged; equal in value to cross-entropy against the
+    convex label vector. Regression: mean squared error against the
+    materialized convex targets. Returns ``(loss, grad)``, with ``grad`` of
+    the outputs' shape. Probabilities p may be passed as the logits
+    ``np.log(p)``.
     """
-    outputs = np.asarray(outputs, dtype=np.float64)
+    outputs = check_array(outputs, "outputs", finite=False)
     expected = (mixed.size, mixed.num_classes or 1)
     if outputs.shape != expected:
         raise UsageError(f"outputs shape {outputs.shape} does not match the batch's {expected}")

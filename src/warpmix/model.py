@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, check_int, check_real
+from .errors import DatasetError, UsageError, check_array, check_int, check_real
 from .rng import RngStream
 
 __all__ = [
@@ -46,14 +46,19 @@ CHECKPOINT_FORMAT = "warpmix-mlp-v1"
 
 @dataclass
 class Layer:
+    """One affine layer. ``weights`` (fan_in, fan_out) and ``biases``
+    (fan_out,) follow the package's array rule (``errors.check_array``):
+    finite ints and floats, stored as float64; anything else raises
+    UsageError naming the argument and its first bad row."""
+
     weights: np.ndarray  # (fan_in, fan_out)
     biases: np.ndarray  # (fan_out,)
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[1],):
+        self.weights = check_array(self.weights, "weights", 2)
+        self.biases = check_array(self.biases, "biases", 1)
+        if self.biases.shape != (self.weights.shape[1],):
             raise UsageError(
                 f"layer shapes inconsistent: weights {self.weights.shape}, biases {self.biases.shape}"
             )
@@ -156,14 +161,13 @@ def _propagate(model: ModelState, inputs, depth: int, masks=None, buffers=None, 
     draws them before the pass. Returns the activations and the per-layer
     records. ``start`` resumes a pass after its first ``start`` layers:
     ``inputs`` are then layer ``start - 1``'s activations before dropout, as
-    ``_propagate(model, x, start)`` returns them. ``buffers`` (from
+    ``_propagate(model, x, start)`` returns them, and are a float64 array
+    (the public callers check theirs by the array rule). ``buffers`` (from
     ``_layer_buffers``) makes the pass write each layer's activations into
     its buffer instead of allocating new ones, with relu and dropout applied
     in place; such a pass keeps no masks and its records are not for
     ``backward``."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = inputs[None, :] if inputs.ndim == 1 else inputs
     first = max(start - 1, 0)
     fan_in = model.layers[first].biases.size if start else model.layers[0].weights.shape[0]
     if x.ndim != 2 or x.shape[1] != fan_in:
@@ -220,8 +224,12 @@ def forward(model: ModelState, inputs, rng: Optional[RngStream] = None):
     Dropout is active only in train mode with a positive rate, uses inverted
     scaling (kept units times 1 / keep probability), and draws one mask
     per hidden layer from ``rng`` in layer order, before the pass.
+    ``inputs`` (n, d), or one row (d,), follow the package's array rule
+    (``errors.check_array``) less its finite part: an array of ints and
+    floats, or UsageError naming it; non-finite inputs propagate as numpy
+    propagates them. ``embed`` and ``mc_dropout_predict`` take theirs alike.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = check_array(inputs, "inputs", finite=False)
     return _forward(model, x, _draw_masks(model, len(x) if x.ndim == 2 else 1, _dropout_stream(model, rng)))
 
 
@@ -244,12 +252,14 @@ def backward(model: ModelState, cache: ForwardCache, loss_grad):
 
     Returns one (weight_grad, bias_grad) pair per layer. Refuses a cache
     recorded at a different optimizer step than the model is at now.
+    ``loss_grad`` follows the package's array rule (``errors.check_array``)
+    less its finite part, as ``forward``'s inputs do.
     """
     if cache.step_count != model.step_count:
         raise UsageError(
             f"stale cache: recorded at step {cache.step_count}, model is at {model.step_count}"
         )
-    delta = np.asarray(loss_grad, dtype=np.float64)
+    delta = check_array(loss_grad, "loss_grad", finite=False)
     n_out = model.layers[-1].weights.shape[1]
     if delta.ndim != 2 or delta.shape[1] != n_out or delta.shape[0] != cache.records[0][0].shape[0]:
         raise UsageError(f"loss gradient shape {delta.shape} does not match outputs")
@@ -315,14 +325,22 @@ class OptimizerState:
 
 
 def optimizer_step(opt: OptimizerState, model: ModelState, grads) -> None:
-    """Apply one parameter update in place; bumps the model's step counter."""
+    """Apply one parameter update in place; bumps the model's step counter.
+
+    ``grads`` holds one (weight_grad, bias_grad) pair per layer, each of its
+    parameters' shape and finite by the package's array rule
+    (``errors.check_array``), since a NaN gradient would make the
+    parameters non-finite; anything else raises UsageError naming the
+    gradient and its first bad row, before any parameter moves.
+    """
     if len(grads) != len(model.layers):
         raise UsageError(f"got {len(grads)} gradient pairs for {len(model.layers)} layers")
-    for layer, (gw, gb) in zip(model.layers, grads):
+    # each pair is checked as it is packed: only _optimizer_step moves the parameters
+    for k, (layer, (gw, gb), (w, b)) in enumerate(zip(model.layers, grads, _gradient_views(opt, model))):
+        gw, gb = check_array(gw, f"grads[{k}][0]"), check_array(gb, f"grads[{k}][1]")
         if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
             raise UsageError("gradient shapes do not match parameters")
-    for (gw, gb), (packed_w, packed_b) in zip(grads, _gradient_views(opt, model)):
-        packed_w[...], packed_b[...] = gw, gb
+        w[...], b[...] = gw, gb
     _optimizer_step(opt, model)
 
 
@@ -372,7 +390,8 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     """Monte-Carlo dropout: repeated stochastic passes with dropout active.
 
     Returns the per-input sample mean and unbiased sample variance of the
-    outputs, each shaped like one forward output. ``samples`` is an integer
+    outputs, each shaped like one forward output, for ``inputs`` as
+    ``forward`` takes them. ``samples`` is an integer
     >= 2 by the package's integer rule (an integral float or a numpy
     integer counts as its integer); anything else raises UsageError naming
     it. Bit-equal to one
@@ -393,7 +412,7 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
         raise UsageError("train-mode forward with dropout needs an rng stream")
     # every pass writes into the same buffers: arrays this size would
     # otherwise go back to the OS on each free and be faulted in again
-    first = _propagate(model, inputs, 1)[0]
+    first = _propagate(model, check_array(inputs, "inputs", finite=False), 1)[0]
     buffers = _layer_buffers(model, first.shape[0])
     kept = [[np.empty_like(acts, dtype=bool) for acts in buffers[:-1]] for _ in range(2)]
     # the drawer allocates nothing: a thread's allocations would grow a malloc arena of its own
@@ -436,10 +455,11 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
 
 
 def embed(model: ModelState, inputs) -> np.ndarray:
-    """Deterministic activations entering the final layer (no dropout)."""
+    """Deterministic activations entering the final layer (no dropout), for
+    ``inputs`` as ``forward`` takes them."""
     if len(model.layers) < 2:
         raise UsageError("embedding needs a model with at least 2 layers")
-    return _propagate(model, inputs, len(model.layers) - 1)[0]
+    return _propagate(model, check_array(inputs, "inputs", finite=False), len(model.layers) - 1)[0]
 
 
 def save_model(model: ModelState, path) -> None:

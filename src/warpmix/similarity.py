@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_module  # by attribute, so a patched model.embed applies
-from .errors import DivergenceError, DomainError, UsageError, check_real
+from .errors import DivergenceError, DomainError, UsageError, check_array, check_real
 from .special import SHAPE_MAX, SHAPE_MIN
 
 __all__ = [
@@ -74,26 +74,30 @@ class KernelConfig:
 def normalized_distances(points, permutation) -> np.ndarray:
     """Squared pair distances divided by their batch mean.
 
-    ``points`` is (n, d) (a 1-d array is treated as n scalars) of finite
-    values; a NaN or infinite point raises UsageError naming its 0-based row.
+    ``points`` is (n, d) (a 1-d array is treated as n scalars) by the
+    package's array rule (``errors.check_array``): ints and floats, every
+    one finite, or UsageError naming the first bad row (0-based).
     ``permutation`` pairs row i with row permutation[i]; integral floats
     count as their integers. The result always has mean exactly 1 by
     construction, except for a degenerate batch where all pairs coincide,
     which maps to all ones.
     """
-    points = np.asarray(points, dtype=np.float64)
+    return _pair_distances(*_checked_pairs(points, permutation, "points"))
+
+
+def _checked_pairs(points, permutation, name: str):
+    """(points, pairs) as ``_pair_distances`` takes them, for one batch of
+    ``points`` (called ``name`` in errors) and its permutation, checked."""
+    points = check_array(points, name)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-        raise UsageError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise UsageError(f"non-finite point at row {np.flatnonzero(~finite)[0]} of the batch")
+        raise UsageError(f"{name} must be a non-empty (n, d) array, got shape {points.shape}")
     n = points.shape[0]
     perm = np.asarray(permutation)
     if perm.dtype.kind not in "iuf" or perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise UsageError("permutation must be a permutation of range(n)")
-    return _pair_distances(points, perm[None].astype(np.int64, copy=False))
+    return points, perm[None].astype(np.int64, copy=False)
 
 
 def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:
     """Per-sample warp strengths (float64) for a batch of feature vectors,
     checked as ``normalized_distances`` checks its points and permutation."""
-    return _distances_to_taus(normalized_distances(features, permutation), config)
+    return _distances_to_taus(_pair_distances(*_checked_pairs(features, permutation, "features")), config)
 
 
 def _batch_taus(features: np.ndarray, pairs: np.ndarray, config: KernelConfig) -> np.ndarray:

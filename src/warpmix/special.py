@@ -53,7 +53,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UsageError, check_int, check_real
+from .errors import DomainError, NonConvergenceError, UsageError, check_array, check_int, check_real
 
 __all__ = [
     "SHAPE_MIN",
@@ -163,12 +163,12 @@ def log_beta(a, b) -> float:
 
     Accurate to a relative error far below 1e-12 across the accepted shape
     range, including extreme asymmetric pairs where naive lgamma differences
-    lose ten digits. Takes scalar shapes only: an array raises UsageError.
+    lose ten digits. Takes scalar shapes only: ``a`` and ``b`` are 0-d by
+    the package's array rule (``errors.check_array``), less its finite
+    part, so an array, a bool or a string raises UsageError naming it; a
+    NaN, infinite or non-positive shape raises DomainError.
     """
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.ndim or b.ndim:
-        raise UsageError(f"log_beta takes scalar shapes, got arrays of shape {a.shape} and {b.shape}")
-    a, b = _checked_shapes(a, b)
+    a, b = _checked_shapes(check_array(a, "a", 0, finite=False), check_array(b, "b", 0, finite=False))
     a, b = float(a), float(b)
     lo, hi = (a, b) if a <= b else (b, a)
     if hi < _STIRLING_MIN:
@@ -329,11 +329,14 @@ def incomplete_beta_reg(x, a, b):
     This is the CDF of a Beta(a, a) variable at x, the warping function used
     on interpolation coefficients; a pair a != b raises ``UsageError``.
     ``x``, ``a`` and ``b`` are scalars or arrays of one shape (scalars
-    broadcast); scalars give a float, arrays an array of that shape. Exact
-    at the endpoints, exact for the uniform case a = b = 1, and exact at
-    x = 0.5 (by symmetry of the density).
+    broadcast); scalars give a float, arrays an array of that shape. Each
+    follows the package's array rule (``errors.check_array``) less its
+    finite part, so a bool or a string raises UsageError naming it; an x
+    outside [0, 1] or a NaN, infinite or non-positive shape raises
+    DomainError. Exact at the endpoints, exact for the uniform case
+    a = b = 1, and exact at x = 0.5 (by symmetry of the density).
     """
-    x, a, b = (np.asarray(v, dtype=np.float64) for v in (x, a, b))
+    x, a, b = (check_array(v, name, finite=False) for v, name in ((x, "x"), (a, "a"), (b, "b")))
     if not x.shape == a.shape == b.shape:
         try:
             x, a, b = np.broadcast_arrays(x, a, b)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_array
 # The training step's strengths are clamped by the similarity kernel, so the
 # warp calls the unchecked kernel, under the name per-layer traces time it by.
 from .special import _checked_shapes, _incomplete_beta as incomplete_beta_reg
@@ -28,14 +28,13 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     the step function 1{coeff >= 0.5}; the tie at 0.5 resolves to 1 so that
     the first element of a pair dominates. Finite strengths outside
     [SHAPE_MIN, SHAPE_MAX] are clamped into it, as ``incomplete_beta_reg``
-    clamps its shapes.
+    clamps its shapes. Both arguments are 1-d by the package's array rule
+    (``errors.check_array``), less its finite part, so a bool or a string
+    raises UsageError naming it; a coefficient outside [0, 1] or a NaN or
+    non-positive strength raises DomainError.
     """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    taus = np.array(taus, dtype=np.float64)  # a copy: the clamp below writes into it
-    if coeffs.ndim != 1 or taus.ndim != 1:
-        raise UsageError(
-            f"coeffs and taus must be one-dimensional, got shapes {coeffs.shape} and {taus.shape}"
-        )
+    coeffs = check_array(coeffs, "coeffs", 1, finite=False)
+    taus = check_array(taus, "taus", 1, finite=False).copy()  # the clamp below writes into it
     if taus.shape != coeffs.shape:
         raise UsageError(
             f"length mismatch: {coeffs.shape[0]} coefficients vs {taus.shape[0]} warp strengths"

@@ -6,7 +6,10 @@ a string, a fraction, NaN, an infinity or a value out of range raises
 UsageError naming the argument. Every rate, coefficient and kernel setting
 follows one real-number rule: a finite Python or numpy int or float, never a
 bool or a string, stored as a float, and a value out of range raises
-UsageError naming the argument too.
+UsageError naming the argument too. Every array follows one array rule: ints
+and floats, stored as float64, never bools, strings, None, objects, complex
+numbers or ragged nesting, and at the entries that require it, finite, with
+the first bad row named; class labels follow one label rule on top of it.
 """
 
 import json
@@ -28,15 +31,29 @@ from warpmix import (
     OptimizerState,
     RngStream,
     UsageError,
+    backward,
+    batch_taus,
     beta_sample,
     bin_stats,
+    embed,
+    forward,
     grid_search,
+    incomplete_beta_reg,
     init_mlp,
     load_model,
+    log_beta,
+    log_softmax,
     mc_dropout_predict,
     metrics_from_payload,
+    mix_batch,
+    mixed_loss,
+    normalized_distances,
+    optimizer_step,
     save_model,
+    softmax,
     split,
+    temperature_scale,
+    warp_pairwise,
 )
 
 from _support import synth_regression
@@ -253,3 +270,186 @@ def test_checkpoint_with_a_bad_number_is_malformed(tmp_path, key, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(UsageError, match=f"is malformed: .*{key} must be"):
         load_model(path)
+
+
+# ------------------------------------------------------------------ arrays
+# Each entry's valid value is a float64 array of integers, so that an int list
+# and a float32 copy hold the same numbers.
+
+EVAL_MODEL = ModelState([Layer(np.array([[1.0, -1.0], [2.0, 0.0]]), np.zeros(2), "relu"),
+                         Layer(np.array([[1.0], [-1.0]]), np.zeros(1))], dropout_rate=0.5, mode="eval")
+INPUTS = np.array([[1.0, 2.0], [0.0, -1.0]])
+MIXED = mix_batch(Batch(INPUTS, [0.0, 1.0]), MixupConfig(mode="off"), RngStream(0))
+CLF_PAYLOAD = {"task": "classification", "num_bins": 2, "probs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               "labels": [0, 1, 1], "temperature": 1.0}
+LOGITS = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 3.0]])
+POINTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 6.0]])
+
+
+def _payload_metrics(key, value):
+    payload = {"task": "regression", "num_bins": 2, "means": [1.0, 2.0, 3.0], "variances": [1.0, 2.0, 4.0],
+               "targets": [2.0, 2.0, 1.0]}
+    return metrics_from_payload({**payload, key: value})
+
+
+def _stepped_params(weight_grad):
+    """The parameters of a fresh copy of EVAL_MODEL after one SGD step whose
+    first weight gradient is ``weight_grad``, or the error it raises."""
+    model = ModelState([Layer(layer.weights, layer.biases, layer.activation) for layer in EVAL_MODEL.layers])
+    zeros = [(np.zeros_like(layer.weights), np.zeros_like(layer.biases)) for layer in model.layers]
+    optimizer_step(OptimizerState("sgd_momentum", learning_rate=1.0), model, [(weight_grad, zeros[0][1]), zeros[1]])
+    return model.params
+
+
+def _backward(loss_grad):
+    _, cache = forward(EVAL_MODEL, INPUTS)
+    return backward(EVAL_MODEL, cache, loss_grad)
+
+
+# entry point -> (the name its error gives, a valid value, whether the entry
+# requires finite values, a call with one value returning its result)
+ARRAY_ARGUMENTS = {
+    "Batch.inputs": ("inputs", INPUTS, True, lambda v: Batch(v, [0.0, 1.0]).inputs),
+    "Batch.targets": ("targets", np.array([3.0, -1.0]), True, lambda v: Batch(INPUTS, v).targets),
+    "normalized_distances.points": ("points", POINTS, True, lambda v: normalized_distances(v, [1, 2, 0])),
+    "batch_taus.features": ("features", POINTS, True,
+                            lambda v: batch_taus(v, [1, 2, 0], KernelConfig(tau_max=2.0, tau_std=1.0))),
+    **{f"payload.{key}": (f"predictions payload {key!r}", np.array([1.0, 2.0, 4.0]), True,
+                          lambda v, key=key: _payload_metrics(key, v))
+       for key in ("means", "variances", "targets")},
+    "payload.probs": ("predictions payload 'probs'", np.array(CLF_PAYLOAD["probs"]), True,
+                      lambda v: metrics_from_payload(dict(CLF_PAYLOAD, probs=v))),
+    "temperature_scale.logits": ("logits", LOGITS, True, lambda v: temperature_scale(v, [0, 1, 1])),
+    "bin_stats.values": ("values", np.array([0.0, 1.0, 1.0]), True,
+                         lambda v: bin_stats(v, 0.0, 1.0, 2, [1.0, 2.0, 3.0])),
+    "bin_stats.columns": ("columns[1]", np.array([1.0, 2.0, 3.0]), True,
+                          lambda v: bin_stats([0.0, 1.0, 1.0], 0.0, 1.0, 2, [4.0, 5.0, 6.0], v)),
+    "Layer.weights": ("weights", np.array([[1.0, -1.0], [2.0, 0.0]]), True, lambda v: Layer(v, np.zeros(2)).weights),
+    "Layer.biases": ("biases", np.array([1.0, -2.0]), True, lambda v: Layer(np.ones((2, 2)), v).biases),
+    "optimizer_step.grads": ("grads[0][0]", np.array([[1.0, -1.0], [2.0, 0.0]]), True, _stepped_params),
+    "warp_pairwise.coeffs": ("coeffs", np.array([0.0, 1.0, 1.0]), False,
+                             lambda v: warp_pairwise(v, [2.0, 2.0, math.inf])),
+    "warp_pairwise.taus": ("taus", np.array([1.0, 2.0, 3.0]), False, lambda v: warp_pairwise([0.25, 0.5, 0.75], v)),
+    "incomplete_beta_reg.x": ("x", np.array([0.0, 1.0]), False, lambda v: incomplete_beta_reg(v, 2.0, 2.0)),
+    "incomplete_beta_reg.a": ("a", np.array([2.0, 3.0]), False,
+                              lambda v: incomplete_beta_reg([0.25, 0.75], v, [2.0, 3.0])),
+    "incomplete_beta_reg.b": ("b", np.array([2.0, 3.0]), False,
+                              lambda v: incomplete_beta_reg([0.25, 0.75], [2.0, 3.0], v)),
+    "log_beta.a": ("a", np.array(2.0), False, lambda v: log_beta(v, 3.0)),
+    "log_beta.b": ("b", np.array(3.0), False, lambda v: log_beta(2.0, v)),
+    "forward.inputs": ("inputs", INPUTS, False, lambda v: forward(EVAL_MODEL, v)[0]),
+    "embed.inputs": ("inputs", INPUTS, False, lambda v: embed(EVAL_MODEL, v)),
+    "mc_dropout_predict.inputs": ("inputs", INPUTS, False,
+                                  lambda v: mc_dropout_predict(EVAL_MODEL, v, 3, RngStream(0))),
+    "backward.loss_grad": ("loss_grad", np.array([[1.0], [-1.0]]), False, _backward),
+    "mixed_loss.outputs": ("outputs", np.array([[1.0], [2.0]]), False, lambda v: mixed_loss(v, MIXED)),
+    "softmax.logits": ("logits", LOGITS, False, softmax),
+    "log_softmax.logits": ("logits", LOGITS, False, log_softmax),
+    "Dataset.features": ("features", np.array([[1.0, 2.0], [3.0, 4.0]]), False,
+                         lambda v: Dataset(v, [1.0, 2.0]).features),
+    "Dataset.targets": ("targets", np.array([1.0, 2.0]), False, lambda v: Dataset(INPUTS, v).targets),
+}
+# entry point -> (the name its error gives, a call with one value returning its
+# result); each takes labels of 3 rows in [0, 3)
+LABEL_ARGUMENTS = {
+    "Batch.targets": ("targets", lambda v: Batch(POINTS, v, num_classes=3).targets),
+    "temperature_scale.labels": ("labels", lambda v: temperature_scale(LOGITS, v)),
+    "payload.labels": ("predictions payload 'labels'", lambda v: metrics_from_payload(dict(CLF_PAYLOAD, labels=v))),
+}
+LABELS3 = np.array([0.0, 2.0, 1.0])
+
+
+def _first_leaf_true(value):
+    """``value`` as nested lists, with its first number replaced by True."""
+    nested = value.tolist()
+    if not isinstance(nested, list):
+        return True
+    inner = nested
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = True
+    return nested
+
+
+# each takes an entry's valid value; each gives a value that is no array of numbers
+NOT_ARRAYS = {
+    "string": lambda good: good.astype(str),
+    "bool": lambda good: good.astype(bool),
+    "bool_among_numbers": _first_leaf_true,
+    "none": lambda good: None,
+    "ragged": lambda good: [[1.0], [1.0, 2.0]],
+    "complex": lambda good: good.astype(complex),
+    "object": lambda good: good.astype(object),
+}
+
+
+def _with_last(good, bad):
+    """``good`` with its last entry replaced by ``bad``, and that entry's row."""
+    value = good.copy()
+    value.flat[-1] = bad
+    return value, np.unravel_index(good.size - 1, good.shape)[0] if good.ndim else None
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("case", sorted(NOT_ARRAYS))
+def test_array_argument_rejected_naming_it(entry, case):
+    name, good, _, call = ARRAY_ARGUMENTS[entry]
+    with pytest.raises(UsageError, match=f"^{re.escape(name)} must be an array of ints and floats, got "):
+        call(NOT_ARRAYS[case](good))
+
+
+@pytest.mark.parametrize("entry", sorted(e for e, (*_, finite, _) in ARRAY_ARGUMENTS.items() if finite))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+def test_finite_array_argument_rejected_naming_its_row(entry, bad):
+    name, good, _, call = ARRAY_ARGUMENTS[entry]
+    value, row = _with_last(good, bad)
+    with pytest.raises(UsageError, match=f"^{re.escape(name)} must be finite, got {bad!r} at row {row}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("kind", ["int_list", "float32"])
+def test_int_lists_and_float32_give_the_float64_result(entry, kind):
+    good, call = ARRAY_ARGUMENTS[entry][1], ARRAY_ARGUMENTS[entry][3]
+    value = good.astype(np.int64).tolist() if kind == "int_list" else good.astype(np.float32)
+    assert same(call(value), call(good.copy()))
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ARGUMENTS))
+@pytest.mark.parametrize("case", [*sorted(NOT_ARRAYS), "nan", "inf", "half", "minus_one", "num_classes"])
+def test_label_argument_rejected_naming_it(entry, case):
+    name, call = LABEL_ARGUMENTS[entry]
+    if case in NOT_ARRAYS:
+        value, rule = NOT_ARRAYS[case](LABELS3), "must be an array of ints and floats, got "
+    else:
+        bad = {"nan": math.nan, "inf": math.inf, "half": 0.5, "minus_one": -1.0, "num_classes": 3.0}[case]
+        value, rule = _with_last(LABELS3, bad)[0], f"must be integers in [0, 3), got {bad!r} at row 2"
+    with pytest.raises(UsageError, match=f"^{re.escape(name + ' ' + rule)}"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ARGUMENTS))
+@pytest.mark.parametrize("kind", ["int_list", "int64", "float32"])
+def test_integral_labels_give_the_same_result(entry, kind):
+    call = LABEL_ARGUMENTS[entry][1]
+    value = {"int_list": [0, 2, 1], "int64": LABELS3.astype(np.int64), "float32": LABELS3.astype(np.float32)}[kind]
+    assert same(call(value), call(LABELS3))
+
+
+def test_bin_stats_column_must_be_as_long_as_the_values():
+    # a short column used to raise a bare numpy ValueError from bincount
+    with pytest.raises(UsageError, match=r"^columns\[0\] must be as long as values \(2\), got 1$"):
+        bin_stats([0.1, 0.5], 0.0, 1.0, 2, [1.0])
+    with pytest.raises(UsageError, match=r"^columns\[0\] must be 1-dimensional, got shape \(2, 1\)$"):
+        bin_stats([0.1, 0.5], 0.0, 1.0, 2, [[1.0], [2.0]])
+
+
+def test_non_finite_gradient_leaves_the_parameters_as_they_were():
+    # a NaN gradient used to reach the update and leave NaN parameters behind
+    model = init_mlp([2, 3, 1], 0.2, RngStream(0))
+    params, opt = model.params.copy(), OptimizerState()
+    grads = [(np.zeros_like(layer.weights), np.zeros_like(layer.biases)) for layer in model.layers]
+    grads[1][1][0] = math.nan
+    with pytest.raises(UsageError, match=r"^grads\[1\]\[1\] must be finite, got nan at row 0$"):
+        optimizer_step(opt, model, grads)
+    assert model.params.tobytes() == params.tobytes() and (opt.step, model.step_count) == (0, 0)

@@ -5,6 +5,7 @@ reports, and the (tau_max, tau_std) grid runner.
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,8 +131,26 @@ def test_config_validation_rules():
         with pytest.raises(UsageError, match=key):
             tiny_config(**tweaks)
     for num_classes in (1, 0):
-        with pytest.raises(UsageError, match="num_classes >= 2"):
+        message = f"^config key 'num_classes' must be an integer >= 2, got {num_classes}$"
+        with pytest.raises(UsageError, match=message):
             tiny_config("classification", num_classes=num_classes)
+
+
+@pytest.mark.parametrize("task, num_classes, message", [
+    ("regression", -5, "config key 'num_classes' must be an integer >= 2, got -5"),
+    ("regression", 3, "num_classes must be an integer >= 2 for classification and null for regression, "
+                      "got 3 for regression"),
+    ("classification", None, "num_classes must be an integer >= 2 for classification and null for "
+                             "regression, got None for classification"),
+], ids=["regression_negative", "regression_three", "classification_null"])
+def test_num_classes_is_required_for_classification_and_null_for_regression(task, num_classes, message):
+    # a regression config used to accept any num_classes, ignore it in train and echo it
+    # into effective_config.json
+    values = tiny_values(task)
+    values["num_classes"] = num_classes
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(values)
+    assert ExperimentConfig(tiny_values(task)).num_classes == (3 if task == "classification" else None)
 
 
 @pytest.mark.parametrize("task", ["regression", "classification"])

@@ -60,11 +60,11 @@ def test_batch_validation():
     # non-finite values fail at the edge, naming the first bad row, before any mode sees them
     inputs = np.zeros((4, 2))
     inputs[2, 1] = np.nan
-    with pytest.raises(UsageError, match="non-finite input at row 2"):
+    with pytest.raises(UsageError, match="^inputs must be finite, got nan at row 2$"):
         Batch(inputs=inputs, targets=np.array([0.0, math.inf, 0.0, 0.0]))
-    with pytest.raises(UsageError, match="non-finite target at row 1"):
+    with pytest.raises(UsageError, match="^targets must be finite, got inf at row 1$"):
         Batch(inputs=np.zeros((4, 2)), targets=np.array([0.0, math.inf, 0.0, -math.inf]))
-    with pytest.raises(UsageError, match="non-finite input at row 0"):
+    with pytest.raises(UsageError, match="^inputs must be finite, got -inf at row 0$"):
         Batch(inputs=np.array([[-math.inf], [1.0]]), targets=np.array([0, 1]), num_classes=2)
 
 

@@ -113,17 +113,17 @@ def test_non_finite_point_rejected_naming_its_row():
     # checked before any arithmetic, so numpy warns of nothing; the first bad row is named
     rows = np.arange(10.0).reshape(5, 2)
     rows[1, 1], rows[3, 0], rows[4, 1] = math.inf, -math.inf, math.nan
-    cases = [(rows, 1)]
+    cases = [(rows, 1, math.inf)]
     for row, bad in ((1, math.inf), (3, -math.inf), (4, math.nan)):
         alone = np.arange(10.0).reshape(5, 2)
         alone[row, 1] = bad
-        cases.append((alone, row))
-    for points, row in cases:
-        for call in (lambda: normalized_distances(points, [1, 2, 3, 4, 0]),
-                     lambda: batch_taus(points, [1, 2, 3, 4, 0], make_config())):
+        cases.append((alone, row, bad))
+    for points, row, bad in cases:
+        for name, call in (("points", lambda: normalized_distances(points, [1, 2, 3, 4, 0])),
+                           ("features", lambda: batch_taus(points, [1, 2, 3, 4, 0], make_config()))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(UsageError, match=f"^non-finite point at row {row} of the batch$"):
+                with pytest.raises(UsageError, match=f"^{name} must be finite, got {bad!r} at row {row}$"):
                     call()
 
 
@@ -179,7 +179,7 @@ def test_kernel_rejects_bad_distances():
     # --distances, the one caller that takes distances as given, rejects
     # non-finite and negative distances
     for bad in (math.nan, math.inf):
-        with pytest.raises(UsageError, match="non-finite point at row 1"):
+        with pytest.raises(UsageError, match=f"^features must be finite, got {bad!r} at row 1$"):
             batch_taus(np.array([[0.0], [bad], [1.0]]), np.array([1, 2, 0]), make_config())
 
 
