@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -31,7 +30,6 @@ __all__ = ["main"]
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _comma_floats(text: str) -> list:
@@ -190,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="warpmix",
         description="Similarity-warped mixup: training, evaluation, grids, and warp demos.",
     )
-    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=LOG_LEVELS,
-                        help="logging level (DEBUG shows numerics clamps)")
     sub = parser.add_subparsers(dest="verb", required=True)
     default_out = DEFAULT_CONFIG["output_dir"]
 
@@ -243,7 +239,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    logging.basicConfig(level=args.log_level)
     try:
         if args.out == "":  # every verb has --out; an empty path is the working directory
             raise UsageError("--out must be a non-empty path")

@@ -43,9 +43,11 @@ class NonConvergenceError(WarpmixError, ArithmeticError):
 
 
 class DivergenceError(WarpmixError, RuntimeError):
-    """Training produced a non-finite loss.
+    """Training or evaluation produced non-finite values: a training loss,
+    parameters or features, or evaluation's predictions or logits.
 
-    ``trace`` holds the per-epoch loss history recorded up to the failure.
+    ``trace`` holds the per-epoch loss history recorded up to a training
+    failure, and is empty for an evaluation failure.
     """
 
     def __init__(self, message, trace=None):

@@ -426,6 +426,8 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     target units, feeding RMSE/MAPE/UCE/ENCE. Classification: temperature is
     fitted on the validation split only, then ECE/Brier/NLL/accuracy on the
     scaled test probabilities. The metrics are ``metrics_from_payload(payload)``.
+    A model whose predictions or logits are not finite (it overflows on
+    these inputs) raises DivergenceError naming the seed.
     """
     norm = splits.normalization
     outputs = 1 if config.task == "regression" else config.num_classes
@@ -435,17 +437,28 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     if config.task == "regression":
         rng = RngStream(seed).child(STREAM_EVAL)
         means_n, vars_n = mc_dropout_predict(model, splits.test.features, config.mc_samples, rng)
-        payload["means"] = norm.denormalize_mean(means_n[:, 0]).tolist()
-        payload["variances"] = norm.denormalize_variance(vars_n[:, 0]).tolist()
+        means, variances = norm.denormalize_mean(means_n[:, 0]), norm.denormalize_variance(vars_n[:, 0])
+        _check_finite_outputs(seed, {"predicted means": means, "predicted variances": variances})
+        payload["means"] = means.tolist()
+        payload["variances"] = variances.tolist()
         payload["targets"] = splits.test.targets.tolist()
     else:
         valid_logits = _propagate(model, splits.valid.features, len(model.layers))[0]
         test_logits = _propagate(model, splits.test.features, len(model.layers))[0]
+        _check_finite_outputs(seed, {"validation logits": valid_logits, "test logits": test_logits})
         payload["temperature"] = temperature_scale(valid_logits, splits.valid.targets)
         payload["probs"] = softmax(test_logits / payload["temperature"]).tolist()
         payload["labels"] = splits.test.targets.tolist()
     payload["metrics"] = metrics_from_payload(payload)
     return payload["metrics"], payload
+
+
+def _check_finite_outputs(seed: int, outputs: dict) -> None:
+    """DivergenceError naming ``seed`` at the first of ``outputs`` (name ->
+    array) that is not finite."""
+    for name, values in outputs.items():
+        if not np.isfinite(values).all():
+            raise DivergenceError(f"the model's {name} are not finite in evaluation, seed {seed}")
 
 
 @dataclass

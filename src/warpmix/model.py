@@ -394,7 +394,7 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     ``forward`` takes them. ``samples`` is an integer
     >= 2 by the package's integer rule (an integral float or a numpy
     integer counts as its integer); anything else raises UsageError naming
-    it. Bit-equal to one
+    it, and a count too large to hold raises MemoryError. Bit-equal to one
     train-mode ``forward`` per sample, with the same draws in the same
     order. Layer 0 before dropout is computed once. The passes then run as
     two stages over two mask sets: a drawer thread draws each sample's
@@ -418,7 +418,10 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     # the drawer allocates nothing: a thread's allocations would grow a malloc arena of its own
     flat = np.empty(max([acts.size for acts in buffers[:-1]], default=0))
     uniforms = [flat[: acts.size].reshape(acts.shape) for acts in buffers[:-1]]
-    outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
+    try:
+        outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
+    except ValueError:  # numpy's "array is too big": a count no memory can hold
+        raise MemoryError(f"cannot hold {samples:.3g} MC-dropout samples") from None
     # sample s uses set s % 2: ``free`` counts the sets the drawer may fill,
     # ``ready`` the filled sets the caller has not yet run
     free, ready = threading.Semaphore(2), threading.Semaphore(0)

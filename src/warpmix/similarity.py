@@ -77,10 +77,10 @@ def normalized_distances(points, permutation) -> np.ndarray:
     ``points`` is (n, d) (a 1-d array is treated as n scalars) by the
     package's array rule (``errors.check_array``): ints and floats, every
     one finite, or UsageError naming the first bad row (0-based).
-    ``permutation`` pairs row i with row permutation[i]; integral floats
-    count as their integers. The result always has mean exactly 1 by
-    construction, except for a degenerate batch where all pairs coincide,
-    which maps to all ones.
+    ``permutation`` pairs row i with row permutation[i]; it takes the
+    array rule's dtype part, and integral floats count as their integers.
+    The result always has mean exactly 1 by construction, except for a
+    degenerate batch where all pairs coincide, which maps to all ones.
     """
     return _pair_distances(*_checked_pairs(points, permutation, "points"))
 
@@ -94,10 +94,10 @@ def _checked_pairs(points, permutation, name: str):
     if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
         raise UsageError(f"{name} must be a non-empty (n, d) array, got shape {points.shape}")
     n = points.shape[0]
-    perm = np.asarray(permutation)
-    if perm.dtype.kind not in "iuf" or perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    perm = check_array(permutation, "permutation", finite=False)
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise UsageError("permutation must be a permutation of range(n)")
-    return points, perm[None].astype(np.int64, copy=False)
+    return points, perm[None].astype(np.int64)
 
 
 def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:

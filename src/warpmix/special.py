@@ -41,14 +41,15 @@ handles tiny alpha without 0/0 as the old one did, and draws a whole
 batch in one call instead of running a Python rejection loop per draw.
 
 Shape parameters are accepted on [SHAPE_MIN, SHAPE_MAX] = [1e-4, 1e6];
-values outside are clamped with a debug note on the ``warpmix.numerics``
-logger rather than rejected, because upstream similarity kernels can
-legitimately produce extreme values that saturate.
+positive finite values outside are clamped into it silently rather than
+rejected, because upstream similarity kernels can legitimately produce
+extreme values that saturate. ``warping.warp_pairwise`` clamps its finite
+strengths, and the similarity kernel clips its strengths, into the same
+range, equally silently.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -120,17 +121,10 @@ _SYMMETRIC_COEFFS = (
 
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
-_log = logging.getLogger("warpmix.numerics")
-
 
 def _checked_shapes(*shapes):
     """One or two shape arrays (a, then b) checked positive and finite, then
-    clamped into the range.
-
-    Clamping leaves at most one debug record per call, however many values
-    it moved.
-    """
-    moved = 0
+    clamped into the range."""
     out = []
     for name, value in zip("ab", shapes):
         # NaN propagates through min and max and fails both tests; the
@@ -139,12 +133,7 @@ def _checked_shapes(*shapes):
         if not (lo > 0.0 and hi < math.inf):
             bad = value[~(np.isfinite(value) & (value > 0.0))][0]
             raise DomainError(f"{name} must be a positive finite number, got {bad}")
-        if lo < SHAPE_MIN or hi > SHAPE_MAX:
-            moved += np.count_nonzero((value < SHAPE_MIN) | (value > SHAPE_MAX))
-            value = np.clip(value, SHAPE_MIN, SHAPE_MAX)
-        out.append(value)
-    if moved:
-        _log.debug("clamping %d shape value(s) into [%g, %g]", moved, SHAPE_MIN, SHAPE_MAX)
+        out.append(np.clip(value, SHAPE_MIN, SHAPE_MAX))
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, UsageError, check_array
 # The training step's strengths are clamped by the similarity kernel, so the
 # warp calls the unchecked kernel, under the name per-layer traces time it by.
-from .special import _checked_shapes, _incomplete_beta as incomplete_beta_reg
+from .special import SHAPE_MAX, SHAPE_MIN, _incomplete_beta as incomplete_beta_reg
 
 __all__ = ["warp_pairwise"]
 
@@ -27,14 +27,14 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     Each strength is a positive number or ``math.inf``. The infinite limit is
     the step function 1{coeff >= 0.5}; the tie at 0.5 resolves to 1 so that
     the first element of a pair dominates. Finite strengths outside
-    [SHAPE_MIN, SHAPE_MAX] are clamped into it, as ``incomplete_beta_reg``
-    clamps its shapes. Both arguments are 1-d by the package's array rule
-    (``errors.check_array``), less its finite part, so a bool or a string
-    raises UsageError naming it; a coefficient outside [0, 1] or a NaN or
-    non-positive strength raises DomainError.
+    [SHAPE_MIN, SHAPE_MAX] are clamped into it silently, as
+    ``incomplete_beta_reg`` clamps its shapes. Both arguments are 1-d by the
+    package's array rule (``errors.check_array``), less its finite part, so
+    a bool or a string raises UsageError naming it; a coefficient outside
+    [0, 1] or a NaN or non-positive strength raises DomainError.
     """
     coeffs = check_array(coeffs, "coeffs", 1, finite=False)
-    taus = check_array(taus, "taus", 1, finite=False).copy()  # the clamp below writes into it
+    taus = check_array(taus, "taus", 1, finite=False)
     if taus.shape != coeffs.shape:
         raise UsageError(
             f"length mismatch: {coeffs.shape[0]} coefficients vs {taus.shape[0]} warp strengths"
@@ -45,9 +45,7 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
     ok = taus > 0.0
     if not ok.all():
         raise DomainError(f"warp strength must be positive or inf, got {taus[~ok][0]}")
-    finite = np.isfinite(taus)
-    taus[finite] = _checked_shapes(taus[finite])[0]
-    return _warp(coeffs, taus)
+    return _warp(coeffs, np.where(np.isinf(taus), taus, np.clip(taus, SHAPE_MIN, SHAPE_MAX)))
 
 
 def _warp(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:

@@ -314,6 +314,10 @@ ARRAY_ARGUMENTS = {
     "normalized_distances.points": ("points", POINTS, True, lambda v: normalized_distances(v, [1, 2, 0])),
     "batch_taus.features": ("features", POINTS, True,
                             lambda v: batch_taus(v, [1, 2, 0], KernelConfig(tau_max=2.0, tau_std=1.0))),
+    "normalized_distances.permutation": ("permutation", np.array([1.0, 2.0, 0.0]), False,
+                                         lambda v: normalized_distances(POINTS, v)),
+    "batch_taus.permutation": ("permutation", np.array([1.0, 2.0, 0.0]), False,
+                               lambda v: batch_taus(POINTS, v, KernelConfig(tau_max=2.0, tau_std=1.0))),
     **{f"payload.{key}": (f"predictions payload {key!r}", np.array([1.0, 2.0, 4.0]), True,
                           lambda v, key=key: _payload_metrics(key, v))
        for key in ("means", "variances", "targets")},

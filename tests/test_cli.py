@@ -6,7 +6,6 @@ as a subprocess.
 """
 
 import json
-import logging
 import math
 import os
 import subprocess
@@ -16,7 +15,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from warpmix import SHAPE_MAX, SHAPE_MIN, RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise
+from warpmix import (
+    SHAPE_MAX, SHAPE_MIN, Layer, ModelState, RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise,
+)
 from warpmix import cli, harness
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
 
@@ -134,6 +135,34 @@ def test_out_of_memory_is_runtime_error(workspace, tmp_path, monkeypatch, capsys
     extra = ["--checkpoint", str(checkpoint)] if verb == "eval" else []
     assert main([verb, *argv, *extra]) == RUNTIME_EXIT
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "o").exists()
+
+
+def test_mc_samples_too_large_to_hold_is_runtime_error(workspace, tmp_path, capsys):
+    # 1e300 is an integer by the integer rule; numpy refuses the shape with a ValueError
+    code = main(["train", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
+                 "optimizer.epochs=1", "metrics.mc_samples=1e300"])
+    assert code == RUNTIME_EXIT
+    assert capsys.readouterr().err.startswith("error: cannot hold 1e+300 MC-dropout samples")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("task, sizes, what", [
+    ("reg", (3, 8, 1), "predicted means"),
+    ("clf", (4, 8, 3), "validation logits"),
+], ids=["regression", "classification"])
+def test_checkpoint_whose_outputs_overflow_is_divergence(workspace, tmp_path, capsys, task, sizes, what):
+    # finite weights whose outputs overflow: every hidden unit is 1e10, every output weight 1e300
+    fan_in, hidden, outputs = sizes
+    layers = [Layer(np.zeros((fan_in, hidden)), np.full(hidden, 1e10), "relu"),
+              Layer(np.full((hidden, outputs), 1e300), np.zeros(outputs))]
+    checkpoint = tmp_path / "checkpoint.json"
+    save_model(ModelState(layers, dropout_rate=0.2), str(checkpoint))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["eval", "--config", str(workspace[f"{task}_config"]), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "o")])
+    assert code == RUNTIME_EXIT
+    assert capsys.readouterr().err == f"error: the model's {what} are not finite in evaluation, seed 0\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -740,32 +769,6 @@ def test_warp_demo_bad_flags_fail_before_the_output_dir_exists(tmp_path, capsys,
     assert code == USAGE_EXIT
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "d").exists()
-
-
-# --------------------------------------------------------------- log level
-
-
-@pytest.mark.parametrize("level", ["bogus", "basic_format"])
-def test_bad_log_level_is_usage_error(tmp_path, monkeypatch, capsys, level):
-    # BASIC_FORMAT names a logging attribute, but not a level
-    configured = []
-    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
-    code = main(["--log-level", level, "warp-demo", "--taus", "1", "--samples", "10",
-                 "--out", str(tmp_path / "d")])
-    assert code == USAGE_EXIT
-    assert "invalid choice" in capsys.readouterr().err
-    assert configured == []
-    assert not (tmp_path / "d").exists()
-
-
-def test_log_level_is_case_insensitive(tmp_path, monkeypatch, capsys):
-    configured = []
-    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: configured.append(kwargs))
-    code = main(["--log-level", "debug", "warp-demo", "--taus", "1", "--samples", "10",
-                 "--out", str(tmp_path / "d")])
-    assert code == 0
-    assert configured == [{"level": "DEBUG"}]
-    capsys.readouterr()
 
 
 # ------------------------------------------------------------- subprocess

@@ -444,6 +444,17 @@ def test_mc_dropout_argument_checks():
         mc_dropout_predict(no_dropout, np.zeros((2, 2)), samples=10, rng=RngStream(1))
 
 
+@pytest.mark.parametrize("samples", [10**300, 2**62], ids=["1e300", "2**62"])
+def test_mc_dropout_count_too_large_to_hold_is_memory_error(samples):
+    # numpy refuses these shapes with a ValueError ("maximum allowed dimension
+    # exceeded", "array is too big") before it tries to allocate anything
+    model = init_mlp([2, 4, 1], dropout_rate=0.2, rng=RngStream(0))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="^cannot hold .* MC-dropout samples$"):
+        mc_dropout_predict(model, np.zeros((2, 2)), samples=samples, rng=RngStream(1))
+    assert threading.active_count() == threads
+
+
 def test_mc_dropout_zero_network():
     layers = [
         Layer(weights=np.zeros((2, 3)), biases=np.zeros(3), activation="relu"),

@@ -101,10 +101,15 @@ def test_invalid_permutation_rejected():
     for perm in ([1.0, 2.0, 0.0], np.array([1.0, 2.0, -0.0]), np.array([1, 2, 0], dtype=np.uint8)):
         assert normalized_distances(pts, perm).tobytes() == want.tobytes()
         assert batch_taus(pts, perm, config).tobytes() == want_taus.tobytes()
-    for perm in ([1.0, 2.0, 0.5], [1.5, 2.0, 0.0], [1.0, 2.0, math.nan], ["1", "2", "0"]):
+    for perm in ([1.0, 2.0, 0.5], [1.5, 2.0, 0.0], [1.0, 2.0, math.nan]):
         for call in (lambda: normalized_distances(pts, perm), lambda: batch_taus(pts, perm, config)):
             with pytest.raises(UsageError, match=r"permutation must be a permutation of range\(n\)"):
                 call()
+    # strings break the array rule's dtype part before the permutation is looked at
+    perm = ["1", "2", "0"]
+    for call in (lambda: normalized_distances(pts, perm), lambda: batch_taus(pts, perm, config)):
+        with pytest.raises(UsageError, match=r"^permutation must be an array of ints and floats, got dtype <U1$"):
+            call()
     with pytest.raises(UsageError, match="permutation must be"):
         normalized_distances(pts[:2], [True, False])
 

@@ -1,6 +1,5 @@
 """Tests for log_beta, the regularized incomplete beta, and Beta sampling."""
 
-import logging
 import math
 import re
 
@@ -82,12 +81,9 @@ def test_log_beta_rejects_array_shapes(a, b):
         log_beta(a, b)
 
 
-def test_log_beta_clamps_tiny_shapes(caplog):
-    # shapes below 1e-4 are pulled up to the boundary and logged
-    with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):
-        clamped = log_beta(1e-7, 2.0)
-    assert clamped == log_beta(1e-4, 2.0)
-    assert any("clamp" in rec.message for rec in caplog.records)
+def test_log_beta_clamps_tiny_shapes():
+    # shapes below 1e-4 are pulled up to the boundary
+    assert log_beta(1e-7, 2.0) == log_beta(1e-4, 2.0)
 
 
 def test_log_beta_clamps_huge_shapes():
@@ -467,14 +463,11 @@ def test_incbeta_array_validation():
         incomplete_beta_reg([0.1, 0.2], 2.0, [math.inf, 2.0])
 
 
-def test_incbeta_clamps_with_one_record_per_call(caplog):
+def test_incbeta_clamps_shapes_on_both_sides_of_the_range():
     xs = np.linspace(0.1, 0.9, 9)
     shapes = np.where(xs < 0.5, 1e9, 1e-7)
-    with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):
-        got = incomplete_beta_reg(xs, shapes, shapes)
     clamped = np.where(xs < 0.5, 1e6, 1e-4)
-    assert np.array_equal(got, incomplete_beta_reg(xs, clamped, clamped))
-    assert len([rec for rec in caplog.records if "clamp" in rec.message]) == 1
+    assert np.array_equal(incomplete_beta_reg(xs, shapes, shapes), incomplete_beta_reg(xs, clamped, clamped))
 
 
 # ------------------------------------------------------------ beta_sample

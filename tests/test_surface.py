@@ -29,8 +29,9 @@ def test_every_name_in_all_exists(name):
 
 
 def test_import_leaves_the_process_pool_out():
-    # only a parallel grid needs multiprocessing; importing it costs every other user
-    code = ("import sys, warpmix; print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+    # only a parallel grid needs multiprocessing; importing it costs every other user,
+    # and nothing in the package logs
+    code = ("import sys, warpmix; print([m for m in ('multiprocessing', 'concurrent.futures.process', 'logging')"
             " if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -1,6 +1,5 @@
 """Tests for the coefficient warping function and its degenerate limits."""
 
-import logging
 import math
 
 import numpy as np
@@ -133,14 +132,11 @@ def test_pairwise_length_mismatch():
         warp_pairwise([0.1, 0.2], [1.0])
 
 
-def test_pairwise_counts_each_clamped_strength_once(caplog):
-    # a strength is both shapes of its Beta(tau, tau), but one value to clamp
-    with caplog.at_level(logging.DEBUG, logger="warpmix.numerics"):
-        out = warp_pairwise([0.3, 0.4, 0.6], [1e7, 2.0, 1e-9])
-        incomplete_beta_reg(0.3, 1e7, 1e7)
-    assert np.array_equal(out, warp_pairwise([0.3, 0.4, 0.6], [1e6, 2.0, 1e-4]))
-    clamps = [rec.getMessage() for rec in caplog.records if "clamp" in rec.getMessage()]
-    assert [message.split(" shape")[0] for message in clamps] == ["clamping 2", "clamping 2"]
+def test_pairwise_clamps_finite_strengths_and_keeps_the_step():
+    # finite strengths outside the shape range are clamped; an infinite one stays the step
+    out = warp_pairwise([0.3, 0.4, 0.6, 0.7], [1e7, 2.0, 1e-9, math.inf])
+    assert np.array_equal(out, warp_pairwise([0.3, 0.4, 0.6, 0.7], [1e6, 2.0, 1e-4, math.inf]))
+    assert out[3] == 1.0
 
 
 def test_pairwise_rejects_matrix_input():
