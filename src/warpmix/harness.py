@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import DataSplits, Dataset, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_real
-from .metrics import _MAX_BINS, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
+from .metrics import _MAX_BINS, _T_LO, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
 from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
@@ -427,7 +427,8 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     fitted on the validation split only, then ECE/Brier/NLL/accuracy on the
     scaled test probabilities. The metrics are ``metrics_from_payload(payload)``.
     A model whose predictions or logits are not finite (it overflows on
-    these inputs) raises DivergenceError naming the seed.
+    these inputs), or whose validation loss overflows at the temperature
+    grid's low end, raises DivergenceError naming the seed.
     """
     norm = splits.normalization
     outputs = 1 if config.task == "regression" else config.num_classes
@@ -446,6 +447,10 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
         valid_logits = _propagate(model, splits.valid.features, len(model.layers))[0]
         test_logits = _propagate(model, splits.test.features, len(model.layers))[0]
         _check_finite_outputs(seed, {"validation logits": valid_logits, "test logits": test_logits})
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is what the check looks for
+            low_end = _nll_at_temperatures(valid_logits, splits.valid.targets, np.array([_T_LO]))
+        # a higher temperature only shrinks the scaled logits and their spread: the grid's other losses are finite
+        _check_finite_outputs(seed, {f"validation losses at temperature {_T_LO}": low_end})
         payload["temperature"] = temperature_scale(valid_logits, splits.valid.targets)
         payload["probs"] = softmax(test_logits / payload["temperature"]).tolist()
         payload["labels"] = splits.test.targets.tolist()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -134,10 +133,17 @@ class ForwardCache:
     step_count: int
 
 
+def _count(n: int) -> str:
+    """A count too large to hold, for a MemoryError: three significant
+    digits, or "over 1e+308" for an int past the largest float."""
+    return f"{n:.3g}" if n < 1e308 else "over 1e+308"
+
+
 def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str = "relu") -> ModelState:
     """A network of layer sizes ``dims`` (inputs first, at least 2 sizes,
     each an integer >= 1 by the package's integer rule) and ``dropout_rate``
-    (a real number in [0, 1)); anything else raises UsageError naming it.
+    (a real number in [0, 1)); anything else raises UsageError naming it,
+    and a layer too large to hold raises MemoryError.
 
     Weight init: U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero. Draw
     order is layer by layer, weights only, so a fixed stream gives fixed
@@ -148,7 +154,10 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
     layers = []
     for k, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
         bound = 1.0 / math.sqrt(fan_in)
-        weights = (rng.uniform(size=(fan_in, fan_out)) * 2.0 - 1.0) * bound
+        try:
+            weights = (rng.uniform(size=(fan_in, fan_out)) * 2.0 - 1.0) * bound
+        except ValueError:  # numpy's "array is too big": a layer no memory can hold
+            raise MemoryError(f"cannot hold layer {k}'s {_count(fan_in)} x {_count(fan_out)} weights") from None
         act = hidden_activation if k < len(dims) - 2 else "identity"
         layers.append(Layer(weights=weights, biases=np.zeros(fan_out), activation=act))
     return ModelState(layers=layers, dropout_rate=dropout_rate)
@@ -397,13 +406,14 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     it, and a count too large to hold raises MemoryError. Bit-equal to one
     train-mode ``forward`` per sample, with the same draws in the same
     order. Layer 0 before dropout is computed once. The passes then run as
-    two stages over two mask sets: a drawer thread draws each sample's
-    masks from ``rng``, sample by sample and layer by layer, into one set,
-    while the calling thread resumes the layer loop from layer 0 on the
-    previous sample's set, with relu and masks applied in place. Only the
-    drawer touches ``rng``, so its draws do not depend on thread timing.
-    The drawer is joined before the call returns or raises; an exception
-    it raised is raised here.
+    two stages over two mask sets: a one-worker ``ThreadPoolExecutor``
+    draws sample s + 1's masks from ``rng``, layer by layer, into one set,
+    while the calling thread resumes the layer loop from layer 0 on sample
+    s's set, with relu and masks applied in place. The worker runs the
+    draws in submission order and is the only code that touches ``rng``,
+    so the draws do not depend on thread timing. An exception a draw
+    raised is raised here as the same object, ``KeyboardInterrupt``
+    included, and the worker is joined before the call returns or raises.
     """
     if model.dropout_rate <= 0.0:
         raise UsageError("mc_dropout_predict needs a positive dropout rate")
@@ -421,39 +431,17 @@ def mc_dropout_predict(model: ModelState, inputs, samples: int, rng: RngStream):
     try:
         outs = np.empty((samples, first.shape[0], model.layers[-1].biases.size))
     except ValueError:  # numpy's "array is too big": a count no memory can hold
-        raise MemoryError(f"cannot hold {samples:.3g} MC-dropout samples") from None
-    # sample s uses set s % 2: ``free`` counts the sets the drawer may fill,
-    # ``ready`` the filled sets the caller has not yet run
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-    stop, failure = [], []
+        raise MemoryError(f"cannot hold {_count(samples)} MC-dropout samples") from None
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which ``import warpmix`` does not
 
-    def draw():
-        try:
-            for s in range(samples):
-                free.acquire()
-                if stop:
-                    return
-                _draw_masks(model, len(first), rng, kept[s % 2], uniforms)
-                ready.release()
-        except BaseException as exc:  # the caller re-raises it after the join
-            failure.append(exc)
-            ready.release()
-
-    drawer = threading.Thread(target=draw, name="mc-dropout-drawer")
-    drawer.start()
-    try:
+    # sample s uses set s % 2; the one worker draws sample s + 1's while the pass of sample s runs
+    with ThreadPoolExecutor(1, thread_name_prefix="mc-dropout-drawer") as drawer:
+        drawn = drawer.submit(_draw_masks, model, len(first), rng, kept[0], uniforms)
         for s in range(samples):
-            ready.acquire()
-            if failure:
-                break
+            drawn.result()
+            if s + 1 < samples:
+                drawn = drawer.submit(_draw_masks, model, len(first), rng, kept[(s + 1) % 2], uniforms)
             outs[s] = _propagate(model, first, len(model.layers), kept[s % 2], buffers, start=1)[0]
-            free.release()
-    finally:
-        stop.append(True)
-        free.release()  # wakes a drawer waiting for a set, which then sees ``stop``
-        drawer.join()
-    if failure:
-        raise failure[0]
     return outs.mean(axis=0), outs.var(axis=0, ddof=1)
 
 

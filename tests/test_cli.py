@@ -147,15 +147,28 @@ def test_mc_samples_too_large_to_hold_is_runtime_error(workspace, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("task, sizes, what", [
-    ("reg", (3, 8, 1), "predicted means"),
-    ("clf", (4, 8, 3), "validation logits"),
-], ids=["regression", "classification"])
-def test_checkpoint_whose_outputs_overflow_is_divergence(workspace, tmp_path, capsys, task, sizes, what):
-    # finite weights whose outputs overflow: every hidden unit is 1e10, every output weight 1e300
+@pytest.mark.parametrize("hidden, shown", [("1e300", "1e+300"), ("1e18", "1e+18")])
+def test_hidden_layer_too_large_to_hold_is_runtime_error(workspace, tmp_path, capsys, hidden, shown):
+    # integers by the integer rule; numpy refuses the layer's shape with a ValueError
+    code = main(["train", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
+                 f"model.hidden=[{hidden}]"])
+    assert code == RUNTIME_EXIT
+    assert capsys.readouterr().err == f"error: cannot hold layer 0's 3 x {shown} weights\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("task, sizes, unit, weight, what", [
+    ("reg", (3, 8, 1), 1e10, 1e300, "predicted means"),
+    ("clf", (4, 8, 3), 1e10, 1e300, "validation logits"),
+    # logits of 1.6e307 are finite, but overflow once divided by the temperature grid's low end
+    ("clf", (4, 8, 3), 1e6, 2e300, "validation losses at temperature 0.05"),
+], ids=["regression", "classification", "classification_scaled"])
+def test_checkpoint_whose_outputs_overflow_is_divergence(workspace, tmp_path, capsys, task, sizes, unit, weight,
+                                                         what):
+    # finite weights whose outputs overflow: every hidden unit is ``unit``, every output weight ``weight``
     fan_in, hidden, outputs = sizes
-    layers = [Layer(np.zeros((fan_in, hidden)), np.full(hidden, 1e10), "relu"),
-              Layer(np.full((hidden, outputs), 1e300), np.zeros(outputs))]
+    layers = [Layer(np.zeros((fan_in, hidden)), np.full(hidden, unit), "relu"),
+              Layer(np.full((hidden, outputs), weight), np.zeros(outputs))]
     checkpoint = tmp_path / "checkpoint.json"
     save_model(ModelState(layers, dropout_rate=0.2), str(checkpoint))
     with np.errstate(over="ignore", invalid="ignore"):

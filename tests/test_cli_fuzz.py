@@ -1,13 +1,20 @@
-"""A seeded fuzz test of the CLI's two file inputs: a predictions payload,
-read by ``warpmix metrics``, and a checkpoint, read by ``warpmix eval``.
+"""A seeded fuzz test of the CLI's inputs: a predictions payload, read by
+``warpmix metrics``; a checkpoint, read by ``warpmix eval``; and an
+experiment config and its ``key=value`` overrides, read by ``warpmix train``.
 
-Each case damages one numeric leaf of a valid file: it becomes the number
-as a string, true or false, null, NaN or an infinity, an empty or a ragged
-list, or +-1e300. ``cli.main`` then runs in-process. Whatever the damage,
-it exits 0, 1 or 2 and no exception escapes it; a non-zero exit prints an
-``error:`` line and leaves no output directory. A leaf that is no longer a
-finite number (every damage but +-1e300) breaks a rule at the edge, so it
-exits 2. SEED and CASES fix the cases; the whole test takes a few seconds.
+Each payload or checkpoint case damages one numeric leaf of a valid file:
+it becomes the number as a string, true or false, null, NaN or an
+infinity, an empty or a ragged list, or +-1e300. Each config case damages
+one key of a valid config, in the file or by an override: its value takes
+a wrong type, NaN, an infinity, an empty string, +-1e300 or an integer
+past the largest float, or the key goes missing or is misspelt.
+``cli.main`` then runs in-process. Whatever the damage, it exits 0, 1 or 2
+and no exception escapes it; a non-zero exit prints an ``error:`` line and
+leaves no output directory. A payload or checkpoint leaf that is no longer
+a finite number (every damage but +-1e300) breaks a rule at the edge, and
+so does a config value of NaN or an infinity, a misspelt key or an
+override without ``=``: each exits 2. SEED and CASES fix the cases; the
+whole test takes a few seconds.
 """
 
 import json
@@ -19,10 +26,11 @@ import pytest
 from warpmix import RngStream, init_mlp, save_model, softmax
 from warpmix.cli import USAGE_EXIT, main
 
-from _support import synth_regression, write_csv
+from _support import synth_blobs, synth_regression, write_csv
 
 SEED = 20261020
 CASES = 400  # per verb
+CONFIG_CASES = 200  # per input: the config file and its overrides
 
 # each takes the leaf's number and gives the damaged leaf
 DAMAGES = {
@@ -38,7 +46,7 @@ DAMAGES = {
     "huge": lambda x: 1e300,
     "minus_huge": lambda x: -1e300,
 }
-STILL_NUMBERS = ("huge", "minus_huge")
+STILL_NUMBERS = ("huge", "minus_huge", "past_float")
 
 
 def _leaves(node, path=()):
@@ -92,9 +100,12 @@ def eval_inputs(tmp_path_factory):
     return config, json.loads((root / "checkpoint.json").read_text())
 
 
-def _run(argv, out, damage, where, capsys):
+def _run(argv, out, damage, where, capsys, usage=None):
+    """Run ``cli.main`` on ``argv`` and check the exit rules; ``usage`` says
+    whether the damage must exit 2 (by default, unless it left a number)."""
     # a number past the edge's rules may overflow in numpy arithmetic, which the CLI
-    # reports as a warning; every other damage is rejected before any arithmetic
+    # reports as a warning; every other damage is rejected before any arithmetic, or is
+    # a valid config
     overflow = "ignore" if damage in STILL_NUMBERS else "warn"
     try:
         with np.errstate(over=overflow, invalid=overflow):
@@ -106,7 +117,9 @@ def _run(argv, out, damage, where, capsys):
     if code:
         assert err.startswith("error: ") and "Traceback" not in err, where
         assert not out.exists(), where
-    if damage not in STILL_NUMBERS:
+    if usage is None:
+        usage = damage not in STILL_NUMBERS
+    if usage:
         assert code == USAGE_EXIT, f"{where}: exit {code}, {err}"
 
 
@@ -130,3 +143,102 @@ def test_damaged_checkpoint(eval_inputs, tmp_path, capsys):
         path.write_text(json.dumps(damaged))
         _run(["eval", "--config", str(config), "--checkpoint", str(path), "--out", str(out)], out, damage,
              f"checkpoint, {where}", capsys)
+
+
+# each takes the key's valid value and gives the damaged one; "missing" and
+# "misspelt" damage the key instead of its value
+CONFIG_DAMAGES = {
+    "string": lambda x: x if isinstance(x, str) else json.dumps(x),
+    "number": lambda x: 3,
+    "true": lambda x: True,
+    "false": lambda x: False,
+    "null": lambda x: None,
+    "list": lambda x: [x],
+    "table": lambda x: {"value": x},
+    "nan": lambda x: math.nan,
+    "infinity": lambda x: math.inf,
+    "minus_infinity": lambda x: -math.inf,
+    "empty_string": lambda x: "",
+    "huge": lambda x: 1e300,
+    "minus_huge": lambda x: -1e300,
+    "past_float": lambda x: 10**400,
+    "missing": None,
+    "misspelt": None,
+}
+# damages that break a rule at the edge wherever they land
+CONFIG_USAGE = ("nan", "infinity", "minus_infinity", "misspelt")
+# an epoch count of 1e300 or 10**400 is valid, and would only run that long
+LONG_RUNS = {("optimizer", "epochs"): ("huge", "past_float")}
+
+
+@pytest.fixture(scope="module")
+def train_configs(tmp_path_factory):
+    """A small regression and a small classification config, as dicts."""
+    root = tmp_path_factory.mktemp("fuzz_train")
+    reg = synth_regression(n=40, d=3, seed=0)
+    reg_csv = write_csv(root / "reg.csv", ["x0", "x1", "x2", "y"], np.column_stack([reg.features, reg.targets]))
+    clf = synth_blobs(n=40, d=3, classes=3, seed=1)
+    clf_csv = write_csv(root / "clf.csv", ["x0", "x1", "x2", "label"],
+                        np.column_stack([clf.features, clf.targets.astype(np.float64)]))
+    shared = {"seeds": [0], "split_fractions": [0.5, 0.25, 0.25],
+              "model": {"hidden": [4], "dropout_rate": 0.2, "activation": "relu"},
+              "optimizer": {"kind": "adam", "learning_rate": 0.01, "epochs": 1, "batch_size": 8, "beta1": 0.9},
+              "metrics": {"num_bins": 3, "mc_samples": 3}}
+    regression = {"dataset": {"path": str(reg_csv), "target_column": "y"}, "task": "regression", **shared,
+                  "mixup": {"mode": "kernel_warped", "alpha": 0.5, "per_batch_coeff": False,
+                            "input_kernel": {"tau_max": 1.0, "tau_std": 1.0, "backend": "raw_input"},
+                            "output_kernel": {"tau_max": 1.0, "tau_std": 1.0, "backend": "label"}}}
+    classification = {"dataset": {"path": str(clf_csv), "target_column": -1, "name": "blobs"},
+                      "task": "classification", "num_classes": 3, **shared,
+                      "mixup": {"mode": "kernel_warped", "alpha": 0.5,
+                                "input_kernel": {"tau_max": 1.0, "tau_std": 1.0, "backend": "embedding"},
+                                "output_kernel": {"tau_max": 1.0, "tau_std": 1.0, "backend": "class_weight"}}}
+    return [regression, classification]
+
+
+def _keys(node, path=()):
+    """The path of every value in a config tree, tables and list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return [sub for key, value in items for sub in [path + (key,), *_keys(value, path + (key,))]]
+
+
+def _damaged_config(config, rng, override):
+    """``(config, overrides, damage, where)``: ``config`` with one key
+    damaged in the file, or left whole with the damage as one override.
+    An override names a table key, since list items have no dotted name."""
+    paths = [path for path in _keys(config) if not override or isinstance(path[-1], str)]
+    path = paths[rng.integers(len(paths))]
+    damages = [d for d in sorted(CONFIG_DAMAGES) if d not in LONG_RUNS.get(path, ())]
+    damage = damages[rng.integers(len(damages))]
+    where = f"{damage} at {'.'.join(map(str, path))}" + (" by override" if override else "")
+    copy = json.loads(json.dumps(config))
+    node = copy
+    for step in path[:-1]:
+        node = node[step]
+    if override:
+        dotted = ".".join(path)
+        if damage == "missing":
+            return copy, [dotted], damage, where
+        if damage == "misspelt":
+            return copy, [f"{dotted}_typo=1"], damage, where
+        return copy, [f"{dotted}={json.dumps(CONFIG_DAMAGES[damage](node[path[-1]]))}"], damage, where
+    if damage == "misspelt" and isinstance(path[-1], str):
+        node[f"{path[-1]}_typo"] = node.pop(path[-1])
+    elif damage in ("missing", "misspelt"):  # a list item has no key to misspell: it goes missing
+        del node[path[-1]]
+        damage = "missing"
+    else:
+        node[path[-1]] = CONFIG_DAMAGES[damage](node[path[-1]])
+    return copy, [], damage, where
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["file", "override"])
+def test_damaged_config(train_configs, tmp_path, capsys, override):
+    rng = np.random.default_rng(SEED + 2 + override)
+    for case in range(CONFIG_CASES):
+        config, overrides, damage, where = _damaged_config(train_configs[case % 2], rng, override)
+        path, out = tmp_path / f"config{case}.json", tmp_path / f"out{case}"
+        path.write_text(json.dumps(config))
+        usage = damage in CONFIG_USAGE or (override and damage == "missing")  # "key" without "="
+        _run(["train", "--config", str(path), "--out", str(out), *overrides], out, damage,
+             f"{config['task']} config, {where}", capsys, usage)

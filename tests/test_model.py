@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -85,6 +86,15 @@ def test_init_mlp_deterministic():
     b = init_mlp([3, 8, 1], dropout_rate=0.0, rng=RngStream(44))
     for la, lb in zip(a.layers, b.layers):
         assert np.array_equal(la.weights, lb.weights)
+
+
+@pytest.mark.parametrize("hidden, shown", [(1e300, "1e+300"), (1e18, "1e+18"), (10**400, "over 1e+308")],
+                         ids=["1e300", "1e18", "10**400"])
+def test_init_mlp_layer_too_large_to_hold_is_memory_error(hidden, shown):
+    # numpy refuses these shapes with a ValueError ("maximum allowed dimension
+    # exceeded", "array is too big") before it tries to allocate anything
+    with pytest.raises(MemoryError, match=rf"^cannot hold layer 0's 3 x {re.escape(shown)} weights$"):
+        init_mlp([3, hidden, 1], dropout_rate=0.2, rng=RngStream(0))
 
 
 # ----------------------------------------------------------------- forward
@@ -444,7 +454,7 @@ def test_mc_dropout_argument_checks():
         mc_dropout_predict(no_dropout, np.zeros((2, 2)), samples=10, rng=RngStream(1))
 
 
-@pytest.mark.parametrize("samples", [10**300, 2**62], ids=["1e300", "2**62"])
+@pytest.mark.parametrize("samples", [10**300, 2**62, 10**400], ids=["1e300", "2**62", "10**400"])
 def test_mc_dropout_count_too_large_to_hold_is_memory_error(samples):
     # numpy refuses these shapes with a ValueError ("maximum allowed dimension
     # exceeded", "array is too big") before it tries to allocate anything
