@@ -140,6 +140,12 @@ def check_labels(value, name: str, num_classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _count(n: int) -> str:
+    """A count too large to hold, for a MemoryError: three significant
+    digits, or "over 1e+308" for an int past the largest float."""
+    return f"{n:.3g}" if n < 1e308 else "over 1e+308"
+
+
 def _first(array: np.ndarray, bad: np.ndarray) -> str:
     """'got <value> at row <r>' for the first entry of ``array`` where ``bad``
     holds, in row-major order; a 0-d array has no row."""

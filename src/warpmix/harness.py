@@ -425,7 +425,8 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
     Regression: MC-Dropout predictive distributions, de-normalized back to
     target units, feeding RMSE/MAPE/UCE/ENCE. Classification: temperature is
     fitted on the validation split only, then ECE/Brier/NLL/accuracy on the
-    scaled test probabilities. The metrics are ``metrics_from_payload(payload)``.
+    scaled test probabilities. The metrics are ``metrics_from_payload`` of the
+    payload's arrays, which the payload then holds as lists.
     A model whose predictions or logits are not finite (it overflows on
     these inputs), or whose validation loss overflows at the temperature
     grid's low end, raises DivergenceError naming the seed.
@@ -440,9 +441,7 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
         means_n, vars_n = mc_dropout_predict(model, splits.test.features, config.mc_samples, rng)
         means, variances = norm.denormalize_mean(means_n[:, 0]), norm.denormalize_variance(vars_n[:, 0])
         _check_finite_outputs(seed, {"predicted means": means, "predicted variances": variances})
-        payload["means"] = means.tolist()
-        payload["variances"] = variances.tolist()
-        payload["targets"] = splits.test.targets.tolist()
+        arrays = {"means": means, "variances": variances, "targets": splits.test.targets}
     else:
         valid_logits = _propagate(model, splits.valid.features, len(model.layers))[0]
         test_logits = _propagate(model, splits.test.features, len(model.layers))[0]
@@ -452,10 +451,12 @@ def evaluate(model: ModelState, splits: DataSplits, config: ExperimentConfig, se
         # a higher temperature only shrinks the scaled logits and their spread: the grid's other losses are finite
         _check_finite_outputs(seed, {f"validation losses at temperature {_T_LO}": low_end})
         payload["temperature"] = temperature_scale(valid_logits, splits.valid.targets)
-        payload["probs"] = softmax(test_logits / payload["temperature"]).tolist()
-        payload["labels"] = splits.test.targets.tolist()
-    payload["metrics"] = metrics_from_payload(payload)
-    return payload["metrics"], payload
+        arrays = {"probs": softmax(test_logits / payload["temperature"]), "labels": splits.test.targets}
+    # float64 survives the JSON lists exactly, so these are the payload's metrics
+    metrics = metrics_from_payload({**payload, **arrays})
+    payload.update({key: values.tolist() for key, values in arrays.items()})
+    payload["metrics"] = metrics
+    return metrics, payload
 
 
 def _check_finite_outputs(seed: int, outputs: dict) -> None:

@@ -32,39 +32,72 @@ _PROB_FLOOR = 1e-12
 _MAX_BINS = 2**53
 
 
-def _shifted_exp(logits: np.ndarray):
-    """(z, exp(z)) for float64 ``logits`` shifted so each row's largest is 0.
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """``values.max(axis=-1)`` bit for bit, as one ``np.maximum`` per further
+    column: numpy runs a reduction along the short class axis as a loop of a
+    few elements per row, which costs more than the whole exp. ``maximum`` is
+    exact and propagates NaN as ``max`` does."""
+    top = values[..., 0]
+    for j in range(1, values.shape[-1]):
+        top = np.maximum(top, values[..., j])
+    return top
 
-    The row max is one ``np.maximum`` per further class column: a reduction
-    along the short class axis costs more than the whole exp. ``maximum`` is
-    exact, so the shift equals ``logits.max(axis=-1)`` bit for bit. An empty
-    class axis raises UsageError; a 0-d input is its own row.
+
+def _shifted_exp(logits: np.ndarray):
+    """(z, exp(z)) for float64 ``logits`` of at least one dimension, shifted so
+    each row's largest is 0.
+
+    The row max (``_row_max``) and the shift both run one class column at a
+    time: subtracting a (..., n, 1) max broadcasts it along the class axis,
+    which numpy runs as a loop of c elements per row. Each column's
+    subtraction takes the same operands, so ``z`` equals
+    ``logits - logits.max(axis=-1, keepdims=True)`` bit for bit. An empty
+    class axis raises UsageError.
     """
-    if logits.ndim == 0:
-        top = logits
-    elif logits.shape[-1] == 0:
+    if logits.shape[-1] == 0:
         raise UsageError(f"logits need at least one class, got shape {logits.shape}")
-    else:
-        top = logits[..., :1]
-        for j in range(1, logits.shape[-1]):
-            top = np.maximum(top, logits[..., j : j + 1])
-    z = logits - top
+    top = _row_max(logits)
+    z = np.empty_like(logits)  # in the layout a broadcast subtraction gives, which sets e.sum's order
+    for j in range(logits.shape[-1]):
+        np.subtract(logits[..., j], top, out=z[..., j])
     return z, np.exp(z)
+
+
+def _class_total(e: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=-1)`` bit for bit for the non-negative ``e`` of
+    ``_shifted_exp``: the columns added left to right below 8 classes, as
+    numpy's sum of fewer than 8 values does, and numpy's pairwise last-axis
+    sum from 8 on. One class is its own total, a view of ``e``."""
+    c = e.shape[-1]
+    if c >= 8:
+        return e.sum(axis=-1)
+    total = e[..., 0] + e[..., 1] if c > 1 else e[..., 0]
+    for j in range(2, c):
+        total += e[..., j]
+    return total
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax. ``logits`` follow the package's array rule
     (``errors.check_array``) less its finite part: an array of ints and
     floats, or UsageError naming it; non-finite logits propagate as numpy
-    propagates them."""
-    _, e = _shifted_exp(check_array(logits, "logits", finite=False))
-    return e / e.sum(axis=-1, keepdims=True)
+    propagates them. A 0-d input is one row of one class."""
+    logits = check_array(logits, "logits", finite=False)
+    _, e = _shifted_exp(np.atleast_1d(logits))
+    total = _class_total(e)
+    for j in range(e.shape[-1]):  # bit-equal to e / total[..., None]
+        np.divide(e[..., j], total, out=e[..., j])
+    return e.reshape(logits.shape)[()]  # a 0-d input gives a scalar, as numpy's ufuncs do
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable log-softmax; ``logits`` as for ``softmax``."""
-    z, e = _shifted_exp(check_array(logits, "logits", finite=False))
-    return z - np.log(e.sum(axis=-1, keepdims=True))
+    logits = check_array(logits, "logits", finite=False)
+    z, e = _shifted_exp(np.atleast_1d(logits))
+    log_total = np.log(_class_total(e))
+    for j in range(z.shape[-1]):  # bit-equal to z - log_total[..., None]
+        np.subtract(z[..., j], log_total, out=z[..., j])
+    return z.reshape(logits.shape)[()]
 
 
 def _picked_nll(logits: np.ndarray, picks: np.ndarray):
@@ -74,19 +107,12 @@ def _picked_nll(logits: np.ndarray, picks: np.ndarray):
     any shape whose last axis is the rows. Each loss is bit-equal to
     ``-log_softmax(logits)`` at its pick: the label column is picked out of the
     shifted logits first, so log(total) is subtracted from one value per pick
-    instead of from every class. The class total adds the columns left to
-    right below 8 classes, as numpy's sum of fewer than 8 values does, and is
-    numpy's pairwise last-axis sum from 8 on. ``e`` is the shifted exp and
-    ``total`` its class total, which a softmax gradient needs.
+    instead of from every class. ``e`` is the shifted exp and ``total`` its
+    class total (``_class_total``), which a softmax gradient needs.
     """
     z, e = _shifted_exp(logits)
     n, c = logits.shape[-2:]
-    if c < 8:
-        total = e[..., 0] + e[..., 1]
-        for j in range(2, c):
-            total += e[..., j]
-    else:
-        total = e.sum(axis=-1)
+    total = _class_total(e)
     losses = z.reshape(*z.shape[:-2], n * c).take(picks, axis=-1)
     losses -= np.log(total)
     np.negative(losses, out=losses)
@@ -132,7 +158,7 @@ def _calibration_bins(task: str, num_bins: int, arrays: tuple):
         lo, hi = float(variances.min()), float(variances.max())
         return (lo, hi, *_bin_stats(variances, lo, hi, num_bins, ((means - targets) ** 2, variances)))
     probs, labels = arrays
-    conf = probs.max(axis=1)
+    conf = _row_max(probs)
     return (0.0, 1.0, *_bin_stats(conf, 0.0, 1.0, num_bins, (probs.argmax(axis=1) == labels, conf)))
 
 

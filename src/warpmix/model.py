@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, check_array, check_int, check_real
+from .errors import DatasetError, UsageError, _count, check_array, check_int, check_real
 from .rng import RngStream
 
 __all__ = [
@@ -131,12 +131,6 @@ class ForwardCache:
     # one (layer_input, pre_activation, dropout_mask) triple per layer
     records: list
     step_count: int
-
-
-def _count(n: int) -> str:
-    """A count too large to hold, for a MemoryError: three significant
-    digits, or "over 1e+308" for an int past the largest float."""
-    return f"{n:.3g}" if n < 1e308 else "over 1e+308"
 
 
 def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str = "relu") -> ModelState:

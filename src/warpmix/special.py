@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UsageError, check_array, check_int, check_real
+from .errors import DomainError, NonConvergenceError, UsageError, _count, check_array, check_int, check_real
 
 __all__ = [
     "SHAPE_MIN",
@@ -357,9 +357,14 @@ def beta_sample(alpha, rng, size=None):
     by the package's real-number rule (a finite Python or numpy int or float,
     never a bool or a string), and ``size`` an integer >= 0 by its integer
     rule (an integral float or a numpy integer counts as its integer);
-    anything else raises UsageError naming it.
+    anything else raises UsageError naming it, and a count too large to
+    hold raises MemoryError.
     """
     alpha = check_real(alpha, "alpha", "> 0", lambda v: v > 0.0)
     if size is None:
         return float(rng.beta(alpha, alpha))
-    return rng.beta(alpha, alpha, check_int(size, "size", 0))
+    size = check_int(size, "size", 0)
+    try:
+        return rng.beta(alpha, alpha, size)
+    except ValueError:  # numpy's "array is too big" or "Maximum allowed dimension exceeded"
+        raise MemoryError(f"cannot hold {_count(size)} Beta draws") from None

@@ -157,6 +157,14 @@ def test_hidden_layer_too_large_to_hold_is_runtime_error(workspace, tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+def test_warp_demo_sample_count_too_large_to_hold_is_runtime_error(tmp_path, capsys):
+    # an integer by the integer rule; numpy refuses the draws' shape with a ValueError
+    code = main(["warp-demo", "--taus", "1", "--samples", "100000000000000000000", "--out", str(tmp_path / "o")])
+    assert code == RUNTIME_EXIT
+    assert capsys.readouterr().err == "error: cannot hold 1e+20 Beta draws\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task, sizes, unit, weight, what", [
     ("reg", (3, 8, 1), 1e10, 1e300, "predicted means"),
     ("clf", (4, 8, 3), 1e10, 1e300, "validation logits"),

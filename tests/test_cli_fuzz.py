@@ -1,6 +1,7 @@
 """A seeded fuzz test of the CLI's inputs: a predictions payload, read by
-``warpmix metrics``; a checkpoint, read by ``warpmix eval``; and an
-experiment config and its ``key=value`` overrides, read by ``warpmix train``.
+``warpmix metrics``; a checkpoint, read by ``warpmix eval``; an experiment
+config and its ``key=value`` overrides, read by ``warpmix train``; and the
+CLI's own options.
 
 Each payload or checkpoint case damages one numeric leaf of a valid file:
 it becomes the number as a string, true or false, null, NaN or an
@@ -13,17 +14,23 @@ and no exception escapes it; a non-zero exit prints an ``error:`` line and
 leaves no output directory. A payload or checkpoint leaf that is no longer
 a finite number (every damage but +-1e300) breaks a rule at the edge, and
 so does a config value of NaN or an infinity, a misspelt key or an
-override without ``=``: each exits 2. SEED and CASES fix the cases; the
+override without ``=``: each exits 2. Each option case gives one option
+of ``train``, ``eval``, ``grid`` or ``warp-demo`` a damaged value: text, an
+empty value, a lone comma, NaN, an infinity, +-1e300, an integer past the
+largest float or past int64, a negative integer or a fraction. The first
+six are never numbers an option takes and exit 2, except an infinite
+``--taus``, the step-function limit. SEED and CASES fix the cases; the
 whole test takes a few seconds.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from warpmix import RngStream, init_mlp, save_model, softmax
+from warpmix import RngStream, harness, init_mlp, save_model, softmax
 from warpmix.cli import USAGE_EXIT, main
 
 from _support import synth_blobs, synth_regression, write_csv
@@ -115,7 +122,10 @@ def _run(argv, out, damage, where, capsys, usage=None):
     err = capsys.readouterr().err
     assert code in (0, 1, 2), where
     if code:
-        assert err.startswith("error: ") and "Traceback" not in err, where
+        # the program's "error: ..." line, or argparse's usage and "warpmix <verb>: error: ..." line
+        assert re.fullmatch(r"error: .+\n|usage: warpmix [^\n]*\n(?:[^\n]*\n)*warpmix [a-z-]+: error: .+\n", err,
+                            re.DOTALL), f"{where}: {err!r}"
+        assert "Traceback" not in err, where
         assert not out.exists(), where
     if usage is None:
         usage = damage not in STILL_NUMBERS
@@ -242,3 +252,72 @@ def test_damaged_config(train_configs, tmp_path, capsys, override):
         usage = damage in CONFIG_USAGE or (override and damage == "missing")  # "key" without "="
         _run(["train", "--config", str(path), "--out", str(out), *overrides], out, damage,
              f"{config['task']} config, {where}", capsys, usage)
+
+
+# each takes the case's generator and gives the option's damaged text
+OPTION_DAMAGES = {
+    "text": lambda rng: "abc",
+    "empty": lambda rng: "",
+    "comma": lambda rng: ",",
+    "nan": lambda rng: "nan",
+    "infinity": lambda rng: "inf",
+    "minus_infinity": lambda rng: "-inf",
+    "huge": lambda rng: "1e300",
+    "minus_huge": lambda rng: "-1e300",
+    "past_float": lambda rng: str(10**400),
+    "past_int64": lambda rng: str(2**63),
+    "negative": lambda rng: str(-int(rng.integers(1, 1000))),
+    "fraction": lambda rng: repr(round(float(rng.uniform(0.0, 4.0)), 3)),
+}
+OPTION_USAGE = ("text", "empty", "comma", "nan", "infinity", "minus_infinity")
+# an infinite warp strength is the step-function limit, which warp-demo draws
+ACCEPTED = {("--taus", "infinity")}
+# (verb, option, the other options of its valid command). No damage is a count that
+# can be held: --samples and --bins take only integers, --bins at most 2**53, and a
+# --samples of 2**63 or 10**400 is one no memory can hold. --jobs sizes its pool by
+# the grid's one cell.
+OPTIONS = [
+    *[(verb, "--seed", ()) for verb in ("train", "eval", "grid")],
+    *[("grid", option, ()) for option in ("--jobs", "--tau-max-list", "--tau-std-list")],
+    *[("warp-demo", option, ("--taus=1",)) for option in ("--seed", "--alpha", "--samples", "--bins", "--taus")],
+    *[("warp-demo", option, ("--distances=0.5,1",)) for option in ("--tau-max", "--tau-std", "--distances")],
+]
+
+
+class InProcessPool:
+    """The grid's process pool, run in the test's process: the cells' results
+    and the CLI's exit rule do not depend on where the cells run."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_damaged_option(train_configs, eval_inputs, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(train_configs[0]))  # a 1-epoch regression run that the checkpoint fits
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(eval_inputs[1]))
+    valid = {"train": ["--config", str(config)],
+             "eval": ["--config", str(config), "--checkpoint", str(checkpoint)],
+             "grid": ["--config", str(config), "--tau-max-list=1", "--tau-std-list=1", "--jobs=1"],
+             "warp-demo": ["--samples=10", "--bins=3"]}
+    rng = np.random.default_rng(SEED + 4)
+    for case, ((verb, option, others), damage) in enumerate(
+            (entry, damage) for entry in OPTIONS for damage in sorted(OPTION_DAMAGES)):
+        value = OPTION_DAMAGES[damage](rng)
+        out = tmp_path / f"out{case}"
+        # the damaged option comes last, so it replaces a valid one; "--opt=value" keeps a
+        # leading "-" from reading as an option
+        argv = [verb, *valid[verb], *others, "--out", str(out), f"{option}={value}"]
+        usage = damage in OPTION_USAGE and (option, damage) not in ACCEPTED
+        _run(argv, out, damage, f"{verb} {option}={value[:40]}", capsys, usage)

@@ -160,7 +160,9 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-def test_shifted_exp_shift_is_the_row_max_bit_for_bit():
+def logit_tables():
+    """(c, logits) of 52 rows over c in {1, 2, 3, 7, 8, 13} classes: gaussian
+    rows of every scale, ties, signed zeros, and rows holding infinities and NaN."""
     rng = np.random.default_rng(3)
     inf, nan = math.inf, math.nan
     special_rows = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [inf, 1.0], [1.0, inf],
@@ -170,12 +172,46 @@ def test_shifted_exp_shift_is_the_row_max_bit_for_bit():
         logits[::3] = np.round(logits[::3])  # ties
         for row in special_rows:
             logits = np.vstack([logits, (row * c)[:c]])
+        yield c, logits
+
+
+def test_shifted_exp_shift_is_the_row_max_bit_for_bit():
+    for c, logits in logit_tables():
         for shaped in (logits, logits.reshape(2, -1, c)):
             with np.errstate(over="ignore", invalid="ignore"):  # the inf rows
                 z, e = metrics_module._shifted_exp(shaped)
                 want = shaped - shaped.max(axis=-1, keepdims=True)
             assert np.array_equal(bits(z), bits(want))
             assert np.array_equal(bits(e), bits(np.exp(want)))
+
+
+def test_softmax_and_log_softmax_bit_equal_to_numpy_reductions():
+    # softmax takes its class total and its division one class column at a time;
+    # from 8 classes numpy's sum order follows the memory layout, so column-major
+    # and strided tables are checked too
+    for c, logits in logit_tables():
+        for shaped in (logits, logits.reshape(2, -1, c), logits[0], np.asfortranarray(logits), logits[:, ::-1]):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the inf and NaN rows
+                z = shaped - shaped.max(axis=-1, keepdims=True)
+                e = np.exp(z)
+                want_p, want_log_p = e / e.sum(axis=-1, keepdims=True), z - np.log(e.sum(axis=-1, keepdims=True))
+                got_p, got_log_p = softmax(shaped), log_softmax(shaped)
+            assert np.array_equal(bits(got_p), bits(want_p)), (c, shaped.shape)
+            assert np.array_equal(bits(got_log_p), bits(want_log_p)), (c, shaped.shape)
+
+
+def test_payload_bins_confidence_is_the_row_max_bit_for_bit():
+    # one row per payload and one bin, so the bin's confidence sum is the row's confidence
+    for c, logits in logit_tables():
+        if c == 1:
+            continue
+        with np.errstate(over="ignore"):  # the 1e308 row
+            probs = softmax(logits[np.isfinite(logits).all(axis=1)])
+        probs = np.vstack([probs, np.eye(c)[0], np.where(np.arange(c) == c - 1, 1.0, -0.0)])  # one-hot rows
+        for row, conf in zip(probs, probs.max(axis=1)):
+            payload = {"task": "classification", "num_bins": 1, "probs": [row.tolist()], "labels": [0],
+                       "temperature": 1.0}
+            assert bits(metrics_module.payload_bins(payload)[3][1][0]) == bits(conf), (c, row)
 
 
 # the per-temperature loss that _nll_at_temperatures must reproduce bit for bit,

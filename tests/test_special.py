@@ -503,6 +503,14 @@ def test_beta_sample_rejects_bad_size(size):
         beta_sample(0.5, RngStream(0), size=size)
 
 
+@pytest.mark.parametrize("size, shown", [(2**62, "4.61e+18"), (2**63, "9.22e+18"), (10**400, "over 1e+308")],
+                         ids=["2**62", "2**63", "10**400"])
+def test_beta_sample_count_too_large_to_hold_is_memory_error(size, shown):
+    # integers by the integer rule; numpy refuses the shape with a ValueError
+    with pytest.raises(MemoryError, match=rf"^cannot hold {re.escape(shown)} Beta draws$"):
+        beta_sample(1.0, RngStream(0), size=size)
+
+
 def test_beta_sample_advances_state():
     stream = RngStream(5)
     draws = [beta_sample(2.0, stream) for _ in range(100)]
