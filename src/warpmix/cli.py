@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DatasetError, DomainError, UsageError, WarpmixError, check_int
 from .data import split
-from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, run_experiment
+from .harness import DEFAULT_CONFIG, ExperimentConfig, _read_json, evaluate, grid_search, run_experiment
 from .metrics import _MAX_BINS, bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
@@ -129,8 +129,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = _load_config(args)
-    tau_max_list, tau_std_list = _comma_floats(args.tau_max_list), _comma_floats(args.tau_std_list)
-    result = grid_search(config, tau_max_list, tau_std_list, jobs=args.jobs)
+    result = grid_search(config, _read_json(args.cells, "cells"), jobs=args.jobs)
     out = config.output_dir
     _write(os.path.join(out, "grid.csv"), result.to_csv())
     _write(
@@ -207,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True, help="checkpoint JSON written by train")
     p_eval.set_defaults(func=_cmd_eval)
 
-    p_grid = sub.add_parser("grid", help="sweep (tau_max, tau_std) cells")
+    p_grid = sub.add_parser("grid", help="train/evaluate each cell of config overrides, write grid.csv + grid.json")
     common(p_grid)
-    p_grid.add_argument("--tau-max-list", required=True, help="comma-separated tau_max values")
-    p_grid.add_argument("--tau-std-list", required=True, help="comma-separated tau_std values")
+    p_grid.add_argument("--cells", required=True,
+                        help='JSON file holding a non-empty list of cells, each a list of key=value overrides, '
+                             'e.g. [["mixup.mode=off"], ["mixup.alpha=0.2"]]')
     p_grid.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     p_grid.set_defaults(func=_cmd_grid)
 

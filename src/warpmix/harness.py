@@ -154,12 +154,15 @@ def _typed(name: str, default, value):
     raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _check_distinct(values: list, name: str) -> None:
-    """UsageError naming the first value that ``values`` repeats: a repeated
-    seed or grid value would run the same work twice and report it as two."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise UsageError(f"{name} lists {value!r} more than once")
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, or UsageError naming it as a ``what`` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
 
 
 def _parse_override_value(text: str):
@@ -179,6 +182,8 @@ class ExperimentConfig:
     """
 
     def __init__(self, values: Optional[dict] = None):
+        if not isinstance(values, (dict, type(None))):
+            raise UsageError(f"a config must be a table, got {values!r}")
         self._values = _merge_with_defaults(DEFAULT_CONFIG, values or {})
         v = self._values
         if v["task"] not in ("regression", "classification"):
@@ -188,7 +193,9 @@ class ExperimentConfig:
                              f"regression, got {v['num_classes']!r} for {v['task']}")
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
-        _check_distinct(v["seeds"], "seeds")
+        for i, seed in enumerate(v["seeds"]):
+            if seed in v["seeds"][:i]:  # it would train the same run twice and report it as two
+                raise UsageError(f"seeds lists {seed!r} more than once")
         check_fractions(v["split_fractions"])
         if v["model"]["activation"] not in ACTIVATIONS:
             raise UsageError(f"model.activation must be one of {ACTIVATIONS}, got {v['model']['activation']!r}")
@@ -209,22 +216,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, overrides=()) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        values = _read_json(path, "config")
+        if values is None:  # JSON null reads as None, which ExperimentConfig() takes as all defaults
+            raise UsageError("a config must be a table, got None")
         return cls(values).with_overrides(overrides)
 
     def with_overrides(self, overrides) -> "ExperimentConfig":
-        """Apply dotted-path key=value overrides (e.g. mixup.alpha=0.5)."""
+        """Apply dotted-path key=value overrides (e.g. mixup.alpha=0.5), given
+        as a list or tuple of strings."""
+        if not isinstance(overrides, (list, tuple)):
+            raise UsageError(f"overrides must be a list of key=value strings, got {overrides!r}")
         if not overrides:
             return self
         values = copy.deepcopy(self._values)
         for item in overrides:
-            if "=" not in item:
+            if not isinstance(item, str) or "=" not in item:
                 raise UsageError(f"override {item!r} is not of the form key=value")
             dotted, _, raw = item.partition("=")
             node = values
@@ -494,36 +500,26 @@ def run_experiment(config: ExperimentConfig, dataset: Optional[Dataset] = None) 
 
 @dataclass
 class GridResult:
-    cells: list  # {"tau_max", "tau_std", "status", "error", "mean", "std"}
-    rows: list  # long format: {"tau_max", "tau_std", "seed", "metric", "value"}
+    cells: list  # {"cell", "overrides", "status", "error", "mean", "std"}
+    rows: list  # long format: {"cell", "seed", "metric", "value"}
 
     def to_csv(self) -> str:
-        lines = ["tau_max,tau_std,seed,metric,value"]
+        lines = ["cell,seed,metric,value"]
         for row in self.rows:
-            lines.append(
-                f"{row['tau_max']!r},{row['tau_std']!r},{row['seed']},{row['metric']},{row['value']!r}"
-            )
+            lines.append(f"{row['cell']},{row['seed']},{row['metric']},{row['value']!r}")
         return "\n".join(lines) + "\n"
 
 
-def _cell_config(config: ExperimentConfig, tau_max: float, tau_std: float) -> ExperimentConfig:
-    values = config.to_dict()
-    for side in ("input_kernel", "output_kernel"):
-        kernel = values["mixup"][side] or {}
-        kernel["tau_max"] = tau_max
-        kernel["tau_std"] = tau_std
-        values["mixup"][side] = kernel
-    return ExperimentConfig(values)
+# every cell trains on the one dataset loaded from the grid's config and writes to its one directory
+_GRID_SHARED = ("dataset", "task", "num_classes", "output_dir")
 
 
 def _run_cell(args):
-    values, tau_max, tau_std, dataset = args
-    config = ExperimentConfig(values)
+    values, dataset = args
     try:
-        result = run_experiment(config, dataset)
-    except (WarpmixError, FloatingPointError) as exc:
-        return tau_max, tau_std, None, f"{type(exc).__name__}: {exc}"
-    return tau_max, tau_std, result.report, None
+        return run_experiment(ExperimentConfig(values), dataset).report, None
+    except (WarpmixError, FloatingPointError, MemoryError) as exc:  # MemoryError: e.g. a huge metrics.mc_samples
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -536,38 +532,39 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def grid_search(
-    config: ExperimentConfig,
-    tau_max_list,
-    tau_std_list,
-    jobs: int = 1,
-    dataset: Optional[Dataset] = None,
-) -> GridResult:
-    """Train/evaluate each (tau_max, tau_std) cell; failures don't stop the sweep.
+def grid_search(config: ExperimentConfig, cells, jobs: int = 1, dataset: Optional[Dataset] = None) -> GridResult:
+    """Train/evaluate each cell; failures don't stop the sweep.
 
-    Each cell runs every seed of ``config``. Cells are independent
-    deterministic jobs: results depend only on the cell config, never on
-    execution order or worker count. Each list is a non-empty list or tuple
-    of numbers > 0 by the package's real-number rule, stored as floats;
-    anything else, or a value repeated in either list, raises UsageError
-    naming the list.
+    ``cells`` is a non-empty list or tuple of cells, each a list or tuple of
+    ``key=value`` overrides, and cell i runs
+    ``config.with_overrides(cells[i])`` for every seed it holds. Every cell
+    is checked before any runs: an override the config rejects, a cell whose
+    effective config repeats an earlier one's, or a cell that changes
+    ``dataset``, ``task``, ``num_classes`` or ``output_dir`` raises
+    UsageError naming the cell's index. Cells are independent deterministic
+    jobs: results depend only on the cell config, never on execution order
+    or worker count.
     """
     jobs = check_int(jobs, "jobs", 1)
-    checked = []
-    for name, values in (("tau_max_list", tau_max_list), ("tau_std_list", tau_std_list)):
-        if not isinstance(values, (list, tuple)) or not values:
-            raise UsageError(f"{name} must be a non-empty list of numbers > 0, got {values!r}")
-        checked.append([check_real(t, name, "> 0", lambda v: v > 0.0) for t in values])
-        _check_distinct(checked[-1], name)
-    tau_max_list, tau_std_list = checked
+    if not isinstance(cells, (list, tuple)) or not cells:
+        raise UsageError(f"cells must be a non-empty list of override lists, got {cells!r}")
+    base = config.to_dict()
+    effective = []
+    for i, cell in enumerate(cells):
+        try:
+            values = config.with_overrides(cell).to_dict()
+        except UsageError as exc:
+            raise UsageError(f"cell {i}: {exc}") from None
+        changed = [key for key in _GRID_SHARED if values[key] != base[key]]
+        if changed:
+            raise UsageError(f"cell {i}: changes {changed[0]}, which every cell of a grid shares")
+        if values in effective:
+            raise UsageError(f"cell {i}: repeats the effective config of cell {effective.index(values)}")
+        effective.append(values)
     if dataset is None:
         dataset = config.load_dataset()
 
-    tasks = [
-        (_cell_config(config, tm, ts).to_dict(), tm, ts, dataset)
-        for tm in tau_max_list
-        for ts in tau_std_list
-    ]
+    tasks = [(values, dataset) for values in effective]
     if jobs > 1:
         # under fork the pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
@@ -575,25 +572,14 @@ def grid_search(
     else:
         outcomes = [_run_cell(t) for t in tasks]
 
-    cells = []
-    rows = []
-    for tau_max, tau_std, report, error in outcomes:
+    results, rows = [], []
+    for i, (cell, (report, error)) in enumerate(zip(cells, outcomes)):
+        results.append({"cell": i, "overrides": list(cell), "status": "failed", "error": error,
+                        "mean": None, "std": None})
         if report is None:
-            cells.append(
-                {"tau_max": tau_max, "tau_std": tau_std, "status": "failed", "error": error,
-                 "mean": None, "std": None}
-            )
             continue
-        cells.append(
-            {"tau_max": tau_max, "tau_std": tau_std, "status": "ok", "error": None,
-             "mean": report.mean, "std": report.std}
-        )
-        for seed, metrics in sorted(report.per_seed.items()):
-            for name, value in metrics.items():
-                if value is None:
-                    continue
-                rows.append(
-                    {"tau_max": tau_max, "tau_std": tau_std, "seed": seed,
-                     "metric": name, "value": float(value)}
-                )
-    return GridResult(cells=cells, rows=rows)
+        results[-1].update(status="ok", mean=report.mean, std=report.std)
+        rows.extend({"cell": i, "seed": seed, "metric": name, "value": float(value)}
+                    for seed, metrics in sorted(report.per_seed.items())
+                    for name, value in metrics.items() if value is not None)
+    return GridResult(cells=results, rows=rows)

@@ -85,16 +85,9 @@ def _grid_workers(jobs, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_run_cell", lambda task: (task[1], task[2], None, "skipped"))
-    grid = grid_search(ExperimentConfig(), [0.5, 1.0, 2.0], [1.0], jobs=jobs, dataset=DATA)
+    monkeypatch.setattr(harness, "_run_cell", lambda task: (None, "skipped"))
+    grid = grid_search(ExperimentConfig(), [[], ["mixup.alpha=1"], ["mixup.alpha=2"]], jobs=jobs, dataset=DATA)
     return sizes, grid.cells
-
-
-def _grid_cell(tau_max, tau_std, monkeypatch):
-    """The one cell of a grid over [tau_max] x [tau_std], with the cell
-    replaced so that nothing trains."""
-    monkeypatch.setattr(harness, "_run_cell", lambda task: (task[1], task[2], None, "skipped"))
-    return grid_search(ExperimentConfig(), [tau_max], [tau_std], dataset=DATA).cells[0]
 
 
 def _checkpoint_step_count(step_count, tmp_path):
@@ -195,8 +188,6 @@ REAL_ARGUMENTS = {
     "KernelConfig.tau_max": ("tau_max", 0.0, lambda v, _: KernelConfig(tau_max=v, tau_std=1.0).tau_max),
     "KernelConfig.tau_std": ("tau_std", -1.0, lambda v, _: KernelConfig(tau_max=1.0, tau_std=v).tau_std),
     "MixupConfig.alpha": ("alpha", 0.0, lambda v, _: MixupConfig(alpha=v, mode="vanilla").alpha),
-    "grid_search.tau_max_list": ("tau_max_list", -1.0, lambda v, mp: _grid_cell(v, 1.0, mp)["tau_max"]),
-    "grid_search.tau_std_list": ("tau_std_list", 0.0, lambda v, mp: _grid_cell(1.0, v, mp)["tau_std"]),
 }
 # entry points that use the value without keeping it: each call returns its result
 USED_REALS = {
@@ -241,12 +232,12 @@ def test_real_argument_gives_the_float_result(entry, value, monkeypatch):
     lambda: split(DATA, 0.6, 0),
     lambda: split(DATA, None, 0),
     lambda: split(DATA, np.array([0.6, 0.2, 0.2]), 0),
-    lambda: grid_search(ExperimentConfig(), 0.5, [1.0], dataset=DATA),
-    lambda: grid_search(ExperimentConfig(), [0.5], "1", dataset=DATA),
-], ids=["split_float", "split_none", "split_array", "grid_tau_max_float", "grid_tau_std_string"])
-def test_fractions_and_tau_lists_must_be_lists(call):
+    lambda: grid_search(ExperimentConfig(), 0.5, dataset=DATA),
+    lambda: grid_search(ExperimentConfig(), "mixup.alpha=1", dataset=DATA),
+], ids=["split_float", "split_none", "split_array", "grid_cells_float", "grid_cells_string"])
+def test_fractions_and_cells_must_be_lists(call):
     # a bare number or None used to raise a bare TypeError, a string to split into characters
-    with pytest.raises(UsageError, match=r"(split_fractions|tau_max_list|tau_std_list) must be a (non-empty )?list"):
+    with pytest.raises(UsageError, match=r"(split_fractions|cells) must be a (non-empty )?list"):
         call()
 
 

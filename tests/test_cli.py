@@ -73,7 +73,9 @@ def workspace(tmp_path_factory):
         },
         "metrics": {"num_bins": 5, "mc_samples": 10},
     }))
-    return {"root": root, "reg_config": reg_config, "clf_config": clf_config}
+    cells = root / "cells.json"
+    cells.write_text("[[]]")  # one cell: the config as it is
+    return {"root": root, "reg_config": reg_config, "clf_config": clf_config, "cells": cells}
 
 
 # -------------------------------------------------------------- exit codes
@@ -98,6 +100,19 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert code == USAGE_EXIT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", ["[]", "null", "0", "false", "5", "[1]", '"x"', '[{"seeds": [1]}]'])
+@pytest.mark.parametrize("verb", ["train", "grid"])
+def test_config_that_is_not_an_object_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb,
+                                                                         content):
+    # [], null, 0 and false used to run the default config, 5 and [1] to escape as a TypeError
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    extra = ["--cells", str(workspace["cells"])] if verb == "grid" else []
+    assert main([verb, "--config", str(config), "--out", str(tmp_path / "o"), *extra]) == USAGE_EXIT
+    assert capsys.readouterr().err == f"error: a config must be a table, got {json.loads(content)!r}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_override_is_usage_error(workspace, tmp_path, capsys):
@@ -256,7 +271,7 @@ def test_cli_writes_only_inside_output_dir(workspace, tmp_path, monkeypatch, cap
     created = set(os.listdir(tmp_path)) - before
     assert created == {"run"}
     assert set(os.listdir(workspace["root"])) == {
-        "reg.csv", "reg_config.json", "clf.csv", "clf_config.json"
+        "reg.csv", "reg_config.json", "clf.csv", "clf_config.json", "cells.json"
     }
     capsys.readouterr()
 
@@ -482,17 +497,16 @@ def test_bad_evaluation_setting_fails_before_training(workspace, tmp_path, capsy
     ("train", [], "seeds=[0,-1]", "seeds"),
     ("train", [], "model.hidden=[8.5]", "model.hidden"),
     ("train", [], "output_dir=3", "output_dir"),
-    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "split_fractions=[0.5,0.5,0.5]",
-     "split_fractions"),
+    ("grid", ["--cells", "{cells}"], "split_fractions=[0.5,0.5,0.5]", "split_fractions"),
     ("train", [], "model.hidden=[]", "model.hidden"),  # regression's MC dropout needs a hidden layer
     ("train", [], "seeds=[1,0,1]", "seeds lists 1 more than once"),  # seed 1 would train twice
-    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"], "seeds=[0,0]", "seeds lists 0 more than once"),
+    ("grid", ["--cells", "{cells}"], "seeds=[0,0]", "seeds lists 0 more than once"),
 ])
 def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra,
                                                        override, key):
     # seed 0 of seeds=[0,-1] would train; a grid would record every cell as failed and exit 0
     code = main([verb, "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
-                 *extra, override])
+                 *[arg.format(**workspace) for arg in extra], override])
     assert code == USAGE_EXIT
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -500,12 +514,12 @@ def test_bad_config_fails_before_the_output_dir_exists(workspace, tmp_path, caps
 
 @pytest.mark.parametrize("verb, extra", [
     ("train", []),
-    ("grid", ["--tau-max-list", "1", "--tau-std-list", "1"]),
+    ("grid", ["--cells", "{cells}"]),
 ])
 def test_missing_dataset_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb, extra):
     missing = tmp_path / "missing.csv"
     code = main([verb, "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
-                 *extra, f"dataset.path={missing}"])
+                 *[arg.format(**workspace) for arg in extra], f"dataset.path={missing}"])
     assert code == USAGE_EXIT
     assert "dataset file not found" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -538,7 +552,7 @@ def test_empty_out_flag_is_usage_error(workspace, tmp_path, monkeypatch, capsys,
     argv = {
         "train": ["train", *config],
         "eval": ["eval", *config, "--checkpoint", str(checkpoint)],
-        "grid": ["grid", *config, "--tau-max-list", "1", "--tau-std-list", "1"],
+        "grid": ["grid", *config, "--cells", str(workspace["cells"])],
         "warp-demo": ["warp-demo", "--taus", "1", "--samples", "10"],
         "metrics": ["metrics", "--predictions", str(predictions)],
     }[verb]
@@ -581,29 +595,21 @@ def test_eval_bad_checkpoint_is_usage_error(workspace, tmp_path, capsys, content
 
 def test_grid_command_outputs(workspace, tmp_path, capsys):
     out = tmp_path / "grid"
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([["mixup.input_kernel.tau_max=0.5"], ["mixup.mode=vanilla", "mixup.alpha=0.2"]]))
     code = main([
-        "grid", "--config", str(workspace["reg_config"]), "--out", str(out),
-        "--tau-max-list", "0.5,1.0", "--tau-std-list", "1.0",
+        "grid", "--config", str(workspace["reg_config"]), "--out", str(out), "--cells", str(cells),
         "optimizer.epochs=1",
     ])
     assert code == 0
     assert (out / "effective_config.json").is_file()
-    cells = json.loads((out / "grid.json").read_text())["cells"]
-    assert len(cells) == 2 and all(c["status"] == "ok" for c in cells)
+    grid = json.loads((out / "grid.json").read_text())["cells"]
+    assert [(c["cell"], c["overrides"], c["status"]) for c in grid] == [
+        (0, ["mixup.input_kernel.tau_max=0.5"], "ok"), (1, ["mixup.mode=vanilla", "mixup.alpha=0.2"], "ok")]
     lines = (out / "grid.csv").read_text().strip().splitlines()
-    assert lines[0] == "tau_max,tau_std,seed,metric,value"
-    taus = {line.split(",")[0] for line in lines[1:]}
-    assert taus == {"0.5", "1.0"}
+    assert lines[0] == "cell,seed,metric,value"
+    assert {line.split(",")[0] for line in lines[1:]} == {"0", "1"}
     assert "2/2" in capsys.readouterr().out
-
-
-def test_grid_bad_tau_list_is_usage_error(workspace, tmp_path, capsys):
-    code = main([
-        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
-        "--tau-max-list", "0.5,abc", "--tau-std-list", "1.0",
-    ])
-    assert code == USAGE_EXIT
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("tau_std", ["1e-300", "1e200"])
@@ -611,9 +617,11 @@ def test_grid_bad_tau_list_is_usage_error(workspace, tmp_path, capsys):
 def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path, capsys, verb, tau_std):
     # 2 tau_std^2 underflows to 0 or overflows: the kernel would divide by it at the first mixed step
     config = ["--config", str(workspace["reg_config"])]
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([[], [f"mixup.input_kernel.tau_std={tau_std}"]]))
     argv = {
         "train": ["train", *config, f"mixup.input_kernel.tau_std={tau_std}"],
-        "grid": ["grid", *config, "--tau-max-list", "1", "--tau-std-list", f"1,{tau_std}"],
+        "grid": ["grid", *config, "--cells", str(cells)],
         "warp-demo": ["warp-demo", "--distances", "1,2", "--tau-std", tau_std],
     }[verb]
     assert main([*argv, "--out", str(tmp_path / "o")]) == USAGE_EXIT
@@ -621,31 +629,38 @@ def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("tau_max_list", ["0.5,abc", "", " , "])
-def test_grid_bad_tau_list_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, tau_max_list):
-    code = main([
-        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
-        "--tau-max-list", tau_max_list, "--tau-std-list", "1.0",
-    ])
-    assert code == USAGE_EXIT
-    assert "expected comma-separated numbers" in capsys.readouterr().err
-    assert not (tmp_path / "g").exists()
+# the cells file's text (None: no file), the config it runs under and the error it gives
+BAD_CELLS = {
+    "missing_file": (None, "reg_config", "cannot read cells file"),
+    "not_json": ("[[]", "reg_config", "is not valid JSON"),
+    "empty": ("[]", "reg_config", "cells must be a non-empty list of override lists, got []"),
+    "table": ('{"cells": [[]]}', "reg_config", "cells must be a non-empty list of override lists"),
+    "number": ("0.5", "reg_config", "cells must be a non-empty list of override lists, got 0.5"),
+    "cell_not_a_list": ('[[], "mixup.alpha=1"]', "reg_config", "cell 1: overrides must be a list"),
+    "item_not_a_string": ("[[1]]", "reg_config", "cell 0: override 1 is not of the form key=value"),
+    "bad_override": ('[["mixup.alpha=2"], ["mixup.alpha=abc"]]', "reg_config", "cell 1: config key 'mixup.alpha'"),
+    "unknown_key": ('[["mixup.gamma=1"]]', "reg_config", "cell 0: unknown config key 'mixup.gamma'"),
+    "repeated": ('[["mixup.alpha=1"], ["mixup.alpha=1.0"]]', "reg_config",
+                 "cell 1: repeats the effective config of cell 0"),
+    "dataset": ('[["dataset.path=other.csv"]]', "reg_config", "cell 0: changes dataset"),
+    "task": ('[["task=classification", "num_classes=2", "mixup.output_kernel.backend=class_weight"]]',
+             "reg_config", "cell 0: changes task"),
+    "num_classes": ('[["num_classes=4"]]', "clf_config", "cell 0: changes num_classes"),
+    "output_dir": ('[[], ["output_dir=elsewhere"]]', "reg_config", "cell 1: changes output_dir"),
+}
 
 
-@pytest.mark.parametrize("tau_max_list, tau_std_list, message", [
-    ("0.5,0.5", "1.0", "tau_max_list lists 0.5 more than once"),
-    ("1,2,1.0", "1.0", "tau_max_list lists 1.0 more than once"),
-    ("1.0", "1.5,2,1.5", "tau_std_list lists 1.5 more than once"),
-])
-def test_grid_repeated_value_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, tau_max_list,
-                                                                tau_std_list, message):
-    # the repeated cell used to run twice and write its rows twice
-    code = main([
-        "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
-        "--tau-max-list", tau_max_list, "--tau-std-list", tau_std_list,
-    ])
+@pytest.mark.parametrize("case", sorted(BAD_CELLS))
+def test_grid_bad_cells_fail_before_the_output_dir_exists(workspace, tmp_path, monkeypatch, capsys, case):
+    text, config, message = BAD_CELLS[case]
+    monkeypatch.setattr(harness, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    cells = tmp_path / "cells.json"
+    if text is not None:
+        cells.write_text(text)
+    code = main(["grid", "--config", str(workspace[config]), "--out", str(tmp_path / "g"), "--cells", str(cells)])
     assert code == USAGE_EXIT
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "g").exists()
 
 
@@ -653,7 +668,7 @@ def test_grid_repeated_value_fails_before_the_output_dir_exists(workspace, tmp_p
 def test_grid_bad_jobs_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, jobs):
     code = main([
         "grid", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "g"),
-        "--tau-max-list", "1", "--tau-std-list", "1", "--jobs", jobs,
+        "--cells", str(workspace["cells"]), "--jobs", jobs,
     ])
     assert code == USAGE_EXIT
     assert "jobs must be an integer >= 1" in capsys.readouterr().err

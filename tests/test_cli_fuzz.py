@@ -19,8 +19,12 @@ of ``train``, ``eval``, ``grid`` or ``warp-demo`` a damaged value: text, an
 empty value, a lone comma, NaN, an infinity, +-1e300, an integer past the
 largest float or past int64, a negative integer or a fraction. The first
 six are never numbers an option takes and exit 2, except an infinite
-``--taus``, the step-function limit. SEED and CASES fix the cases; the
-whole test takes a few seconds.
+``--taus``, the step-function limit. The same damages go to a kernel's
+``tau_max`` or ``tau_std`` inside a ``grid`` cells file, and the cells
+file is damaged whole too: not JSON, not a list, an empty list, a cell
+that is not a list, an override that is not a string, a repeated cell or
+a cell that sets ``dataset.path``, each of which exits 2. SEED and CASES
+fix the cases; the whole test takes a few seconds.
 """
 
 import json
@@ -278,7 +282,7 @@ ACCEPTED = {("--taus", "infinity")}
 # the grid's one cell.
 OPTIONS = [
     *[(verb, "--seed", ()) for verb in ("train", "eval", "grid")],
-    *[("grid", option, ()) for option in ("--jobs", "--tau-max-list", "--tau-std-list")],
+    *[("grid", option, ()) for option in ("--jobs", "--cells")],
     *[("warp-demo", option, ("--taus=1",)) for option in ("--seed", "--alpha", "--samples", "--bins", "--taus")],
     *[("warp-demo", option, ("--distances=0.5,1",)) for option in ("--tau-max", "--tau-std", "--distances")],
 ]
@@ -307,9 +311,11 @@ def test_damaged_option(train_configs, eval_inputs, tmp_path, capsys, monkeypatc
     config.write_text(json.dumps(train_configs[0]))  # a 1-epoch regression run that the checkpoint fits
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(json.dumps(eval_inputs[1]))
+    cells = tmp_path / "cells.json"
+    cells.write_text("[[]]")
     valid = {"train": ["--config", str(config)],
              "eval": ["--config", str(config), "--checkpoint", str(checkpoint)],
-             "grid": ["--config", str(config), "--tau-max-list=1", "--tau-std-list=1", "--jobs=1"],
+             "grid": ["--config", str(config), f"--cells={cells}", "--jobs=1"],
              "warp-demo": ["--samples=10", "--bins=3"]}
     rng = np.random.default_rng(SEED + 4)
     for case, ((verb, option, others), damage) in enumerate(
@@ -321,3 +327,31 @@ def test_damaged_option(train_configs, eval_inputs, tmp_path, capsys, monkeypatc
         argv = [verb, *valid[verb], *others, "--out", str(out), f"{option}={value}"]
         usage = damage in OPTION_USAGE and (option, damage) not in ACCEPTED
         _run(argv, out, damage, f"{verb} {option}={value[:40]}", capsys, usage)
+
+
+# each gives the text of a damaged cells file; every one exits 2
+CELLS_DAMAGES = {
+    "not_json": '[["mixup.alpha=1"]',
+    "not_a_list": '{"mixup.alpha": 1}',
+    "empty": "[]",
+    "cell_not_a_list": '[[], "mixup.alpha=1"]',
+    "item_not_a_string": '[["mixup.alpha=1", 1]]',
+    "repeated_cell": '[["mixup.alpha=1"], [], ["mixup.alpha=1.0"]]',
+    "dataset_path": '[[], ["dataset.path=other.csv"]]',
+}
+
+
+def test_damaged_cells(train_configs, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(train_configs[0]))
+    rng = np.random.default_rng(SEED + 5)
+    # (the file's text, the damage, whether it must exit 2); the first cell is the config as it is
+    cases = [(json.dumps([[], [f"mixup.input_kernel.{key}={OPTION_DAMAGES[damage](rng)}"]]), damage,
+              damage in OPTION_USAGE) for key in ("tau_max", "tau_std") for damage in sorted(OPTION_DAMAGES)]
+    cases += [(text, damage, True) for damage, text in sorted(CELLS_DAMAGES.items())]
+    for case, (text, damage, usage) in enumerate(cases):
+        cells, out = tmp_path / f"cells{case}.json", tmp_path / f"out{case}"
+        cells.write_text(text)
+        argv = ["grid", "--config", str(config), f"--cells={cells}", "--jobs=2", "--out", str(out)]
+        _run(argv, out, damage, f"grid cells {text[:60]}", capsys, usage)

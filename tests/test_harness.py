@@ -1,5 +1,5 @@
 """Tests for experiment configuration, the training loop, evaluation,
-reports, and the (tau_max, tau_std) grid runner.
+reports, and the grid runner over lists of config overrides.
 """
 
 import copy
@@ -224,6 +224,29 @@ def test_overrides_reject_unknown_and_malformed():
         no_kernel.with_overrides(["mixup.input_kernel.zzz=2"])
     kernel = no_kernel.with_overrides(["mixup.input_kernel.tau_max=2"]).to_dict()["mixup"]["input_kernel"]
     assert kernel == {**DEFAULT_CONFIG["mixup"]["input_kernel"], "tau_max": 2}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ([3], "override 3 is not of the form key=value"),
+    ([None], "override None is not of the form key=value"),
+    (["mixup.alpha=0.7", ["seeds=[1]"]], "override ['seeds=[1]'] is not of the form key=value"),
+    ("mixup.alpha=0.5", "overrides must be a list of key=value strings, got 'mixup.alpha=0.5'"),
+    (None, "overrides must be a list of key=value strings, got None"),
+    ({"mixup.alpha": 0.5}, "overrides must be a list of key=value strings, got {'mixup.alpha': 0.5}"),
+])
+def test_overrides_must_be_a_list_of_strings(overrides, message):
+    # [3] raised a bare TypeError, and a bare string was read character by character
+    with pytest.raises(UsageError, match="^" + re.escape(message) + "$"):
+        ExperimentConfig().with_overrides(overrides)
+    assert ExperimentConfig().with_overrides(("mixup.alpha=0.7",)).to_dict()["mixup"]["alpha"] == 0.7
+
+
+@pytest.mark.parametrize("values", [[], 0, False, "", 5, [1], "x", [{"seeds": [1]}]])
+def test_config_must_be_a_table(values):
+    # [], 0, False and "" used to give the default config, 5 and [1] a bare TypeError
+    with pytest.raises(UsageError, match="^" + re.escape(f"a config must be a table, got {values!r}") + "$"):
+        ExperimentConfig(values)
+    assert ExperimentConfig(None).to_dict() == ExperimentConfig({}).to_dict() == DEFAULT_CONFIG
 
 
 def test_config_round_trips_through_dict_and_file(tmp_path):
@@ -732,14 +755,24 @@ def test_seed_isolation():
 
 # -------------------------------------------------------------------- grid
 
+TAU_CELL = [f"mixup.{kernel}.{key}={value}" for kernel in ("input_kernel", "output_kernel")
+            for key, value in (("tau_max", 0.5), ("tau_std", 1.5))]
 
-def test_grid_single_cell_equals_single_run():
-    cfg = tiny_config()
-    grid = grid_search(cfg, [0.5], [1.5], dataset=REG_DATA)
+
+@pytest.mark.parametrize("task, cell", [
+    ("regression", TAU_CELL),
+    ("regression", ["mixup.mode=vanilla", "mixup.alpha=0.2"]),
+    ("classification", ["mixup.input_kernel.backend=embedding", "mixup.output_kernel.backend=embedding",
+                        "mixup.alpha=1.5"]),
+], ids=["tau", "vanilla", "embedding"])
+def test_grid_single_cell_equals_single_run(task, cell):
+    cfg = tiny_config(task)
+    dataset = REG_DATA if task == "regression" else CLF_DATA
+    grid = grid_search(cfg, [cell], dataset=dataset)
     assert len(grid.cells) == 1 and grid.cells[0]["status"] == "ok"
+    assert grid.cells[0]["overrides"] == cell
 
-    cell_cfg = harness._cell_config(cfg, 0.5, 1.5)
-    direct = run_experiment(cell_cfg, dataset=REG_DATA).report
+    direct = run_experiment(cfg.with_overrides(cell), dataset=dataset).report
     assert grid.cells[0]["mean"] == direct.mean
     by_metric = {r["metric"]: r["value"] for r in grid.rows}
     for name, value in direct.per_seed[0].items():
@@ -750,8 +783,9 @@ def test_grid_single_cell_equals_single_run():
 def test_identical_cells_identical_results():
     # one grid may not repeat a cell, so the same cell runs in two grids, in either order
     cfg = tiny_config()
-    first = grid_search(cfg, [0.5, 2.0], [1.0], dataset=REG_DATA)
-    second = grid_search(cfg, [2.0, 0.5], [1.0], dataset=REG_DATA)
+    low, high = ["mixup.input_kernel.tau_max=0.5"], ["mixup.input_kernel.tau_max=2.0"]
+    first = grid_search(cfg, [low, high], dataset=REG_DATA)
+    second = grid_search(cfg, [high, low], dataset=REG_DATA)
     assert first.cells[0]["mean"] == second.cells[1]["mean"]
     assert first.cells[0]["std"] == second.cells[1]["std"]
 
@@ -767,44 +801,72 @@ def test_repeated_seed_rejected():
 
 
 def test_grid_rejects_repeated_values(monkeypatch):
-    # a repeated value ran its cells twice and wrote their rows twice; no cell runs now
+    # a repeated cell would run twice and write its rows twice; no cell runs now
     monkeypatch.setattr(harness, "run_experiment", lambda *args, **kwargs: pytest.fail("a cell ran"))
     cfg = tiny_config()
-    for tau_max_list, tau_std_list, message in (
-        ([0.5, 0.5], [1.0], "tau_max_list lists 0.5 more than once"),
-        ([1, 2.0, 1.0], [1.0], "tau_max_list lists 1.0 more than once"),
-        ([0.5], [1.5, 2.0, 1.5], "tau_std_list lists 1.5 more than once"),
+    for cells, message in (
+        ([["mixup.alpha=1"], ["mixup.alpha=1.0"]], "cell 1: repeats the effective config of cell 0"),
+        ([[], ["mixup.alpha=2"], ["mixup.alpha=0.5"]], "cell 2: repeats the effective config of cell 0"),
+        ([["mixup.alpha=2"], ["optimizer.epochs=3", "mixup.alpha=2", "optimizer.epochs=2"]],
+         "cell 1: repeats the effective config of cell 0"),
     ):
-        with pytest.raises(UsageError, match=message):
-            grid_search(cfg, tau_max_list, tau_std_list, dataset=REG_DATA)
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            grid_search(cfg, cells, dataset=REG_DATA)
+
+
+@pytest.mark.parametrize("cells, message", [
+    (None, "cells must be a non-empty list of override lists, got None"),
+    ({"mixup.alpha": 1}, "cells must be a non-empty list of override lists"),
+    (["mixup.alpha=1"], "cell 0: overrides must be a list of key=value strings, got 'mixup.alpha=1'"),
+    ([[], None], "cell 1: overrides must be a list of key=value strings, got None"),
+    ([["mixup.alpha=1", 3]], "cell 0: override 3 is not of the form key=value"),
+    ([[], ["mixup.alpha=-1"]], "cell 1: alpha must be a finite number > 0, got -1"),
+    ([["mixup.zzz=1"]], "cell 0: unknown config key 'mixup.zzz'"),
+    ([["dataset.path=other.csv"]], "cell 0: changes dataset, which every cell of a grid shares"),
+    ([[], ["dataset.target_column=0"]], "cell 1: changes dataset, which every cell of a grid shares"),
+    ([["task=classification", "num_classes=3", "mixup.output_kernel.backend=class_weight"]],
+     "cell 0: changes task, which every cell of a grid shares"),
+    ([["output_dir=elsewhere"]], "cell 0: changes output_dir, which every cell of a grid shares"),
+], ids=["none", "table", "cell_string", "cell_none", "item_number", "bad_value", "unknown_key", "dataset_path",
+        "target_column", "task", "output_dir"])
+def test_grid_checks_every_cell_before_any_runs(monkeypatch, cells, message):
+    # the config has no dataset.path, so a grid that got past its cells would fail to load one
+    monkeypatch.setattr(harness, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    with pytest.raises(UsageError, match="^" + re.escape(message)):
+        grid_search(tiny_config(), cells)
+
+
+def test_grid_rejects_a_cell_that_changes_num_classes(monkeypatch):
+    monkeypatch.setattr(harness, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    with pytest.raises(UsageError, match="^cell 0: changes num_classes, which every cell of a grid shares"):
+        grid_search(tiny_config("classification"), [["num_classes=4"]], dataset=CLF_DATA)
 
 
 def test_grid_seed_override_and_empty_lists():
     cfg = tiny_config(seeds=[4, 5])
-    grid = grid_search(cfg, [1.0], [1.0], dataset=REG_DATA)
-    assert sorted({r["seed"] for r in grid.rows}) == [4, 5]
-    with pytest.raises(UsageError):
-        grid_search(cfg, [], [1.0], dataset=REG_DATA)
-    with pytest.raises(UsageError):
-        grid_search(cfg, [1.0], [], dataset=REG_DATA)
+    grid = grid_search(cfg, [[], ["seeds=[7]"]], dataset=REG_DATA)
+    assert sorted({(r["cell"], r["seed"]) for r in grid.rows}) == [(0, 4), (0, 5), (1, 7)]
+    with pytest.raises(UsageError, match="cells must be a non-empty list"):
+        grid_search(cfg, [], dataset=REG_DATA)
 
 
 def test_grid_contains_cell_failures(monkeypatch):
     real = harness.run_experiment
 
     def flaky(config, dataset=None):
-        if config.to_dict()["mixup"]["input_kernel"]["tau_max"] == 2.0:
+        if config.to_dict()["mixup"]["alpha"] == 2.0:
             raise DivergenceError("boom", trace=[])
         return real(config, dataset)
 
     monkeypatch.setattr(harness, "run_experiment", flaky)
-    cfg = tiny_config()
-    grid = grid_search(cfg, [1.0, 2.0], [1.0], dataset=REG_DATA)
-    by_tau = {c["tau_max"]: c for c in grid.cells}
-    assert by_tau[1.0]["status"] == "ok"
-    assert by_tau[2.0]["status"] == "failed"
-    assert "DivergenceError" in by_tau[2.0]["error"]
-    assert {r["tau_max"] for r in grid.rows} == {1.0}
+    # a cell too large to hold used to end the grid with MemoryError, losing the other cells
+    grid = grid_search(tiny_config(), [[], ["mixup.alpha=2"], ["metrics.mc_samples=1e300"]], dataset=REG_DATA)
+    assert [c["status"] for c in grid.cells] == ["ok", "failed", "failed"]
+    failed = grid.cells[1]
+    assert (failed["cell"], failed["overrides"], failed["mean"], failed["std"]) == (1, ["mixup.alpha=2"], None, None)
+    assert "DivergenceError" in failed["error"]
+    assert grid.cells[2]["error"] == "MemoryError: cannot hold 1e+300 MC-dropout samples"
+    assert {r["cell"] for r in grid.rows} == {0}
 
 
 def test_grid_all_cells_diverging_still_returns():
@@ -812,23 +874,24 @@ def test_grid_all_cells_diverging_still_returns():
         optimizer__kind="sgd_momentum", optimizer__learning_rate=1e12, optimizer__epochs=2
     )
     with np.errstate(over="ignore"):
-        grid = grid_search(cfg, [1.0, 0.5], [1.0], dataset=REG_DATA)
+        grid = grid_search(cfg, [[], ["mixup.input_kernel.tau_max=0.5"]], dataset=REG_DATA)
     assert all(c["status"] == "failed" for c in grid.cells)
     assert grid.rows == []
 
 
 def test_grid_parallel_matches_serial():
     cfg = tiny_config(optimizer__epochs=1)
-    serial = grid_search(cfg, [0.5, 2.0], [1.0], dataset=REG_DATA, jobs=1)
-    parallel = grid_search(cfg, [0.5, 2.0], [1.0], dataset=REG_DATA, jobs=2)
+    cells = [["mixup.input_kernel.tau_max=0.5"], ["mixup.mode=vanilla"]]
+    serial = grid_search(cfg, cells, dataset=REG_DATA, jobs=1)
+    parallel = grid_search(cfg, cells, dataset=REG_DATA, jobs=2)
     assert serial.rows == parallel.rows
-    assert [c["mean"] for c in serial.cells] == [c["mean"] for c in parallel.cells]
+    assert serial.cells == parallel.cells
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, True])
 def test_grid_rejects_bad_jobs(jobs):
     with pytest.raises(UsageError, match="jobs"):
-        grid_search(tiny_config(), [1.0], [1.0], dataset=REG_DATA, jobs=jobs)
+        grid_search(tiny_config(), [[]], dataset=REG_DATA, jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs, cells, workers", [(64, 2, 2), (2, 3, 2), (3, 3, 3)])
@@ -850,8 +913,8 @@ def test_grid_pool_is_sized_by_the_work(monkeypatch, jobs, cells, workers):
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "_run_cell", lambda task: (task[1], task[2], None, "skipped"))
-    grid = grid_search(tiny_config(), [0.5 * (k + 1) for k in range(cells)], [1.0],
+    monkeypatch.setattr(harness, "_run_cell", lambda task: (None, "skipped"))
+    grid = grid_search(tiny_config(), [[f"mixup.alpha={0.5 * (k + 2)}"] for k in range(cells)],
                        dataset=REG_DATA, jobs=jobs)
     assert sizes == [workers]
     assert len(grid.cells) == cells
@@ -859,12 +922,11 @@ def test_grid_pool_is_sized_by_the_work(monkeypatch, jobs, cells, workers):
 
 def test_grid_csv_round_trips_floats():
     cfg = tiny_config()
-    grid = grid_search(cfg, [1e-4], [1.5], dataset=REG_DATA)
-    text = grid.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "tau_max,tau_std,seed,metric,value"
-    for line in lines[1:]:
-        tau_max, tau_std, seed, metric, value = line.split(",")
-        assert float(tau_max) == 1e-4 and float(tau_std) == 1.5
-        row = next(r for r in grid.rows if r["metric"] == metric and r["seed"] == int(seed))
+    grid = grid_search(cfg, [["mixup.input_kernel.tau_max=1e-4"], ["mixup.alpha=1.5"]], dataset=REG_DATA)
+    lines = grid.to_csv().strip().splitlines()
+    assert lines[0] == "cell,seed,metric,value"
+    assert len(lines) == 1 + len(grid.rows) and {r["cell"] for r in grid.rows} == {0, 1}
+    for line, row in zip(lines[1:], grid.rows):
+        cell, seed, metric, value = line.split(",")
+        assert (int(cell), int(seed), metric) == (row["cell"], row["seed"], row["metric"])
         assert float(value) == row["value"]  # repr round-trip is exact

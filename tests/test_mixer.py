@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import warpmix.mixer as mixer_module
@@ -462,6 +463,36 @@ def test_vanilla_coefficients_follow_beta():
     )
     stat = ks_statistic(coeffs, lambda x: scipy.stats.beta.cdf(x, alpha, alpha))
     assert stat < 0.01, stat
+
+
+def test_kernel_warped_coefficients_follow_the_warped_beta_law():
+    # The warp I_lam(tau, tau) increases in lam, so for lam ~ Beta(alpha, alpha) a pool of
+    # one strength tau has P(I_lam(tau, tau) <= I_x(tau, tau)) = P(lam <= x) = I_x(alpha, alpha).
+    # Three clusters of points give pairs four squared distances, so each side's strengths
+    # fall into four pools; the thresholds x sit inside each pool's warp transition, within
+    # +-1.2 sd of 1/2 under Beta(tau, tau). The bound is a two-sided binomial test at 1%,
+    # Bonferroni-corrected for the pools and their thresholds together.
+    alpha, n, z = 0.7, 24_000, np.array([-1.2, -0.4, 0.4, 1.2])
+    points = np.repeat([0.0, 1.0, 3.0], n // 3)
+    batch = Batch(inputs=points[:, None], targets=2.0 * points)
+    kernels = (KernelConfig(tau_max=1.0, tau_std=0.6), KernelConfig(tau_max=0.5, tau_std=0.8, backend="label"))
+    cfg = MixupConfig(alpha=alpha, mode="kernel_warped", input_kernel=kernels[0], output_kernel=kernels[1])
+    plan = mix_batch(batch, cfg, RngStream(2026)).plan
+    tests = []
+    for features, kernel, coeffs in ((batch.inputs, kernels[0], plan.input_coeffs),
+                                     (batch.targets, kernels[1], plan.target_coeffs)):
+        taus = batch_taus(features, plan.permutation, kernel)
+        pools = np.unique(taus)
+        assert len(pools) == 4 and pools.min() < 1.0 < pools.max(), pools
+        for tau in pools:
+            pool = coeffs[taus == tau]
+            xs = 0.5 + z / (2.0 * math.sqrt(2.0 * tau + 1.0))  # Beta(tau, tau)'s sd
+            for x in xs:
+                hits = int(np.count_nonzero(pool <= scipy.special.betainc(tau, tau, x)))
+                p = scipy.special.betainc(alpha, alpha, x)
+                tests.append((tau, x, hits, pool.size, scipy.stats.binomtest(hits, pool.size, p).pvalue))
+    worst = min(tests, key=lambda t: t[-1])
+    assert worst[-1] > 0.01 / len(tests), worst
 
 
 def test_per_batch_coefficient_shares_one_draw():
