@@ -19,10 +19,9 @@ import numpy as np
 from .errors import DatasetError, DomainError, UsageError, WarpmixError, check_int
 from .data import split
 from .harness import DEFAULT_CONFIG, ExperimentConfig, _read_json, evaluate, grid_search, run_experiment
-from .metrics import _MAX_BINS, bin_stats, metrics_from_payload, payload_bins
+from .metrics import bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
-from .similarity import KernelConfig, _checked_distances, _distances_to_taus
 from .special import beta_sample
 from .warping import warp_pairwise
 
@@ -30,6 +29,7 @@ __all__ = ["main"]
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 1
+WARP_DEMO_BINS = 50
 
 
 def _comma_floats(text: str) -> list:
@@ -143,27 +143,19 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_warp_demo(args) -> int:
-    samples, num_bins = check_int(args.samples, "--samples", 1), check_int(args.bins, "--bins", 1, _MAX_BINS)
-
-    if args.distances is not None:
-        kernel = KernelConfig(tau_max=args.tau_max, tau_std=args.tau_std)
-        distances = _checked_distances(np.array(_comma_floats(args.distances)))
-        cases = list(zip(map(repr, distances.tolist()), _distances_to_taus(distances, kernel).tolist()))
-    elif args.taus is not None:
-        cases = [("", tau) for tau in _comma_floats(args.taus)]
-    else:
-        raise UsageError("warp-demo needs either --taus or --distances with --tau-max/--tau-std")
-
+    samples = check_int(args.samples, "--samples", 1)
+    if args.taus is None:
+        raise UsageError("warp-demo needs --taus")
     rng = RngStream(args.seed)
-    edges = _bin_edges(0.0, 1.0, num_bins)
-    lines = ["distance,tau,bin_lo,bin_hi,count,density"]
-    for case_index, (d_txt, tau) in enumerate(cases):
+    edges = _bin_edges(0.0, 1.0, WARP_DEMO_BINS)
+    lines = ["tau,bin_lo,bin_hi,count,density"]
+    for case_index, tau in enumerate(_comma_floats(args.taus)):
         raw = beta_sample(args.alpha, rng.child(case_index), size=samples)
-        counts, _ = bin_stats(warp_pairwise(raw, np.full(samples, tau)), 0.0, 1.0, num_bins)
-        for b in range(num_bins):
+        counts, _ = bin_stats(warp_pairwise(raw, np.full(samples, tau)), 0.0, 1.0, WARP_DEMO_BINS)
+        for b in range(WARP_DEMO_BINS):
             lo, hi = edges[b], edges[b + 1]
             density = float(counts[b]) / (samples * (hi - lo))
-            lines.append(f"{d_txt},{tau!r},{lo!r},{hi!r},{int(counts[b])},{density!r}")
+            lines.append(f"{tau!r},{lo!r},{hi!r},{int(counts[b])},{density!r}")
     path = os.path.join(args.out, "warp_demo.csv")
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -214,16 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     p_grid.set_defaults(func=_cmd_grid)
 
-    p_demo = sub.add_parser("warp-demo", help="histogram warped coefficient densities as CSV")
+    p_demo = sub.add_parser("warp-demo", help=f"histogram warped coefficient densities in {WARP_DEMO_BINS} bins as CSV")
     p_demo.add_argument("--seed", type=int, default=0, help="seed of the raw draws")
     p_demo.add_argument("--out", default=default_out, help=f"output directory (default: {default_out})")
     p_demo.add_argument("--alpha", type=float, default=1.0, help="Beta(alpha, alpha) of the raw draws")
     p_demo.add_argument("--samples", type=int, default=100_000)
-    p_demo.add_argument("--bins", type=int, default=50)
     p_demo.add_argument("--taus", default=None, help="comma-separated warp strengths")
-    p_demo.add_argument("--tau-max", type=float, default=1.0, help="kernel amplitude (with --distances)")
-    p_demo.add_argument("--tau-std", type=float, default=1.0, help="kernel std (with --distances)")
-    p_demo.add_argument("--distances", default=None, help="comma-separated normalized distances")
     p_demo.set_defaults(func=_cmd_warp_demo)
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from an exported predictions file")

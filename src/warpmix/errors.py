@@ -16,10 +16,10 @@ class WarpmixError(Exception):
 
 class DomainError(WarpmixError, ValueError):
     """A value handed to a numerical kernel lies outside its mathematical
-    domain: the x and shapes of incomplete_beta_reg and log_beta, the
-    coefficients and strengths of warp_pairwise, and the distances a kernel
-    turns into strengths, once the array rule below has taken them as
-    numbers. Every other argument that breaks a rule raises UsageError."""
+    domain: the x and shapes of incomplete_beta_reg and log_beta, and the
+    coefficients and strengths of warp_pairwise, once the array rule below
+    has taken them as numbers. Every other argument that breaks a rule
+    raises UsageError."""
 
 
 class UsageError(WarpmixError, ValueError):

@@ -32,7 +32,7 @@ from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_
 from .metrics import _MAX_BINS, _T_LO, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
-from .model import ACTIVATIONS, _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
+from .model import _propagate, check_dropout_rate, init_mlp, mc_dropout_predict
 # The training step runs on arrays checked once per run, before its loop, so it
 # calls the unchecked kernels, each under the name of the public function that
 # checks and then calls it: per-layer traces time the step's stages by these names.
@@ -77,18 +77,12 @@ DEFAULT_CONFIG = {
     "model": {
         "hidden": [128, 128],
         "dropout_rate": 0.2,
-        "activation": "relu",
     },
     "optimizer": {
         "kind": "adam",
         "learning_rate": 0.01,
         "epochs": 100,
         "batch_size": 16,
-        "momentum": 0.9,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "weight_decay": 0.0,
     },
     "mixup": {
         "mode": "kernel_warped",
@@ -197,11 +191,11 @@ class ExperimentConfig:
             if seed in v["seeds"][:i]:  # it would train the same run twice and report it as two
                 raise UsageError(f"seeds lists {seed!r} more than once")
         check_fractions(v["split_fractions"])
-        if v["model"]["activation"] not in ACTIVATIONS:
-            raise UsageError(f"model.activation must be one of {ACTIVATIONS}, got {v['model']['activation']!r}")
         check_dropout_rate(v["model"]["dropout_rate"], "model.dropout_rate")
         if not v["output_dir"]:
             raise UsageError("output_dir must be a non-empty path")
+        if v["optimizer"]["kind"] != "adam":  # the one optimizer: the key stays so configs naming it still load
+            raise UsageError(f"optimizer.kind must be adam, got {v['optimizer']['kind']!r}")
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
         mix = self.mixup_config()
@@ -286,8 +280,7 @@ class ExperimentConfig:
         return MixupConfig(**{**m, **kernels})
 
     def optimizer_state(self) -> OptimizerState:
-        o = self._values["optimizer"]
-        return OptimizerState(**{k: v for k, v in o.items() if k not in ("epochs", "batch_size")})
+        return OptimizerState(learning_rate=self._values["optimizer"]["learning_rate"])
 
     def load_dataset(self) -> Dataset:
         d = self._values["dataset"]
@@ -379,8 +372,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
     model_cfg, opt_cfg = config._values["model"], config._values["optimizer"]
     dims = [features.shape[1], *model_cfg["hidden"], num_classes or 1]
     root = RngStream(seed)
-    model = init_mlp(dims, model_cfg["dropout_rate"], root.child(STREAM_INIT),
-                     hidden_activation=model_cfg["activation"])
+    model = init_mlp(dims, model_cfg["dropout_rate"], root.child(STREAM_INIT))
     opt = config.optimizer_state()
     mix_cfg = config.mixup_config()
     train_rng = root.child(STREAM_TRAIN)

@@ -1,15 +1,15 @@
 """A small fully connected network with manual backpropagation.
 
-Plain numpy, nothing clever: affine layers, ReLU or identity activations,
-inverted dropout after each hidden activation, SGD with momentum or Adam,
+Plain numpy, nothing clever: affine layers, ReLU hidden layers and an
+identity output layer, inverted dropout after each hidden activation, Adam,
 and MC-Dropout predictive mean/variance. Enough model to train the tabular
 regression and synthetic classification experiments on a CPU.
 
 All parameters live in one float64 vector, ``ModelState.params``: every
-layer's weights (row-major), then every layer's biases, so decoupled weight
-decay is one prefix slice. ``Layer.weights`` and ``Layer.biases`` are
-reshape views into it, so in-place layer edits write through. Gradients
-and optimizer slots use the same layout; each update is whole-vector.
+layer's weights (row-major), then every layer's biases.
+``Layer.weights`` and ``Layer.biases`` are reshape views into it, so
+in-place layer edits write through. Gradients and Adam's moments use the
+same layout; each update is whole-vector.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ __all__ = [
 
 ACTIVATIONS = ("relu", "identity")
 CHECKPOINT_FORMAT = "warpmix-mlp-v1"
+# Adam's constants (Kingma & Ba, ICLR 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -79,7 +81,6 @@ class ModelState:
     step_count: int = 0
     # set by __post_init__: all weights, then all biases; the layers view into it
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    num_weights: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -93,7 +94,6 @@ class ModelState:
             raise UsageError("layer parameters must be finite")
         for layer, (w, b) in zip(self.layers, _layer_views(self.params, self.layers)):
             layer.weights, layer.biases = w, b
-        self.num_weights = sum(layer.weights.size for layer in self.layers)
         self.dropout_rate = check_dropout_rate(self.dropout_rate)
         self.step_count = check_int(self.step_count, "step_count", 0)
         if self.mode not in ("train", "eval"):
@@ -133,11 +133,12 @@ class ForwardCache:
     step_count: int
 
 
-def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str = "relu") -> ModelState:
+def init_mlp(dims, dropout_rate: float, rng: RngStream) -> ModelState:
     """A network of layer sizes ``dims`` (inputs first, at least 2 sizes,
     each an integer >= 1 by the package's integer rule) and ``dropout_rate``
-    (a real number in [0, 1)); anything else raises UsageError naming it,
-    and a layer too large to hold raises MemoryError.
+    (a real number in [0, 1)), with relu hidden layers and an identity
+    output layer; anything else raises UsageError naming it, and a layer
+    too large to hold raises MemoryError.
 
     Weight init: U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero. Draw
     order is layer by layer, weights only, so a fixed stream gives fixed
@@ -152,7 +153,7 @@ def init_mlp(dims, dropout_rate: float, rng: RngStream, hidden_activation: str =
             weights = (rng.uniform(size=(fan_in, fan_out)) * 2.0 - 1.0) * bound
         except ValueError:  # numpy's "array is too big": a layer no memory can hold
             raise MemoryError(f"cannot hold layer {k}'s {_count(fan_in)} x {_count(fan_out)} weights") from None
-        act = hidden_activation if k < len(dims) - 2 else "identity"
+        act = "relu" if k < len(dims) - 2 else "identity"
         layers.append(Layer(weights=weights, biases=np.zeros(fan_out), activation=act))
     return ModelState(layers=layers, dropout_rate=dropout_rate)
 
@@ -289,23 +290,15 @@ def _backward(model: ModelState, cache: ForwardCache, delta: np.ndarray, grads: 
 
 @dataclass
 class OptimizerState:
-    """SGD with momentum, or Adam with bias correction.
+    """Adam with bias correction, at beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
-    Weight decay is decoupled (applied directly to weights, scaled by the
-    learning rate, never to biases). ``slots`` holds the moment vectors in
-    the params layout: one row (velocity) for SGD, two (m, v) for Adam.
-    Each rate and coefficient must be a finite Python or numpy int or float
+    ``slots`` holds the two moment vectors (m, v) in the params layout.
+    ``learning_rate`` must be a finite Python or numpy int or float >= 0
     (never a bool or a string) and is stored as a float; ``step`` is an
     integer >= 0. Anything else raises UsageError naming the field.
     """
 
-    kind: str = "adam"
     learning_rate: float = 0.01
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     step: int = 0
     slots: Optional[np.ndarray] = field(default=None, repr=False)
     # (3, P) scratch for the packed gradient and the update's temporaries,
@@ -313,17 +306,7 @@ class OptimizerState:
     _work: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd_momentum", "adam"):
-            raise UsageError(f"unknown optimizer kind {self.kind!r}")
-        for name, rule, ok in (
-            ("learning_rate", ">= 0", lambda v: v >= 0.0),
-            ("momentum", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-            ("beta1", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-            ("beta2", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-            ("eps", "> 0", lambda v: v > 0.0),
-            ("weight_decay", ">= 0", lambda v: v >= 0.0),
-        ):
-            setattr(self, name, check_real(getattr(self, name), f"optimizer.{name}", rule, ok))
+        self.learning_rate = check_real(self.learning_rate, "optimizer.learning_rate", ">= 0", lambda v: v >= 0.0)
         self.step = check_int(self.step, "optimizer.step", 0)
 
 
@@ -360,32 +343,21 @@ def _optimizer_step(opt: OptimizerState, model: ModelState) -> None:
     """optimizer_step on the gradient already packed into ``opt._work[0]``."""
     g, tmp, tmp2 = opt._work
     if opt.slots is None:
-        opt.slots = np.zeros((1 if opt.kind == "sgd_momentum" else 2, g.size))
-
-    lr = opt.learning_rate
-    params = model.params
+        opt.slots = np.zeros((2, g.size))
     opt.step += 1
-    if opt.kind == "sgd_momentum":
-        velocity = opt.slots[0]
-        velocity *= opt.momentum
-        velocity += g
-        params -= np.multiply(lr, velocity, out=tmp)
-    else:  # adam in PyTorch's order, with c1 = 1 - beta1^t and c2 = 1 - beta2^t:
-        # params -= m / (sqrt(v) * (1 / sqrt(c2)) + eps) * (lr / c1)
-        m, v = opt.slots
-        m *= opt.beta1
-        m += np.multiply(1.0 - opt.beta1, g, out=tmp)
-        v *= opt.beta2
-        v += np.multiply(1.0 - opt.beta2, np.square(g, out=tmp), out=tmp)
-        np.sqrt(v, out=tmp2)
-        tmp2 *= 1.0 / math.sqrt(1.0 - opt.beta2**opt.step)
-        tmp2 += opt.eps
-        np.divide(m, tmp2, out=tmp)
-        tmp *= lr / (1.0 - opt.beta1**opt.step)
-        params -= tmp
-    if opt.weight_decay:
-        weights = params[: model.num_weights]
-        weights -= np.multiply(lr * opt.weight_decay, weights, out=tmp[: model.num_weights])
+    # PyTorch's order, with c1 = 1 - beta1^t and c2 = 1 - beta2^t:
+    # params -= m / (sqrt(v) * (1 / sqrt(c2)) + eps) * (lr / c1)
+    m, v = opt.slots
+    m *= _BETA1
+    m += np.multiply(1.0 - _BETA1, g, out=tmp)
+    v *= _BETA2
+    v += np.multiply(1.0 - _BETA2, np.square(g, out=tmp), out=tmp)
+    np.sqrt(v, out=tmp2)
+    tmp2 *= 1.0 / math.sqrt(1.0 - _BETA2**opt.step)
+    tmp2 += _EPS
+    np.divide(m, tmp2, out=tmp)
+    tmp *= opt.learning_rate / (1.0 - _BETA1**opt.step)
+    model.params -= tmp
     model.step_count += 1
 
 

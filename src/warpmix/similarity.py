@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_module  # by attribute, so a patched model.embed applies
-from .errors import DivergenceError, DomainError, UsageError, check_array, check_real
+from .errors import DivergenceError, UsageError, check_array, check_real
 from .special import SHAPE_MAX, SHAPE_MIN
 
 __all__ = [
@@ -122,13 +122,6 @@ def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         elif mean >= _DEGENERATE_MEAN:
             dists[b] = raw[b] / mean
     return dists.ravel()
-
-
-def _checked_distances(dists: np.ndarray) -> np.ndarray:
-    ok = np.isfinite(dists) & (dists >= 0.0)
-    if not ok.all():
-        raise DomainError(f"normalized distance must be finite and >= 0, got {dists[~ok][0]}")
-    return dists
 
 
 def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:

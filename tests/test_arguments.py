@@ -181,10 +181,8 @@ REAL_ARGUMENTS = {
     "ModelState.dropout_rate": ("dropout_rate", 1.0,
                                 lambda v, _: ModelState(_layers(), dropout_rate=v).dropout_rate),
     "init_mlp.dropout_rate": ("dropout_rate", 1.0, lambda v, _: init_mlp([2, 3, 1], v, RngStream(0)).dropout_rate),
-    **{f"OptimizerState.{field}": (f"optimizer.{field}", bad,
-                                   lambda v, _, field=field: getattr(OptimizerState(**{field: v}), field))
-       for field, bad in (("learning_rate", -1.0), ("momentum", 1.0), ("beta1", 1.0), ("beta2", 1.0),
-                          ("eps", 0.0), ("weight_decay", -1.0))},
+    "OptimizerState.learning_rate": ("optimizer.learning_rate", -1.0,
+                                     lambda v, _: OptimizerState(learning_rate=v).learning_rate),
     "KernelConfig.tau_max": ("tau_max", 0.0, lambda v, _: KernelConfig(tau_max=v, tau_std=1.0).tau_max),
     "KernelConfig.tau_std": ("tau_std", -1.0, lambda v, _: KernelConfig(tau_max=1.0, tau_std=v).tau_std),
     "MixupConfig.alpha": ("alpha", 0.0, lambda v, _: MixupConfig(alpha=v, mode="vanilla").alpha),
@@ -284,11 +282,11 @@ def _payload_metrics(key, value):
 
 
 def _stepped_params(weight_grad):
-    """The parameters of a fresh copy of EVAL_MODEL after one SGD step whose
+    """The parameters of a fresh copy of EVAL_MODEL after one Adam step whose
     first weight gradient is ``weight_grad``, or the error it raises."""
     model = ModelState([Layer(layer.weights, layer.biases, layer.activation) for layer in EVAL_MODEL.layers])
     zeros = [(np.zeros_like(layer.weights), np.zeros_like(layer.biases)) for layer in model.layers]
-    optimizer_step(OptimizerState("sgd_momentum", learning_rate=1.0), model, [(weight_grad, zeros[0][1]), zeros[1]])
+    optimizer_step(OptimizerState(learning_rate=1.0), model, [(weight_grad, zeros[0][1]), zeros[1]])
     return model.params
 
 

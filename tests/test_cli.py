@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 
 from warpmix import (
-    SHAPE_MAX, SHAPE_MIN, Layer, ModelState, RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise,
+    Layer, ModelState, RngStream, beta_sample, bin_stats, init_mlp, save_model, warp_pairwise,
 )
 from warpmix import cli, harness
 from warpmix.cli import RUNTIME_EXIT, USAGE_EXIT, main
@@ -125,11 +125,11 @@ def test_unknown_override_is_usage_error(workspace, tmp_path, capsys):
 
 
 def test_divergence_is_runtime_error(workspace, tmp_path, capsys):
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         code = main([
             "train", "--config", str(workspace["reg_config"]),
             "--out", str(tmp_path / "o"),
-            "optimizer.kind=sgd_momentum", "optimizer.learning_rate=1e12",
+            "optimizer.learning_rate=1e200",
         ])
     assert code == RUNTIME_EXIT
     assert "error:" in capsys.readouterr().err
@@ -480,6 +480,43 @@ def test_bad_optimizer_hyperparameter_is_usage_error(workspace, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+# each deleted setting at its last default, which a config written before its deletion may hold
+DELETED_SETTINGS = {"optimizer.momentum": 0.9, "optimizer.weight_decay": 0.0, "optimizer.beta1": 0.9,
+                    "optimizer.beta2": 0.999, "optimizer.eps": 1e-8, "model.activation": "relu"}
+
+
+@pytest.mark.parametrize("key", sorted(DELETED_SETTINGS))
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_deleted_setting_is_an_unknown_key(workspace, tmp_path, capsys, key, where):
+    config = json.loads(workspace["reg_config"].read_text())
+    table, leaf = key.split(".")
+    if where == "file":
+        config[table][leaf] = DELETED_SETTINGS[key]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    overrides = [f"{key}={json.dumps(DELETED_SETTINGS[key])}"] if where == "override" else []
+    code = main(["train", "--config", str(path), "--out", str(tmp_path / "o"), *overrides])
+    assert code == USAGE_EXIT
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_optimizer_kind_takes_only_adam(workspace, tmp_path, capsys):
+    code = main(["train", "--config", str(workspace["reg_config"]), "--out", str(tmp_path / "o"),
+                 "optimizer.kind=sgd_momentum"])
+    assert code == USAGE_EXIT
+    assert capsys.readouterr().err == "error: optimizer.kind must be adam, got 'sgd_momentum'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", ["--bins=3", "--distances=1", "--tau-max=1", "--tau-std=1"])
+def test_warp_demo_deleted_option_is_usage_error(tmp_path, capsys, option):
+    code = main(["warp-demo", "--taus=1", "--samples=10", "--out", str(tmp_path / "d"), option])
+    assert code == USAGE_EXIT
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize(
     "override", ["model.dropout_rate=0", "metrics.mc_samples=1", "metrics.num_bins=0"],
 )
@@ -613,7 +650,7 @@ def test_grid_command_outputs(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tau_std", ["1e-300", "1e200"])
-@pytest.mark.parametrize("verb", ["train", "grid", "warp-demo"])
+@pytest.mark.parametrize("verb", ["train", "grid"])
 def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path, capsys, verb, tau_std):
     # 2 tau_std^2 underflows to 0 or overflows: the kernel would divide by it at the first mixed step
     config = ["--config", str(workspace["reg_config"])]
@@ -622,7 +659,6 @@ def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path
     argv = {
         "train": ["train", *config, f"mixup.input_kernel.tau_std={tau_std}"],
         "grid": ["grid", *config, "--cells", str(cells)],
-        "warp-demo": ["warp-demo", "--distances", "1,2", "--tau-std", tau_std],
     }[verb]
     assert main([*argv, "--out", str(tmp_path / "o")]) == USAGE_EXIT
     assert "tau_std" in capsys.readouterr().err
@@ -680,10 +716,10 @@ def test_grid_bad_jobs_fails_before_the_output_dir_exists(workspace, tmp_path, c
 
 def demo_counts(path):
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "distance,tau,bin_lo,bin_hi,count,density"
+    assert lines[0] == "tau,bin_lo,bin_hi,count,density"
     rows = [line.split(",") for line in lines[1:]]
-    edges = [float(r[2]) for r in rows] + [float(rows[-1][3])]
-    counts = np.array([int(r[4]) for r in rows])
+    edges = [float(r[1]) for r in rows] + [float(rows[-1][2])]
+    counts = np.array([int(r[3]) for r in rows])
     return rows, np.array(edges), counts
 
 
@@ -691,12 +727,12 @@ def test_warp_demo_identity_tau_keeps_beta_shape(tmp_path, capsys):
     out = tmp_path / "demo"
     code = main([
         "warp-demo", "--taus", "1.0", "--alpha", "0.7",
-        "--samples", "20000", "--bins", "20", "--seed", "0", "--out", str(out),
+        "--samples", "20000", "--seed", "0", "--out", str(out),
     ])
     assert code == 0
     rows, edges, counts = demo_counts(out / "warp_demo.csv")
-    assert all(r[0] == "" for r in rows)  # no distances given
-    assert {r[1] for r in rows} == {"1.0"}
+    assert len(rows) == 50
+    assert {r[0] for r in rows} == {"1.0"}
     assert counts.sum() == 20000
     # chi-square against the exact Beta(0.7, 0.7) bin probabilities
     cdf = scipy.stats.beta.cdf(edges, 0.7, 0.7)
@@ -710,7 +746,7 @@ def test_warp_demo_half_tau_bends_uniform_draws(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main([
         "warp-demo", "--taus", "0.5", "--alpha", "1.0",
-        "--samples", "100000", "--bins", "50", "--seed", "1", "--out", str(out),
+        "--samples", "100000", "--seed", "1", "--out", str(out),
     ]) == 0
     _, edges, counts = demo_counts(out / "warp_demo.csv")
     empirical = np.concatenate([[0.0], np.cumsum(counts) / counts.sum()])
@@ -719,49 +755,21 @@ def test_warp_demo_half_tau_bends_uniform_draws(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_warp_demo_distance_mode_applies_kernel(tmp_path, capsys):
-    out = tmp_path / "demo"
-    assert main([
-        "warp-demo", "--distances", "1.0", "--tau-max", "4.0", "--tau-std", "1.0",
-        "--samples", "1000", "--bins", "10", "--seed", "0", "--out", str(out),
-    ]) == 0
-    rows, _, counts = demo_counts(out / "warp_demo.csv")
-    assert {r[0] for r in rows} == {"1.0"}
-    assert {r[1] for r in rows} == {"0.25"}  # exp(0)/tau_max
-    assert counts.sum() == 1000
-
-    def taus(distances, tau_max, tau_std):
-        out = tmp_path / f"demo-{tau_std}"
-        assert main(["warp-demo", "--distances", distances, "--tau-max", tau_max, "--tau-std", tau_std,
-                     "--samples", "10", "--bins", "1", "--out", str(out)]) == 0
-        return [float(r[1]) for r in demo_counts(out / "warp_demo.csv")[0]]
-
-    # exp((d - 1) / (2 std^2)) / tau_max, and exactly 1 / tau_max for an average pair
-    assert taus("0,1", "1e-2", "1.5") == [math.exp(-1.0 / 4.5) / 1e-2, 1.0 / 1e-2]
-    # a tiny std saturates the kernel at both ends of the shape range
-    assert taus("0,1,50", "1", "1e-3") == [SHAPE_MIN, 1.0, SHAPE_MAX]
-    capsys.readouterr()
-    for bad in ("-0.5", "nan", "inf"):
-        bad_out = tmp_path / f"bad-{bad}"
-        assert main(["warp-demo", "--distances", f"1,{bad}", "--out", str(bad_out)]) == USAGE_EXIT
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not bad_out.exists()
-
-
 def test_warp_demo_counts_with_bin_stats(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["warp-demo", "--taus", "0.5,inf", "--alpha", "0.5", "--samples", "2000",
-                 "--bins", "10", "--seed", "3", "--out", str(out)]) == 0
+                 "--seed", "3", "--out", str(out)]) == 0
     rows, _, counts = demo_counts(out / "warp_demo.csv")
-    edges = (0.0 + 1.0 * np.arange(11) / 10).tolist()  # the edges of bins.csv: lo + (hi - lo) * k / m
+    edges = (0.0 + 1.0 * np.arange(51) / 50).tolist()  # the edges of bins.csv: lo + (hi - lo) * k / m
+    assert len(rows) == 100
     for r, lo, hi in zip(rows, edges[:-1] * 2, edges[1:] * 2):
-        assert (float(r[2]), float(r[3])) == (lo, hi)
+        assert (float(r[1]), float(r[2])) == (lo, hi)
     for case, tau in enumerate([0.5, math.inf]):
         raw = beta_sample(0.5, RngStream(3).child(case), size=2000)
         warped = warp_pairwise(raw, np.full(2000, tau))
-        assert np.array_equal(counts[10 * case : 10 * case + 10], bin_stats(warped, 0.0, 1.0, 10)[0])
-    assert {r[1] for r in rows[10:]} == {"inf"}
-    step = counts[10:]  # the inf warp is the exact 0/1 step, and the top bin is closed
+        assert np.array_equal(counts[50 * case : 50 * case + 50], bin_stats(warped, 0.0, 1.0, 50)[0])
+    assert {r[0] for r in rows[50:]} == {"inf"}
+    step = counts[50:]  # the inf warp is the exact 0/1 step, and the top bin is closed
     assert (step[0], step[-1]) == (np.sum(raw < 0.5), np.sum(raw >= 0.5)) and step[1:-1].sum() == 0
     capsys.readouterr()
 
@@ -775,7 +783,7 @@ def test_warp_demo_takes_no_experiment_config(workspace, tmp_path, capsys, kind)
     assert not (tmp_path / "d").exists()
 
 
-def test_warp_demo_needs_taus_or_distances(tmp_path, capsys):
+def test_warp_demo_needs_taus(tmp_path, capsys):
     assert main(["warp-demo", "--out", str(tmp_path / "d")]) == USAGE_EXIT
     assert main([
         "warp-demo", "--taus", "1.0", "--samples", "0", "--out", str(tmp_path / "d")
@@ -797,9 +805,8 @@ def test_warp_demo_bad_tau_is_usage_error(tmp_path, capsys, tau):
     ["--taus", "1.0", "--samples", "0"],
     ["--taus", "abc"],
     ["--taus", "1.0", "--alpha", "-1"],
-    ["--tau-max", "0", "--distances", "1"],
     [],
-], ids=["zero_samples", "bad_taus", "negative_alpha", "zero_tau_max", "no_taus_or_distances"])
+], ids=["zero_samples", "bad_taus", "negative_alpha", "no_taus"])
 def test_warp_demo_bad_flags_fail_before_the_output_dir_exists(tmp_path, capsys, flags):
     code = main(["warp-demo", "--samples", "100", "--out", str(tmp_path / "d"), *flags])
     assert code == USAGE_EXIT

@@ -195,8 +195,8 @@ def train_configs(tmp_path_factory):
     clf_csv = write_csv(root / "clf.csv", ["x0", "x1", "x2", "label"],
                         np.column_stack([clf.features, clf.targets.astype(np.float64)]))
     shared = {"seeds": [0], "split_fractions": [0.5, 0.25, 0.25],
-              "model": {"hidden": [4], "dropout_rate": 0.2, "activation": "relu"},
-              "optimizer": {"kind": "adam", "learning_rate": 0.01, "epochs": 1, "batch_size": 8, "beta1": 0.9},
+              "model": {"hidden": [4], "dropout_rate": 0.2},
+              "optimizer": {"kind": "adam", "learning_rate": 0.01, "epochs": 1, "batch_size": 8},
               "metrics": {"num_bins": 3, "mc_samples": 3}}
     regression = {"dataset": {"path": str(reg_csv), "target_column": "y"}, "task": "regression", **shared,
                   "mixup": {"mode": "kernel_warped", "alpha": 0.5, "per_batch_coeff": False,
@@ -277,14 +277,12 @@ OPTION_USAGE = ("text", "empty", "comma", "nan", "infinity", "minus_infinity")
 # an infinite warp strength is the step-function limit, which warp-demo draws
 ACCEPTED = {("--taus", "infinity")}
 # (verb, option, the other options of its valid command). No damage is a count that
-# can be held: --samples and --bins take only integers, --bins at most 2**53, and a
-# --samples of 2**63 or 10**400 is one no memory can hold. --jobs sizes its pool by
-# the grid's one cell.
+# can be held: --samples takes only integers, and a --samples of 2**63 or 10**400 is
+# one no memory can hold. --jobs sizes its pool by the grid's one cell.
 OPTIONS = [
     *[(verb, "--seed", ()) for verb in ("train", "eval", "grid")],
     *[("grid", option, ()) for option in ("--jobs", "--cells")],
-    *[("warp-demo", option, ("--taus=1",)) for option in ("--seed", "--alpha", "--samples", "--bins", "--taus")],
-    *[("warp-demo", option, ("--distances=0.5,1",)) for option in ("--tau-max", "--tau-std", "--distances")],
+    *[("warp-demo", option, ("--taus=1",)) for option in ("--seed", "--alpha", "--samples", "--taus")],
 ]
 
 
@@ -316,7 +314,7 @@ def test_damaged_option(train_configs, eval_inputs, tmp_path, capsys, monkeypatc
     valid = {"train": ["--config", str(config)],
              "eval": ["--config", str(config), "--checkpoint", str(checkpoint)],
              "grid": ["--config", str(config), f"--cells={cells}", "--jobs=1"],
-             "warp-demo": ["--samples=10", "--bins=3"]}
+             "warp-demo": ["--samples=10"]}
     rng = np.random.default_rng(SEED + 4)
     for case, ((verb, option, others), damage) in enumerate(
             (entry, damage) for entry in OPTIONS for damage in sorted(OPTION_DAMAGES)):

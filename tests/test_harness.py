@@ -126,7 +126,7 @@ def test_config_validation_rules():
         ({"split_fractions": [0.5, 0.5]}, "split_fractions"),
         ({"split_fractions": [0.8, 0.2, 0.0]}, "split_fractions"),
         ({"model__hidden": [8, 0]}, r"model\.hidden"),
-        ({"model__activation": "tanh"}, r"model\.activation"),
+        ({"optimizer__kind": "sgd_momentum"}, r"optimizer\.kind"),
     ):
         with pytest.raises(UsageError, match=key):
             tiny_config(**tweaks)
@@ -447,8 +447,8 @@ def test_training_step_equals_public_composition(monkeypatch, task, in_backend, 
     dataset = REG_DATA if task == "regression" else CLF_DATA
     tweaks = {"mixup__per_batch_coeff": per_batch, "mixup__input_kernel__backend": in_backend,
               "mixup__output_kernel__backend": out_backend, "optimizer__epochs": 2}
-    if task == "classification":  # no dropout, and the other optimizer with weight decay
-        tweaks.update(model__dropout_rate=0.0, optimizer__kind="sgd_momentum", optimizer__weight_decay=0.01)
+    if task == "classification":  # no dropout
+        tweaks.update(model__dropout_rate=0.0)
     for mode in ("off", "vanilla", "kernel_warped", "input_only", "target_only"):
         cfg = tiny_config(task, mixup__mode=mode, **tweaks)
         result = train(cfg, seed=4, dataset=dataset)
@@ -476,47 +476,49 @@ def test_valid_loss_through_buffers_equals_unbuffered_pass():
     [
         ("regression", {}),
         # model-based kernels: the features of a diverging model overflow
-        ("classification", {"mixup__input_kernel__backend": "embedding",
-                            "model__hidden": [16, 16, 16], "optimizer__learning_rate": 1e8}),
-        ("classification", {"optimizer__learning_rate": 1e6, "optimizer__epochs": 10}),
+        ("classification", {"mixup__input_kernel__backend": "embedding", "model__hidden": [16, 16, 16]}),
+        ("classification", {}),
     ],
     ids=["raw_input", "embedding", "class_weight"],
 )
 def test_divergence_aborts_with_diagnostic(task, tweaks):
-    cfg = tiny_config(
-        task,
-        **{
-            "optimizer__kind": "sgd_momentum",
-            "optimizer__learning_rate": 1e12,
-            "optimizer__epochs": 3,
-            **tweaks,
-        },
-    )
+    # Adam moves a parameter by about the learning rate per step, so only an
+    # astronomical rate overflows within a few epochs
+    cfg = tiny_config(task, optimizer__learning_rate=1e200, optimizer__epochs=3, **tweaks)
     data = REG_DATA if task == "regression" else CLF_DATA
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
         train(cfg, seed=0, dataset=data)
     assert isinstance(info.value.trace, list)
 
 
-def test_divergence_after_the_first_epoch_reports_as_before():
+def test_divergence_after_the_first_epoch_reports_as_before(monkeypatch):
     # an epoch mixes its full batches as one block at its first step: a run that
-    # diverges in epoch 1 still names that epoch and carries the row of epoch 0
-    cfg = tiny_config(optimizer__kind="sgd_momentum", optimizer__learning_rate=2.0, optimizer__epochs=3)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+    # diverges in epoch 1 still names that epoch and carries the row of epoch 0.
+    # Adam at a rate that diverges at all diverges in epoch 0, so the first step
+    # of epoch 1 is made to leave a NaN parameter
+    cfg = tiny_config(optimizer__epochs=3)
+    batch_size = cfg.to_dict()["optimizer"]["batch_size"]
+    steps_per_epoch = math.ceil(len(split(REG_DATA, cfg.split_fractions, 0).train) / batch_size)
+    step = harness.optimizer_step
+
+    def poisoned_step(opt, model):
+        step(opt, model)
+        if model.step_count == steps_per_epoch + 1:
+            model.params[0] = math.nan
+
+    monkeypatch.setattr(harness, "optimizer_step", poisoned_step)
+    with pytest.raises(DivergenceError) as info:
         train(cfg, seed=0, dataset=REG_DATA)
-    assert str(info.value) == "non-finite training loss at epoch 1, seed 0"
+    assert str(info.value) == "non-finite parameters at epoch 1, seed 0"
     assert info.value.trace == [
-        {"epoch": 0, "train_loss": 1521264.4419187712, "valid_loss": 2.56941282898763e+20},
+        {"epoch": 0, "train_loss": 1.0301065322612133, "valid_loss": 1.3028239229063532},
     ]
 
 
 def test_diverged_classifier_loss_is_not_capped():
-    # params reach ~1e81 with no error; a loss from probabilities clipped at
-    # 1e-12 stays under -ln(1e-12) ~ 27.6 and hides that
-    cfg = tiny_config(
-        "classification",
-        optimizer__kind="sgd_momentum", optimizer__learning_rate=1e6, optimizer__epochs=3,
-    )
+    # params reach ~8e6 and the train loss ~3e12 with no error; a loss from
+    # probabilities clipped at 1e-12 stays under -ln(1e-12) ~ 27.6 and hides that
+    cfg = tiny_config("classification", optimizer__learning_rate=1e6, optimizer__epochs=3)
     with np.errstate(over="ignore", invalid="ignore"):
         result = train(cfg, seed=0, dataset=CLF_DATA)
     ceiling = -math.log(1e-12)
@@ -870,10 +872,8 @@ def test_grid_contains_cell_failures(monkeypatch):
 
 
 def test_grid_all_cells_diverging_still_returns():
-    cfg = tiny_config(
-        optimizer__kind="sgd_momentum", optimizer__learning_rate=1e12, optimizer__epochs=2
-    )
-    with np.errstate(over="ignore"):
+    cfg = tiny_config(optimizer__learning_rate=1e200, optimizer__epochs=2)
+    with np.errstate(over="ignore", invalid="ignore"):
         grid = grid_search(cfg, [[], ["mixup.input_kernel.tau_max=0.5"]], dataset=REG_DATA)
     assert all(c["status"] == "failed" for c in grid.cells)
     assert grid.rows == []

@@ -240,7 +240,7 @@ def test_stale_cache_rejected():
     model = init_mlp([2, 4, 1], dropout_rate=0.0, rng=RngStream(0)).eval()
     x = np.ones((3, 2))
     out, cache = forward(model, x)
-    opt = OptimizerState(kind="sgd_momentum", learning_rate=0.1)
+    opt = OptimizerState(learning_rate=0.1)
     grads = backward(model, cache, np.ones((3, 1)))
     optimizer_step(opt, model, grads)
     with pytest.raises(UsageError):
@@ -280,7 +280,6 @@ def test_layers_are_views_into_params(tmp_path, source):
     assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
     weights_first = [layer.weights.ravel() for layer in layers] + [layer.biases for layer in layers]
     assert np.array_equal(model.params, np.concatenate(weights_first))
-    assert model.num_weights == sum(layer.weights.size for layer in layers)
     for layer in layers:
         assert np.shares_memory(layer.weights, model.params)
         assert np.shares_memory(layer.biases, model.params)
@@ -291,7 +290,7 @@ def test_in_place_layer_edits_write_through():
     model.layers[1].weights[2, 1] = 7.0
     model.layers[0].biases += 1.5
     assert model.params[15 + 2 * 2 + 1] == 7.0  # layer 1's weights follow layer 0's 15
-    assert np.array_equal(model.params[model.num_weights : model.num_weights + 5], np.full(5, 1.5))
+    assert np.array_equal(model.params[25:30], np.full(5, 1.5))  # biases follow all 15 + 10 weights
     model.params[-1] = -3.0
     assert model.layers[1].biases[-1] == -3.0
 
@@ -309,34 +308,18 @@ def grad_pair(gw, gb):
     return [(np.array([[gw]]), np.array([gb]))]
 
 
-def test_sgd_zero_gradient_is_identity():
+def test_zero_gradient_is_identity():
     model = one_param_model(2.0)
-    opt = OptimizerState(kind="sgd_momentum", learning_rate=0.1, weight_decay=0.0)
+    opt = OptimizerState(learning_rate=0.1)
     optimizer_step(opt, model, grad_pair(0.0, 0.0))
     assert model.layers[0].weights[0, 0] == 2.0
     assert model.layers[0].biases[0] == 0.5
 
 
-def test_sgd_single_step():
-    model = one_param_model(1.0)
-    opt = OptimizerState(kind="sgd_momentum", learning_rate=0.1, momentum=0.0)
-    optimizer_step(opt, model, grad_pair(1.0, 0.0))
-    assert model.layers[0].weights[0, 0] == pytest.approx(0.9, rel=1e-15)
-
-
-def test_sgd_momentum_accumulates():
-    model = one_param_model(1.0)
-    opt = OptimizerState(kind="sgd_momentum", learning_rate=0.1, momentum=0.9)
-    optimizer_step(opt, model, grad_pair(1.0, 0.0))
-    optimizer_step(opt, model, grad_pair(1.0, 0.0))
-    # v1 = 1, v2 = 1.9 -> w = 1 - 0.1 - 0.19
-    assert model.layers[0].weights[0, 0] == pytest.approx(0.71, rel=1e-12)
-
-
 def test_adam_matches_scalar_recurrence():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     model = one_param_model(0.3)
-    opt = OptimizerState(kind="adam", learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = OptimizerState(learning_rate=lr)
 
     w = 0.3
     m = v = 0.0
@@ -348,52 +331,38 @@ def test_adam_matches_scalar_recurrence():
         assert model.layers[0].weights[0, 0] == pytest.approx(w, rel=1e-14), t
 
 
-def test_weight_decay_decoupled_and_skips_biases():
-    lr, wd = 0.1, 0.01
-    model = one_param_model(2.0)
-    opt = OptimizerState(kind="sgd_momentum", learning_rate=lr, momentum=0.0, weight_decay=wd)
-    optimizer_step(opt, model, grad_pair(1.0, 1.0))
-    stepped = 2.0 - lr * 1.0
-    assert model.layers[0].weights[0, 0] == pytest.approx(stepped - lr * wd * stepped, rel=1e-15)
-    assert model.layers[0].biases[0] == pytest.approx(0.5 - lr * 1.0, rel=1e-15)  # no decay
-
-
 def test_zero_learning_rate_freezes_parameters():
-    for kind in ("sgd_momentum", "adam"):
-        model = one_param_model(1.5)
-        opt = OptimizerState(kind=kind, learning_rate=0.0)
-        optimizer_step(opt, model, grad_pair(3.0, -2.0))
-        assert model.layers[0].weights[0, 0] == 1.5
-        assert model.layers[0].biases[0] == 0.5
+    model = one_param_model(1.5)
+    opt = OptimizerState(learning_rate=0.0)
+    optimizer_step(opt, model, grad_pair(3.0, -2.0))
+    assert model.layers[0].weights[0, 0] == 1.5
+    assert model.layers[0].biases[0] == 0.5
 
 
 def test_optimizer_validation():
     with pytest.raises(UsageError):
-        OptimizerState(kind="rmsprop")
-    with pytest.raises(UsageError):
-        OptimizerState(kind="adam", learning_rate=-0.1)
+        OptimizerState(learning_rate=-0.1)
     model = one_param_model()
-    opt = OptimizerState(kind="adam")
+    opt = OptimizerState()
     with pytest.raises(UsageError):
         optimizer_step(opt, model, [(np.zeros((2, 2)), np.zeros(1))])
 
 
 def test_optimizer_step_advances_model_counter():
     model = one_param_model()
-    opt = OptimizerState(kind="adam", learning_rate=0.01)
+    opt = OptimizerState(learning_rate=0.01)
     assert model.step_count == 0
     optimizer_step(opt, model, grad_pair(1.0, 1.0))
     assert model.step_count == 1 and opt.step == 1
 
 
-@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-def test_flat_update_matches_per_layer_reference(kind):
+def test_flat_update_matches_per_layer_reference():
     # the regression workload's size puts each update array above 128 KiB
+    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     for dims in ([4, 6, 3], [5, 128, 128, 1]):
         rng = RngStream(21)
         model = init_mlp(dims, dropout_rate=0.0, rng=rng)
-        opt = OptimizerState(kind=kind, learning_rate=0.05, weight_decay=0.01)
-        lr, wd, b1, b2 = opt.learning_rate, opt.weight_decay, opt.beta1, opt.beta2
+        opt = OptimizerState(learning_rate=lr)
         ref = [(layer.weights.copy(), layer.biases.copy()) for layer in model.layers]
         slots = [[np.zeros_like(a) for a in (w, b, w, b)] for w, b in ref]  # mw, mb, vw, vb
         for t in range(1, 8):
@@ -405,24 +374,15 @@ def test_flat_update_matches_per_layer_reference(kind):
                 optimizer_step(twin_opt, twin_model, grads)
             # the per-layer update, written out
             for (w, b), (mw, mb, vw, vb), (gw, gb) in zip(ref, slots, grads):
-                if kind == "sgd_momentum":
-                    mw *= opt.momentum
-                    mw += gw
-                    mb *= opt.momentum
-                    mb += gb
-                    w -= lr * mw
-                    b -= lr * mb
-                else:
-                    for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
-                        m *= b1
-                        m += (1.0 - b1) * g
-                        v *= b2
-                        v += (1.0 - b2) * g**2
-                    # PyTorch's order: one step size, the denominator scaled by 1/sqrt(correct2)
-                    step, scale = lr / (1.0 - b1**t), 1.0 / math.sqrt(1.0 - b2**t)
-                    w -= mw / (np.sqrt(vw) * scale + opt.eps) * step
-                    b -= mb / (np.sqrt(vb) * scale + opt.eps) * step
-                w -= lr * wd * w
+                for m, v, g in ((mw, vw, gw), (mb, vb, gb)):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * g**2
+                # PyTorch's order: one step size, the denominator scaled by 1/sqrt(correct2)
+                step, scale = lr / (1.0 - b1**t), 1.0 / math.sqrt(1.0 - b2**t)
+                w -= mw / (np.sqrt(vw) * scale + eps) * step
+                b -= mb / (np.sqrt(vb) * scale + eps) * step
         for layer, (w, b) in zip(model.layers, ref):
             assert np.array_equal(layer.weights, w) and np.array_equal(layer.biases, b)
         assert np.array_equal(twin_model.params, model.params)
@@ -432,14 +392,11 @@ def test_flat_update_matches_per_layer_reference(kind):
 def test_optimizer_slots_follow_params_layout():
     grads = [(np.full((2, 2), 1.0), np.full(2, 2.0)), (np.full((2, 1), 3.0), np.full(1, 4.0))]
     model = hand_221_model()
-    opt = OptimizerState(kind="adam", beta1=0.5)
+    opt = OptimizerState()
     optimizer_step(opt, model, grads)
     assert opt.slots.shape == (2, model.params.size)
     # weights of both layers first, then biases of both layers
-    assert np.array_equal(opt.slots[0], 0.5 * np.array([1, 1, 1, 1, 3, 3, 2, 2, 4.0]))
-    sgd = OptimizerState(kind="sgd_momentum")
-    optimizer_step(sgd, model, grads)
-    assert sgd.slots.shape == (1, model.params.size)
+    assert np.array_equal(opt.slots[0], (1.0 - 0.9) * np.array([1, 1, 1, 1, 3, 3, 2, 2, 4.0]))
 
 
 # -------------------------------------------------------------- mc dropout
@@ -547,23 +504,32 @@ MC_SHAPE_IDS = ["regression_shape", "identity_hidden", "one_d_input", "blobs_emb
                 "unequal_widths", "single_row"]
 
 
+def mc_model(dims, rate, activation):
+    """init_mlp's model in eval mode, its hidden layers given ``activation``:
+    a checkpoint may carry identity hidden layers, which init_mlp never makes."""
+    model = init_mlp(dims, dropout_rate=rate, rng=RngStream(4)).eval()
+    for layer in model.layers[:-1]:
+        layer.activation = activation
+    return model
+
+
 @pytest.mark.parametrize("dims, activation, rows", MC_SHAPES, ids=MC_SHAPE_IDS)
 def test_mc_dropout_bit_equal_to_per_sample_forward(dims, activation, rows):
-    model = init_mlp(dims, dropout_rate=0.2, rng=RngStream(4), hidden_activation=activation).eval()
+    model = mc_model(dims, 0.2, activation)
     assert_mc_dropout_matches_reference(model, RngStream(5).standard_normal((*rows, dims[0])), 12)
 
 
 @pytest.mark.parametrize("rate", [0.05, 1 / 3, 0.5, 0.9])
 @pytest.mark.parametrize("dims, activation, rows", MC_SHAPES, ids=MC_SHAPE_IDS)
 def test_mc_dropout_bit_equal_at_other_rates(dims, activation, rows, rate):
-    model = init_mlp(dims, dropout_rate=rate, rng=RngStream(4), hidden_activation=activation).eval()
+    model = mc_model(dims, rate, activation)
     assert_mc_dropout_matches_reference(model, RngStream(5).standard_normal((*rows, dims[0])), 12)
 
 
 def test_mc_dropout_bit_equal_on_signed_zeros_and_non_finite_inputs():
     # identity hidden units keep their sign, so a dropped negative unit is -0.0;
     # an infinite unit times a dropped mask is NaN
-    model = init_mlp([3, 6, 6, 2], dropout_rate=0.5, rng=RngStream(4), hidden_activation="identity").eval()
+    model = mc_model([3, 6, 6, 2], 0.5, "identity")
     x = np.array([[-0.0, -0.0, -0.0], [1.0, -2.0, 0.5], [np.inf, 1.0, 0.0], [np.nan, 0.0, 1.0],
                   [-np.inf, np.inf, 2.0], [-1e300, 1e300, -3.0]])
     with np.errstate(invalid="ignore", over="ignore"):

@@ -180,9 +180,7 @@ def test_kernel_clamps_to_shape_range():
 
 
 def test_kernel_rejects_bad_distances():
-    # non-finite features are rejected before any distance is taken; warp-demo
-    # --distances, the one caller that takes distances as given, rejects
-    # non-finite and negative distances
+    # non-finite features are rejected before any distance is taken
     for bad in (math.nan, math.inf):
         with pytest.raises(UsageError, match=f"^features must be finite, got {bad!r} at row 1$"):
             batch_taus(np.array([[0.0], [bad], [1.0]]), np.array([1, 2, 0]), make_config())

@@ -1,8 +1,10 @@
 """The public surface: every exported name exists, the README's Python
-examples run as written, and its CLI examples parse.
+examples run as written, its CLI examples parse, and its config defaults
+are the library's.
 """
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -61,3 +63,15 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_readme_config_defaults_equal_default_config():
+    # the README's defaults block is written by hand: a key added, deleted or given
+    # a new default in DEFAULT_CONFIG must change it too
+    from warpmix import DEFAULT_CONFIG
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration defaults\n", 1)[1]
+    block = re.match(r"\s*```json\n(.*?)^```", section, re.MULTILINE | re.DOTALL)
+    assert block is not None, "no ```json block opens the Configuration defaults section"
+    assert json.loads(block.group(1)) == DEFAULT_CONFIG
