@@ -3,7 +3,7 @@
 Verbs: train, eval, grid, warp-demo, metrics. Every command writes only
 inside its output directory and creates it at its first write, so a command
 that fails before writing leaves no directory; exit code 0 means success, 2
-a usage problem (bad flags, bad config, missing file), 1 a runtime failure
+a usage problem (bad flags, bad config, a missing or unreadable input file), 1 a runtime failure
 (divergence, non-convergence, I/O trouble or running out of memory mid-run).
 """
 
@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import DatasetError, DomainError, UsageError, WarpmixError, check_int
-from .data import split
-from .harness import DEFAULT_CONFIG, ExperimentConfig, _read_json, evaluate, grid_search, run_experiment
+from .data import _csv_text, _read_json, split
+from .harness import DEFAULT_CONFIG, ExperimentConfig, evaluate, grid_search, run_experiment
 from .metrics import bin_stats, metrics_from_payload, payload_bins
 from .model import load_model, save_model
 from .rng import RngStream
@@ -69,13 +69,6 @@ def _write_metrics(out: str, metrics: dict) -> None:
             print(f"{name}: {value:.6g}")
 
 
-def _write_trace_csv(path: str, trace) -> None:
-    lines = ["epoch,train_loss,valid_loss"]
-    for row in trace:
-        lines.append(f"{row['epoch']},{row['train_loss']!r},{row['valid_loss']!r}")
-    _write(path, "\n".join(lines) + "\n")
-
-
 def _bin_edges(lo: float, hi: float, m: int) -> list:
     """The m + 1 edges of ``bin_stats``'s equal-width bins of [lo, hi]."""
     return (lo + (hi - lo) * np.arange(m + 1) / m).tolist()
@@ -87,11 +80,9 @@ def _bin_table(payload: dict) -> str:
     m = counts.shape[0]
     edges = _bin_edges(lo, hi, m)
     means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0).tolist()
-    columns = "mse,mean_variance" if payload["task"] == "regression" else "accuracy,confidence"
-    lines = [f"bin_lo,bin_hi,count,{columns}"] + [
-        f"{edges[b]!r},{edges[b + 1]!r},{int(counts[b])},{means[0][b]!r},{means[1][b]!r}" for b in range(m)
-    ]
-    return "\n".join(lines) + "\n"
+    columns = ("mse", "mean_variance") if payload["task"] == "regression" else ("accuracy", "confidence")
+    rows = ((edges[b], edges[b + 1], int(counts[b]), means[0][b], means[1][b]) for b in range(m))
+    return _csv_text(("bin_lo", "bin_hi", "count", *columns), rows)
 
 
 def _cmd_train(args) -> int:
@@ -100,9 +91,11 @@ def _cmd_train(args) -> int:
     out = config.output_dir
     _write(os.path.join(out, "report.json"), result.report.to_json())
     _write(os.path.join(out, "effective_config.json"), json.dumps(config.to_dict(), indent=2, sort_keys=True))
+    columns = ("epoch", "train_loss", "valid_loss")
     for seed, train_result in result.train_results.items():
         save_model(train_result.model, os.path.join(out, f"checkpoint_seed{seed}.json"))
-        _write_trace_csv(os.path.join(out, f"trace_seed{seed}.csv"), train_result.trace)
+        trace = ([row[c] for c in columns] for row in train_result.trace)
+        _write(os.path.join(out, f"trace_seed{seed}.csv"), _csv_text(columns, trace))
         _write(
             os.path.join(out, f"predictions_seed{seed}.json"),
             json.dumps(result.predictions[seed], indent=2, sort_keys=True),
@@ -148,29 +141,21 @@ def _cmd_warp_demo(args) -> int:
         raise UsageError("warp-demo needs --taus")
     rng = RngStream(args.seed)
     edges = _bin_edges(0.0, 1.0, WARP_DEMO_BINS)
-    lines = ["tau,bin_lo,bin_hi,count,density"]
+    rows = []
     for case_index, tau in enumerate(_comma_floats(args.taus)):
         raw = beta_sample(args.alpha, rng.child(case_index), size=samples)
         counts, _ = bin_stats(warp_pairwise(raw, np.full(samples, tau)), 0.0, 1.0, WARP_DEMO_BINS)
         for b in range(WARP_DEMO_BINS):
             lo, hi = edges[b], edges[b + 1]
-            density = float(counts[b]) / (samples * (hi - lo))
-            lines.append(f"{tau!r},{lo!r},{hi!r},{int(counts[b])},{density!r}")
+            rows.append((tau, lo, hi, int(counts[b]), float(counts[b]) / (samples * (hi - lo))))
     path = os.path.join(args.out, "warp_demo.csv")
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, _csv_text(("tau", "bin_lo", "bin_hi", "count", "density"), rows))
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_metrics(args) -> int:
-    if not os.path.isfile(args.predictions):
-        raise DatasetError(f"predictions file not found: {args.predictions}", code="missing_file")
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"predictions file {args.predictions!r} is not valid JSON: {exc}") from None
-    _write_metrics(args.out, metrics_from_payload(payload))
+    _write_metrics(args.out, metrics_from_payload(_read_json(args.predictions, "predictions")))
     return 0
 
 

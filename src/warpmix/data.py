@@ -1,10 +1,13 @@
-"""Tabular dataset ingestion, splitting, and normalization."""
+"""Tabular dataset ingestion, splitting, and normalization, and the file
+formats every input file and output CSV of the package goes through."""
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -96,19 +99,52 @@ class DataSplits:
     normalization: Normalization
 
 
+@contextmanager
+def _reading(path, what: str):
+    """The UTF-8 text file at ``path``, open for the body to read, with every
+    failure to read it mapped, those raised while the body reads included: a
+    missing file raises DatasetError (code ``missing_file``), and an
+    unreadable path, a directory, bytes that are not UTF-8 or a CSV line the
+    csv module cannot split raise UsageError naming it as a ``what`` file."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DatasetError(f"{what} file not found: {path}", code="missing_file") from None
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise UsageError(f"cannot read {what} file {path!r}: {exc}") from None
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, read by ``_reading``'s rule;
+    text that does not parse raises UsageError naming it as a ``what`` file."""
+    with _reading(path, what) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
+        raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of the ``header`` row, then ``rows``: a string cell as it is, a number by its repr."""
+    return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in (header, *rows))
+
+
 def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Dataset:
     """Parse a headered numeric CSV into a regression Dataset.
 
     The target column is named or indexed (negative indices allowed); all
     other columns become features in file order. Any non-numeric, NaN or
     infinite cell is an error naming the offending data row (1-based, header
-    excluded).
+    excluded). The file is read by ``_reading``'s rule.
     """
-    if not os.path.isfile(path):
-        raise DatasetError(f"dataset file not found: {path}", code="missing_file")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    with _reading(path, "dataset") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     if not rows:
         raise DatasetError(f"dataset file is empty: {path}", code="empty_dataset")
     header, data_rows = rows[0], rows[1:]

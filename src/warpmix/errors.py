@@ -59,7 +59,7 @@ class DatasetError(WarpmixError, ValueError):
     """A dataset could not be ingested.
 
     ``code`` is a stable machine-readable tag: one of ``"missing_file"``
-    (also a missing checkpoint or predictions file),
+    (also a missing config, cells, checkpoint or predictions file),
     ``"non_numeric_cell"`` (also NaN and infinite cells, NaN or infinite
     values handed to ``Dataset`` directly, and features that ``split``
     normalizes to infinity), ``"empty_dataset"``,

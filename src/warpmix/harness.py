@@ -22,12 +22,12 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .data import DataSplits, Dataset, check_fractions, load_csv, split
+from .data import DataSplits, Dataset, _csv_text, _read_json, check_fractions, load_csv, split
 from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_real
 from .metrics import _MAX_BINS, _T_LO, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
@@ -121,6 +121,8 @@ _NULLABLE = ("num_classes", "mixup.input_kernel", "mixup.output_kernel")
 _INT_BOUNDS = {"seeds": (0, _SEED_MAX), "num_classes": (2, None), "metrics.num_bins": (1, _MAX_BINS),
                "optimizer.epochs": (1, None), "optimizer.batch_size": (1, None), "model.hidden": (1, None)}
 _KINDS = {bool: "true or false", str: "a string", dict: "a table"}
+# the kernel backends that read one task's targets: regression values, or the classes' output weights
+_BACKEND_TASKS = {"label": "regression", "class_weight": "classification"}
 
 
 def _typed(name: str, default, value):
@@ -148,15 +150,13 @@ def _typed(name: str, default, value):
     raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _read_json(path, what: str):
-    """The JSON value in the file at ``path``, or UsageError naming it as a ``what`` file."""
+def _keyed(prefix: str, make, fields: dict):
+    """``make(**fields)``, with its UsageError named by the dotted key: each
+    message of MixupConfig and KernelConfig starts with its field's name."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+        return make(**fields)
+    except UsageError as exc:
+        raise UsageError(f"{prefix}{exc}") from None
 
 
 def _parse_override_value(text: str):
@@ -199,6 +199,11 @@ class ExperimentConfig:
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
         mix = self.mixup_config()
+        for side in ("input_kernel", "output_kernel") if mix.mode == "kernel_warped" else ():
+            backend = getattr(mix, side).backend
+            if _BACKEND_TASKS.get(backend, v["task"]) != v["task"]:
+                raise UsageError(f"mixup.{side}.backend must fit the task: {backend!r} is for "
+                                 f"{_BACKEND_TASKS[backend]}, got {v['task']}")
         self.optimizer_state()
         if v["task"] == "regression" and self.mc_samples < 2:  # regression evaluates by MC dropout
             raise UsageError(f"metrics.mc_samples must be >= 2 for regression, got {self.mc_samples}")
@@ -275,9 +280,9 @@ class ExperimentConfig:
 
     def mixup_config(self) -> MixupConfig:
         m = self._values["mixup"]
-        kernels = {side: None if m[side] is None else KernelConfig(**m[side])
+        kernels = {side: None if m[side] is None else _keyed(f"mixup.{side}.", KernelConfig, m[side])
                    for side in ("input_kernel", "output_kernel")}
-        return MixupConfig(**{**m, **kernels})
+        return _keyed("mixup.", MixupConfig, {**m, **kernels})
 
     def optimizer_state(self) -> OptimizerState:
         return OptimizerState(learning_rate=self._values["optimizer"]["learning_rate"])
@@ -287,14 +292,7 @@ class ExperimentConfig:
         if not d["path"]:
             raise UsageError("config has no dataset.path")
         ds = load_csv(d["path"], target_column=d["target_column"], name=d["name"])
-        if self.task == "classification":
-            ds = Dataset(
-                features=ds.features,
-                targets=ds.targets,
-                name=ds.name,
-                num_classes=self.num_classes,
-            )
-        return ds
+        return ds if self.num_classes is None else replace(ds, num_classes=self.num_classes)
 
 
 @dataclass
@@ -496,10 +494,8 @@ class GridResult:
     rows: list  # long format: {"cell", "seed", "metric", "value"}
 
     def to_csv(self) -> str:
-        lines = ["cell,seed,metric,value"]
-        for row in self.rows:
-            lines.append(f"{row['cell']},{row['seed']},{row['metric']},{row['value']!r}")
-        return "\n".join(lines) + "\n"
+        columns = ("cell", "seed", "metric", "value")
+        return _csv_text(columns, ([row[c] for c in columns] for row in self.rows))
 
 
 # every cell trains on the one dataset loaded from the grid's config and writes to its one directory

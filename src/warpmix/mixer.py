@@ -118,9 +118,10 @@ class MixupConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", "> 0", lambda v: v > 0.0))
         if self.mode not in MIX_MODES:
-            raise UsageError(f"unknown mix mode {self.mode!r}; expected one of {MIX_MODES}")
-        if self.mode == "kernel_warped" and (self.input_kernel is None or self.output_kernel is None):
-            raise UsageError("kernel_warped mode requires both input_kernel and output_kernel")
+            raise UsageError(f"mode must be one of {MIX_MODES}, got {self.mode!r}")
+        for side in ("input_kernel", "output_kernel"):
+            if self.mode == "kernel_warped" and getattr(self, side) is None:
+                raise UsageError(f"{side} is required in kernel_warped mode, got None")
         # Derived once here, not per step, and not fields, so equality and repr ignore
         # them: the distinct strength sources (kernels, or constant taus) in first-seen
         # order, the row of them that each side takes, the kernels' distinct backends,

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, _count, check_array, check_int, check_real
+from .data import _read_json
+from .errors import UsageError, _count, check_array, check_int, check_real
 from .rng import RngStream
 
 __all__ = [
@@ -443,13 +443,7 @@ def load_model(path) -> ModelState:
     """Read a checkpoint written by ``save_model``. A missing file raises
     DatasetError (code ``missing_file``); any other unreadable checkpoint,
     UsageError."""
-    if not os.path.isfile(path):
-        raise DatasetError(f"checkpoint file not found: {path}", code="missing_file")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"checkpoint {path!r} is not valid JSON: {exc}") from None
+    payload = _read_json(path, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise UsageError(f"{path!r} is not a {CHECKPOINT_FORMAT} checkpoint")
     try:

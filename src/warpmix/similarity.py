@@ -66,9 +66,7 @@ class KernelConfig:
         if not 0.0 < scale < math.inf:
             raise UsageError(f"tau_std must keep the kernel scale 2 tau_std^2 in (0, inf), got {self.tau_std}")
         if self.backend not in FEATURE_BACKENDS:
-            raise UsageError(
-                f"unknown feature backend {self.backend!r}; expected one of {FEATURE_BACKENDS}"
-            )
+            raise UsageError(f"backend must be one of {FEATURE_BACKENDS}, got {self.backend!r}")
 
 
 def normalized_distances(points, permutation) -> np.ndarray:
@@ -165,9 +163,7 @@ def extract_features(batch, backend: str, model=None) -> np.ndarray:
     Non-finite features from the model mean it has diverged: DivergenceError.
     """
     if backend not in FEATURE_BACKENDS:
-        raise UsageError(
-            f"unknown feature backend {backend!r}; expected one of {FEATURE_BACKENDS}"
-        )
+        raise UsageError(f"backend must be one of {FEATURE_BACKENDS}, got {backend!r}")
     if backend == "raw_input":
         return np.asarray(batch.inputs, dtype=np.float64)
     if backend == "label":

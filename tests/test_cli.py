@@ -102,6 +102,33 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each verb's command line reading the input file at path, for each kind of input file
+def _command_reading(kind, workspace, path):
+    config = ["--config", str(workspace["reg_config"])]
+    return {"config": ["train", "--config", str(path)],
+            "cells": ["grid", *config, "--cells", str(path)],
+            "dataset": ["train", *config, f"dataset.path={path}"],
+            "checkpoint": ["eval", *config, "--checkpoint", str(path)],
+            "predictions": ["metrics", "--predictions", str(path)]}[kind]
+
+
+@pytest.mark.parametrize("kind, damage", [
+    (kind, damage) for kind in ("cells", "checkpoint", "config", "dataset", "predictions")
+    for damage in ("missing", "directory", "not_utf8", "not_json") if (kind, damage) != ("dataset", "not_json")])
+def test_every_input_file_follows_the_file_rule(workspace, tmp_path, capsys, kind, damage):
+    # a missing file is a DatasetError, any other unreadable file a UsageError: each exits 2
+    path = tmp_path / "input"
+    if damage == "directory":
+        path.mkdir()
+    elif damage != "missing":
+        path.write_bytes({"not_utf8": b"[\xff]\n", "not_json": b"[[]\n"}[damage])
+    assert main([*_command_reading(kind, workspace, path), "--out", str(tmp_path / "o")]) == USAGE_EXIT
+    message = {"missing": f"{kind} file not found: {path}",
+               "not_json": f"{kind} file {str(path)!r} is not valid JSON"}.get(damage, f"cannot read {kind} file")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("content", ["[]", "null", "0", "false", "5", "[1]", '"x"', '[{"seeds": [1]}]'])
 @pytest.mark.parametrize("verb", ["train", "grid"])
 def test_config_that_is_not_an_object_fails_before_the_output_dir_exists(workspace, tmp_path, capsys, verb,
@@ -665,9 +692,25 @@ def test_tau_std_whose_kernel_scale_overflows_is_usage_error(workspace, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("verb", ["train", "grid"])
+def test_kernel_backend_of_the_other_task_fails_before_the_output_dir_exists(workspace, tmp_path, capsys,
+                                                                           monkeypatch, verb):
+    # a classification run with the default output kernel, label, used to fail at its first step,
+    # and a grid recorded every such cell as failed and exited 0
+    monkeypatch.setattr(harness, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([[], ["mixup.output_kernel.backend=label"]]))
+    argv = {"train": ["train", "--config", str(workspace["clf_config"]), "mixup.output_kernel.backend=label"],
+            "grid": ["grid", "--config", str(workspace["clf_config"]), "--cells", str(cells)]}[verb]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + "cell 1: " * (verb == "grid") + "mixup.output_kernel.backend must fit the task")
+    assert not (tmp_path / "o").exists()
+
+
 # the cells file's text (None: no file), the config it runs under and the error it gives
 BAD_CELLS = {
-    "missing_file": (None, "reg_config", "cannot read cells file"),
+    "missing_file": (None, "reg_config", "cells file not found"),
     "not_json": ("[[]", "reg_config", "is not valid JSON"),
     "empty": ("[]", "reg_config", "cells must be a non-empty list of override lists, got []"),
     "table": ('{"cells": [[]]}', "reg_config", "cells must be a non-empty list of override lists"),

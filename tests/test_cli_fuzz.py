@@ -23,8 +23,10 @@ six are never numbers an option takes and exit 2, except an infinite
 ``tau_max`` or ``tau_std`` inside a ``grid`` cells file, and the cells
 file is damaged whole too: not JSON, not a list, an empty list, a cell
 that is not a list, an override that is not a string, a repeated cell or
-a cell that sets ``dataset.path``, each of which exits 2. SEED and CASES
-fix the cases; the whole test takes a few seconds.
+a cell that sets ``dataset.path``, each of which exits 2. Every input
+file (config, cells, dataset CSV, checkpoint and predictions) also gets
+bytes that are not UTF-8 at a drawn place in a valid file, which exits 2.
+SEED and CASES fix the cases; the whole test takes a few seconds.
 """
 
 import json
@@ -353,3 +355,36 @@ def test_damaged_cells(train_configs, tmp_path, capsys, monkeypatch):
         cells.write_text(text)
         argv = ["grid", "--config", str(config), f"--cells={cells}", "--jobs=2", "--out", str(out)]
         _run(argv, out, damage, f"grid cells {text[:60]}", capsys, usage)
+
+
+# byte sequences that are not UTF-8: a byte no character starts with, a lone continuation
+# byte, a lead byte without its continuation, an encoded surrogate, a code point past
+# U+10FFFF and a character cut short
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xe2\x82")
+NOT_UTF8_CASES = 20  # per input file
+
+
+@pytest.mark.parametrize("kind", ["config", "cells", "dataset", "checkpoint", "predictions"])
+def test_input_file_that_is_not_utf8(train_configs, eval_inputs, tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(train_configs[0]))
+    eval_config, checkpoint = eval_inputs
+    with open(train_configs[0]["dataset"]["path"], "rb") as fh:
+        dataset = fh.read()
+    # (the valid file's bytes, the command line that reads the file at a path)
+    valid, argv = {
+        "config": (config.read_bytes(), lambda path: ["train", "--config", path]),
+        "cells": (b'[[], ["mixup.alpha=0.2"]]', lambda path: ["grid", "--config", str(config), "--cells", path]),
+        "dataset": (dataset, lambda path: ["train", "--config", str(config), f"dataset.path={path}"]),
+        "checkpoint": (json.dumps(checkpoint).encode(),
+                       lambda path: ["eval", "--config", str(eval_config), "--checkpoint", path]),
+        "predictions": (json.dumps(_payloads()[0]).encode(), lambda path: ["metrics", "--predictions", path]),
+    }[kind]
+    rng = np.random.default_rng(SEED + 6)
+    for case in range(NOT_UTF8_CASES):
+        at, bad = int(rng.integers(len(valid) + 1)), NOT_UTF8[rng.integers(len(NOT_UTF8))]
+        path, out = tmp_path / f"{kind}{case}", tmp_path / f"out{case}"
+        path.write_bytes(valid[:at] + bad + valid[at:])
+        _run([*argv(str(path)), "--out", str(out)], out, "not_utf8", f"{kind} with {bad!r} at byte {at}", capsys,
+             usage=True)

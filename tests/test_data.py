@@ -1,9 +1,11 @@
-"""Tests for CSV ingestion, seeded splitting, and normalization."""
+"""Tests for CSV ingestion, seeded splitting, and normalization, and for
+the rule every input file is read by."""
 
 import numpy as np
 import pytest
 
-from warpmix import Batch, Dataset, DatasetError, UsageError, load_csv, split
+from warpmix import Batch, Dataset, DatasetError, ExperimentConfig, UsageError, load_csv, load_model, split
+from warpmix.data import _read_json
 from warpmix.rng import RngStream
 
 from _support import write_csv
@@ -44,6 +46,58 @@ def test_missing_file_error():
     with pytest.raises(DatasetError) as info:
         load_csv("/nonexistent/nowhere.csv")
     assert info.value.code == "missing_file"
+
+
+# each kind of input file, by the function that reads it
+READERS = {
+    "config": ExperimentConfig.from_file,
+    "cells": lambda path: _read_json(path, "cells"),
+    "dataset": load_csv,
+    "checkpoint": load_model,
+    "predictions": lambda path: _read_json(path, "predictions"),
+}
+# the file's bytes for each damage: non-UTF-8 bytes first, or past the first chunk the
+# reader decodes, so that the body's read fails
+FILE_DAMAGES = {
+    "not_utf8_first": b"\xff\n",
+    "not_utf8_late": b"\n" * 20000 + b"\xc3(\n",
+    "not_json": b"[[]\n",
+}
+
+
+@pytest.mark.parametrize("kind, damage", [(kind, damage) for kind in sorted(READERS)
+                                          for damage in ("missing", "directory", *sorted(FILE_DAMAGES))
+                                          if (kind, damage) != ("dataset", "not_json")])  # a dataset is CSV
+def test_every_input_file_follows_the_file_rule(tmp_path, kind, damage):
+    path = tmp_path / "input"
+    if damage == "directory":
+        path.mkdir()
+    elif damage != "missing":
+        path.write_bytes(FILE_DAMAGES[damage])
+    error = DatasetError if damage == "missing" else UsageError
+    message = {"missing": f"{kind} file not found: {path}",
+               "not_json": f"{kind} file {path!r} is not valid JSON"}.get(damage, f"cannot read {kind} file {path!r}")
+    with pytest.raises(error) as info:
+        READERS[kind](path)
+    assert str(info.value).startswith(message)
+    if damage == "missing":
+        assert info.value.code == "missing_file"
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["nested_too_deep", "integer_too_long"])
+def test_json_that_python_cannot_parse_is_not_valid_json(tmp_path, text):
+    # the parser raises RecursionError, or ValueError for an integer past Python's digit limit
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match="config file .* is not valid JSON"):
+        ExperimentConfig.from_file(path)
+
+
+def test_csv_line_the_csv_module_cannot_split_is_unreadable(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x,y\n" + "1" * 200_000 + ",2\n")  # past the csv module's field size limit
+    with pytest.raises(UsageError, match="cannot read dataset file .*field larger than field limit"):
+        load_csv(path)
 
 
 def test_empty_file_and_header_only(tmp_path):

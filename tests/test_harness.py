@@ -328,12 +328,53 @@ def test_bad_class_labels_rejected_at_load(tmp_path, label):
     rows = [[0.1, 0], [0.2, 1], [0.3, label], [0.4, 0]]
     path = write_csv(tmp_path / "clf.csv", ["x", "y"], rows)
     cfg = ExperimentConfig(
-        {"dataset": {"path": str(path)}, "task": "classification", "num_classes": 2}
+        {"dataset": {"path": str(path)}, "task": "classification", "num_classes": 2,
+         "mixup": {"output_kernel": {"backend": "class_weight"}}}
     )
     with pytest.raises(DatasetError) as info:
         cfg.load_dataset()
     assert info.value.code == "bad_label"
     assert "row 3" in str(info.value)
+
+
+@pytest.mark.parametrize("task, side, backend", [
+    ("classification", "output_kernel", "label"), ("classification", "input_kernel", "label"),
+    ("regression", "output_kernel", "class_weight"), ("regression", "input_kernel", "class_weight")])
+def test_kernel_backend_must_fit_the_task(task, side, backend):
+    # label distances are between regression targets, class_weight's between classes
+    values = tiny_values(task)
+    values["mixup"][side]["backend"] = backend
+    with pytest.raises(UsageError, match=rf"^mixup\.{side}\.backend must fit the task: '{backend}' is for "):
+        ExperimentConfig(values)
+    for mode in ("off", "vanilla", "input_only", "target_only"):  # modes that read no kernel
+        values["mixup"]["mode"] = mode
+        assert ExperimentConfig(values).mixup_config().mode == mode
+
+
+def test_classification_at_the_default_output_kernel_is_rejected():
+    with pytest.raises(UsageError, match="^mixup.output_kernel.backend must fit the task: 'label' is for regression"):
+        ExperimentConfig({"task": "classification", "num_classes": 2})
+
+
+@pytest.mark.parametrize("override, message", [
+    ("mixup.alpha=-1", "mixup.alpha must be a finite number > 0, got -1"),
+    ("mixup.mode=warped", "mixup.mode must be one of"),
+    ("mixup.input_kernel.tau_max=-1", "mixup.input_kernel.tau_max must be a finite number > 0, got -1"),
+    ("mixup.output_kernel.tau_std=0", "mixup.output_kernel.tau_std must be a finite number > 0, got 0"),
+    ("mixup.input_kernel.tau_std=1e-300", "mixup.input_kernel.tau_std must keep the kernel scale"),
+    ("mixup.output_kernel.backend=pixels", "mixup.output_kernel.backend must be one of"),
+    ("mixup.input_kernel=null", "mixup.input_kernel is required in kernel_warped mode"),
+])
+def test_mixup_errors_name_their_dotted_key(override, message):
+    with pytest.raises(UsageError, match="^" + re.escape(message)):
+        tiny_config().with_overrides([override])
+
+
+def test_kernel_error_in_a_config_file_names_its_kernel(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mixup": {"input_kernel": {"tau_max": -1}}}))
+    with pytest.raises(UsageError, match=r"^mixup\.input_kernel\.tau_max must be a finite number > 0, got -1.0$"):
+        ExperimentConfig.from_file(path)
 
 
 # ------------------------------------------------------------------- train
@@ -822,7 +863,7 @@ def test_grid_rejects_repeated_values(monkeypatch):
     (["mixup.alpha=1"], "cell 0: overrides must be a list of key=value strings, got 'mixup.alpha=1'"),
     ([[], None], "cell 1: overrides must be a list of key=value strings, got None"),
     ([["mixup.alpha=1", 3]], "cell 0: override 3 is not of the form key=value"),
-    ([[], ["mixup.alpha=-1"]], "cell 1: alpha must be a finite number > 0, got -1"),
+    ([[], ["mixup.alpha=-1"]], "cell 1: mixup.alpha must be a finite number > 0, got -1"),
     ([["mixup.zzz=1"]], "cell 0: unknown config key 'mixup.zzz'"),
     ([["dataset.path=other.csv"]], "cell 0: changes dataset, which every cell of a grid shares"),
     ([[], ["dataset.target_column=0"]], "cell 1: changes dataset, which every cell of a grid shares"),
