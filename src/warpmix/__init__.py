@@ -10,7 +10,7 @@ from .errors import (
     WarpmixError,
 )
 from .rng import RngStream
-from .special import SHAPE_MAX, SHAPE_MIN, beta_sample, incomplete_beta_reg, log_beta
+from .special import SHAPE_MAX, SHAPE_MIN, beta_sample
 from .warping import warp_pairwise
 from .similarity import (
     FEATURE_BACKENDS,

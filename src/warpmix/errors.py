@@ -15,11 +15,10 @@ class WarpmixError(Exception):
 
 
 class DomainError(WarpmixError, ValueError):
-    """A value handed to a numerical kernel lies outside its mathematical
-    domain: the x and shapes of incomplete_beta_reg and log_beta, and the
-    coefficients and strengths of warp_pairwise, once the array rule below
-    has taken them as numbers. Every other argument that breaks a rule
-    raises UsageError."""
+    """A value handed to the numerical kernel lies outside its mathematical
+    domain: a coefficient of warp_pairwise outside [0, 1] or a NaN or
+    non-positive strength, once the array rule below has taken them as
+    numbers. Every other argument that breaks a rule raises UsageError."""
 
 
 class UsageError(WarpmixError, ValueError):

@@ -162,7 +162,7 @@ def _keyed(prefix: str, make, fields: dict):
 def _parse_override_value(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # also an integer too long to convert, or nesting too deep
         return text
 
 

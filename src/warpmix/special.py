@@ -1,12 +1,14 @@
-"""Beta special functions and Beta(alpha, alpha) sampling.
+"""The symmetric Beta CDF kernel and Beta(alpha, alpha) sampling.
 
 Everything here is pure and deterministic given its inputs (the sampler is
 deterministic given its stream). The regularized incomplete beta function
 is the warping engine of the whole package, so it is implemented from
 first principles. The warp only ever needs the CDF of a symmetric
-Beta(a, a), so ``incomplete_beta_reg`` computes I_x(a, a) and rejects
-a != b. It takes scalars or arrays and checks them once per call; each
-lane then runs on Python floats, in one of three regimes:
+Beta(a, a), so the private kernel ``_incomplete_beta`` computes I_x(a, a)
+and checks nothing; ``warping.warp_pairwise`` is its one checked public
+entry, which validates coefficients and strengths once per call and clamps
+finite strengths into the shape range. Each lane then runs on Python
+floats, in one of three regimes:
 
 1. The exact cut. For a > 1, a point far enough from 0.5 that the result is
    exactly 0 or 1 in double precision returns it without further work.
@@ -30,8 +32,8 @@ lane then runs on Python floats, in one of three regimes:
    iteration was slower at training batch sizes, because every point
    waits for the slowest one.
 
-The training step's warp calls the unchecked ``_incomplete_beta``: its
-strengths come clamped from the similarity kernel.
+The training step's warp calls ``_incomplete_beta`` through the unchecked
+``warping._warp``: its strengths come clamped from the similarity kernel.
 
 Beta draws come from numpy's ``Generator.beta``: Johnk's method for
 shapes up to 1, falling back to logs where its powers underflow, and a
@@ -40,12 +42,11 @@ Marsaglia-Tsang sampler because it passes the same distribution tests,
 handles tiny alpha without 0/0 as the old one did, and draws a whole
 batch in one call instead of running a Python rejection loop per draw.
 
-Shape parameters are accepted on [SHAPE_MIN, SHAPE_MAX] = [1e-4, 1e6];
-positive finite values outside are clamped into it silently rather than
+The kernel's shapes lie on [SHAPE_MIN, SHAPE_MAX] = [1e-4, 1e6]. Positive
+finite strengths outside are clamped into it silently rather than
 rejected, because upstream similarity kernels can legitimately produce
-extreme values that saturate. ``warping.warp_pairwise`` clamps its finite
-strengths, and the similarity kernel clips its strengths, into the same
-range, equally silently.
+extreme values that saturate: ``warping.warp_pairwise`` clamps its finite
+strengths, and the similarity kernel clips its strengths, into this range.
 """
 
 from __future__ import annotations
@@ -54,13 +55,11 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, UsageError, _count, check_array, check_int, check_real
+from .errors import NonConvergenceError, _count, check_int, check_real
 
 __all__ = [
     "SHAPE_MIN",
     "SHAPE_MAX",
-    "log_beta",
-    "incomplete_beta_reg",
     "beta_sample",
 ]
 
@@ -122,21 +121,6 @@ _SYMMETRIC_COEFFS = (
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
-def _checked_shapes(*shapes):
-    """One or two shape arrays (a, then b) checked positive and finite, then
-    clamped into the range."""
-    out = []
-    for name, value in zip("ab", shapes):
-        # NaN propagates through min and max and fails both tests; the
-        # initial values keep an empty array valid
-        lo, hi = value.min(initial=math.inf), value.max(initial=-math.inf)
-        if not (lo > 0.0 and hi < math.inf):
-            bad = value[~(np.isfinite(value) & (value > 0.0))][0]
-            raise DomainError(f"{name} must be a positive finite number, got {bad}")
-        out.append(np.clip(value, SHAPE_MIN, SHAPE_MAX))
-    return out
-
-
 def _stirling_delta(z: float) -> float:
     """Correction term of Stirling's series: lgamma(z) - (z-1/2)ln z + z - ln(2 pi)/2."""
     r = 1.0 / z
@@ -145,33 +129,6 @@ def _stirling_delta(z: float) -> float:
     for c in reversed(_STIRLING_COEFFS):
         acc = acc * r2 + c
     return acc * r
-
-
-def log_beta(a, b) -> float:
-    """Natural log of the Euler beta function B(a, b).
-
-    Accurate to a relative error far below 1e-12 across the accepted shape
-    range, including extreme asymmetric pairs where naive lgamma differences
-    lose ten digits. Takes scalar shapes only: ``a`` and ``b`` are 0-d by
-    the package's array rule (``errors.check_array``), less its finite
-    part, so an array, a bool or a string raises UsageError naming it; a
-    NaN, infinite or non-positive shape raises DomainError.
-    """
-    a, b = _checked_shapes(check_array(a, "a", 0, finite=False), check_array(b, "b", 0, finite=False))
-    a, b = float(a), float(b)
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi < _STIRLING_MIN:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    # ln B(lo, hi) with the large lgamma values cancelled analytically, so the
-    # result stays accurate even when ln B is tiny and the inputs are huge.
-    return (
-        math.lgamma(lo)
-        - lo * math.log(hi)
-        - (lo + hi - 0.5) * math.log1p(lo / hi)
-        + lo
-        + _stirling_delta(hi)
-        - _stirling_delta(lo + hi)
-    )
 
 
 def _beta_cont_frac(a: float, x: float) -> float:
@@ -310,37 +267,6 @@ def _incbeta(x: float, a: float) -> float:
     value = math.exp(front) * _beta_cont_frac(a, y) / a
     # Guard against last-ulp excursions outside [0, 1].
     return min(1.0, max(0.0, value if x < 0.5 else 1.0 - value))
-
-
-def incomplete_beta_reg(x, a, b):
-    """Regularized incomplete beta function I_x(a, b) for symmetric shapes a == b.
-
-    This is the CDF of a Beta(a, a) variable at x, the warping function used
-    on interpolation coefficients; a pair a != b raises ``UsageError``.
-    ``x``, ``a`` and ``b`` are scalars or arrays of one shape (scalars
-    broadcast); scalars give a float, arrays an array of that shape. Each
-    follows the package's array rule (``errors.check_array``) less its
-    finite part, so a bool or a string raises UsageError naming it; an x
-    outside [0, 1] or a NaN, infinite or non-positive shape raises
-    DomainError. Exact at the endpoints, exact for the uniform case
-    a = b = 1, and exact at x = 0.5 (by symmetry of the density).
-    """
-    x, a, b = (check_array(v, name, finite=False) for v, name in ((x, "x"), (a, "a"), (b, "b")))
-    if not x.shape == a.shape == b.shape:
-        try:
-            x, a, b = np.broadcast_arrays(x, a, b)
-        except ValueError:
-            raise UsageError(
-                f"x, a and b must share one shape, got {x.shape}, {a.shape} and {b.shape}"
-            ) from None
-    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=1.0) <= 1.0):
-        bad = x[~((x >= 0.0) & (x <= 1.0))][0]
-        raise DomainError(f"x must lie in [0, 1], got {bad}")
-    shapes = _checked_shapes(a, b)[0]
-    if not np.array_equal(a, b):
-        raise UsageError(f"shapes must be symmetric (a == b), got a={a[a != b][0]} and b={b[a != b][0]}")
-    values = _incomplete_beta(x.ravel(), shapes.ravel())
-    return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
 
 
 def _incomplete_beta(x: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -24,14 +24,17 @@ __all__ = ["warp_pairwise"]
 def warp_pairwise(coeffs, taus) -> np.ndarray:
     """Warp coefficient i by strength taus[i]; lengths must agree.
 
-    Each strength is a positive number or ``math.inf``. The infinite limit is
-    the step function 1{coeff >= 0.5}; the tie at 0.5 resolves to 1 so that
-    the first element of a pair dominates. Finite strengths outside
-    [SHAPE_MIN, SHAPE_MAX] are clamped into it silently, as
-    ``incomplete_beta_reg`` clamps its shapes. Both arguments are 1-d by the
-    package's array rule (``errors.check_array``), less its finite part, so
-    a bool or a string raises UsageError naming it; a coefficient outside
-    [0, 1] or a NaN or non-positive strength raises DomainError.
+    A finite strength gives I_coeff(tau, tau), the regularized incomplete
+    beta function of a symmetric Beta(tau, tau); this is the package's one
+    checked entry to it. Each strength is a positive number or ``math.inf``.
+    The infinite limit is the step function 1{coeff >= 0.5}; the tie at 0.5
+    resolves to 1 so that the first element of a pair dominates. Finite
+    strengths outside [SHAPE_MIN, SHAPE_MAX] are clamped into it silently,
+    and their warp is exact at coefficients 0, 0.5 and 1 and at strength 1.
+    Both arguments are 1-d by the package's array rule
+    (``errors.check_array``), less its finite part, so a bool or a string
+    raises UsageError naming it; a coefficient outside [0, 1] or a NaN or
+    non-positive strength raises DomainError.
     """
     coeffs = check_array(coeffs, "coeffs", 1, finite=False)
     taus = check_array(taus, "taus", 1, finite=False)

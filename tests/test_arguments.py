@@ -38,10 +38,8 @@ from warpmix import (
     embed,
     forward,
     grid_search,
-    incomplete_beta_reg,
     init_mlp,
     load_model,
-    log_beta,
     log_softmax,
     mc_dropout_predict,
     metrics_from_payload,
@@ -323,13 +321,6 @@ ARRAY_ARGUMENTS = {
     "warp_pairwise.coeffs": ("coeffs", np.array([0.0, 1.0, 1.0]), False,
                              lambda v: warp_pairwise(v, [2.0, 2.0, math.inf])),
     "warp_pairwise.taus": ("taus", np.array([1.0, 2.0, 3.0]), False, lambda v: warp_pairwise([0.25, 0.5, 0.75], v)),
-    "incomplete_beta_reg.x": ("x", np.array([0.0, 1.0]), False, lambda v: incomplete_beta_reg(v, 2.0, 2.0)),
-    "incomplete_beta_reg.a": ("a", np.array([2.0, 3.0]), False,
-                              lambda v: incomplete_beta_reg([0.25, 0.75], v, [2.0, 3.0])),
-    "incomplete_beta_reg.b": ("b", np.array([2.0, 3.0]), False,
-                              lambda v: incomplete_beta_reg([0.25, 0.75], [2.0, 3.0], v)),
-    "log_beta.a": ("a", np.array(2.0), False, lambda v: log_beta(v, 3.0)),
-    "log_beta.b": ("b", np.array(3.0), False, lambda v: log_beta(2.0, v)),
     "forward.inputs": ("inputs", INPUTS, False, lambda v: forward(EVAL_MODEL, v)[0]),
     "embed.inputs": ("inputs", INPUTS, False, lambda v: embed(EVAL_MODEL, v)),
     "mc_dropout_predict.inputs": ("inputs", INPUTS, False,

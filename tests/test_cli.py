@@ -492,6 +492,15 @@ def test_ill_typed_override_is_usage_error(workspace, tmp_path, capsys):
     assert "optimizer.epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000], ids=["long_int", "deep_nesting"])
+def test_override_that_python_cannot_parse_fails_before_the_output_dir_exists(tmp_path, capsys, value):
+    # an integer past Python's 4300-digit limit and nesting too deep to parse are
+    # taken as text, which the typed rule rejects, not a traceback with exit 1
+    assert main(["train", "--out", str(tmp_path / "o"), f"seeds={value}"]) == USAGE_EXIT
+    assert capsys.readouterr().err.startswith("error: config key 'seeds' must be a list, got '")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     ["optimizer.beta1=1", "optimizer.beta2=1", "optimizer.beta1=NaN", "optimizer.momentum=1",

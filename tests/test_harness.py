@@ -226,6 +226,15 @@ def test_overrides_reject_unknown_and_malformed():
     assert kernel == {**DEFAULT_CONFIG["mixup"]["input_kernel"], "tau_max": 2}
 
 
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000], ids=["long_int", "deep_nesting"])
+def test_override_that_python_cannot_parse_is_text(value):
+    # json.loads raises ValueError past Python's 4300-digit limit and
+    # RecursionError this deep; such a value is text, like any other non-JSON value
+    with pytest.raises(UsageError, match="^config key 'seeds' must be a list, got '"):
+        ExperimentConfig().with_overrides([f"seeds={value}"])
+    assert ExperimentConfig().with_overrides([f"dataset.name={value}"]).to_dict()["dataset"]["name"] == value
+
+
 @pytest.mark.parametrize("overrides, message", [
     ([3], "override 3 is not of the form key=value"),
     ([None], "override None is not of the form key=value"),

@@ -1,8 +1,9 @@
 """The public surface: every exported name exists, the README's Python
-examples run as written, its CLI examples parse, and its config defaults
-are the library's.
+examples run as written, its CLI examples parse, its config defaults are
+the library's, and every function it calls still exists.
 """
 
+import builtins
 import importlib
 import json
 import os
@@ -75,3 +76,24 @@ def test_readme_config_defaults_equal_default_config():
     block = re.match(r"\s*```json\n(.*?)^```", section, re.MULTILINE | re.DOTALL)
     assert block is not None, "no ```json block opens the Configuration defaults section"
     assert json.loads(block.group(1)) == DEFAULT_CONFIG
+
+
+def _names_something(dotted):
+    """Whether ``dotted`` (``name`` or ``name.attr``) is an attribute of warpmix,
+    of one of its modules, or a Python builtin, under its own name: an alias
+    such as ``warping.incomplete_beta_reg``, the private kernel, does not count."""
+    for namespace in (warpmix, *(importlib.import_module(f"warpmix.{name}") for name in MODULES), builtins):
+        target = namespace
+        for part in dotted.split("."):
+            target = getattr(target, part, None)
+        if getattr(target, "__name__", None) == part:
+            return True
+    return False
+
+
+def test_readme_calls_name_existing_functions():
+    # a backticked call such as `warp_pairwise(...)` is written by hand: a function
+    # deleted or renamed in the package must leave the README too
+    calls = set(re.findall(r"`([A-Za-z_][\w.]*)\(", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert len(calls) >= 15
+    assert sorted(call for call in calls if not _names_something(call)) == []
