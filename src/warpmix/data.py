@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DatasetError, UsageError, check_array, check_int, check_real
+from .errors import DatasetError, UsageError, _shown, check_array, check_int, check_real
 from .rng import RngStream
 
 __all__ = ["Dataset", "Normalization", "DataSplits", "load_csv", "split"]
@@ -194,7 +194,7 @@ def check_fractions(fractions) -> tuple:
     they are a list or tuple of 3 numbers > 0, each by the package's
     real-number rule (``errors.check_real``), summing to 1."""
     if not isinstance(fractions, (list, tuple)) or len(fractions) != 3:
-        raise UsageError(f"split_fractions must be a list of 3 numbers > 0, got {fractions!r}")
+        raise UsageError(f"split_fractions must be a list of 3 numbers > 0, got {_shown(fractions)}")
     fractions = tuple(check_real(f, "split_fractions", "> 0", lambda v: v > 0.0) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise UsageError(f"split_fractions must sum to 1, got {fractions} (sum {sum(fractions)})")

@@ -84,7 +84,7 @@ def check_int(value, name: str, lo: Optional[int] = None, hi: Optional[int] = No
         if (lo is None or number >= lo) and (hi is None or number <= hi):
             return number
     bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-    raise UsageError(f"{name} must be an integer{bound}, got {value!r}")
+    raise UsageError(f"{name} must be an integer{bound}, got {_shown(value)}")
 
 
 def check_real(value, name: str, rule: str = "", ok: Optional[Callable[[float], bool]] = None) -> float:
@@ -100,7 +100,7 @@ def check_real(value, name: str, rule: str = "", ok: Optional[Callable[[float], 
             pass
     if math.isfinite(number) and (ok is None or ok(number)):
         return number
-    raise UsageError(f"{name} must be a finite number{rule and ' ' + rule}, got {value!r}")
+    raise UsageError(f"{name} must be a finite number{rule and ' ' + rule}, got {_shown(value)}")
 
 
 def check_array(value, name: str, ndim: Optional[int] = None, finite: bool = True) -> np.ndarray:
@@ -143,6 +143,18 @@ def _count(n: int) -> str:
     """A count too large to hold, for a MemoryError: three significant
     digits, or "over 1e+308" for an int past the largest float."""
     return f"{n:.3g}" if n < 1e308 else "over 1e+308"
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message: whole up to 200 characters, else
+    its first 200 and its whole length, so a huge value cannot flood the
+    message. An int past Python's 4300-digit limit for str() is named by its
+    bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+    return text if len(text) <= 200 else f"{text[:200]}... ({len(text)} characters in all)"
 
 
 def _first(array: np.ndarray, bad: np.ndarray) -> str:

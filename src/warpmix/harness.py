@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import DataSplits, Dataset, _csv_text, _read_json, check_fractions, load_csv, split
-from .errors import DivergenceError, UsageError, WarpmixError, check_int, check_real
+from .errors import DivergenceError, UsageError, WarpmixError, _shown, check_int, check_real
 from .metrics import _MAX_BINS, _T_LO, _nll_at_temperatures, metrics_from_payload, softmax, temperature_scale
 from .mixer import Batch as CheckedBatch, MixupConfig, _Epoch, _mse
 from .model import ModelState, OptimizerState, _draw_masks, _dropout_stream, _gradient_views, _layer_buffers
@@ -102,12 +102,12 @@ DEFAULT_CONFIG = {
 def _merge_with_defaults(defaults: dict, given: dict, path: str = "") -> dict:
     for key in given:
         if key not in defaults:
-            raise UsageError(f"unknown config key {path + key!r}")
+            raise UsageError(f"unknown config key {_shown(path + key)}")
     merged = {}
     for key, default_value in defaults.items():
         if key in given and isinstance(default_value, dict) and given[key] is not None:
             if not isinstance(given[key], dict):
-                raise UsageError(f"config key {path + key!r} must be a table")
+                raise UsageError(f"config key {_shown(path + key)} must be a table")
             merged[key] = _merge_with_defaults(default_value, given[key], path + key + ".")
         elif key in given:
             merged[key] = _typed(path + key, default_value, given[key])
@@ -136,7 +136,7 @@ def _typed(name: str, default, value):
     ``dataset.target_column`` may name its column."""
     if isinstance(default, list):
         if not isinstance(value, list):
-            raise UsageError(f"config key {name!r} must be a list, got {value!r}")
+            raise UsageError(f"config key {name!r} must be a list, got {_shown(value)}")
         return [_typed(name, default[0], item) for item in value]
     if (value is None and name in _NULLABLE) or (name == "dataset.target_column" and isinstance(value, str)):
         return value
@@ -147,7 +147,7 @@ def _typed(name: str, default, value):
         return check_real(value, f"config key {name!r}")
     if isinstance(value, kind):
         return value
-    raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {value!r}")
+    raise UsageError(f"config key {name!r} must be {_KINDS[kind]}, got {_shown(value)}")
 
 
 def _keyed(prefix: str, make, fields: dict):
@@ -177,14 +177,14 @@ class ExperimentConfig:
 
     def __init__(self, values: Optional[dict] = None):
         if not isinstance(values, (dict, type(None))):
-            raise UsageError(f"a config must be a table, got {values!r}")
+            raise UsageError(f"a config must be a table, got {_shown(values)}")
         self._values = _merge_with_defaults(DEFAULT_CONFIG, values or {})
         v = self._values
         if v["task"] not in ("regression", "classification"):
-            raise UsageError(f"task must be regression or classification, got {v['task']!r}")
+            raise UsageError(f"task must be regression or classification, got {_shown(v['task'])}")
         if (v["task"] == "classification") != (v["num_classes"] is not None):
             raise UsageError(f"num_classes must be an integer >= 2 for classification and null for "
-                             f"regression, got {v['num_classes']!r} for {v['task']}")
+                             f"regression, got {_shown(v['num_classes'])} for {v['task']}")
         if not v["seeds"]:
             raise UsageError("at least one seed is required")
         for i, seed in enumerate(v["seeds"]):
@@ -195,7 +195,7 @@ class ExperimentConfig:
         if not v["output_dir"]:
             raise UsageError("output_dir must be a non-empty path")
         if v["optimizer"]["kind"] != "adam":  # the one optimizer: the key stays so configs naming it still load
-            raise UsageError(f"optimizer.kind must be adam, got {v['optimizer']['kind']!r}")
+            raise UsageError(f"optimizer.kind must be adam, got {_shown(v['optimizer']['kind'])}")
         # Fail fast on bad mixup, optimizer and evaluation settings rather than
         # mid-training or after it.
         mix = self.mixup_config()
@@ -224,24 +224,24 @@ class ExperimentConfig:
         """Apply dotted-path key=value overrides (e.g. mixup.alpha=0.5), given
         as a list or tuple of strings."""
         if not isinstance(overrides, (list, tuple)):
-            raise UsageError(f"overrides must be a list of key=value strings, got {overrides!r}")
+            raise UsageError(f"overrides must be a list of key=value strings, got {_shown(overrides)}")
         if not overrides:
             return self
         values = copy.deepcopy(self._values)
         for item in overrides:
             if not isinstance(item, str) or "=" not in item:
-                raise UsageError(f"override {item!r} is not of the form key=value")
+                raise UsageError(f"override {_shown(item)} is not of the form key=value")
             dotted, _, raw = item.partition("=")
             node = values
             parts = dotted.strip().split(".")
             for part in parts[:-1]:
                 if not isinstance(node, dict) or part not in node:
-                    raise UsageError(f"unknown config key {dotted!r}")
+                    raise UsageError(f"unknown config key {_shown(dotted)}")
                 if node[part] is None:
                     node[part] = {}
                 node = node[part]
             if not isinstance(node, dict):
-                raise UsageError(f"unknown config key {dotted!r}")
+                raise UsageError(f"unknown config key {_shown(dotted)}")
             # an unknown leaf fails in ExperimentConfig below, named by its dotted key
             node[parts[-1]] = _parse_override_value(raw)
         return ExperimentConfig(values)
@@ -535,7 +535,7 @@ def grid_search(config: ExperimentConfig, cells, jobs: int = 1, dataset: Optiona
     """
     jobs = check_int(jobs, "jobs", 1)
     if not isinstance(cells, (list, tuple)) or not cells:
-        raise UsageError(f"cells must be a non-empty list of override lists, got {cells!r}")
+        raise UsageError(f"cells must be a non-empty list of override lists, got {_shown(cells)}")
     base = config.to_dict()
     effective = []
     for i, cell in enumerate(cells):

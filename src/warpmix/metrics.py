@@ -64,8 +64,8 @@ def _shifted_exp(logits: np.ndarray):
 
 
 def _class_total(e: np.ndarray) -> np.ndarray:
-    """``e.sum(axis=-1)`` bit for bit for the non-negative ``e`` of
-    ``_shifted_exp``: the columns added left to right below 8 classes, as
+    """``e.sum(axis=-1)`` bit for bit for a non-negative ``e``, such as that
+    of ``_shifted_exp``: the columns added left to right below 8 classes, as
     numpy's sum of fewer than 8 values does, and numpy's pairwise last-axis
     sum from 8 on. One class is its own total, a view of ``e``."""
     c = e.shape[-1]
@@ -159,7 +159,14 @@ def _calibration_bins(task: str, num_bins: int, arrays: tuple):
         return (lo, hi, *_bin_stats(variances, lo, hi, num_bins, ((means - targets) ** 2, variances)))
     probs, labels = arrays
     conf = _row_max(probs)
-    return (0.0, 1.0, *_bin_stats(conf, 0.0, 1.0, num_bins, (probs.argmax(axis=1) == labels, conf)))
+    # probs.argmax(axis=1), one class column at a time: the count of leading columns
+    # below the row's max, so the first maximum wins
+    below = probs[:, 0] < conf
+    first = below.astype(np.intp)
+    for j in range(1, probs.shape[1] - 1):
+        below &= probs[:, j] < conf
+        first += below
+    return (0.0, 1.0, *_bin_stats(conf, 0.0, 1.0, num_bins, (first == labels, conf)))
 
 
 def _weighted_gap(counts, sums) -> float:
@@ -209,7 +216,7 @@ def _parse_payload(payload: dict):
     labels = check_labels(_payload_value(payload, "labels"), "predictions payload 'labels'", probs.shape[1])
     if labels.shape != probs.shape[:1]:
         raise UsageError(f"{labels.size} labels for {probs.shape[0]} probability rows")
-    if not (np.all((probs >= 0.0) & (probs <= 1.0)) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)):
+    if not (np.all((probs >= 0.0) & (probs <= 1.0)) and np.all(np.abs(_class_total(probs) - 1.0) <= 1e-9)):
         raise UsageError("probs must be non-negative and sum to 1 within 1e-9")
     return task, num_bins, (probs, labels)
 
@@ -251,11 +258,13 @@ def metrics_from_payload(payload: dict) -> dict:
                              "> 0", lambda v: v > 0.0)
     probs, labels = arrays
     rows = np.arange(labels.shape[0])
-    onehot = np.eye(probs.shape[1])[labels]
+    err = probs.copy()  # probs - one-hot labels, bit for bit
+    err[rows, labels] -= 1.0
     return {
-        "accuracy": float(np.mean(probs.argmax(axis=1) == labels)),
+        # every row lies in a bin, so the bins' correct count over the rows is the accuracy
+        "accuracy": float(np.add.reduce(sums[0]) / labels.shape[0]),
         "ece": _weighted_gap(counts, sums),
-        "brier": float(np.mean(np.sum((probs - onehot) ** 2, axis=1))),
+        "brier": float(np.mean(_class_total(err**2))),
         "nll": float(-np.mean(np.log(np.clip(probs[rows, labels], _PROB_FLOOR, None)))),
         "temperature": temperature,
     }

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UsageError, check_array, check_int, check_labels, check_real
+from .errors import UsageError, _shown, check_array, check_int, check_labels, check_real
 from .metrics import _picked_nll
 from .rng import RngStream
 from .similarity import _MODEL_FREE_BACKENDS, KernelConfig, extract_features
@@ -118,18 +118,17 @@ class MixupConfig:
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", "> 0", lambda v: v > 0.0))
         if self.mode not in MIX_MODES:
-            raise UsageError(f"mode must be one of {MIX_MODES}, got {self.mode!r}")
+            raise UsageError(f"mode must be one of {MIX_MODES}, got {_shown(self.mode)}")
         for side in ("input_kernel", "output_kernel"):
             if self.mode == "kernel_warped" and getattr(self, side) is None:
                 raise UsageError(f"{side} is required in kernel_warped mode, got None")
         # Derived once here, not per step, and not fields, so equality and repr ignore
         # them: the distinct strength sources (kernels, or constant taus) in first-seen
-        # order, the row of them that each side takes, the kernels' distinct backends,
-        # and whether any strength reads the model.
+        # order, so the input side's first, the kernels' distinct backends, and whether
+        # any strength reads the model.
         sources = _CONSTANT_TAUS.get(self.mode, (self.input_kernel, self.output_kernel))
         distinct = tuple(dict.fromkeys(sources))
         object.__setattr__(self, "_distinct", distinct)
-        object.__setattr__(self, "_rows", [distinct.index(s) for s in sources])
         backends = (k.backend for k in distinct if isinstance(k, KernelConfig))
         object.__setattr__(self, "_backends", tuple(dict.fromkeys(backends)))
         object.__setattr__(self, "_reads_model", not set(self._backends) <= set(_MODEL_FREE_BACKENDS))
@@ -190,27 +189,26 @@ def mix_batch(batch: Batch, config: MixupConfig, rng: RngStream, model=None) -> 
     plan. This is the one-batch case of the block kernel that training runs
     over the batches of an epoch.
     """
-    perm, raw = np.empty(batch.size, dtype=np.int64), np.empty(batch.size)
-    _draw(config, rng, perm, raw)
-    return _mix_block(batch, perm, raw, config, model)
+    return _mix_block(batch, *_draw(config, rng, batch.size), config, model)
 
 
-def _draw(config: MixupConfig, rng: RngStream, perm: np.ndarray, raw: np.ndarray) -> None:
-    """Write the draws of mixing one batch of len(perm) rows into ``perm``
-    and ``raw``, as ``mix_batch`` makes them: the permutation, then the raw
-    coefficients. Mode ``off`` draws nothing and writes the identity
-    permutation and coefficients of 1."""
-    off = config.mode == "off"
-    perm[:] = np.arange(perm.size) if off else rng.permutation(perm.size)
-    raw[:] = 1.0 if off else beta_sample(config.alpha, rng, size=None if config.per_batch_coeff else raw.size)
+def _draw(config: MixupConfig, rng: RngStream, n: int):
+    """(permutation, raw coefficients): the draws of mixing one batch of ``n``
+    rows, in the order ``mix_batch`` makes them. Mode ``off`` draws nothing
+    and gives the identity permutation and coefficients of 1."""
+    if config.mode == "off":
+        return np.arange(n), np.ones(n)
+    # a tuple is evaluated left to right: the permutation is drawn first
+    return rng.permutation(n), (np.full(n, beta_sample(config.alpha, rng)) if config.per_batch_coeff
+                                else beta_sample(config.alpha, rng, size=n))
 
 
 def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConfig, model=None,
                count: int = 1) -> MixedBatch:
     """``mix_batch`` of each of the ``count`` equal batches that ``rows``
-    stacks, given their draws as ``_draw`` writes them, batch after batch,
-    into ``perm`` and ``raw``. Returns one MixedBatch whose rows and plan
-    lanes stack the batches' own, bit for bit (each batch's permutation
+    stacks, given their draws as ``_draw`` makes them, batch after batch,
+    joined into ``perm`` and ``raw``. Returns one MixedBatch whose rows and
+    plan lanes stack the batches' own, bit for bit (each batch's permutation
     indexes its own rows). Strengths, warps and mixed inputs are each
     computed once over the whole block."""
     n = rows.size // count
@@ -219,7 +217,7 @@ def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConf
         return MixedBatch(rows.inputs, rows.targets, rows.targets, plan.target_coeffs, rows.num_classes, plan)
 
     # each row's partner, as a row of the block
-    pairs = perm.reshape(count, n) + np.arange(0, rows.size, n)[:, None]
+    pairs = perm[None] if count == 1 else perm.reshape(count, n) + np.arange(0, rows.size, n)[:, None]
     # Equal strength sources give bitwise-equal strengths and coefficients, so each
     # distinct source is computed once and one warp call covers them all, one lane
     # per row each, the input side's first.
@@ -228,13 +226,11 @@ def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConf
         taus = np.repeat(distinct, rows.size)
     else:  # kernel_warped: features once per distinct backend
         feats = {b: extract_features(rows, b, model) for b in config._backends}
-        taus = np.concatenate([batch_taus(feats[k.backend], pairs, k) for k in distinct])
-    coeffs = warp_pairwise(np.concatenate([raw] * len(distinct)), taus)
-    # one row per side, copied out of the lanes, so the two sides never share memory
-    side_taus = taus.reshape(-1, rows.size).take(config._rows, axis=0)
-    side_coeffs = coeffs.reshape(-1, rows.size).take(config._rows, axis=0)
+        lanes = [batch_taus(feats[k.backend], pairs, k) for k in distinct]
+        taus = lanes[0] if len(lanes) == 1 else np.concatenate(lanes)
+    coeffs = warp_pairwise(raw if len(distinct) == 1 else np.concatenate((raw, raw)), taus)
 
-    plan = MixPlan(perm, raw, *side_taus, *side_coeffs)  # each side's row: input, then target
+    plan = MixPlan(perm, raw, *_sides(taus, rows.size), *_sides(coeffs, rows.size))
     ci = plan.input_coeffs[:, None]
     pairs = pairs.ravel()
     mixed = ci * rows.inputs  # + (1 - ci) * partners, in place: fewer temporaries
@@ -242,6 +238,13 @@ def _mix_block(rows: Batch, perm: np.ndarray, raw: np.ndarray, config: MixupConf
     partners *= 1.0 - ci
     mixed += partners
     return MixedBatch(mixed, rows.targets, rows.targets[pairs], plan.target_coeffs, rows.num_classes, plan)
+
+
+def _sides(lanes: np.ndarray, size: int):
+    """(input side, target side) of lanes that stack one strength source or
+    two, the input side's first. One source serves both sides through a copy,
+    so the two sides never share memory."""
+    return lanes[:size], lanes[size:] if lanes.size > size else lanes.copy()
 
 
 @dataclass
@@ -274,10 +277,10 @@ def _mix_step(epoch: _Epoch, step: int, model=None) -> MixedBatch:
         first, stop = (step, step + 1) if epoch.config._reads_model or step >= full else (0, full)
         lo, hi = first * size, min(stop * size, epoch.rows.size)
         rows = _batch(epoch.rows.inputs[lo:hi], epoch.rows.targets[lo:hi], epoch.rows.num_classes)
-        perm, raw = np.empty(rows.size, dtype=np.int64), np.empty(rows.size)
-        for start in range(0, rows.size, size):
-            _draw(epoch.config, epoch.rng, perm[start : start + size], raw[start : start + size])
-        block = _mix_block(rows, perm, raw, epoch.config, model, stop - first)
+        count = stop - first
+        draws = [_draw(epoch.config, epoch.rng, rows.size // count) for _ in range(count)]
+        perm, raw = draws[0] if count == 1 else map(np.concatenate, zip(*draws))
+        block = _mix_block(rows, perm, raw, epoch.config, model, count)
         epoch.block = first, stop, block
     if stop - first == 1:
         return block
@@ -323,12 +326,16 @@ def _mixed_loss(outputs: np.ndarray, mixed: MixedBatch, onehot: Optional[np.ndar
         return _mse(outputs[:, 0], targets), 2.0 * (outputs - targets[:, None]) / n
     # both label sets' losses from one shifted exp pass and one log of the class total
     a, b, c = mixed.targets_a, mixed.targets_b, mixed.target_coeffs
-    (loss_a, loss_b), e, total = _picked_nll(outputs, np.arange(n) * mixed.num_classes + np.stack((a, b)))
-    loss = float(np.add.reduce(c * loss_a + (1.0 - c) * loss_b) / n)
-    convex = c[:, None] * onehot[a] + (1.0 - c[:, None]) * onehot[b]
+    d = 1.0 - c
+    picks = np.array((a, b))  # as flat indices row * classes + label
+    picks += np.arange(0, n * mixed.num_classes, mixed.num_classes)
+    (loss_a, loss_b), e, total = _picked_nll(outputs, picks)
+    loss = float(np.add.reduce(c * loss_a + d * loss_b) / n)
+    convex = c[:, None] * onehot.take(a, axis=0) + d[:, None] * onehot.take(b, axis=0)
     return loss, (e / total[:, None] - convex) / n
 
 
 def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error of two float64 arrays of one shape, unchecked."""
-    return float(np.mean((preds - targets) ** 2))
+    """Mean squared error of two 1-d float64 arrays of one length, unchecked:
+    the sum over its one axis divided by the length is ``np.mean`` bit for bit."""
+    return float(np.add.reduce((preds - targets) ** 2) / preds.size)

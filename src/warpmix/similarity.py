@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_module  # by attribute, so a patched model.embed applies
-from .errors import DivergenceError, UsageError, check_array, check_real
+from .errors import DivergenceError, UsageError, _shown, check_array, check_real
 from .special import SHAPE_MAX, SHAPE_MIN
 
 __all__ = [
@@ -66,7 +66,7 @@ class KernelConfig:
         if not 0.0 < scale < math.inf:
             raise UsageError(f"tau_std must keep the kernel scale 2 tau_std^2 in (0, inf), got {self.tau_std}")
         if self.backend not in FEATURE_BACKENDS:
-            raise UsageError(f"backend must be one of {FEATURE_BACKENDS}, got {self.backend!r}")
+            raise UsageError(f"backend must be one of {FEATURE_BACKENDS}, got {_shown(self.backend)}")
 
 
 def normalized_distances(points, permutation) -> np.ndarray:
@@ -106,7 +106,10 @@ def _pair_distances(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     diffs = points[pairs.ravel()]
     np.subtract(points, diffs, out=diffs)  # points - partners, without another array
     raw = np.einsum("ij,ij->i", diffs, diffs).reshape(count, n)
-    means = np.add.reduce(raw, axis=1, keepdims=True) / n  # each batch's raw.mean(), bit for bit
+    # each batch's raw.mean(), bit for bit; a single batch's as a float, which divides faster
+    if count == 1 and _DEGENERATE_MEAN <= (mean := float(np.add.reduce(raw[0])) / n) < math.inf:
+        return raw[0] / mean
+    means = np.add.reduce(raw, axis=1, keepdims=True) / n
     # every batch regular; the points are finite, so a mean is finite or +inf, never NaN
     if _DEGENERATE_MEAN <= min(listed := means.ravel().tolist()) and max(listed) < math.inf:
         return (raw / means).ravel()
@@ -129,13 +132,15 @@ def _distances_to_taus(dists: np.ndarray, config: KernelConfig) -> np.ndarray:
     One math.exp per element: np.exp differs from it in the last bit on a few
     percent of arguments, which would change every trained checkpoint.
     """
-    scale = 2.0 * config.tau_std**2
-    # past arg = 700 exp would overflow; the clamp saturates there anyway
+    scale, tau_max = 2.0 * config.tau_std**2, config.tau_max
+    # past arg = 700 exp would overflow; the clamp saturates there anyway. The clamp
+    # is np.clip's, bit for bit: a finite distance gives a tau that is not NaN.
     taus = [
-        SHAPE_MAX if (arg := (d - 1.0) / scale) > 700.0 else math.exp(arg) / config.tau_max
+        SHAPE_MAX if (arg := (d - 1.0) / scale) > 700.0 or (tau := math.exp(arg) / tau_max) > SHAPE_MAX
+        else SHAPE_MIN if tau < SHAPE_MIN else tau
         for d in dists.tolist()
     ]
-    return np.clip(np.array(taus, dtype=np.float64), SHAPE_MIN, SHAPE_MAX)
+    return np.array(taus, dtype=np.float64)
 
 
 def batch_taus(features, permutation, config: KernelConfig) -> np.ndarray:

@@ -7,11 +7,14 @@ first principles. The warp only ever needs the CDF of a symmetric
 Beta(a, a), so the private kernel ``_incomplete_beta`` computes I_x(a, a)
 and checks nothing; ``warping.warp_pairwise`` is its one checked public
 entry, which validates coefficients and strengths once per call and clamps
-finite strengths into the shape range. Each lane then runs on Python
-floats, in one of three regimes:
+finite strengths into the shape range. Each lane then runs in one of three
+regimes, on Python floats unless it is cut across lanes:
 
 1. The exact cut. For a > 1, a point far enough from 0.5 that the result is
-   exactly 0 or 1 in double precision returns it without further work.
+   exactly 0 or 1 in double precision returns it without further work. When
+   every shape of a call is > 1, the cut is decided for all lanes at once
+   with numpy, and only the lanes it leaves run on Python floats; on the
+   paper's regression strengths about 80% of an epoch's lanes end here.
 2. The closed form at large shapes. For a >= _ASYMPTOTIC_MIN = 1000,
    I_x(a, a) = I_{4x(1-x)}(a, 1/2) / 2 is summed from the asymptotic
    expansion of DiDonato & Morris (ACM TOMS 708, 1992, BGRAT) at b = 1/2:
@@ -271,8 +274,20 @@ def _incbeta(x: float, a: float) -> float:
 
 def _incomplete_beta(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """I_x(a, a) lane by lane, for 1-d float64 arrays of one length with x in
-    [0, 1] and shapes already in [SHAPE_MIN, SHAPE_MAX]; nothing is checked."""
-    return np.array(list(map(_incbeta, x.tolist(), a.tolist())), dtype=np.float64)
+    [0, 1] and shapes already in [SHAPE_MIN, SHAPE_MAX]; nothing is checked.
+
+    When every shape is > 1, the exact cut of ``_incbeta`` is decided for all
+    lanes at once, and only the lanes it leaves run one by one. Near the cut
+    both sides of it give exactly 0 or 1 (the prefactor's exp, and erfc in
+    the closed form, underflow from -745.2 on), so np.log differing from
+    math.log in the last bit changes no result."""
+    if not (a.size and a.min() > 1.0):
+        return np.array(list(map(_incbeta, x.tolist(), a.tolist())), dtype=np.float64)
+    with np.errstate(divide="ignore"):  # log(0) at x = 0 or 1 is -inf, which the cut takes
+        left = a * np.log(4.0 * x * (1.0 - x)) + 0.5 * np.log(a) >= _ZERO_FRONT_LOG
+    out = np.where(x < 0.5, 0.0, 1.0)
+    out[left] = list(map(_incbeta, x[left].tolist(), a[left].tolist()))
+    return out
 
 
 def beta_sample(alpha, rng, size=None):

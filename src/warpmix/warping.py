@@ -54,10 +54,10 @@ def warp_pairwise(coeffs, taus) -> np.ndarray:
 def _warp(coeffs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """warp_pairwise for float64 coefficients in [0, 1] and strengths that are
     inf or in [SHAPE_MIN, SHAPE_MAX], in one incomplete beta call."""
-    finite = np.isfinite(taus)
-    if finite.all():
+    if np.add.reduce(taus) < np.inf:  # no inf among them: finite strengths cannot sum to inf
         return incomplete_beta_reg(coeffs, taus)
     out = np.where(coeffs >= 0.5, 1.0, 0.0)
+    finite = np.isfinite(taus)
     if finite.any():
         out[finite] = incomplete_beta_reg(coeffs[finite], taus[finite])
     return out

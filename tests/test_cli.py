@@ -501,6 +501,13 @@ def test_override_that_python_cannot_parse_fails_before_the_output_dir_exists(tm
     assert not (tmp_path / "o").exists()
 
 
+def test_usage_error_line_quotes_a_huge_value_in_a_few_hundred_characters(tmp_path, capsys):
+    # the error line used to carry all 100,000 characters of the value
+    assert main(["train", "--out", str(tmp_path / "o"), "seeds=" + "[" * 100_000]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err == f"error: config key 'seeds' must be a list, got '{'[' * 199}... (100002 characters in all)\n"
+
+
 @pytest.mark.parametrize(
     "override",
     ["optimizer.beta1=1", "optimizer.beta2=1", "optimizer.beta1=NaN", "optimizer.momentum=1",

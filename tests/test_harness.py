@@ -235,6 +235,41 @@ def test_override_that_python_cannot_parse_is_text(value):
     assert ExperimentConfig().with_overrides([f"dataset.name={value}"]).to_dict()["dataset"]["name"] == value
 
 
+HUGE_VALUES = {
+    "seeds": lambda: ExperimentConfig().with_overrides(["seeds=" + "[" * 100_000]),
+    "int_list": lambda: ExperimentConfig().with_overrides(["optimizer.epochs=" + json.dumps(list(range(30_000)))]),
+    "hidden": lambda: ExperimentConfig().with_overrides(['model.hidden="' + "x" * 50_000 + '"']),
+    "task": lambda: ExperimentConfig().with_overrides(["task=" + "x" * 50_000]),
+    "mode": lambda: ExperimentConfig().with_overrides(["mixup.mode=" + "m" * 50_000]),
+    "backend": lambda: ExperimentConfig().with_overrides(["mixup.input_kernel.backend=" + "b" * 50_000]),
+    "fractions": lambda: ExperimentConfig().with_overrides(["split_fractions=" + json.dumps([0.5] * 9000)]),
+    "key": lambda: ExperimentConfig().with_overrides(["k" * 50_000 + "=1"]),
+    "override": lambda: ExperimentConfig().with_overrides(["o" * 50_000]),
+    "config": lambda: ExperimentConfig("x" * 50_000),
+    "cells": lambda: grid_search(ExperimentConfig(), "c" * 50_000),
+    "split_fractions": lambda: harness.check_fractions("f" * 50_000),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_VALUES.values(), ids=HUGE_VALUES.keys())
+def test_usage_error_quotes_a_huge_value_in_a_few_hundred_characters(call):
+    # the message shows the first 200 characters of the value's repr and its whole
+    # length; values of 50,000 to 200,000 characters used to be quoted whole
+    with pytest.raises(UsageError) as info:
+        call()
+    message = str(info.value)
+    assert len(message) < 500 and re.search(r"\.\.\. \(\d{5,6} characters in all\)", message), message[:300]
+
+
+def test_usage_error_names_an_integer_past_the_digit_limit_by_its_bits():
+    # repr of an int past Python's 4300-digit limit raises ValueError, which used to
+    # escape in place of the rule's UsageError
+    for call in (lambda: RngStream(10**5000), lambda: ExperimentConfig({"seeds": [10**5000]}),
+                 lambda: ExperimentConfig({"num_classes": 10**5000})):
+        with pytest.raises(UsageError, match="got an integer of 16610 bits"):
+            call()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ([3], "override 3 is not of the form key=value"),
     ([None], "override None is not of the form key=value"),

@@ -560,6 +560,10 @@ def test_accuracy_matches_bruteforce():
     for _ in range(20):
         probs, labels = random_classif(rng)
         assert clf_metrics(probs, labels)["accuracy"] == ref.ref_accuracy(probs.tolist(), labels.tolist())
+    # an exact tie goes to the first maximum, as argmax and the reference give it
+    probs = np.array([[0.4, 0.4, 0.2], [0.4, 0.4, 0.2], [0.2, 0.4, 0.4], [0.2, 0.4, 0.4], [0.5, 0.25, 0.25]])
+    labels = np.array([0, 1, 1, 2, 0])
+    assert clf_metrics(probs, labels)["accuracy"] == ref.ref_accuracy(probs.tolist(), labels.tolist()) == 0.6
 
 
 def test_empty_inputs_rejected_everywhere():

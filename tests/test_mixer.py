@@ -245,9 +245,7 @@ def test_block_mix_equals_one_mix_batch_per_batch(mode, per_batch):
     sizes = [16] * 7 + [5]
     drawn, replayed, blocked = RngStream(12), RngStream(12), RngStream(12)
     epoch = epoch_of(rows, 16, cfg, drawn)
-    perm, raw = np.empty(112, dtype=np.int64), np.empty(112)
-    for start in range(0, 112, 16):
-        mixer_module._draw(cfg, blocked, perm[start : start + 16], raw[start : start + 16])
+    perm, raw = map(np.concatenate, zip(*(mixer_module._draw(cfg, blocked, 16) for _ in range(7))))
     block = mixer_module._mix_block(mixer_module._batch(rows.inputs[:112], rows.targets[:112]),
                                     perm, raw, cfg, count=7)
     for step, size in enumerate(sizes):

@@ -3,6 +3,7 @@ entry ``warp_pairwise``, and for Beta sampling."""
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -201,6 +202,32 @@ def test_incbeta_symmetric_cut_is_bit_identical(tau):
     got = warp_at(xs, tau)
     want = np.array([ungated_incbeta(x, tau, tau) for x in xs.tolist()])
     assert np.array_equal(got, want)
+
+
+def test_lane_parallel_cut_equals_the_lane_by_lane_path(monkeypatch):
+    # with every shape > 1 the cut is decided for all lanes at once and only the lanes
+    # it leaves reach _incbeta; one shape <= 1 sends every lane through _incbeta. Both
+    # give _incbeta's bits at x = 0, 1/2 and 1 and at the float neighbours of the -800
+    # and -745 levels, where np.log may differ from math.log in the last bit
+    above = [float(np.nextafter(1.0, 2.0)), 1.5, 7.0, 150.0, float(np.nextafter(1e3, 0.0)), 1e3, 8007.0, 1e6]
+    below = [1e-4, 0.3, 1.0]
+    scalar, lanes = special._incbeta, []
+    monkeypatch.setattr(special, "_incbeta", lambda x, a: lanes.append(x) or scalar(x, a))
+    for shapes in (above, above + below):
+        xs = [np.concatenate([[0.0, 0.5, 1.0], cut_points(a)]) for a in shapes]
+        a = np.concatenate([np.full(x.size, tau) for x, tau in zip(xs, shapes)])
+        order = np.random.default_rng(len(shapes)).permutation(a.size)  # shapes interleaved
+        x, a = np.concatenate(xs)[order], a[order]
+        want = np.array([scalar(*lane) for lane in zip(x.tolist(), a.tolist())])
+        lanes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log(0) at x = 0 and 1 warns nothing
+            got = special._incomplete_beta(x, a)
+        assert got.tobytes() == want.tobytes(), shapes
+        if shapes == above:  # the cut lanes, x = 0 and x = 1 among them, skip _incbeta
+            assert len(lanes) < x.size - 100 and 0.0 not in lanes and 1.0 not in lanes, len(lanes)
+        else:
+            assert len(lanes) == x.size
 
 
 def test_incbeta_bit_equal_to_the_general_reference(monkeypatch):

@@ -128,6 +128,11 @@ def test_pairwise_mixed_kinds():
     assert list(out) == [0.0, 1.0, 0.5]
 
 
+def test_pairwise_of_no_lanes_is_an_empty_float_array():
+    out = warp_pairwise([], [])
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_pairwise_length_mismatch():
     with pytest.raises(UsageError):
         warp_pairwise([0.1, 0.2], [1.0])
