@@ -135,51 +135,90 @@ def _csv_text(header, rows) -> str:
     return "".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in (header, *rows))
 
 
+def _plain_table(body, width: int):
+    """The data lines ``body`` as an (N, ``width``) float64 array read by
+    numpy's C reader, or None where that reader's result could differ from
+    ``load_csv``'s cell loop. It parses each number with the routine that
+    ``float()`` calls, but refuses some cells that ``float()`` takes (quoted
+    numbers, ``1_000``, non-ASCII digits), which the loop then reads. None
+    also where it would accept what the loop refuses: a line at or past the
+    csv module's field size limit, no data row, a width other than the
+    header's, or a value that is not finite."""
+    if max(map(len, body), default=0) >= csv.field_size_limit():
+        return None
+    # the loop skips blank and whitespace-only rows. Without them every line is
+    # a row, so the reader sizes the table once (it warns on an empty line then)
+    body = list(filter(str.strip, body))
+    if not body:
+        return None
+    try:
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64, max_rows=len(body))
+    except ValueError:
+        return None
+    return table if table.shape[1] == width and np.isfinite(table).all() else None
+
+
 def load_csv(path, target_column: Union[int, str] = -1, name: str = "") -> Dataset:
     """Parse a headered numeric CSV into a regression Dataset.
 
-    The target column is named or indexed (negative indices allowed); all
-    other columns become features in file order. Any non-numeric, NaN or
-    infinite cell is an error naming the offending data row (1-based, header
-    excluded). The file is read by ``_reading``'s rule.
+    The csv module and ``float()`` define the format: the header is the
+    first row with a non-blank cell, blank and whitespace-only rows are
+    skipped, and every other row holds one number per header column, as
+    ``float()`` reads it. The target column is named or indexed (negative
+    indices allowed); all other columns become features in file order. A
+    ragged row, or any non-numeric, NaN or infinite cell, is an error
+    naming the offending data row (1-based, header excluded) and the
+    cell's column. The file is read by ``_reading``'s rule, so a cell past
+    the csv module's field size limit cannot be read.
+
+    A well-formed table, with its header on the first line, is read by
+    numpy's C reader, with results identical to the rule above; any other
+    text is read cell by cell by that rule.
     """
     with _reading(path, "dataset") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise DatasetError(f"dataset file is empty: {path}", code="empty_dataset")
-    header, data_rows = rows[0], rows[1:]
-    if not data_rows:
-        raise DatasetError(f"no data rows after the header: {path}", code="empty_dataset")
+        lines = fh.readlines()
+        reader = csv.reader(lines)
+        header = next(reader, [])
+        parsed = _plain_table(lines[reader.line_num :], len(header)) if any(map(str.strip, header)) else None
+        if parsed is None:
+            rows = [row for row in csv.reader(lines) if row and any(cell.strip() for cell in row)]
+    if parsed is None:
+        if not rows:
+            raise DatasetError(f"dataset file is empty: {path}", code="empty_dataset")
+        header, data_rows = rows[0], rows[1:]
+        if not data_rows:
+            raise DatasetError(f"no data rows after the header: {path}", code="empty_dataset")
 
     if isinstance(target_column, str):
         stripped = [h.strip() for h in header]
         if target_column not in stripped:
             raise DatasetError(
-                f"target column {target_column!r} not in header {stripped}", code="bad_header"
+                f"target column {_shown(target_column)} not in header {_shown(stripped)}", code="bad_header"
             )
         target_idx = stripped.index(target_column)
     else:
         target_idx = check_int(target_column, "target_column", -len(header), len(header) - 1) % len(header)
 
-    parsed = np.empty((len(data_rows), len(header)), dtype=np.float64)
-    for r, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
+    if parsed is None:
+        parsed = np.empty((len(data_rows), len(header)), dtype=np.float64)
+        for r, row in enumerate(data_rows, start=1):
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"row {r} has {len(row)} cells, header has {len(header)}",
+                    code="non_numeric_cell",
+                )
+            for c, cell in enumerate(row):
+                try:
+                    parsed[r - 1, c] = float(cell)
+                except ValueError:
+                    parsed[r - 1, c] = math.nan
+        bad = np.argwhere(~np.isfinite(parsed))
+        if bad.size:
+            r, c = bad[0]
             raise DatasetError(
-                f"row {r} has {len(row)} cells, header has {len(header)}",
+                f"non-numeric cell {_shown(data_rows[r][c])} at row {r + 1}, column {_shown(header[c].strip())}",
                 code="non_numeric_cell",
             )
-        for c, cell in enumerate(row):
-            try:
-                parsed[r - 1, c] = float(cell)
-            except ValueError:
-                parsed[r - 1, c] = math.nan
-    bad = np.argwhere(~np.isfinite(parsed))
-    if bad.size:
-        r, c = bad[0]
-        raise DatasetError(
-            f"non-numeric cell {data_rows[r][c]!r} at row {r + 1}, column {header[c].strip()!r}",
-            code="non_numeric_cell",
-        )
 
     feature_cols = [c for c in range(len(header)) if c != target_idx]
     return Dataset(

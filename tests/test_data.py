@@ -1,6 +1,8 @@
 """Tests for CSV ingestion, seeded splitting, and normalization, and for
 the rule every input file is read by."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from warpmix.data import _read_json
 from warpmix.rng import RngStream
 
 from _support import write_csv
+from reference_csv import ref_load_csv
 
 
 def test_small_csv_parsed_exactly(tmp_path):
@@ -201,6 +204,108 @@ def test_unknown_target_name(tmp_path):
     with pytest.raises(DatasetError) as info:
         load_csv(path, target_column="z")
     assert info.value.code == "bad_header"
+
+
+LONG = "x" * 100_000  # under the csv module's field size limit
+
+
+@pytest.mark.parametrize("header, row, target, code", [
+    (["a", "b"], ["1", LONG], -1, "non_numeric_cell"),
+    (["a", LONG], ["1", "oops"], -1, "non_numeric_cell"),
+    (["a", "b"], ["1", "2"], LONG, "bad_header"),
+    (["a", LONG], ["1", "2"], "z", "bad_header"),
+], ids=["cell", "cell_column_name", "target_name", "header_name"])
+def test_a_huge_cell_or_name_is_shown_capped(tmp_path, header, row, target, code):
+    path = tmp_path / "huge.csv"
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(DatasetError) as info:
+        load_csv(path, target_column=target)
+    assert info.value.code == code
+    assert len(str(info.value)) < 600
+    assert "characters in all)" in str(info.value)
+
+
+def _csv_texts(seed, count):
+    """``count`` (text, target_column) pairs: small valid tables, each with up
+    to three damages drawn from the list below."""
+    rng = np.random.default_rng(seed)
+    numbers = [
+        lambda: repr(float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9))),
+        lambda: f"{rng.uniform(-1e3, 1e3):.25g}",
+        lambda: str(int(rng.integers(-1000, 1000))),
+        lambda: f"{rng.standard_normal():.3E}",
+        lambda: f" {rng.standard_normal():.4f}\t",
+        lambda: str(rng.choice(["-0", "0.", ".5", "+7", "1e-320", "4.9e-324", "1.7976931348623157e308"])),
+    ]
+    damages = {
+        "leading_blank": lambda lines: [str(rng.choice(["", "   ", "\t", "," * lines[0].count(",")])), *lines],
+        "blank_row": lambda lines: _insert(rng, lines, ""),
+        "whitespace_row": lambda lines: _insert(rng, lines, str(rng.choice(["  ", "\t", " , ", "\x0b"]))),
+        "trailing_comma": lambda lines: [line + "," if rng.random() < 0.5 else line for line in lines],
+        "ragged": lambda lines: _insert(rng, lines, "1"),
+        "quoted": lambda lines: _cell(rng, lines, '"2.5"'),
+        "underscore": lambda lines: _cell(rng, lines, "1_000"),
+        "unicode_digits": lambda lines: _cell(rng, lines, "١٢"),
+        "nul": lambda lines: _cell(rng, lines, str(rng.choice(["1\x00", "\x00"]))),
+        "not_finite": lambda lines: _cell(rng, lines, str(rng.choice(["nan", "inf", "-inf", "1e999", "NaN"]))),
+        "not_a_number": lambda lines: _cell(rng, lines, str(rng.choice(["abc", "", "1 2", "0x10"]))),
+        "past_field_limit": lambda lines: _cell(rng, lines, "0." + "0" * 200_000 + "1"),
+        "blank_row_past_field_limit": lambda lines: _insert(rng, lines, " " * 200_000),
+        "header_only": lambda lines: lines[:1],
+        "quoted_header": lambda lines: ['"' + lines[0].replace(",", '","') + '"', *lines[1:]],
+        "unclosed_quote_in_header": lambda lines: ['"' + lines[0], *lines[1:]],
+    }
+    names = sorted(damages)
+    for _ in range(count):
+        width = int(rng.integers(1, 5))
+        columns = [f"{'c' if rng.random() < 0.5 else ''}{j}" for j in range(width)]  # a name may be a number
+        lines = [",".join(columns)]
+        lines += [",".join(rng.choice(numbers)() for _ in range(width)) for _ in range(rng.integers(1, 6))]
+        for damage in rng.choice(names, size=rng.integers(0, 4), replace=False):
+            if "past_field_limit" not in damage or rng.random() < 0.2:
+                lines = damages[damage](lines)
+        end = str(rng.choice(["\n", "\r\n", "\r"]))
+        text = end.join(lines) + (end if rng.random() < 0.8 else "")
+        target = [-1, 0, -width, width, columns[0], f" {columns[-1]} ", "target"][rng.integers(0, 7)]
+        yield text, target
+
+
+def _insert(rng, lines, line):
+    at = int(rng.integers(1, len(lines) + 1))
+    return [*lines[:at], line, *lines[at:]]
+
+
+def _cell(rng, lines, cell):
+    """``lines`` with one cell of a data row (or of the header, if it has none) set to ``cell``."""
+    at = int(rng.integers(1, len(lines))) if len(lines) > 1 else 0
+    cells = lines[at].split(",")
+    cells[int(rng.integers(0, len(cells)))] = cell
+    return [*lines[:at], ",".join(cells), *lines[at + 1:]]
+
+
+def _outcome(load, path, target):
+    try:
+        ds = load(path, target_column=target)
+    except (DatasetError, UsageError) as exc:
+        return "error", type(exc), getattr(exc, "code", None), str(exc)
+    return ("dataset", ds.features.dtype, ds.features.shape, ds.features.tobytes(), ds.targets.dtype, ds.targets.shape,
+            ds.targets.tobytes(), ds.name, ds.num_classes)
+
+
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path):
+    # the rule is the csv module and float(), cell by cell; a well-formed table read
+    # by numpy's C reader must give the same bits, and any other text the same error
+    path = tmp_path / "data.csv"
+    read = 0
+    for text, target in _csv_texts(seed=36, count=400):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's reader warns on a body with no data row
+            got = _outcome(load_csv, path, target)
+        assert got == _outcome(ref_load_csv, path, target), repr(text[:300])
+        read += got[0] == "dataset"
+    assert 100 < read < 300  # both outcomes are well represented
 
 
 # ------------------------------------------------------------------- split
